@@ -13,6 +13,7 @@ import csv
 import io as _io
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -47,7 +48,6 @@ from .pipeline import (
     CachedSpectrumProvider,
     QubitAnalysisInput,
     T1Dataset,
-    T1Record,
     bin_average,
     exclusion_filter,
     extract_flux_noise_amplitude,
@@ -124,7 +124,6 @@ def _device_env(args):
     device = parse_device_file(args.device)
     env = device.environment(qc_eff=args.qceff, epsilon=args.epsilon, x_qp=args.xqp)
     if args.qubit_temp_k != env.t_qubit or args.res_temp_k != env.t_res:
-        from dataclasses import replace
         env = replace(env, t_qubit=args.qubit_temp_k, t_res=args.res_temp_k)
     return device, device.fluxonium_params(), device.resonator_params(), env
 
@@ -228,26 +227,26 @@ def _cmd_simulate_decay(args) -> int:
     return EXIT_OK
 
 
+def _fill_omega01(ds: T1Dataset, provider: CachedSpectrumProvider) -> T1Dataset:
+    """Model omega01 for records whose CSV row left it out."""
+    filled = [
+        r if r.omega01 is not None
+        else replace(r, omega01=provider(r.phi_ext).transition_frequency(0, 1))
+        for r in ds.records
+    ]
+    return replace(ds, records=tuple(filled))
+
+
 def _cmd_extract_qceff(args) -> int:
     device, params, res, env = _device_env(args)
     ds = parse_t1_csv(args.t1_csv, qubit_id=device.qubit_id)
     n_raw = len(ds)
     provider = CachedSpectrumProvider(params, n_levels=args.levels)
-    if any(r.omega01 is None for r in ds.records):
-        filled = [
-            r if r.omega01 is not None
-            else T1Record(phi_ext=r.phi_ext, t1=r.t1, t1_err=r.t1_err,
-                          omega01=provider(r.phi_ext).transition_frequency(0, 1),
-                          n_binned=r.n_binned)
-            for r in ds.records
-        ]
-        ds = T1Dataset(records=tuple(filled), qubit_id=ds.qubit_id,
-                       n_ingest_dropped=ds.n_ingest_dropped)
+    ds = _fill_omega01(ds, provider)
     binned = bin_average(ds, bin_width=args.bin_width_hz)
     kept, _dropped = exclusion_filter(binned, provider, env, res,
                                       threshold=args.exclusion_threshold)
-    dist = extract_qceff_dataset(kept, provider, res, env,
-                                 mode=T1Mode(args.mode), max_workers=args.workers)
+    dist = extract_qceff_dataset(kept, provider, res, env, mode=T1Mode(args.mode))
     config = dict(device=args.device, t1_csv=args.t1_csv, levels=args.levels,
                   epsilon=args.epsilon, bin_width_hz=args.bin_width_hz,
                   exclusion_threshold=args.exclusion_threshold, mode=args.mode,
@@ -264,16 +263,7 @@ def _cmd_fit_epsilon(args) -> int:
         device = parse_device_file(device_path)
         ds = parse_t1_csv(csv_path, qubit_id=device.qubit_id)
         provider = CachedSpectrumProvider(device.fluxonium_params(), n_levels=args.levels)
-        if any(r.omega01 is None for r in ds.records):
-            filled = [
-                r if r.omega01 is not None
-                else T1Record(phi_ext=r.phi_ext, t1=r.t1, t1_err=r.t1_err,
-                              omega01=provider(r.phi_ext).transition_frequency(0, 1))
-                for r in ds.records
-            ]
-            ds = T1Dataset(records=tuple(filled), qubit_id=ds.qubit_id,
-                           n_ingest_dropped=ds.n_ingest_dropped)
-        ds = bin_average(ds, bin_width=args.bin_width_hz)
+        ds = bin_average(_fill_omega01(ds, provider), bin_width=args.bin_width_hz)
         env = device.environment(qc_eff=args.qceff, epsilon=0.0, x_qp=args.xqp)
         kept, _ = exclusion_filter(ds, provider, env, device.resonator_params(),
                                    threshold=args.exclusion_threshold)
@@ -404,7 +394,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--exclusion-threshold", type=float, default=0.1)
     p.add_argument("--mode", default="multilevel_signal",
                    choices=[m.value for m in T1Mode])
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_extract_qceff)
 

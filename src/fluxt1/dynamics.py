@@ -27,6 +27,9 @@ from .resonator import ResonatorParams, dressed_response
 _EIG_IMAG_RTOL = 1e-9
 _PROB_DRIFT_TOL = 1e-9
 FIT_RESIDUAL_GATE = 1e-3  # fraction of fitted amplitude, for model-generated traces
+# largest relative T1 change the Newton polish of a fit may make; lm's own
+# scatter is ~1e-8
+_POLISH_MAX_STEP = 1e-6
 
 
 class T1Mode(str, Enum):
@@ -99,7 +102,8 @@ def build_rate_matrix(tables: list[MechanismRateTable]) -> RateMatrix:
         # a borderline conjugate pair can leave v.real rank-deficient even
         # when the imaginary parts are negligible; fall back to complex then
         w, v = w_raw.real, v_raw.real
-        if not np.isfinite(np.linalg.cond(v)) or np.linalg.cond(v) > 1e12:
+        cond = np.linalg.cond(v)
+        if not np.isfinite(cond) or cond > 1e12:
             w, v = w_raw, v_raw
     else:
         warnings.warn(
@@ -190,7 +194,9 @@ def fit_exponential(times, signal) -> DecayFit:
     """Least-squares fit of A exp(-t/T1) + C.
 
     Initial guesses come from the tail value (offset) and a log-linear
-    regression on the offset-subtracted decay.
+    regression on the offset-subtracted decay; Levenberg-Marquardt finds the
+    optimum and a Newton step on the gradient (``_polish_fit``) settles it to
+    rounding level, so T1 varies smoothly with the signal.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(signal, dtype=float)
@@ -223,11 +229,49 @@ def fit_exponential(times, signal) -> DecayFit:
             )
     except RuntimeError as exc:
         raise FitError(f"exponential fit did not converge: {exc}") from exc
-    a, tau, c = popt
+    tau = popt[1]
     if not (math.isfinite(tau) and tau > 0.0):
         raise FitError(f"exponential fit returned unphysical decay time {tau!r}")
+    popt = _polish_fit(t, y, popt)
+    a, tau, c = popt
     residual_rms = float(np.sqrt(np.mean((model(t, *popt) - y) ** 2)))
     return DecayFit(t1=float(tau), amplitude=float(a), offset=float(c), residual_rms=residual_rms)
+
+
+def _polish_fit(t: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """One Newton step on the gradient of sum((a exp(-t/tau) + c - y)**2).
+
+    lm stops on relative changes of the squared residual, which leaves the
+    parameters short of the optimum (T1 scattered by ~1e-8 relative even at
+    a 1e-15 tolerance); the fitted T1 then jitters as its inputs vary
+    smoothly, and any root find through it (the quality-factor inversion)
+    inherits the jitter. With the exact Hessian the step converges
+    quadratically, so one takes lm's answer to rounding level. p is returned
+    unchanged if the step fails, moves T1 by more than _POLISH_MAX_STEP
+    relative, or fits worse.
+    """
+    a, tau, c = p
+    e = np.exp(-t / tau)
+    r = a * e + c - y
+    de = t / tau**2 * e  # d e / d tau
+    jac = np.array([e, a * de, np.ones_like(t)])
+    hess = jac @ jac.T
+    hess[0, 1] += r @ de
+    hess[1, 0] = hess[0, 1]
+    hess[1, 1] += r @ (a * de * (t / tau**2 - 2.0 / tau))
+    # Jacobi scaling: the columns differ by the decay rate's magnitude
+    s = np.sqrt(np.abs(np.diag(hess)))
+    try:
+        q = p + np.linalg.solve(hess / np.outer(s, s), -(jac @ r) / s) / s
+    except np.linalg.LinAlgError:
+        return p
+    # a larger move means lm stopped in a flat valley where T1 is not
+    # determined by the data (the grid misses the decay); leave that alone
+    if not (np.all(np.isfinite(q)) and abs(q[1] - tau) <= _POLISH_MAX_STEP * tau):
+        return p
+    r_new = q[0] * np.exp(-t / q[1]) + q[2] - y
+    # equal up to rounding at an optimum, so allow for it
+    return q if r_new @ r_new <= (r @ r) * (1.0 + 1e-9) else p
 
 
 @dataclass(frozen=True)

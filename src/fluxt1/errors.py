@@ -42,8 +42,8 @@ class DominantModeTieError(FluxT1Error):
 
 
 class FitError(FluxT1Error):
-    """Curve fit or simplex minimization failed to converge or produced an
-    unphysical result."""
+    """Curve fit or quality-factor inversion failed to converge, found no
+    solution, or produced an unphysical result."""
 
 
 class DegenerateSampleError(FluxT1Error):

@@ -6,22 +6,18 @@ or radiative loss -> invert the remaining points through the multilevel decay
 model into an effective capacitive quality factor per frequency bin. A global
 frequency exponent is chosen by minimizing the pooled variance of the
 log-centered quality factors across qubits.
-
-Per-record work is embarrassingly parallel: records are independent and
-results merge by record index (``extract_qceff_dataset`` exposes a
-``max_workers`` knob backed by a thread pool).
 """
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq
 
 from .dynamics import (
     RateMatrix,
@@ -48,11 +44,18 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BIN_WIDTH = 8e6  # Hz
 DEFAULT_EXCLUSION_THRESHOLD = 0.1
-SIMPLEX_INITIAL_QCEFF = 3.0e5
-SIMPLEX_SPREAD = 0.5
-SIMPLEX_MAX_ITER = 500
-# simplex size below which the log10-space search is converged (~1e-4 relative in qc_eff)
-SIMPLEX_XATOL = 1e-4 / math.log(10.0)
+# warm start when the two-level closed form has no usable positive solution
+FALLBACK_QCEFF = 3.0e5
+# the inversion searches log10(qc_eff) within these bounds
+LOG10_QCEFF_MIN = 0.0
+LOG10_QCEFF_MAX = 12.0
+# first half-width of the bracket around the warm start, in decades; doubles
+# until the bracket holds a sign change
+BRACKET_STEP = 0.02
+# root tolerance in decades of qc_eff (~2e-12 relative): just above the
+# rounding floor of the multilevel model t1 (~1e-13), below which the worst
+# error over a dataset is set by that floor's scatter instead of the tolerance
+ROOT_XTOL = 1e-12
 SWEET_SPOT_TOL = 1e-6
 
 
@@ -194,7 +197,9 @@ class QceffInverter:
 
     Only the capacitive table depends on qc_eff, and it scales exactly as
     1/qc_eff at fixed frequency exponent, so each trial rebuilds the 6x6
-    generator from a cached reference instead of recomputing rates.
+    generator from a cached reference instead of recomputing rates. Modeled
+    t1 rises monotonically with qc_eff, so the inversion is a bracketed root
+    find in log10(qc_eff).
     """
 
     def __init__(
@@ -207,17 +212,14 @@ class QceffInverter:
     ):
         self.spec = spec
         self.res = res
-        self.env = env
         self.mode = T1Mode(mode)
-        self._q_ref = env.qc_eff
         cap = [m for m in mechanisms if m is Mechanism.CAPACITIVE]
         others = [m for m in mechanisms if m is not Mechanism.CAPACITIVE]
         if not cap:
             raise ValueError("inversion requires the capacitive mechanism in the set")
-        self._cap_ref = build_mechanism_table(spec, res, env, Mechanism.CAPACITIVE)
         self._fixed = [build_mechanism_table(spec, res, env, m) for m in others]
         self._fixed_pair = sum(t.pair_sum(0, 1) for t in self._fixed)
-        self._cap_pair_ref = self._cap_ref.pair_sum(0, 1)
+        self._set_capacitive(env)
         if self.mode is not T1Mode.TWO_LEVEL:
             self._p0 = invert_computational(thermal_population(spec, env.t_qubit))
         if self.mode is T1Mode.MULTILEVEL_SIGNAL:
@@ -225,6 +227,21 @@ class QceffInverter:
             from .resonator import dressed_response
 
             self._weights = dressed_response(spec, res).rotated_points().real
+
+    def _set_capacitive(self, env: Environment) -> None:
+        self.env = env
+        self._q_ref = env.qc_eff
+        self._cap_ref = build_mechanism_table(self.spec, self.res, env, Mechanism.CAPACITIVE)
+        self._cap_pair_ref = self._cap_ref.pair_sum(0, 1)
+
+    def _with_epsilon(self, epsilon: float) -> "QceffInverter":
+        """Copy at another frequency exponent, sharing every qc_eff- and
+        epsilon-independent table, the initial state and the readout weights."""
+        if epsilon == self.env.epsilon:
+            return self
+        other = copy.copy(self)
+        other._set_capacitive(replace(self.env, epsilon=epsilon))
+        return other
 
     def _generator(self, qc_eff: float) -> RateMatrix:
         scale = self._q_ref / qc_eff
@@ -246,52 +263,56 @@ class QceffInverter:
         """log10 starting point from the algebraic two-level inversion.
 
         The two-level answer usually sits within a few percent of the
-        multilevel one, which cuts the simplex walk substantially; the
-        default initial point is the fallback when no positive closed-form
-        solution exists. Deterministic either way.
+        multilevel one, so the first bracket around it already holds the
+        root; FALLBACK_QCEFF is used when no positive closed-form solution
+        exists. Deterministic either way.
         """
         residual = 1.0 / t1_measured - self._fixed_pair
         if residual > 0.0:
             q = self._q_ref * self._cap_pair_ref / residual
             if 1e2 < q < 1e9:
                 return math.log10(q)
-        return math.log10(SIMPLEX_INITIAL_QCEFF)
+        return math.log10(FALLBACK_QCEFF)
 
     def invert(self, t1_measured: float) -> float:
-        """Simplex minimization of the squared T1 mismatch over log10(qc_eff)."""
-        u0 = self._warm_start(t1_measured)
-        initial_simplex = np.array([[u0], [u0 + math.log10(1.0 + SIMPLEX_SPREAD)]])
+        """Root of log t1_model(10**u) - log t1_measured over u = log10(qc_eff).
 
-        def cost(u):
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    predicted = self.predict_t1(10.0 ** float(u[0]))
-            except FitError:
-                return 1e6 * t1_measured**2
-            return (predicted - t1_measured) ** 2
+        The bracket starts at +-BRACKET_STEP decades around the warm start and
+        widens geometrically toward the root, clipped to [LOG10_QCEFF_MIN,
+        LOG10_QCEFF_MAX]. Raises FitError when no sign change lies within
+        those bounds (for instance a t1 longer than the non-capacitive
+        channels alone allow); a FitError from a model evaluation propagates.
+        """
+        log_t1 = math.log(t1_measured)
+        memo: dict[float, float] = {}
 
-        result = minimize(
-            cost,
-            np.array([u0]),
-            method="Nelder-Mead",
-            options=dict(
-                initial_simplex=initial_simplex,
-                # converged when the simplex is small; the cost spread near the
-                # minimum is fit noise, so no function tolerance is imposed
-                xatol=SIMPLEX_XATOL,
-                fatol=np.inf,
-                maxiter=SIMPLEX_MAX_ITER,
-                maxfev=2 * SIMPLEX_MAX_ITER,
-            ),
-        )
-        qc = 10.0 ** float(result.x[0])
-        if not result.success and result.fun > (1e-3 * t1_measured) ** 2:
-            raise FitError(
-                f"quality-factor inversion did not converge after {result.nit} iterations "
-                f"(residual {math.sqrt(result.fun):.3e} s on t1 = {t1_measured:.3e} s)"
-            )
-        return qc
+        def g(u: float) -> float:
+            if u not in memo:
+                memo[u] = math.log(self.predict_t1(10.0 ** u)) - log_t1
+            return memo[u]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            u0 = self._warm_start(t1_measured)
+            g0 = g(u0)
+            if g0 == 0.0:
+                return 10.0 ** u0
+            # g rises with u, so the root lies above u0 when g0 < 0
+            toward = 1.0 if g0 < 0.0 else -1.0
+            inner, step = u0, BRACKET_STEP
+            while True:
+                outer = min(max(u0 + toward * step, LOG10_QCEFF_MIN), LOG10_QCEFF_MAX)
+                if toward * g(outer) >= 0.0:
+                    break
+                if outer in (LOG10_QCEFF_MIN, LOG10_QCEFF_MAX):
+                    raise FitError(
+                        f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
+                        f"reproduces t1 = {t1_measured:.3e} s (model t1 at the bound "
+                        f"is {math.exp(g(outer) + log_t1):.3e} s)"
+                    )
+                inner, step = outer, 2.0 * step
+            u = brentq(g, min(inner, outer), max(inner, outer), xtol=ROOT_XTOL)
+        return 10.0 ** u
 
 
 def two_level_qceff_closed_form(
@@ -304,7 +325,7 @@ def two_level_qceff_closed_form(
 
     The capacitive pair rate at fixed epsilon is exactly proportional to
     1/qc_eff, so the inversion is one division. Serves as the independent
-    check on the simplex path.
+    check on the root-find path.
     """
     bg = background_rate(spec, res, env)
     residual = 1.0 / t1_measured - bg
@@ -356,25 +377,14 @@ def extract_qceff_dataset(
     res: ResonatorParams,
     env: Environment,
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
-    max_workers: int | None = None,
 ) -> QceffDistribution:
-    """Invert every record of a dataset; records are processed independently
-    and merged by index."""
-
-    def work(record: T1Record) -> QceffEntry:
+    """Invert every record of a dataset, in record order."""
+    entries = []
+    for record in ds.records:
         spec = spec_provider(record.phi_ext)
         q = extract_qceff(record, spec, res, env, mode=mode)
         freq = record.omega01 if record.omega01 is not None else spec.transition_frequency(0, 1)
-        return QceffEntry(freq=float(freq), qceff=q, n_binned=record.n_binned)
-
-    if max_workers is not None and max_workers > 1:
-        # warm the spectrum cache serially; the provider is then read-only
-        for r in ds.records:
-            spec_provider(r.phi_ext)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            entries = list(pool.map(work, ds.records))
-    else:
-        entries = [work(r) for r in ds.records]
+        entries.append(QceffEntry(freq=float(freq), qceff=q, n_binned=record.n_binned))
     return QceffDistribution(entries=tuple(entries), epsilon_used=env.epsilon,
                              qubit_id=ds.qubit_id)
 
@@ -441,17 +451,24 @@ def fit_epsilon_global(
     if grid is None:
         grid = np.linspace(-1.0, 1.0, 41)
     grid = np.asarray(grid, dtype=float)
+    if grid.size == 0:
+        raise ValueError("the exponent grid is empty")
 
-    providers = [
-        CachedSpectrumProvider(qi.params, n_levels=n_levels) for qi in qubit_inputs
-    ]
+    # only the capacitive table depends on the exponent: build each record's
+    # inverter once, at the first grid point, and re-derive it per exponent
+    inverters = []
+    for qi in qubit_inputs:
+        provider = CachedSpectrumProvider(qi.params, n_levels=n_levels)
+        env0 = replace(qi.env, epsilon=float(grid[0]))
+        inverters.append([
+            (QceffInverter(provider(r.phi_ext), qi.res, env0, mode=mode), r.t1)
+            for r in qi.dataset.records
+        ])
     variances = np.empty(grid.size)
     for k, eps in enumerate(grid):
         pooled = []
-        for qi, provider in zip(qubit_inputs, providers):
-            env_eps = replace(qi.env, epsilon=float(eps))
-            dist = extract_qceff_dataset(qi.dataset, provider, qi.res, env_eps, mode=mode)
-            values = dist.values()
+        for records in inverters:
+            values = np.array([inv._with_epsilon(float(eps)).invert(t1) for inv, t1 in records])
             pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
         variances[k] = float(np.var(pooled))
     best = int(np.argmin(variances))

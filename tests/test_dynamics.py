@@ -210,6 +210,17 @@ class TestFitExponential:
         assert fit.t1 == pytest.approx(reference_t1, rel=1e-6)
         assert fit.t1 == pytest.approx(100e-6, rel=0.10)
 
+    def test_fitted_t1_scales_exactly_with_the_time_axis(self):
+        # stretching the time axis by (1 + d) stretches the least-squares T1
+        # by exactly (1 + d); a fit stopped short of the optimum scatters by
+        # ~1e-8 instead
+        t = np.logspace(np.log10(5e-6), np.log10(8e-4), 51)
+        y = 0.9 * np.exp(-t / 100e-6) + 0.1 * np.exp(-t / 20e-6) + 0.02
+        base = fit_exponential(t, y).t1
+        for d in (1e-9, 3e-8, 1e-6, 1e-4):
+            assert fit_exponential(t * (1.0 + d), y).t1 / (base * (1.0 + d)) == \
+                pytest.approx(1.0, abs=1e-12)
+
     def test_constant_signal_rejected(self):
         with pytest.raises(FitError):
             fit_exponential(np.linspace(0, 1, 10), np.ones(10))

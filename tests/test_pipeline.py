@@ -1,6 +1,7 @@
 """Binning, exclusion, quality-factor inversion, exponent and noise fits."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxt1.dynamics import T1Mode
+from fluxt1.errors import FitError
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize, flux_dispersion
 from fluxt1.loss import Environment
 from fluxt1.pipeline import (
@@ -20,6 +22,7 @@ from fluxt1.pipeline import (
     QubitAnalysisInput,
     T1Dataset,
     T1Record,
+    background_rate,
     bin_average,
     exclusion_filter,
     extract_flux_noise_amplitude,
@@ -182,14 +185,14 @@ class TestQceffExtraction:
             t1 = inverter.predict_t1(q_true)
             assert inverter.invert(t1) == pytest.approx(q_true, rel=1e-3)
 
-    def test_two_level_simplex_matches_closed_form(self, b1_params, b1_resonator):
+    def test_two_level_root_find_matches_closed_form(self, b1_params, b1_resonator):
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.27), n_levels=6)
         inverter = QceffInverter(spec, b1_resonator, env, mode=T1Mode.TWO_LEVEL)
         t1 = inverter.predict_t1(2.5e5)
-        simplex = inverter.invert(t1)
+        root = inverter.invert(t1)
         closed = two_level_qceff_closed_form(t1, spec, b1_resonator, env)
-        assert simplex == pytest.approx(closed, rel=1e-6)
+        assert root == pytest.approx(closed, rel=1e-6)
 
     def test_monotone_in_measured_t1(self, b1_half_flux_spectrum, b1_resonator):
         env = environment_of("B1")
@@ -198,7 +201,7 @@ class TestQceffExtraction:
         extracted = [inverter.invert(t) for t in (0.8 * base, base, 1.25 * base)]
         assert extracted[0] < extracted[1] < extracted[2]
 
-    def test_dataset_extraction_parallel_matches_serial(self, b1_params, b1_resonator):
+    def test_dataset_extraction_recovers_each_entry(self, b1_params, b1_resonator):
         env = environment_of("B1")
         provider = CachedSpectrumProvider(b1_params, n_levels=6)
         records = []
@@ -207,11 +210,55 @@ class TestQceffExtraction:
             records.append(T1Record(phi_ext=phi, t1=inv.predict_t1(2.2e5),
                                     omega01=provider(phi).transition_frequency(0, 1)))
         ds = T1Dataset(records=tuple(records), qubit_id="B1")
-        serial = extract_qceff_dataset(ds, provider, b1_resonator, env)
-        threaded = extract_qceff_dataset(ds, provider, b1_resonator, env, max_workers=3)
-        assert [e.qceff for e in serial.entries] == [e.qceff for e in threaded.entries]
-        for e in serial.entries:
+        dist = extract_qceff_dataset(ds, provider, b1_resonator, env)
+        assert [e.freq for e in dist.entries] == [r.omega01 for r in records]
+        for e in dist.entries:
             assert e.qceff == pytest.approx(2.2e5, rel=1e-3)
+
+
+class TestInversionContract:
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    def test_t1_beyond_background_limit_raises_fit_error(
+            self, mode, b1_half_flux_spectrum, b1_resonator):
+        env = environment_of("B1")
+        inverter = QceffInverter(b1_half_flux_spectrum, b1_resonator, env, mode=mode)
+        t1_limit = 1.0 / background_rate(b1_half_flux_spectrum, b1_resonator, env)
+        with pytest.raises(FitError):
+            inverter.invert(2.0 * t1_limit)
+
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("phi", (0.27, 0.5))
+    def test_round_trip_takes_at_most_20_model_evaluations(
+            self, mode, phi, b1_params, b1_resonator):
+        env = environment_of("B1")
+        spec = diagonalize(b1_params, FluxBias(phi), n_levels=6)
+        inverter = QceffInverter(spec, b1_resonator, env, mode=mode)
+        t1 = inverter.predict_t1(2.5e5)
+        model = inverter.predict_t1
+        calls = []
+
+        def counted(qc_eff):
+            calls.append(qc_eff)
+            return model(qc_eff)
+
+        inverter.predict_t1 = counted
+        assert inverter.invert(t1) == pytest.approx(2.5e5, rel=1e-3)
+        assert 1 <= len(calls) <= 20
+
+    @pytest.mark.parametrize("mode", [T1Mode.MULTILEVEL_POPULATION, T1Mode.MULTILEVEL_SIGNAL],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("phi", (0.04, 0.2444, 0.3, 0.5))
+    def test_multilevel_round_trip_reaches_root_tolerance(self, mode, phi):
+        # the data come from an inverter with another reference qc_eff, as
+        # when extract-qceff reads T1s simulated elsewhere; the model T1 must
+        # be smooth enough in qc_eff that the root find, not fit scatter,
+        # sets the error (ROOT_XTOL decades is ~2.3e-12 relative)
+        spec = diagonalize(params_of("A3"), FluxBias(phi), n_levels=6)
+        res = resonator_of("A3")
+        source = QceffInverter(spec, res, environment_of("A3", qc_eff=2.2e5), mode=mode)
+        inverter = QceffInverter(spec, res, environment_of("A3", qc_eff=3.0e5), mode=mode)
+        for q_true in (1.4e5, 2.2e5, 3.7e5):
+            assert inverter.invert(source.predict_t1(q_true)) == pytest.approx(q_true, rel=1e-11)
 
 
 class TestPipelineDeterminism:
@@ -273,6 +320,24 @@ class TestEpsilonFit:
         assert result.pooled_variance.shape == grid.shape
         assert result.pooled_variance.min() == result.pooled_variance[
             np.argmin(np.abs(grid - 0.25))]
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid is empty"):
+            fit_epsilon_global(self._synthetic_inputs(epsilon=0.25), grid=np.array([]))
+
+    def test_variance_curve_matches_fresh_extraction_per_exponent(self):
+        inputs = self._synthetic_inputs(epsilon=0.25)[:2]
+        grid = np.array([-0.5, 0.25, 0.75])
+        result = fit_epsilon_global(inputs, mode=T1Mode.MULTILEVEL_POPULATION, grid=grid)
+        for eps, variance in zip(grid, result.pooled_variance):
+            pooled = []
+            for qi in inputs:
+                provider = CachedSpectrumProvider(qi.params, n_levels=6)
+                env = replace(qi.env, epsilon=float(eps))
+                values = extract_qceff_dataset(qi.dataset, provider, qi.res, env,
+                                               mode=T1Mode.MULTILEVEL_POPULATION).values()
+                pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
+            assert variance == float(np.var(pooled))
 
 
 class TestFluxNoiseAmplitude:
