@@ -172,14 +172,13 @@ def _cmd_predict_t1(args) -> int:
     rows = []
     for phi in _flux_grid(args):
         bias = FluxBias(float(phi))
-        spec2 = diagonalize(params, bias, n_levels=2)
-        spec_n = diagonalize(params, bias, n_levels=args.levels)
-        omega01 = spec_n.transition_frequency(0, 1)
+        # one solve per bias; predicted_t1 slices it for the two-level mode
+        spec = diagonalize(params, bias, n_levels=args.levels)
+        omega01 = spec.transition_frequency(0, 1)
         for tok in mech_tokens:
             mechanisms = ANALYSIS_MECHANISMS if tok == "total" else (_MECHANISM_NAMES[tok],)
             for mode_tok in mode_tokens:
                 mode = mode_map[mode_tok]
-                spec = spec2 if mode is T1Mode.TWO_LEVEL else spec_n
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
@@ -267,11 +266,10 @@ def _cmd_fit_epsilon(args) -> int:
         env = device.environment(qc_eff=args.qceff, epsilon=0.0, x_qp=args.xqp)
         kept, _ = exclusion_filter(ds, provider, env, device.resonator_params(),
                                    threshold=args.exclusion_threshold)
-        inputs.append(QubitAnalysisInput(dataset=kept, params=device.fluxonium_params(),
+        inputs.append(QubitAnalysisInput(dataset=kept, spec_provider=provider,
                                          res=device.resonator_params(), env=env))
     grid = np.arange(args.grid_start, args.grid_stop + args.grid_step / 2, args.grid_step)
-    result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid,
-                                n_levels=args.levels)
+    result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
     config = dict(qubits=[list(pair) for pair in args.qubit], levels=args.levels,
                   mode=args.mode, bin_width_hz=args.bin_width_hz,
                   exclusion_threshold=args.exclusion_threshold,

@@ -432,16 +432,17 @@ def predicted_t1(
 
     two_level inverts the simple sum of 0<->1 rates; the multilevel modes fit
     an exponential to the p1 decay or to the synthesized readout signal. A
-    precomputed ``spec`` (with matching n_levels) skips rediagonalization.
+    precomputed ``spec`` with at least the levels the mode needs (2 for
+    two_level, else ``n_levels``) is sliced to them instead of solving again.
     """
     mode = T1Mode(mode)
+    need = 2 if mode is T1Mode.TWO_LEVEL else n_levels
+    if spec is None or spec.n_levels < need:
+        spec = diagonalize(params, bias, n_levels=need)
+    spec = spec.lowest(need)
     if mode is T1Mode.TWO_LEVEL:
-        if spec is None or spec.n_levels < 2:
-            spec = diagonalize(params, bias, n_levels=2)
         return 1.0 / two_level_total_rate(spec, res, env, mechanisms)
 
-    if spec is None or spec.n_levels != n_levels:
-        spec = diagonalize(params, bias, n_levels=n_levels)
     rm = build_generator(spec, res, env, mechanisms)
     p0 = invert_computational(thermal_population(spec, env.t_qubit))
     if times is None:

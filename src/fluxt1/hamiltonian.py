@@ -8,8 +8,10 @@ with all energies handled as linear frequencies (Hz, i.e. E/h). Angular
 frequencies appear only inside downstream rate formulas. Diagonalization
 uses the harmonic-oscillator basis of the linear LC sub-circuit, shifted so
 the quadratic well is centered (the external flux then lives inside the
-cosine). The basis is grown until retained energies are stable to one part
-in 1e9, so results do not depend on the starting truncation.
+cosine). The truncation starts at 60 oscillator states and grows until the
+retained energies are stable to one part in 1e9, so results do not depend on
+the starting truncation; each solve computes only the retained levels, not
+the whole basis spectrum.
 
 All functions here are pure; ``Spectrum`` values are immutable (backing
 arrays are write-locked) and safe to share across threads.
@@ -18,7 +20,7 @@ arrays are write-locked) and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -27,7 +29,7 @@ from scipy.linalg import eigh, eigh_tridiagonal
 from .constants import E_CHARGE, H
 from .errors import ConvergenceError
 
-DEFAULT_BASIS_DIM = 120
+DEFAULT_BASIS_DIM = 60
 BASIS_GROWTH = 20
 MAX_BASIS_DIM = 600
 CONVERGENCE_RTOL = 1e-9
@@ -89,6 +91,27 @@ class Spectrum:
     def transition_frequency(self, i: int, j: int) -> float:
         return transition_frequency(self, i, j)
 
+    def lowest(self, n: int) -> "Spectrum":
+        """The same eigensystem restricted to its lowest ``n`` levels.
+
+        The arrays are read-only views of this spectrum's leading blocks; no
+        solve is repeated. Convergence carries over, since the contract held
+        for every retained level.
+        """
+        if not 2 <= n <= self.n_levels:
+            raise ValueError(f"n must be in [2, {self.n_levels}], got {n}")
+        if n == self.n_levels:
+            return self
+        return replace(
+            self,
+            energies=self.energies[:n],
+            n_elem=self.n_elem[:n, :n],
+            phi_elem=self.phi_elem[:n, :n],
+            sin_half_elem=self.sin_half_elem[:n, :n],
+            n_levels=n,
+            _phi_centered_diag=self._phi_centered_diag[:n],
+        )
+
 
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -127,15 +150,14 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
     h_mat = -4.0 * params.ec * n_zpf**2 * d2_x
     idx = np.arange(dim)
     h_mat[idx, idx] += -params.ej * np.cos(phi_grid + theta) + 0.5 * params.el * phi_grid**2
-    energies, vecs = eigh(h_mat)
+    energies, v = eigh(h_mat, subset_by_index=[0, n_levels - 1])
 
-    v = vecs[:, :n_levels]
     phi_centered = (v.T * phi_grid) @ v
     n_elem = 1j * n_zpf * (v.T @ d_x @ v)
     sin_half_elem = (v.T * np.sin(0.5 * (phi_grid + theta))) @ v
     phi_elem = phi_centered + theta * np.eye(n_levels)
 
-    return energies[:n_levels].copy(), n_elem, phi_elem, sin_half_elem, np.diag(phi_centered).copy()
+    return energies, n_elem, phi_elem, sin_half_elem, np.diag(phi_centered).copy()
 
 
 def diagonalize(
@@ -147,9 +169,10 @@ def diagonalize(
 ) -> Spectrum:
     """Diagonalize the circuit and return a converged ``Spectrum``.
 
-    The truncation starts at ``basis_dim`` and grows in steps of 20 until the
-    retained energies move by less than ``convergence_rtol`` (relative to the
-    spectrum scale) under one further growth step. Raises
+    The truncation starts at ``basis_dim`` (60 by default) and grows in steps
+    of 20 until the retained energies move by less than ``convergence_rtol``
+    (relative to the spectrum scale) under one further growth step. Each step
+    solves for the lowest ``n_levels`` eigenpairs only. Raises
     :class:`ConvergenceError` carrying the last delta if the cap is reached.
     """
     if n_levels < 2:

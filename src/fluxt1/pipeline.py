@@ -419,10 +419,16 @@ def summarize(dist: QceffDistribution, allow_singleton: bool = False) -> Distrib
 
 @dataclass(frozen=True)
 class QubitAnalysisInput:
-    """Everything needed to re-run the extraction for one qubit."""
+    """Everything needed to re-run the extraction for one qubit.
+
+    ``spec_provider`` maps a record's phi_ext to its spectrum (a
+    ``CachedSpectrumProvider``, typically the one that already served the
+    exclusion filter, so no bias is solved twice); it fixes the retained
+    levels.
+    """
 
     dataset: T1Dataset
-    params: FluxoniumParams
+    spec_provider: CachedSpectrumProvider
     res: ResonatorParams
     env: Environment
 
@@ -438,7 +444,6 @@ def fit_epsilon_global(
     qubit_inputs: list[QubitAnalysisInput],
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
     grid: np.ndarray | None = None,
-    n_levels: int = 6,
 ) -> EpsilonFitResult:
     """Frequency exponent minimizing the pooled variance of centered log Q.
 
@@ -458,10 +463,9 @@ def fit_epsilon_global(
     # inverter once, at the first grid point, and re-derive it per exponent
     inverters = []
     for qi in qubit_inputs:
-        provider = CachedSpectrumProvider(qi.params, n_levels=n_levels)
         env0 = replace(qi.env, epsilon=float(grid[0]))
         inverters.append([
-            (QceffInverter(provider(r.phi_ext), qi.res, env0, mode=mode), r.t1)
+            (QceffInverter(qi.spec_provider(r.phi_ext), qi.res, env0, mode=mode), r.t1)
             for r in qi.dataset.records
         ])
     variances = np.empty(grid.size)

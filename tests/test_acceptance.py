@@ -251,7 +251,7 @@ def _epsilon_recovery(generating_epsilon: float) -> float:
                                     omega01=spec.transition_frequency(0, 1)))
         inputs.append(QubitAnalysisInput(
             dataset=T1Dataset(records=tuple(records), qubit_id=qubit),
-            params=params, res=res, env=env))
+            spec_provider=provider, res=res, env=env))
     result = fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL,
                                 grid=np.linspace(-1.0, 1.0, 41))
     return result.epsilon

@@ -395,6 +395,27 @@ class TestPredictedT1:
                                mode=T1Mode.MULTILEVEL_POPULATION, n_levels=2)
             assert pop == pytest.approx(two, rel=1e-9)
 
+    def test_given_spectrum_is_sliced_not_solved_again(self, b1_params, b1_resonator,
+                                                       monkeypatch):
+        import fluxt1.dynamics as dynamics
+
+        env = environment_of("B1")
+        for phi in (0.1, 0.3, 0.5):
+            bias = FluxBias(phi)
+            spec6 = diagonalize(b1_params, bias, n_levels=6)
+            fresh = predicted_t1(b1_params, b1_resonator, env, bias, mode=T1Mode.TWO_LEVEL)
+            with monkeypatch.context() as m:
+                m.setattr(dynamics, "diagonalize", None)  # any solve would fail
+                sliced = predicted_t1(b1_params, b1_resonator, env, bias,
+                                      mode=T1Mode.TWO_LEVEL, spec=spec6)
+                four = predicted_t1(b1_params, b1_resonator, env, bias,
+                                    mode=T1Mode.MULTILEVEL_POPULATION, n_levels=4,
+                                    spec=spec6)
+            assert sliced == pytest.approx(fresh, rel=1e-9)
+            assert four == predicted_t1(b1_params, b1_resonator, env, bias,
+                                        mode=T1Mode.MULTILEVEL_POPULATION, n_levels=4,
+                                        spec=spec6.lowest(4))
+
     def test_b1_six_level_close_to_two_level_at_half_flux(self, b1_params, b1_resonator):
         env = environment_of("B1")
         bias = FluxBias(0.5)

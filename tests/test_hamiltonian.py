@@ -113,6 +113,42 @@ class TestDiagonalize:
                 ref = abs(np.sum(vecs[:, i] * op * vecs[:, j]) * d)
                 assert abs(spec.sin_half_elem[i, j]) == pytest.approx(ref, abs=2e-5)
 
+    @pytest.mark.parametrize("qubit", ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3"])
+    def test_matrix_elements_converge_against_large_basis(self, qubit):
+        # the contract checks energies only; the operators must converge too
+        params = params_of(qubit)
+        for phi in (0.0, 0.25, 0.5):
+            spec = diagonalize(params, FluxBias(phi), n_levels=6)
+            ref = diagonalize(params, FluxBias(phi), n_levels=6, basis_dim=300)
+            scale = np.max(np.abs(ref.energies))
+            assert np.max(np.abs(spec.energies - ref.energies)) / scale < 1e-9
+            for name in ("n_elem", "phi_elem", "sin_half_elem"):
+                got = np.abs(getattr(spec, name)) ** 2
+                want = np.abs(getattr(ref, name)) ** 2
+                kept = want > 1e-6 * want.max()
+                np.testing.assert_allclose(got[kept], want[kept], rtol=1e-8,
+                                           err_msg=f"{qubit} {name} at phi={phi}")
+
+    def test_lowest_returns_leading_blocks_without_solving(self, b1_half_flux_spectrum,
+                                                           monkeypatch):
+        import fluxt1.hamiltonian as hamiltonian
+
+        spec = b1_half_flux_spectrum
+        monkeypatch.setattr(hamiltonian, "_solve_basis", None)  # any solve would fail
+        two = spec.lowest(2)
+        assert (two.n_levels, two.basis_dim) == (2, spec.basis_dim)
+        assert (two.params, two.bias) == (spec.params, spec.bias)
+        np.testing.assert_array_equal(two.energies, spec.energies[:2])
+        for name in ("n_elem", "phi_elem", "sin_half_elem"):
+            np.testing.assert_array_equal(getattr(two, name), getattr(spec, name)[:2, :2])
+        np.testing.assert_array_equal(two._phi_centered_diag, spec._phi_centered_diag[:2])
+        assert spec.lowest(6) is spec
+        with pytest.raises(ValueError):
+            two.energies[0] = 0.0
+        for bad in (1, 7):
+            with pytest.raises(ValueError):
+                spec.lowest(bad)
+
     def test_convergence_failure_carries_last_delta(self, b1_params, monkeypatch):
         import fluxt1.hamiltonian as hamiltonian
         from fluxt1.errors import ConvergenceError

@@ -387,3 +387,55 @@ class TestCli:
             ["simulate-decay", "--device", str(device), "--flux", "0.5"], capsys)
         assert code == 3
         assert json.loads(err)["error"]["type"] == "ResonanceCollisionError"
+
+
+B1_ROW = dict(qubit_id="B1", process_label="B", ej_ghz=3.15, ec_ghz=1.04, el_ghz=0.50,
+              omega_res_ghz=7.039, g_mhz=118, kappa_mhz=0.29, sqrt_a_phi_uphi0=5.2)
+
+
+class TestOneSolvePerBias:
+    """Each CLI call diagonalizes every flux bias it needs exactly once."""
+
+    @pytest.fixture()
+    def solved(self, monkeypatch):
+        import fluxt1.cli
+        import fluxt1.dynamics
+        import fluxt1.hamiltonian
+        import fluxt1.pipeline
+
+        biases = []
+
+        def counting(params, bias, *args, **kwargs):
+            biases.append(bias.phi_ext)
+            return fluxt1.hamiltonian.diagonalize(params, bias, *args, **kwargs)
+
+        for module in (fluxt1.cli, fluxt1.dynamics, fluxt1.pipeline):
+            monkeypatch.setattr(module, "diagonalize", counting)
+        return biases
+
+    def test_predict_t1_solves_each_flux_point_once(self, a1_device, solved, capsys):
+        code, out, _ = run_cli(
+            ["predict-t1", "--device", a1_device, "--flux-start", "0.1",
+             "--flux-stop", "0.5", "--flux-points", "5",
+             "--mechanisms", "capacitive,total", "--modes", "two_level,six_level,signal"],
+            capsys)
+        assert code == 0
+        assert len(list(csv.DictReader(out.splitlines()))) == 5 * 2 * 3
+        assert solved == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
+
+    def test_fit_epsilon_solves_each_record_flux_once(self, tmp_path, solved, capsys):
+        device_path = tmp_path / "b1.json"
+        device_path.write_text(json.dumps(B1_ROW))
+        # no omega01 column, so the back-fill solves too; the fluxes lie in
+        # distinct 8 MHz bins, so binning keeps every record as it is
+        fluxes = (0.2, 0.3, 0.4, 0.5)
+        t1_path = tmp_path / "t1.csv"
+        t1_path.write_text("phi_ext,t1_s\n" + "".join(f"{phi},1.5e-4\n" for phi in fluxes))
+        code, out, _ = run_cli(
+            ["fit-epsilon", "--qubit", str(device_path), str(t1_path),
+             "--mode", "two_level", "--grid-start", "0.0", "--grid-stop", "0.2",
+             "--grid-step", "0.1"], capsys)
+        assert code == 0
+        assert len(json.loads(out)["data"]["variance_curve"]) == 3
+        assert sorted(solved) == sorted(set(solved))
+        assert set(solved) == set(fluxes)

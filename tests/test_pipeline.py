@@ -300,7 +300,7 @@ class TestEpsilonFit:
                                         omega01=spec.transition_frequency(0, 1)))
             inputs.append(QubitAnalysisInput(
                 dataset=T1Dataset(records=tuple(records), qubit_id=qubit),
-                params=params, res=res, env=env))
+                spec_provider=provider, res=res, env=env))
         return inputs
 
     def test_recovers_generating_exponent(self):
@@ -332,9 +332,8 @@ class TestEpsilonFit:
         for eps, variance in zip(grid, result.pooled_variance):
             pooled = []
             for qi in inputs:
-                provider = CachedSpectrumProvider(qi.params, n_levels=6)
                 env = replace(qi.env, epsilon=float(eps))
-                values = extract_qceff_dataset(qi.dataset, provider, qi.res, env,
+                values = extract_qceff_dataset(qi.dataset, qi.spec_provider, qi.res, env,
                                                mode=T1Mode.MULTILEVEL_POPULATION).values()
                 pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
             assert variance == float(np.var(pooled))
