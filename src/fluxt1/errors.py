@@ -28,8 +28,8 @@ class ResonanceCollisionError(FluxT1Error):
 
 
 class ZeroTransitionError(FluxT1Error):
-    """A rate formula with a 1/omega (or 1/sqrt(omega)) factor was asked to
-    evaluate a degenerate level pair."""
+    """A rate table met a degenerate level pair (zero transition frequency)
+    with a nonzero matrix element in a switched-on channel."""
 
 
 class DominantModeTieError(FluxT1Error):

@@ -94,7 +94,6 @@ class DeviceFile:
             x_qp=x_qp,
             c_drive=self.c_drive,
             m_drive=self.m_drive,
-            n_array=self.n_array,
             qc_eff=qc_eff,
             epsilon=epsilon,
         )

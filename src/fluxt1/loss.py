@@ -1,16 +1,24 @@
 """Directional transition rates for every modeled energy-relaxation channel.
 
-Each mechanism yields a full table of rates Gamma_{i->j} between circuit
-eigenstates, generalizing the usual 0<->1 golden-rule expressions to arbitrary
-level pairs. Mechanisms driven by a thermal bath split their symmetrized pair
-rate into directional emission/absorption factors (coth(x) +- 1)/2, the unique
-split whose stationary state is the Boltzmann distribution. 1/f flux noise is
-treated as classical symmetric noise (equal up/down rates): its temperature
-dependence lives inside the measured noise amplitude, so imposing a quantum
-asymmetry on top would double count.
+Every channel is one golden-rule formula over the level pairs i < j of a
+spectrum, evaluated for all pairs at once (Nguyen et al., "High-Coherence
+Fluxonium Qubit", PRX 9, 041041 (2019), generalized from 0<->1 to any pair):
 
-Temperatures: the Purcell channel thermalizes with the readout environment
-(t_res); every other thermal channel uses the qubit temperature (t_qubit).
+    pair total = coupling prefactor * |<i|O|j>|^2 * S(f_ij),  f_ij = E_j - E_i
+
+A channel is its operator O, its prefactor, its spectral function S and the
+bath that splits the pair total into a downward (j -> i) and an upward
+(i -> j) rate:
+
+- thermal baths use (coth(x) +- 1)/2 at x = hf/2kT, the unique split whose
+  stationary state is the Boltzmann distribution. The Purcell channel
+  thermalizes with the readout environment (t_res); capacitive and
+  control-line loss with the qubit (t_qubit).
+- quasiparticle tunneling keeps the pair total as the downward rate and
+  suppresses the upward one by exp(-hf/kT) at t_qubit.
+- 1/f flux noise is classical symmetric noise (equal up/down rates): its
+  temperature dependence lives inside the measured noise amplitude, so
+  imposing a quantum asymmetry on top would double count.
 """
 
 from __future__ import annotations
@@ -19,6 +27,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,7 +91,6 @@ class Environment:
     gap: float = 44e9
     c_drive: float = 20e-18
     m_drive: float = PHI0 / 0.0215
-    n_array: int = 151
     qc_eff: float = 3.0e5
     epsilon: float = 0.25
 
@@ -93,8 +101,6 @@ class Environment:
             raise ValueError(f"t_res must be > 0, got {self.t_res!r}")
         if not self.qc_eff > 0.0:
             raise ValueError(f"qc_eff must be > 0, got {self.qc_eff!r}")
-        if self.n_array < 1:
-            raise ValueError(f"n_array must be >= 1, got {self.n_array!r}")
         for name in ("a_phi", "x_qp"):
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
@@ -118,177 +124,32 @@ class MechanismRateTable:
         return float(self.rates[i, j] + self.rates[j, i])
 
 
-def q_of_frequency(env: Environment, f: float) -> float:
-    """Capacitive quality factor at transition frequency f (Hz)."""
-    if not f > 0.0:
+def q_of_frequency(env: Environment, f):
+    """Capacitive quality factor at transition frequency f (Hz, scalar or array)."""
+    if not np.all(f > 0.0):
         raise ValueError(f"frequency must be > 0, got {f!r}")
     return env.qc_eff * (Q_REFERENCE_FREQUENCY / f) ** env.epsilon
 
 
-def _directional_factors(f: float, temperature: float) -> tuple[float, float]:
-    """(emission, absorption) thermal factors (coth(x) +- 1)/2 at x = hf/2kT.
-
-    Their sum is coth(x) and their ratio is exp(hf/kT), so a pair built from
-    them keeps the symmetrized total while obeying detailed balance. Written
-    via expm1 so the high-frequency limit (emission -> 1, absorption -> 0)
-    is exact instead of overflowing.
-    """
-    x = H * f / (2.0 * K_B * temperature)
-    absorption = 0.0 if x > 350.0 else 1.0 / math.expm1(2.0 * x)
-    return 1.0 + absorption, absorption
-
-
-def _pair(spec: Spectrum, i: int, j: int) -> tuple[float, bool]:
-    """(|transition frequency| in Hz, True if i->j emits energy)."""
-    if i == j:
-        raise ValueError(f"level pair requires i != j, got i=j={i}")
-    n = spec.n_levels
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"level indices ({i}, {j}) out of range for n_levels={n}")
-    f_ij = float(spec.energies[j] - spec.energies[i])
-    return abs(f_ij), f_ij < 0.0
-
-
-def _elem2(matrix, i: int, j: int) -> float:
-    """|matrix element|^2 read from the canonical (lower, upper) slot.
-
-    |M_ij| = |M_ji| holds mathematically, but the two float entries can differ
-    at roundoff on parity-forbidden pairs; reading one canonical slot keeps
-    up/down rate pairs exactly consistent.
-    """
-    lo, hi = (i, j) if i < j else (j, i)
-    return abs(matrix[lo, hi]) ** 2
-
-
-def rate_capacitive(spec: Spectrum, env: Environment, i: int, j: int) -> float:
-    """Dielectric (capacitive) loss rate Gamma_{i->j} in 1/s.
-
-    Pair total: (16 E_C / (hbar Q'(f))) |<i|n|j>|^2 coth(hf/2kT).
-    """
-    f, downward = _pair(spec, i, j)
-    elem2 = _elem2(spec.n_elem, i, j)
-    if elem2 == 0.0:
-        return 0.0
-    if f == 0.0:
-        raise ZeroTransitionError(f"degenerate pair ({i}, {j}): capacitive rate undefined")
-    prefactor = 16.0 * H * spec.params.ec / (HBAR * q_of_frequency(env, f)) * elem2
-    down, up = _directional_factors(f, env.t_qubit)
-    return prefactor * (down if downward else up)
-
-
-def rate_flux_noise(spec: Spectrum, env: Environment, i: int, j: int) -> float:
-    """1/f flux-noise rate Gamma_{i->j} = Gamma_{j->i} in 1/s.
-
-    Golden rule with S_Phi(w) = (2 pi A_phi / w)^alpha and inductive coupling
-    (2 pi E_L / Phi0) phi; at alpha = 1 this is
-    4 pi (2 pi E_L / (hbar Phi0))^2 |<i|phi|j>|^2 A_phi / w.
-    """
-    f, _ = _pair(spec, i, j)
-    if env.a_phi == 0.0:
-        return 0.0
-    if f == 0.0:
-        raise ZeroTransitionError(f"degenerate pair ({i}, {j}): flux-noise rate undefined")
-    omega = 2.0 * math.pi * f
-    coupling = 2.0 * math.pi * H * spec.params.el / PHI0
-    elem2 = _elem2(spec.phi_elem, i, j)
-    s_phi = (2.0 * math.pi * env.a_phi * PHI0**2 / omega) ** env.alpha
-    return 2.0 / HBAR**2 * coupling**2 * elem2 * s_phi
-
-
-def rate_quasiparticle(
-    spec: Spectrum, env: Environment, i: int, j: int, site: str | Mechanism = "junction"
-) -> float:
-    """Quasiparticle tunneling rate Gamma_{i->j} in 1/s.
-
-    site="junction": tunneling across the single junction, coupling through
-    sin(phi/2) with E_J prefactor. site="array": summed tunneling across the
-    series array junctions; with the per-junction phase drop linearized the
-    junction count cancels and the printed closed form carries 2 E_L and the
-    full |<i|phi|j>|^2 element. Upward rates carry the Boltzmann suppression
-    exp(-hf/kT) consistent with detailed balance.
-    """
-    f, downward = _pair(spec, i, j)
-    if env.x_qp == 0.0:
-        return 0.0
-    if f == 0.0:
-        raise ZeroTransitionError(f"degenerate pair ({i}, {j}): quasiparticle rate undefined")
-    if f > env.gap / 10.0:
-        warnings.warn(
-            f"transition ({i}, {j}) at {f:.3e} Hz is above gap/10 = {env.gap / 10:.3e} Hz; "
-            "the low-energy quasiparticle spectral density is inaccurate here",
-            QuasiparticleEnergyWarning,
-            stacklevel=2,
-        )
-    site_name = site.value if isinstance(site, Mechanism) else str(site)
-    if site_name in ("junction", Mechanism.QP_JUNCTION.value):
-        prefactor = 16.0 * H * spec.params.ej * env.x_qp / (math.pi * HBAR)
-        elem2 = _elem2(spec.sin_half_elem, i, j)
-    elif site_name in ("array", Mechanism.QP_ARRAY.value):
-        prefactor = 2.0 * H * spec.params.el * env.x_qp / (math.pi * HBAR)
-        elem2 = _elem2(spec.phi_elem, i, j)
-    else:
-        raise ValueError(f"unknown quasiparticle site {site!r}")
-    down_rate = prefactor * math.sqrt(2.0 * env.gap / f) * elem2
-    if downward:
-        return down_rate
-    return down_rate * math.exp(-H * f / (K_B * env.t_qubit))
-
-
-def rate_radiative(
-    spec: Spectrum, env: Environment, i: int, j: int, line: str | Mechanism = "charge"
-) -> float:
-    """Radiative loss to a control line, Gamma_{i->j} in 1/s.
-
-    line="charge": voltage noise from the matched environment couples through
-    the drive capacitance C_d across the charge operator,
-    Gamma = (2/hbar^2) (2e C_d/C_Sigma)^2 |<i|n|j>|^2 S_V with
-    S_V = hbar w Z coth(x). line="flux": current noise couples through the
-    mutual M_d across the phase operator,
-    Gamma = (2/hbar^2) (2 pi E_L M_d/Phi0)^2 |<i|phi|j>|^2 S_I with
-    S_I = hbar w coth(x) / Z.
-    """
-    f, downward = _pair(spec, i, j)
-    line_name = line.value if isinstance(line, Mechanism) else str(line)
-    if line_name in ("charge", Mechanism.CHARGE_LINE.value):
-        if env.c_drive == 0.0:
-            return 0.0
-        coupling = 2.0 * E_CHARGE * env.c_drive / spec.params.c_sigma
-        elem2 = _elem2(spec.n_elem, i, j)
-        spectral = HBAR * (2.0 * math.pi * f) * LINE_IMPEDANCE
-    elif line_name in ("flux", Mechanism.FLUX_LINE.value):
-        if env.m_drive == 0.0:
-            return 0.0
-        coupling = 2.0 * math.pi * H * spec.params.el * env.m_drive / PHI0
-        elem2 = _elem2(spec.phi_elem, i, j)
-        spectral = HBAR * (2.0 * math.pi * f) / LINE_IMPEDANCE
-    else:
-        raise ValueError(f"unknown radiative line {line!r}")
-    if elem2 == 0.0 or f == 0.0:
-        return 0.0
-    pair_total = 2.0 / HBAR**2 * coupling**2 * elem2 * spectral
-    down, up = _directional_factors(f, env.t_qubit)
-    return pair_total * (down if downward else up)
-
-
-def purcell_impedance(res: ResonatorParams, f: float) -> complex:
+def purcell_impedance(res: ResonatorParams, f):
     """Input impedance (Ohm) of the feedline filtered by the readout resonator.
 
     Quarter-wave line of impedance Z0, inductively coupled to a matched
     feedline with mutual M inferred from the resonator quality factor:
     M = (Z0/w_res) sqrt(pi/(2 Q_res)). Written with cos/sin instead of cot so
-    cotangent poles evaluate to their finite limits.
+    cotangent poles evaluate to their finite limits. f may be a scalar or an
+    array; the result is complex of the same shape.
     """
-    if not f > 0.0:
+    if not np.all(f > 0.0):
         raise ValueError(f"frequency must be > 0, got {f!r}")
     omega = 2.0 * math.pi * f
-    omega_res = 2.0 * math.pi * res.omega_res
     m = purcell_mutual_inductance(res)
     theta = math.pi * f / (2.0 * res.omega_res)
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
     z0 = res.z0
     num = omega**2 * m**2 * c + 2j * z0**2 * s
     den = 2.0 * z0**2 * c + 1j * omega**2 * m**2 * s
-    return complex(z0 * num / den)
+    return z0 * num / den
 
 
 def purcell_mutual_inductance(res: ResonatorParams) -> float:
@@ -297,31 +158,13 @@ def purcell_mutual_inductance(res: ResonatorParams) -> float:
     return res.z0 / omega_res * math.sqrt(math.pi / (2.0 * res.q_res))
 
 
-def rate_purcell(
-    spec: Spectrum, res: ResonatorParams, env: Environment, i: int, j: int
-) -> float:
-    """Radiative loss through the readout resonator, Gamma_{i->j} in 1/s.
-
-    Pair total (8 e^2 w / hbar) (C_c/C_Sigma)^2 |<i|n|j>|^2 Re[Z_in(w)] coth(x),
-    thermalized with the resonator environment at t_res.
-    """
-    f, downward = _pair(spec, i, j)
-    if res.g == 0.0:
-        return 0.0
-    elem2 = _elem2(spec.n_elem, i, j)
-    if elem2 == 0.0:
-        return 0.0
-    if f == 0.0:
-        raise ZeroTransitionError(f"degenerate pair ({i}, {j}): Purcell rate undefined")
-    c_sigma = spec.params.c_sigma
-    c_c = coupling_capacitance(res, c_sigma)
-    omega = 2.0 * math.pi * f
-    re_zin = purcell_impedance(res, f).real
-    pair_total = (
-        8.0 * E_CHARGE**2 * omega / HBAR * (c_c / c_sigma) ** 2 * elem2 * re_zin
-    )
-    down, up = _directional_factors(f, env.t_res)
-    return pair_total * (down if downward else up)
+@lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs i < j of an n-level table."""
+    i, j = np.triu_indices(n, k=1)
+    i.setflags(write=False)
+    j.setflags(write=False)
+    return i, j
 
 
 def build_mechanism_table(
@@ -333,46 +176,97 @@ def build_mechanism_table(
     """Fill the full directional rate table for one mechanism.
 
     ``res`` is only consulted by the Purcell channel and may be None for the
-    others. Per-pair errors propagate with the offending indices in their
-    message.
+    others. A degenerate pair (f_ij = 0) with a nonzero matrix element and a
+    switched-on channel raises ZeroTransitionError naming the pair. The
+    quasiparticle channels warn once per table when live pairs lie above
+    gap/10, where their low-energy spectral density is inaccurate.
     """
     mechanism = Mechanism(mechanism)
-    if mechanism is Mechanism.PURCELL:
-        if res is None:
-            raise ValueError("Purcell rates require resonator parameters")
-        rate = lambda i, j: rate_purcell(spec, res, env, i, j)  # noqa: E731
-    elif mechanism is Mechanism.CAPACITIVE:
-        rate = lambda i, j: rate_capacitive(spec, env, i, j)  # noqa: E731
-    elif mechanism is Mechanism.FLUX_NOISE:
-        rate = lambda i, j: rate_flux_noise(spec, env, i, j)  # noqa: E731
-    elif mechanism is Mechanism.QP_JUNCTION:
-        rate = lambda i, j: rate_quasiparticle(spec, env, i, j, site="junction")  # noqa: E731
-    elif mechanism is Mechanism.QP_ARRAY:
-        rate = lambda i, j: rate_quasiparticle(spec, env, i, j, site="array")  # noqa: E731
-    elif mechanism is Mechanism.CHARGE_LINE:
-        rate = lambda i, j: rate_radiative(spec, env, i, j, line="charge")  # noqa: E731
-    else:
-        rate = lambda i, j: rate_radiative(spec, env, i, j, line="flux")  # noqa: E731
+    if mechanism is Mechanism.PURCELL and res is None:
+        raise ValueError("Purcell rates require resonator parameters")
+    p = spec.params
+    # energies ascend, so level j lies above level i in every pair
+    i, j = _upper_pairs(spec.n_levels)
+    f = spec.energies[j] - spec.energies[i]
+    split = f != 0.0
+    fs = f[split]
+    omega = 2.0 * math.pi * fs
 
-    n = spec.n_levels
-    rates = np.zeros((n, n))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rates[i, j] = rate(i, j)
-    # collapse the per-pair quasiparticle-energy warnings into one per table
-    qp_pairs = sum(1 for w in caught if issubclass(w.category, QuasiparticleEnergyWarning))
-    for w in caught:
-        if not issubclass(w.category, QuasiparticleEnergyWarning):
-            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    if qp_pairs:
-        warnings.warn(
-            f"{mechanism.value}: {qp_pairs} level pairs lie above gap/10; "
-            "the low-energy quasiparticle spectral density is inaccurate there",
-            QuasiparticleEnergyWarning,
-            stacklevel=2,
+    # operator, coupling prefactor (zero switches the channel off), spectral
+    # function on the split pairs, and bath
+    bath, temperature = "thermal", env.t_qubit
+    if mechanism is Mechanism.CAPACITIVE:
+        op, coupling = spec.n_elem, 16.0 * H * p.ec / HBAR
+        spectral = 1.0 / q_of_frequency(env, fs)
+    elif mechanism is Mechanism.FLUX_NOISE:
+        # S_Phi(w) = (2 pi A_phi / w)^alpha; A_phi sits inside the power law,
+        # so it switches the channel here rather than through the prefactor
+        op, bath = spec.phi_elem, "symmetric"
+        coupling = 2.0 / HBAR**2 * (2.0 * math.pi * H * p.el / PHI0) ** 2 if env.a_phi else 0.0
+        spectral = (2.0 * math.pi * env.a_phi * PHI0**2 / omega) ** env.alpha
+    elif mechanism in (Mechanism.QP_JUNCTION, Mechanism.QP_ARRAY):
+        # the array's per-junction phase drop is linearized, so the junction
+        # count cancels and the closed form carries 2 E_L and the full phi
+        if mechanism is Mechanism.QP_JUNCTION:
+            op, coupling = spec.sin_half_elem, 16.0 * H * p.ej * env.x_qp / (math.pi * HBAR)
+        else:
+            op, coupling = spec.phi_elem, 2.0 * H * p.el * env.x_qp / (math.pi * HBAR)
+        spectral, bath = np.sqrt(2.0 * env.gap / fs), "boltzmann"
+    elif mechanism is Mechanism.CHARGE_LINE:
+        # voltage noise S_V = hbar w Z coth(x) through C_d across n
+        op = spec.n_elem
+        coupling = 2.0 / HBAR**2 * (2.0 * E_CHARGE * env.c_drive / p.c_sigma) ** 2
+        spectral = HBAR * omega * LINE_IMPEDANCE
+    elif mechanism is Mechanism.FLUX_LINE:
+        # current noise S_I = hbar w coth(x) / Z through M_d across phi
+        op = spec.phi_elem
+        coupling = 2.0 / HBAR**2 * (2.0 * math.pi * H * p.el * env.m_drive / PHI0) ** 2
+        spectral = HBAR * omega / LINE_IMPEDANCE
+    else:
+        # (8 e^2 w / hbar) (C_c/C_Sigma)^2 Re[Z_in(w)] coth(x) at t_res
+        op, temperature = spec.n_elem, env.t_res
+        c_ratio = coupling_capacitance(res, p.c_sigma) / p.c_sigma
+        coupling = 8.0 * E_CHARGE**2 / HBAR * c_ratio**2
+        spectral = omega * purcell_impedance(res, fs).real
+
+    # |M_ij|^2 from the canonical upper slot: the two float entries can differ
+    # at roundoff on parity-forbidden pairs, and one slot keeps up/down exact.
+    # float_power squares through C pow, bit for bit like Python's float **,
+    # so each entry equals the scalar evaluation of its formula
+    elem2 = np.float_power(np.abs(op[i, j]), 2)
+    live = (elem2 != 0.0) & (coupling != 0.0)
+    degenerate = np.flatnonzero(live & ~split)
+    if degenerate.size:
+        k = degenerate[0]
+        raise ZeroTransitionError(
+            f"degenerate pair ({i[k]}, {j[k]}): {mechanism.value} rate undefined"
         )
+    if bath == "boltzmann":
+        n_hot = np.count_nonzero(live & (f > env.gap / 10.0))
+        if n_hot:
+            warnings.warn(
+                f"{mechanism.value}: {n_hot} level pair(s) lie above gap/10 = "
+                f"{env.gap / 10.0:.3e} Hz; the low-energy quasiparticle spectral "
+                "density is inaccurate there",
+                QuasiparticleEnergyWarning,
+                stacklevel=2,
+            )
+
+    total = coupling * elem2[split] * spectral
+    if bath == "symmetric":
+        down = up = total
+    elif bath == "boltzmann":
+        down, up = total, total * np.exp(-H * fs / (K_B * temperature))
+    else:
+        # absorption factor 1/(exp(2x) - 1); beyond x = 350 it is exactly 0
+        x = H * fs / (2.0 * K_B * temperature)
+        absorption = np.zeros_like(x)
+        warm = x <= 350.0
+        absorption[warm] = 1.0 / np.expm1(2.0 * x[warm])
+        down, up = total * (1.0 + absorption), total * absorption
+
+    rates = np.zeros((spec.n_levels, spec.n_levels))
+    rates[j[split], i[split]] = down
+    rates[i[split], j[split]] = up
     rates.setflags(write=False)
     return MechanismRateTable(mechanism=mechanism, rates=rates)

@@ -28,6 +28,7 @@ from .dynamics import (
     fit_exponential,
     invert_computational,
     thermal_population,
+    two_level_total_rate,
 )
 from .errors import FitError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
@@ -155,19 +156,6 @@ def bin_average(ds: T1Dataset, bin_width: float = DEFAULT_BIN_WIDTH) -> T1Datase
                      n_ingest_dropped=ds.n_ingest_dropped)
 
 
-def background_rate(
-    spec: Spectrum,
-    res: ResonatorParams,
-    env: Environment,
-    mechanisms=BACKGROUND_MECHANISMS,
-) -> float:
-    """Symmetrized 0<->1 rate from every non-capacitive channel (1/s)."""
-    total = 0.0
-    for m in mechanisms:
-        total += build_mechanism_table(spec, res, env, m).pair_sum(0, 1)
-    return total
-
-
 def exclusion_filter(
     ds: T1Dataset,
     spec_provider,
@@ -184,7 +172,7 @@ def exclusion_filter(
     kept, dropped = [], []
     for r in ds.records:
         spec = spec_provider(r.phi_ext)
-        predicted = background_rate(spec, res, env)
+        predicted = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
         measured = 1.0 / r.t1
         (dropped if predicted / measured > threshold else kept).append(r)
     make = lambda recs: T1Dataset(records=tuple(recs), qubit_id=ds.qubit_id,  # noqa: E731
@@ -327,7 +315,7 @@ def two_level_qceff_closed_form(
     1/qc_eff, so the inversion is one division. Serves as the independent
     check on the root-find path.
     """
-    bg = background_rate(spec, res, env)
+    bg = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
     residual = 1.0 / t1_measured - bg
     if residual <= 0.0:
         raise FitError(

@@ -58,7 +58,7 @@ class TestDeviceFile:
         env = device.environment()
         assert env.a_phi == pytest.approx((10.4e-6) ** 2, rel=1e-12)
         assert env.c_drive == 20e-18
-        assert env.n_array == 151
+        assert device.n_array == 151
 
     def test_empty_file_lists_all_required_keys(self, tmp_path):
         path = tmp_path / "empty.json"

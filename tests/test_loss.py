@@ -1,7 +1,9 @@
 """Per-mechanism rates: closed-form oracles, detailed balance, limits."""
 
 import math
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxt1.constants import E_CHARGE, H, HBAR, K_B, PHI0
-from fluxt1.errors import QuasiparticleEnergyWarning
-from fluxt1.hamiltonian import FluxBias, diagonalize
+from fluxt1.dynamics import two_level_total_rate
+from fluxt1.errors import QuasiparticleEnergyWarning, ZeroTransitionError
+from fluxt1.hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
     Environment,
@@ -19,19 +22,37 @@ from fluxt1.loss import (
     purcell_impedance,
     purcell_mutual_inductance,
     q_of_frequency,
-    rate_capacitive,
-    rate_flux_noise,
-    rate_purcell,
-    rate_quasiparticle,
-    rate_radiative,
 )
 from fluxt1.resonator import ResonatorParams, coupling_capacitance
 
 from conftest import environment_of, params_of, resonator_of
 
+# level pairs checked against the closed forms, each in both directions
+PAIRS = [(0, 1), (1, 2), (0, 3), (2, 4)]
+DIRECTED = PAIRS + [(j, i) for i, j in PAIRS]
+
 
 def coth(x):
     return 1.0 / math.tanh(x)
+
+
+def rates(spec, env, mechanism, res=None):
+    return build_mechanism_table(spec, res, env, mechanism).rates
+
+
+def transition(spec, i, j):
+    """(|f_ij| in Hz, True if i->j emits, |canonical upper slot| of each operator)."""
+    lo, hi = min(i, j), max(i, j)
+    f = spec.energies[hi] - spec.energies[lo]
+    elems = {name: abs(getattr(spec, name)[lo, hi]) ** 2
+             for name in ("n_elem", "phi_elem", "sin_half_elem")}
+    return f, i > j, elems
+
+
+def thermal_share(f, temp, downward):
+    """Fraction of a thermal pair total that goes one way: 1/(1 + exp(-+hf/kT))."""
+    boltzmann = math.exp(H * f / (K_B * temp))
+    return boltzmann / (1.0 + boltzmann) if downward else 1.0 / (1.0 + boltzmann)
 
 
 class TestQOfFrequency:
@@ -58,166 +79,198 @@ class TestRateCapacitive:
     def test_parity_forbidden_pair_is_zero(self, b1_half_flux_spectrum, b1_environment):
         # 0->2 charge element vanishes at half flux up to eigensolver roundoff,
         # so the rate is zero on any physical scale (allowed rates are ~1e4/s)
-        assert rate_capacitive(b1_half_flux_spectrum, b1_environment, 0, 2) < 1e-12
+        table = rates(b1_half_flux_spectrum, b1_environment, Mechanism.CAPACITIVE)
+        assert table[0, 2] < 1e-12
 
-    def test_zero_temperature_limit(self, b1_half_flux_spectrum):
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_zero_temperature_limit(self, b1_half_flux_spectrum, pair):
         env_cold = environment_of("B1", t_qubit=1e-6)
         spec = b1_half_flux_spectrum
-        up = rate_capacitive(spec, env_cold, 0, 1)
-        down = rate_capacitive(spec, env_cold, 1, 0)
-        f = spec.energies[1] - spec.energies[0]
+        i, j = pair
+        table = rates(spec, env_cold, Mechanism.CAPACITIVE)
+        f, _, elems = transition(spec, i, j)
         bare = 16 * H * spec.params.ec / (HBAR * q_of_frequency(env_cold, f)) \
-            * abs(spec.n_elem[0, 1]) ** 2
-        assert up == 0.0
-        assert down == pytest.approx(bare, rel=1e-12)
+            * elems["n_elem"]
+        assert table[i, j] == 0.0
+        assert table[j, i] == pytest.approx(bare, rel=1e-12)
 
-    def test_b1_pair_sum_against_direct_formula(self, b1_half_flux_spectrum):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_b1_pair_sum_against_direct_formula(self, b1_half_flux_spectrum, pair):
         env = Environment(qc_eff=3.11e5, epsilon=0.25, t_qubit=0.040)
         spec = b1_half_flux_spectrum
-        f = spec.energies[1] - spec.energies[0]
-        pair = rate_capacitive(spec, env, 0, 1) + rate_capacitive(spec, env, 1, 0)
+        i, j = pair
+        f, downward, elems = transition(spec, i, j)
+        table = rates(spec, env, Mechanism.CAPACITIVE)
         expected = (16 * H * spec.params.ec / (HBAR * q_of_frequency(env, f))
-                    * abs(spec.n_elem[0, 1]) ** 2
+                    * elems["n_elem"]
                     * coth(H * f / (2 * K_B * 0.040)))
-        assert pair == pytest.approx(expected, rel=1e-12)
-
-    def test_same_level_rejected(self, b1_half_flux_spectrum, b1_environment):
-        with pytest.raises(ValueError):
-            rate_capacitive(b1_half_flux_spectrum, b1_environment, 1, 1)
+        assert table[i, j] + table[j, i] == pytest.approx(expected, rel=1e-12)
+        assert table[i, j] == pytest.approx(
+            expected * thermal_share(f, 0.040, downward), rel=1e-12)
 
     def test_pair_sum_increases_with_temperature(self, b1_half_flux_spectrum):
         spec = b1_half_flux_spectrum
         sums = []
         for t in (0.020, 0.040, 0.080, 0.160):
             env = environment_of("B1", t_qubit=t)
-            sums.append(rate_capacitive(spec, env, 0, 1) + rate_capacitive(spec, env, 1, 0))
+            sums.append(build_mechanism_table(spec, None, env,
+                                              Mechanism.CAPACITIVE).pair_sum(0, 1))
         assert all(a < b for a, b in zip(sums, sums[1:]))
 
 
 class TestRateFluxNoise:
     def test_zero_amplitude(self, b1_half_flux_spectrum):
         env = Environment(a_phi=0.0)
-        assert rate_flux_noise(b1_half_flux_spectrum, env, 0, 1) == 0.0
+        assert not rates(b1_half_flux_spectrum, env, Mechanism.FLUX_NOISE).any()
 
     def test_symmetric_up_down(self, b1_half_flux_spectrum, b1_environment):
-        down = rate_flux_noise(b1_half_flux_spectrum, b1_environment, 1, 0)
-        up = rate_flux_noise(b1_half_flux_spectrum, b1_environment, 0, 1)
-        assert down == up
+        table = rates(b1_half_flux_spectrum, b1_environment, Mechanism.FLUX_NOISE)
+        assert table[1, 0] == table[0, 1]
 
     def test_linear_in_amplitude(self, b1_half_flux_spectrum):
-        r1 = rate_flux_noise(b1_half_flux_spectrum, Environment(a_phi=1e-11), 0, 1)
-        r2 = rate_flux_noise(b1_half_flux_spectrum, Environment(a_phi=2e-11), 0, 1)
-        assert r2 == pytest.approx(2 * r1, rel=1e-12)
+        r1 = rates(b1_half_flux_spectrum, Environment(a_phi=1e-11), Mechanism.FLUX_NOISE)
+        r2 = rates(b1_half_flux_spectrum, Environment(a_phi=2e-11), Mechanism.FLUX_NOISE)
+        assert r2[0, 1] == pytest.approx(2 * r1[0, 1], rel=1e-12)
 
-    def test_a1_against_direct_formula(self):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_a1_against_direct_formula(self, pair):
         spec = diagonalize(params_of("A1"), FluxBias(0.48), n_levels=6)
         sqrt_a = 10.4e-6
         env = Environment(a_phi=sqrt_a**2)
-        omega = 2 * math.pi * (spec.energies[1] - spec.energies[0])
+        i, j = pair
+        f, _, elems = transition(spec, i, j)
+        omega = 2 * math.pi * f
         el_joule = H * spec.params.el
         expected = (4 * math.pi * (2 * math.pi * el_joule / (HBAR * PHI0)) ** 2
-                    * abs(spec.phi_elem[0, 1]) ** 2
+                    * elems["phi_elem"]
                     * (sqrt_a**2 * PHI0**2) / omega)
-        assert rate_flux_noise(spec, env, 1, 0) == pytest.approx(expected, rel=1e-9)
+        assert rates(spec, env, Mechanism.FLUX_NOISE)[i, j] == pytest.approx(
+            expected, rel=1e-9)
 
 
 class TestRateQuasiparticle:
     def test_zero_density(self, b1_half_flux_spectrum):
         env = Environment(x_qp=0.0)
-        assert rate_quasiparticle(b1_half_flux_spectrum, env, 1, 0, "junction") == 0.0
+        assert not rates(b1_half_flux_spectrum, env, Mechanism.QP_JUNCTION).any()
 
-    def test_junction_against_direct_formula(self, b1_params):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_junction_against_direct_formula(self, b1_params, pair):
         spec = diagonalize(b1_params, FluxBias(0.37), n_levels=6)
         env = Environment(x_qp=1e-9)
-        f = spec.energies[1] - spec.energies[0]
+        i, j = pair
+        f, downward, elems = transition(spec, i, j)
         expected = (16 * H * spec.params.ej * 1e-9 / (math.pi * HBAR)
                     * math.sqrt(2 * env.gap / f)
-                    * abs(spec.sin_half_elem[0, 1]) ** 2)
-        assert rate_quasiparticle(spec, env, 1, 0, "junction") == pytest.approx(
-            expected, rel=1e-12)
+                    * elems["sin_half_elem"])
+        if not downward:
+            expected *= math.exp(-H * f / (K_B * env.t_qubit))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            table = rates(spec, env, Mechanism.QP_JUNCTION)
+        assert table[i, j] == pytest.approx(expected, rel=1e-12)
 
-    def test_array_against_printed_closed_form(self, b1_half_flux_spectrum):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_array_against_printed_closed_form(self, b1_half_flux_spectrum, pair):
         spec = b1_half_flux_spectrum
         env = Environment(x_qp=1e-9)
-        f = spec.energies[1] - spec.energies[0]
+        i, j = pair
+        f, downward, elems = transition(spec, i, j)
         expected = (2 * H * spec.params.el * 1e-9 / (math.pi * HBAR)
                     * math.sqrt(2 * env.gap / f)
-                    * abs(spec.phi_elem[0, 1]) ** 2)
-        assert rate_quasiparticle(spec, env, 1, 0, "array") == pytest.approx(
-            expected, rel=1e-12)
-
-    def test_array_rate_independent_of_junction_count(self, b1_half_flux_spectrum):
-        # the per-junction linearization cancels the junction count exactly:
-        # N junctions each carry phase phi/N, so N * E_J^arr * (1/2N)^2 with
-        # E_J^arr = N E_L leaves no N in the total
-        spec = b1_half_flux_spectrum
-        r151 = rate_quasiparticle(spec, Environment(x_qp=1e-9, n_array=151), 1, 0, "array")
-        r301 = rate_quasiparticle(spec, Environment(x_qp=1e-9, n_array=301), 1, 0, "array")
-        assert r151 == r301
+                    * elems["phi_elem"])
+        if not downward:
+            expected *= math.exp(-H * f / (K_B * env.t_qubit))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            table = rates(spec, env, Mechanism.QP_ARRAY)
+        assert table[i, j] == pytest.approx(expected, rel=1e-12)
 
     def test_boltzmann_suppressed_excitation(self, b1_half_flux_spectrum):
         spec = b1_half_flux_spectrum
         env = Environment(x_qp=1e-9)
         f = spec.energies[1] - spec.energies[0]
-        down = rate_quasiparticle(spec, env, 1, 0, "array")
-        up = rate_quasiparticle(spec, env, 0, 1, "array")
-        assert up / down == pytest.approx(math.exp(-H * f / (K_B * env.t_qubit)), rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            table = rates(spec, env, Mechanism.QP_ARRAY)
+        assert table[0, 1] / table[1, 0] == pytest.approx(
+            math.exp(-H * f / (K_B * env.t_qubit)), rel=1e-12)
 
     def test_junction_loss_negligible_at_sweet_spot(self, b1_half_flux_spectrum):
         # parity zero of sin(phi/2) at half flux: the single junction cannot
         # explain measured-scale decay there at any plausible density
         env = Environment(x_qp=1e-9)
-        rate = rate_quasiparticle(b1_half_flux_spectrum, env, 1, 0, "junction")
-        assert rate < 1.0  # T1 > 1 s from this channel alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            table = rates(b1_half_flux_spectrum, env, Mechanism.QP_JUNCTION)
+        assert table[1, 0] < 1.0  # T1 > 1 s from this channel alone
 
     def test_warns_above_gap_fraction(self, b1_params):
-        spec = diagonalize(b1_params, FluxBias(0.0), n_levels=2)  # ~4.4 GHz
         env = Environment(x_qp=1e-9, gap=30e9)
-        with pytest.warns(QuasiparticleEnergyWarning):
-            rate_quasiparticle(spec, env, 1, 0, "junction")
+        # one warning per table, counting live unordered pairs above gap/10
+        for n_levels in (2, 6):
+            spec = diagonalize(b1_params, FluxBias(0.0), n_levels=n_levels)  # f01 ~4.4 GHz
+            i, j = np.triu_indices(n_levels, k=1)
+            live_hot = np.count_nonzero(
+                (spec.energies[j] - spec.energies[i] > env.gap / 10)
+                & (spec.sin_half_elem[i, j] != 0.0))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                build_mechanism_table(spec, None, env, Mechanism.QP_JUNCTION)
+            qp = [w for w in caught if issubclass(w.category, QuasiparticleEnergyWarning)]
+            assert len(qp) == 1
+            count = int(re.search(r": (\d+) level pair", str(qp[0].message)).group(1))
+            assert count == live_hot
+            if n_levels == 2:
+                assert count == 1
 
 
 class TestRateRadiative:
     def test_zero_couplings(self, b1_half_flux_spectrum):
-        assert rate_radiative(b1_half_flux_spectrum, Environment(c_drive=0.0),
-                              1, 0, "charge") == 0.0
-        assert rate_radiative(b1_half_flux_spectrum, Environment(m_drive=0.0),
-                              1, 0, "flux") == 0.0
+        assert not rates(b1_half_flux_spectrum, Environment(c_drive=0.0),
+                         Mechanism.CHARGE_LINE).any()
+        assert not rates(b1_half_flux_spectrum, Environment(m_drive=0.0),
+                         Mechanism.FLUX_LINE).any()
 
-    def test_charge_pair_sum_against_direct_formula(self, b1_half_flux_spectrum):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_charge_pair_sum_against_direct_formula(self, b1_half_flux_spectrum, pair):
         spec = b1_half_flux_spectrum
         env = Environment(t_qubit=0.040)
-        f = spec.energies[1] - spec.energies[0]
+        i, j = pair
+        f, downward, elems = transition(spec, i, j)
         omega = 2 * math.pi * f
         c_sigma = spec.params.c_sigma
         coupling = 2 * E_CHARGE * env.c_drive / c_sigma
-        expected = (2 / HBAR**2 * coupling**2 * abs(spec.n_elem[0, 1]) ** 2
+        expected = (2 / HBAR**2 * coupling**2 * elems["n_elem"]
                     * HBAR * omega * 50.0 * coth(H * f / (2 * K_B * 0.040)))
-        pair = (rate_radiative(spec, env, 1, 0, "charge")
-                + rate_radiative(spec, env, 0, 1, "charge"))
-        assert pair == pytest.approx(expected, rel=1e-12)
+        table = rates(spec, env, Mechanism.CHARGE_LINE)
+        assert table[i, j] + table[j, i] == pytest.approx(expected, rel=1e-12)
+        assert table[i, j] == pytest.approx(
+            expected * thermal_share(f, 0.040, downward), rel=1e-12)
 
-    def test_flux_pair_sum_against_direct_formula(self, b1_half_flux_spectrum):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_flux_pair_sum_against_direct_formula(self, b1_half_flux_spectrum, pair):
         spec = b1_half_flux_spectrum
         env = Environment(t_qubit=0.040)
-        f = spec.energies[1] - spec.energies[0]
+        i, j = pair
+        f, downward, elems = transition(spec, i, j)
         omega = 2 * math.pi * f
         el_joule = H * spec.params.el
         expected = (8 * math.pi**2 * el_joule**2 * env.m_drive**2 * omega
                     / (HBAR * PHI0**2 * 50.0)
-                    * abs(spec.phi_elem[0, 1]) ** 2
+                    * elems["phi_elem"]
                     * coth(H * f / (2 * K_B * 0.040)))
-        pair = (rate_radiative(spec, env, 1, 0, "flux")
-                + rate_radiative(spec, env, 0, 1, "flux"))
-        assert pair == pytest.approx(expected, rel=1e-12)
+        table = rates(spec, env, Mechanism.FLUX_LINE)
+        assert table[i, j] + table[j, i] == pytest.approx(expected, rel=1e-12)
+        assert table[i, j] == pytest.approx(
+            expected * thermal_share(f, 0.040, downward), rel=1e-12)
 
     def test_quadratic_scaling_in_couplings(self, b1_half_flux_spectrum):
         spec = b1_half_flux_spectrum
-        charge1 = rate_radiative(spec, Environment(c_drive=20e-18), 1, 0, "charge")
-        charge2 = rate_radiative(spec, Environment(c_drive=40e-18), 1, 0, "charge")
+        charge1 = rates(spec, Environment(c_drive=20e-18), Mechanism.CHARGE_LINE)[1, 0]
+        charge2 = rates(spec, Environment(c_drive=40e-18), Mechanism.CHARGE_LINE)[1, 0]
         assert charge2 == pytest.approx(4 * charge1, rel=1e-12)
-        flux1 = rate_radiative(spec, Environment(m_drive=1e-13), 1, 0, "flux")
-        flux2 = rate_radiative(spec, Environment(m_drive=2e-13), 1, 0, "flux")
+        flux1 = rates(spec, Environment(m_drive=1e-13), Mechanism.FLUX_LINE)[1, 0]
+        flux2 = rates(spec, Environment(m_drive=2e-13), Mechanism.FLUX_LINE)[1, 0]
         assert flux2 == pytest.approx(4 * flux1, rel=1e-12)
 
 
@@ -256,44 +309,47 @@ class TestPurcellImpedance:
 class TestRatePurcell:
     def test_zero_coupling(self, b1_half_flux_spectrum, b1_environment):
         res = ResonatorParams(omega_res=7.039e9, g=0.0, kappa=0.29e6)
-        assert rate_purcell(b1_half_flux_spectrum, res, b1_environment, 1, 0) == 0.0
+        assert not rates(b1_half_flux_spectrum, b1_environment, Mechanism.PURCELL, res).any()
 
-    def test_against_direct_formula(self, b1_half_flux_spectrum, b1_resonator):
+    @pytest.mark.parametrize("pair", DIRECTED)
+    def test_against_direct_formula(self, b1_half_flux_spectrum, b1_resonator, pair):
         spec = b1_half_flux_spectrum
         env = Environment(t_res=0.065)
-        f = spec.energies[1] - spec.energies[0]
+        i, j = pair
+        f, downward, elems = transition(spec, i, j)
         omega = 2 * math.pi * f
         c_sigma = spec.params.c_sigma
         c_c = coupling_capacitance(b1_resonator, c_sigma)
         pair_expected = (8 * E_CHARGE**2 * omega / HBAR * (c_c / c_sigma) ** 2
-                         * abs(spec.n_elem[0, 1]) ** 2
+                         * elems["n_elem"]
                          * purcell_impedance(b1_resonator, f).real
                          * coth(H * f / (2 * K_B * 0.065)))
-        pair = (rate_purcell(spec, b1_resonator, env, 1, 0)
-                + rate_purcell(spec, b1_resonator, env, 0, 1))
-        assert pair == pytest.approx(pair_expected, rel=1e-9)
+        table = rates(spec, env, Mechanism.PURCELL, b1_resonator)
+        assert table[i, j] + table[j, i] == pytest.approx(pair_expected, rel=1e-9)
+        assert table[i, j] == pytest.approx(
+            pair_expected * thermal_share(f, 0.065, downward), rel=1e-9)
 
     def test_uses_resonator_temperature(self, b1_half_flux_spectrum, b1_resonator):
         spec = b1_half_flux_spectrum
         f = spec.energies[1] - spec.energies[0]
         env = Environment(t_qubit=0.040, t_res=0.065)
-        up = rate_purcell(spec, b1_resonator, env, 0, 1)
-        down = rate_purcell(spec, b1_resonator, env, 1, 0)
-        assert down / up == pytest.approx(math.exp(H * f / (K_B * 0.065)), rel=1e-9)
+        table = rates(spec, env, Mechanism.PURCELL, b1_resonator)
+        assert table[1, 0] / table[0, 1] == pytest.approx(
+            math.exp(H * f / (K_B * 0.065)), rel=1e-9)
 
     def test_peaks_where_transition_meets_resonator(self, b1_params, b1_resonator):
         # sweep across the region where a higher transition crosses the
         # resonator; the total Purcell-limited rate must show a local maximum
         env = Environment()
         fluxes = np.linspace(0.05, 0.45, 41)
-        rates = []
+        totals = []
         for phi in fluxes:
             spec = diagonalize(b1_params, FluxBias(phi), n_levels=6)
             table = build_mechanism_table(spec, b1_resonator, env, Mechanism.PURCELL)
-            rates.append(table.rates.sum())
-        rates = np.array(rates)
-        interior = np.argmax(rates)
-        assert 0 < interior < len(rates) - 1
+            totals.append(table.rates.sum())
+        totals = np.array(totals)
+        interior = np.argmax(totals)
+        assert 0 < interior < len(totals) - 1
 
 
 class TestBuildMechanismTable:
@@ -343,34 +399,27 @@ class TestBuildMechanismTable:
 
     def test_mechanism_sum_equals_two_level_addition_of_rates(
             self, b1_half_flux_spectrum, b1_resonator):
-        # independent summation: add the five 0<->1 pair rates by hand
+        # independent summation: add the ten directional 0<->1 rates by hand
         env = environment_of("B1")
         spec = b1_half_flux_spectrum
-        by_hand = (
-            rate_capacitive(spec, env, 0, 1) + rate_capacitive(spec, env, 1, 0)
-            + rate_flux_noise(spec, env, 0, 1) + rate_flux_noise(spec, env, 1, 0)
-            + rate_radiative(spec, env, 0, 1, "charge")
-            + rate_radiative(spec, env, 1, 0, "charge")
-            + rate_radiative(spec, env, 0, 1, "flux")
-            + rate_radiative(spec, env, 1, 0, "flux")
-            + rate_purcell(spec, b1_resonator, env, 0, 1)
-            + rate_purcell(spec, b1_resonator, env, 1, 0)
-        )
-        via_tables = sum(
-            build_mechanism_table(spec, b1_resonator, env, m).pair_sum(0, 1)
-            for m in ANALYSIS_MECHANISMS
-        )
-        assert via_tables == pytest.approx(by_hand, rel=1e-12)
+        by_hand = 0.0
+        for m in ANALYSIS_MECHANISMS:
+            table = rates(spec, env, m, b1_resonator)
+            by_hand += table[0, 1]
+            by_hand += table[1, 0]
+        via_total = two_level_total_rate(spec, b1_resonator, env, ANALYSIS_MECHANISMS)
+        assert via_total == pytest.approx(by_hand, rel=1e-12)
 
 
 class TestDegenerateTransitions:
     @staticmethod
-    def _degenerate_spectrum():
-        # synthetic two-fold degenerate pair with live matrix elements
-        from fluxt1.hamiltonian import FluxBias, FluxoniumParams, Spectrum
-
+    def _degenerate_spectrum(dead_pair=None):
+        # synthetic two-fold degenerate pair (1, 2) with live matrix elements;
+        # dead_pair zeroes every operator's element on that pair
         energies = np.array([0.0, 1.0e9, 1.0e9, 5.0e9])
         ones = np.ones((4, 4)) - np.eye(4)
+        if dead_pair is not None:
+            ones[dead_pair] = ones[dead_pair[::-1]] = 0.0
         return Spectrum(
             params=FluxoniumParams(ej=3e9, ec=1e9, el=0.5e9),
             bias=FluxBias(0.3),
@@ -382,27 +431,45 @@ class TestDegenerateTransitions:
             n_levels=4,
         )
 
-    def test_degenerate_pair_raises_zero_transition(self):
-        from fluxt1.errors import ZeroTransitionError
-
+    @pytest.mark.parametrize("mechanism", list(Mechanism), ids=lambda m: m.value)
+    def test_degenerate_pair_raises_zero_transition(self, mechanism):
         spec = self._degenerate_spectrum()
         env = Environment(a_phi=1e-11, x_qp=1e-9)
-        with pytest.raises(ZeroTransitionError):
-            rate_flux_noise(spec, env, 1, 2)
-        with pytest.raises(ZeroTransitionError):
-            rate_quasiparticle(spec, env, 1, 2, "junction")
-        with pytest.raises(ZeroTransitionError):
-            rate_capacitive(spec, env, 1, 2)
+        with pytest.raises(ZeroTransitionError, match=r"\(1, 2\)"):
+            build_mechanism_table(spec, resonator_of("B1"), env, mechanism)
+
+    @pytest.mark.parametrize("mechanism", list(Mechanism), ids=lambda m: m.value)
+    def test_degenerate_pair_without_element_is_zero(self, mechanism):
+        spec = self._degenerate_spectrum(dead_pair=(1, 2))
+        env = Environment(a_phi=1e-11, x_qp=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            table = rates(spec, env, mechanism, resonator_of("B1"))
+        assert table[1, 2] == 0.0 and table[2, 1] == 0.0
+        assert table[0, 1] > 0.0
+
+    @pytest.mark.parametrize("mechanism, off", [
+        (Mechanism.FLUX_NOISE, dict(a_phi=0.0)),
+        (Mechanism.QP_JUNCTION, dict(x_qp=0.0)),
+        (Mechanism.QP_ARRAY, dict(x_qp=0.0)),
+        (Mechanism.CHARGE_LINE, dict(c_drive=0.0)),
+        (Mechanism.FLUX_LINE, dict(m_drive=0.0)),
+        (Mechanism.PURCELL, dict(g=0.0)),
+    ], ids=lambda v: getattr(v, "value", ""))
+    def test_switched_off_channel_ignores_degenerate_pair(self, mechanism, off):
+        res = replace(resonator_of("B1"), g=off.pop("g", 118e6))
+        env = Environment(**{"a_phi": 1e-11, "x_qp": 1e-9, **off})
+        assert not rates(self._degenerate_spectrum(), env, mechanism, res).any()
 
 
 @settings(max_examples=30, deadline=None)
-@given(temp=st.floats(0.005, 0.5), pair=st.sampled_from([(0, 1), (1, 2), (0, 3), (2, 4)]))
+@given(temp=st.floats(0.005, 0.5), pair=st.sampled_from(PAIRS))
 def test_capacitive_detailed_balance_property(b1_half_flux_spectrum, temp, pair):
     spec = b1_half_flux_spectrum
     env = Environment(t_qubit=temp, qc_eff=2e5, epsilon=0.25)
     i, j = pair
-    down = rate_capacitive(spec, env, j, i)
-    up = rate_capacitive(spec, env, i, j)
+    table = rates(spec, env, Mechanism.CAPACITIVE)
+    down, up = table[j, i], table[i, j]
     if down == 0.0:
         assert up == 0.0
         return

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxt1.dynamics import T1Mode
+from fluxt1.dynamics import T1Mode, two_level_total_rate
 from fluxt1.errors import FitError
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize, flux_dispersion
-from fluxt1.loss import Environment
+from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
 from fluxt1.pipeline import (
     CachedSpectrumProvider,
     DephasingDataset,
@@ -22,7 +22,6 @@ from fluxt1.pipeline import (
     QubitAnalysisInput,
     T1Dataset,
     T1Record,
-    background_rate,
     bin_average,
     exclusion_filter,
     extract_flux_noise_amplitude,
@@ -129,8 +128,7 @@ class TestExclusionFilter:
     def test_threshold_arithmetic(self):
         env = environment_of("B1")
         spec = self.provider(0.4)
-        from fluxt1.pipeline import background_rate
-        bg = background_rate(spec, self.res, env)
+        bg = two_level_total_rate(spec, self.res, env, BACKGROUND_MECHANISMS)
         # measured rate 5x the background prediction: ratio 0.2 > 0.1 -> drop
         ds = self.make_ds([1.0 / (5.0 * bg)])
         kept, dropped = exclusion_filter(ds, self.provider, env, self.res, threshold=0.1)
@@ -222,7 +220,8 @@ class TestInversionContract:
             self, mode, b1_half_flux_spectrum, b1_resonator):
         env = environment_of("B1")
         inverter = QceffInverter(b1_half_flux_spectrum, b1_resonator, env, mode=mode)
-        t1_limit = 1.0 / background_rate(b1_half_flux_spectrum, b1_resonator, env)
+        t1_limit = 1.0 / two_level_total_rate(b1_half_flux_spectrum, b1_resonator, env,
+                                              BACKGROUND_MECHANISMS)
         with pytest.raises(FitError):
             inverter.invert(2.0 * t1_limit)
 
