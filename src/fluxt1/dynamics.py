@@ -6,6 +6,13 @@ relaxation time is always extracted by fitting an exponential to the full
 multi-mode solution (population of level 1, or the synthesized readout signal
 including higher-state resonator pulls), never by picking a single eigenvalue:
 the measured protocol fits a decay trace, so the model does too.
+
+The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
+Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
+in (A, C), which the normal equations give directly, so the search is over
+the decay rate alone and ends at the root of one scalar gradient.
+``rising_root`` brackets such a root and solves it with Brent's method; the
+quality-factor inversion in ``pipeline`` uses it too.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import curve_fit
+from scipy.optimize import brentq
 
 from .constants import H, K_B
 from .errors import DominantModeTieError, FitError, NumericalError
@@ -27,9 +34,15 @@ from .resonator import ResonatorParams, dressed_response
 _EIG_IMAG_RTOL = 1e-9
 _PROB_DRIFT_TOL = 1e-9
 FIT_RESIDUAL_GATE = 1e-3  # fraction of fitted amplitude, for model-generated traces
-# largest relative T1 change the Newton polish of a fit may make; lm's own
-# scatter is ~1e-8
-_POLISH_MAX_STEP = 1e-6
+# the decay fit searches u = ln(1/T1): its first bracket reaches this far from
+# the log-linear estimate and doubles, up to FIT_BRACKET_SPAN either side
+FIT_BRACKET_STEP = 0.05
+FIT_BRACKET_SPAN = 20.0
+# root tolerance in u, i.e. relative in T1: at the gradient's rounding floor
+FIT_XTOL = 1e-14
+# largest |A| / ptp(signal) of a resolved decay; ordinary model traces stay
+# below ~40, while a decay the grid misses needs an amplitude ~1e6 the range
+FIT_AMPLITUDE_LIMIT = 1e3
 
 
 class T1Mode(str, Enum):
@@ -190,88 +203,96 @@ class DecayFit:
     residual_rms: float
 
 
-def fit_exponential(times, signal) -> DecayFit:
-    """Least-squares fit of A exp(-t/T1) + C.
+def rising_root(g, u0: float, step: float, lo: float, hi: float, xtol: float) -> float | None:
+    """Root of a function g that rises through zero, searched outward from u0.
 
-    Initial guesses come from the tail value (offset) and a log-linear
-    regression on the offset-subtracted decay; Levenberg-Marquardt finds the
-    optimum and a Newton step on the gradient (``_polish_fit``) settles it to
-    rounding level, so T1 varies smoothly with the signal.
+    The bracket reaches ``step`` from u0 toward the sign change and doubles
+    its reach until g changes sign, clipped to [lo, hi]; ``brentq`` then
+    solves it to ``xtol``. Returns None when g keeps its sign up to the bound.
+    """
+    g0 = g(u0)
+    if g0 == 0.0:
+        return u0
+    # g rises with u, so the root lies above u0 when g0 < 0
+    toward = 1.0 if g0 < 0.0 else -1.0
+    inner = u0
+    while True:
+        outer = min(max(u0 + toward * step, lo), hi)
+        if toward * g(outer) >= 0.0:
+            break
+        if outer in (lo, hi):
+            return None
+        inner, step = outer, 2.0 * step
+    return brentq(g, min(inner, outer), max(inner, outer), xtol=xtol)
+
+
+def fit_exponential(times, signal) -> DecayFit:
+    """Least-squares fit of A exp(-t/T1) + C by variable projection.
+
+    For a trial decay rate k = 1/T1 the model is linear in (A, C), so both
+    follow from the centred normal equations; only k is searched. At that
+    inner optimum the gradient of the squared residual in u = ln k is the
+    explicit derivative -A k r.(t e) alone (Kaufman, BIT 15, 49 (1975)), and
+    the fit is its rising root, bracketed around a log-linear estimate of T1
+    and solved to rounding level, so T1 varies smoothly with the signal.
+
+    Raises FitError when the trace cannot determine a decay: fewer than 4
+    samples, a constant signal, no optimum within FIT_BRACKET_SPAN of the
+    estimate, or an amplitude above FIT_AMPLITUDE_LIMIT times the signal's
+    range (a decay the time grid does not resolve).
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(signal, dtype=float)
     if t.size < 4:
         raise FitError(f"need at least 4 samples to fit, got {t.size}")
-    if np.ptp(y) == 0.0:
+    y_range = np.ptp(y)
+    if y_range == 0.0:
         raise FitError("signal is constant; decay time undefined")
 
-    c0 = y[-1]
-    a0 = y[0] - c0
-    if a0 == 0.0:
-        a0 = np.ptp(y) if y[0] >= np.mean(y) else -np.ptp(y)
-    resid = np.abs(y - c0)
-    mask = resid > max(1e-3 * abs(a0), 1e-300)
+    resid = np.abs(y - y[-1])
+    mask = resid > max(1e-3 * (abs(y[0] - y[-1]) or y_range), 1e-300)
     tau0 = (t[-1] - t[0]) / 3.0 if t[-1] > t[0] else 1.0
     if mask.sum() >= 2:
         slope = np.polyfit(t[mask], np.log(resid[mask]), 1)[0]
         if slope < 0.0:
             tau0 = -1.0 / slope
 
-    def model(tt, a, tau, c):
-        return a * np.exp(-tt / tau) + c
+    y_mean = y.mean()
+    dy = y - y_mean
 
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # lm explores tau<0 transiently
-            popt, _ = curve_fit(
-                model, t, y, p0=[a0, tau0, c0], method="lm",
-                maxfev=20000, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-            )
-    except RuntimeError as exc:
-        raise FitError(f"exponential fit did not converge: {exc}") from exc
-    tau = popt[1]
+    def project(u: float):
+        """(A, C, e) minimizing the residual at decay rate k = exp(u)."""
+        e = np.exp(-math.exp(u) * t)
+        e_mean = e.mean()
+        de = e - e_mean
+        norm = de @ de
+        if not norm > 0.0:
+            raise FitError(f"decay time {math.exp(-u):.3e} s is unresolved on the time grid")
+        a = (de @ dy) / norm
+        return a, y_mean - a * e_mean, e
+
+    def gradient(u: float) -> float:
+        a, c, e = project(u)
+        g = -a * math.exp(u) * ((a * e + c - y) @ (t * e))
+        if not math.isfinite(g):
+            raise FitError(f"decay-fit gradient is not finite at T1 = {math.exp(-u):.3e} s")
+        return g
+
+    u0 = -math.log(tau0)
+    u = rising_root(gradient, u0, FIT_BRACKET_STEP, u0 - FIT_BRACKET_SPAN,
+                    u0 + FIT_BRACKET_SPAN, FIT_XTOL)
+    if u is None:
+        raise FitError(f"no least-squares decay time within a factor e^{FIT_BRACKET_SPAN:g} "
+                       f"of the estimate {tau0:.3e} s")
+    tau = math.exp(-u)
     if not (math.isfinite(tau) and tau > 0.0):
         raise FitError(f"exponential fit returned unphysical decay time {tau!r}")
-    popt = _polish_fit(t, y, popt)
-    a, tau, c = popt
-    residual_rms = float(np.sqrt(np.mean((model(t, *popt) - y) ** 2)))
-    return DecayFit(t1=float(tau), amplitude=float(a), offset=float(c), residual_rms=residual_rms)
-
-
-def _polish_fit(t: np.ndarray, y: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """One Newton step on the gradient of sum((a exp(-t/tau) + c - y)**2).
-
-    lm stops on relative changes of the squared residual, which leaves the
-    parameters short of the optimum (T1 scattered by ~1e-8 relative even at
-    a 1e-15 tolerance); the fitted T1 then jitters as its inputs vary
-    smoothly, and any root find through it (the quality-factor inversion)
-    inherits the jitter. With the exact Hessian the step converges
-    quadratically, so one takes lm's answer to rounding level. p is returned
-    unchanged if the step fails, moves T1 by more than _POLISH_MAX_STEP
-    relative, or fits worse.
-    """
-    a, tau, c = p
-    e = np.exp(-t / tau)
-    r = a * e + c - y
-    de = t / tau**2 * e  # d e / d tau
-    jac = np.array([e, a * de, np.ones_like(t)])
-    hess = jac @ jac.T
-    hess[0, 1] += r @ de
-    hess[1, 0] = hess[0, 1]
-    hess[1, 1] += r @ (a * de * (t / tau**2 - 2.0 / tau))
-    # Jacobi scaling: the columns differ by the decay rate's magnitude
-    s = np.sqrt(np.abs(np.diag(hess)))
-    try:
-        q = p + np.linalg.solve(hess / np.outer(s, s), -(jac @ r) / s) / s
-    except np.linalg.LinAlgError:
-        return p
-    # a larger move means lm stopped in a flat valley where T1 is not
-    # determined by the data (the grid misses the decay); leave that alone
-    if not (np.all(np.isfinite(q)) and abs(q[1] - tau) <= _POLISH_MAX_STEP * tau):
-        return p
-    r_new = q[0] * np.exp(-t / q[1]) + q[2] - y
-    # equal up to rounding at an optimum, so allow for it
-    return q if r_new @ r_new <= (r @ r) * (1.0 + 1e-9) else p
+    a, c, e = project(u)
+    if abs(a) > FIT_AMPLITUDE_LIMIT * y_range:
+        raise FitError(f"fitted amplitude {a:.3e} exceeds {FIT_AMPLITUDE_LIMIT:g} times the "
+                       f"signal range {y_range:.3e}; the time grid does not resolve the decay")
+    residual_rms = float(np.sqrt(np.mean((a * e + c - y) ** 2)))
+    return DecayFit(t1=tau, amplitude=float(a), offset=float(c), residual_rms=residual_rms)
 
 
 @dataclass(frozen=True)

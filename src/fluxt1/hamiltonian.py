@@ -89,7 +89,11 @@ class Spectrum:
     _phi_centered_diag: np.ndarray = field(repr=False, default=None)
 
     def transition_frequency(self, i: int, j: int) -> float:
-        return transition_frequency(self, i, j)
+        """Signed transition frequency energies[j] - energies[i] in Hz."""
+        if not (0 <= i < self.n_levels and 0 <= j < self.n_levels):
+            raise IndexError(f"level indices ({i}, {j}) out of range for "
+                             f"n_levels={self.n_levels}")
+        return float(self.energies[j] - self.energies[i])
 
     def lowest(self, n: int) -> "Spectrum":
         """The same eigensystem restricted to its lowest ``n`` levels.
@@ -208,14 +212,6 @@ def diagonalize(
     )
 
 
-def transition_frequency(spec: Spectrum, i: int, j: int) -> float:
-    """Signed transition frequency energies[j] - energies[i] in Hz."""
-    n = spec.n_levels
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"level indices ({i}, {j}) out of range for n_levels={n}")
-    return float(spec.energies[j] - spec.energies[i])
-
-
 def flux_dispersion(params: FluxoniumParams, bias: FluxBias, **diag_kwargs) -> float:
     """Slope of the 0->1 angular transition frequency vs external flux.
 
@@ -226,25 +222,3 @@ def flux_dispersion(params: FluxoniumParams, bias: FluxBias, **diag_kwargs) -> f
     spec = diagonalize(params, bias, n_levels=max(2, diag_kwargs.pop("n_levels", 2)), **diag_kwargs)
     de = -2.0 * np.pi * params.el * spec._phi_centered_diag
     return float(2.0 * np.pi * (de[1] - de[0]))
-
-
-def spectrum_vs_flux(
-    params: FluxoniumParams,
-    flux_grid: list[FluxBias],
-    n_levels: int = 6,
-    **diag_kwargs,
-) -> list[Spectrum]:
-    """Diagonalize at every bias in ``flux_grid`` (order preserved)."""
-    if len(flux_grid) == 0:
-        raise ValueError("flux_grid must be nonempty")
-    out = []
-    for k, bias in enumerate(flux_grid):
-        try:
-            out.append(diagonalize(params, bias, n_levels=n_levels, **diag_kwargs))
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"diagonalization failed at flux grid index {k} "
-                f"(phi_ext={bias.phi_ext}): {exc}",
-                last_delta=exc.last_delta,
-            ) from exc
-    return out

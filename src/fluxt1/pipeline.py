@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dynamics import (
     RateMatrix,
@@ -27,6 +26,7 @@ from .dynamics import (
     evolve,
     fit_exponential,
     invert_computational,
+    rising_root,
     thermal_population,
     two_level_total_rate,
 )
@@ -265,11 +265,12 @@ class QceffInverter:
     def invert(self, t1_measured: float) -> float:
         """Root of log t1_model(10**u) - log t1_measured over u = log10(qc_eff).
 
-        The bracket starts at +-BRACKET_STEP decades around the warm start and
-        widens geometrically toward the root, clipped to [LOG10_QCEFF_MIN,
-        LOG10_QCEFF_MAX]. Raises FitError when no sign change lies within
-        those bounds (for instance a t1 longer than the non-capacitive
-        channels alone allow); a FitError from a model evaluation propagates.
+        ``rising_root`` brackets it from BRACKET_STEP decades off the warm
+        start, widening geometrically toward the root, clipped to
+        [LOG10_QCEFF_MIN, LOG10_QCEFF_MAX]. Raises FitError when no sign
+        change lies within those bounds (for instance a t1 longer than the
+        non-capacitive channels alone allow); a FitError from a model
+        evaluation propagates.
         """
         log_t1 = math.log(t1_measured)
         memo: dict[float, float] = {}
@@ -282,24 +283,14 @@ class QceffInverter:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             u0 = self._warm_start(t1_measured)
-            g0 = g(u0)
-            if g0 == 0.0:
-                return 10.0 ** u0
-            # g rises with u, so the root lies above u0 when g0 < 0
-            toward = 1.0 if g0 < 0.0 else -1.0
-            inner, step = u0, BRACKET_STEP
-            while True:
-                outer = min(max(u0 + toward * step, LOG10_QCEFF_MIN), LOG10_QCEFF_MAX)
-                if toward * g(outer) >= 0.0:
-                    break
-                if outer in (LOG10_QCEFF_MIN, LOG10_QCEFF_MAX):
-                    raise FitError(
-                        f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
-                        f"reproduces t1 = {t1_measured:.3e} s (model t1 at the bound "
-                        f"is {math.exp(g(outer) + log_t1):.3e} s)"
-                    )
-                inner, step = outer, 2.0 * step
-            u = brentq(g, min(inner, outer), max(inner, outer), xtol=ROOT_XTOL)
+            u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
+        if u is None:
+            bound = LOG10_QCEFF_MAX if g(u0) < 0.0 else LOG10_QCEFF_MIN
+            raise FitError(
+                f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
+                f"reproduces t1 = {t1_measured:.3e} s (model t1 at the bound "
+                f"is {math.exp(g(bound) + log_t1):.3e} s)"
+            )
         return 10.0 ** u
 
 
@@ -324,17 +315,6 @@ def two_level_qceff_closed_form(
         )
     cap_ref = build_mechanism_table(spec, res, env, Mechanism.CAPACITIVE).pair_sum(0, 1)
     return env.qc_eff * cap_ref / residual
-
-
-def extract_qceff(
-    record: T1Record,
-    spec: Spectrum,
-    res: ResonatorParams,
-    env: Environment,
-    mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
-) -> float:
-    """Invert one measured record into an effective capacitive quality factor."""
-    return QceffInverter(spec, res, env, mode=mode).invert(record.t1)
 
 
 @dataclass(frozen=True)
@@ -370,7 +350,7 @@ def extract_qceff_dataset(
     entries = []
     for record in ds.records:
         spec = spec_provider(record.phi_ext)
-        q = extract_qceff(record, spec, res, env, mode=mode)
+        q = QceffInverter(spec, res, env, mode=mode).invert(record.t1)
         freq = record.omega01 if record.omega01 is not None else spec.transition_frequency(0, 1)
         entries.append(QceffEntry(freq=float(freq), qceff=q, n_binned=record.n_binned))
     return QceffDistribution(entries=tuple(entries), epsilon_used=env.epsilon,

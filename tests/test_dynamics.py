@@ -11,6 +11,7 @@ from scipy.integrate import solve_ivp
 
 from fluxt1.constants import H, K_B
 from fluxt1.dynamics import (
+    FIT_AMPLITUDE_LIMIT,
     FIT_RESIDUAL_GATE,
     T1Mode,
     build_generator,
@@ -53,6 +54,18 @@ def random_db_generator(rng, n=6, temperature=0.040):
     table = MechanismRateTable(mechanism=Mechanism.CAPACITIVE, rates=rates)
     boltzmann = np.exp(-H * energies / (K_B * temperature))
     return table, boltzmann / boltzmann.sum()
+
+
+def b1_model_trace(kind):
+    """B1 at Phi = 0.3, all analysis channels: the p1 decay or the readout signal."""
+    spec = diagonalize(params_of("B1"), FluxBias(0.3), n_levels=6)
+    res, env = resonator_of("B1"), environment_of("B1")
+    rm = build_generator(spec, res, env)
+    p0 = invert_computational(thermal_population(spec, env.t_qubit))
+    times = default_time_grid(rm, p0)
+    if kind == "population":
+        return times, evolve(rm, p0, times).populations[:, 1]
+    return times, simulate_t1_signal(rm, spec, res, env, times)[1]
 
 
 class TestBuildRateMatrix:
@@ -186,11 +199,15 @@ class TestFitExponential:
         assert fit.t1 == pytest.approx(100e-6, rel=1e-6)
         assert fit.offset == pytest.approx(0.3, rel=1e-6)
 
-    def test_two_mode_signal_fits_near_slow_mode(self):
+    @pytest.mark.parametrize("trace", ["two_mode", "b1_population", "b1_signal"])
+    def test_two_mode_signal_fits_near_slow_mode(self, trace):
         from scipy.optimize import least_squares
 
-        t = np.logspace(np.log10(5e-6), np.log10(8e-4), 51)
-        y = 0.9 * np.exp(-t / 100e-6) + 0.1 * np.exp(-t / 20e-6)
+        if trace == "two_mode":
+            t = np.logspace(np.log10(5e-6), np.log10(8e-4), 51)
+            y = 0.9 * np.exp(-t / 100e-6) + 0.1 * np.exp(-t / 20e-6)
+        else:
+            t, y = b1_model_trace(trace.removeprefix("b1_"))
         fit = fit_exponential(t, y)
         # independent reference: trf optimizer over a log-tau parameterization
         # with multi-start, i.e. a different route to the same least-squares
@@ -203,12 +220,13 @@ class TestFitExponential:
         best = min(
             (least_squares(residuals, [y[0] - y[-1], np.log(tau0), y[-1]],
                            method="trf", xtol=1e-15, ftol=1e-15)
-             for tau0 in (10e-6, 50e-6, 100e-6, 300e-6)),
+             for tau0 in t[-1] * np.array([1 / 80, 1 / 16, 1 / 8, 3 / 8])),
             key=lambda r: r.cost,
         )
         reference_t1 = float(np.exp(best.x[1]))
         assert fit.t1 == pytest.approx(reference_t1, rel=1e-6)
-        assert fit.t1 == pytest.approx(100e-6, rel=0.10)
+        if trace == "two_mode":
+            assert fit.t1 == pytest.approx(100e-6, rel=0.10)
 
     def test_fitted_t1_scales_exactly_with_the_time_axis(self):
         # stretching the time axis by (1 + d) stretches the least-squares T1
@@ -228,6 +246,29 @@ class TestFitExponential:
     def test_too_few_samples_rejected(self):
         with pytest.raises(FitError):
             fit_exponential(np.array([0.0, 1.0, 2.0]), np.array([3.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("slope", [-1.0, 1.0])
+    def test_linear_trace_rejected(self, slope):
+        # a straight line is the k -> 0 limit of the model: the residual keeps
+        # falling toward T1 = inf, so there is no decay time to report
+        t = np.logspace(-6, -3, 51)
+        with pytest.raises(FitError):
+            fit_exponential(t, 0.5 + slope * t / t[-1])
+
+    def test_decay_the_grid_does_not_resolve_is_rejected(self):
+        # exact data, but the trace falls by only 1e-4 of its amplitude: the
+        # fit needs |A| = 1e4 ptp(y), beyond FIT_AMPLITUDE_LIMIT
+        t = np.logspace(-6, -3, 51)
+        with pytest.raises(FitError, match="amplitude"):
+            fit_exponential(t, np.exp(-t / 10.0))
+
+    def test_slow_resolved_decay_recovered(self):
+        # the same grid resolves a decay to T1 = 10 t[-1], at |A| ~ 10 ptp(y)
+        t = np.logspace(-6, -3, 51)
+        y = np.exp(-t / 1e-2)
+        fit = fit_exponential(t, y)
+        assert fit.t1 == pytest.approx(1e-2, rel=1e-9)
+        assert fit.amplitude <= FIT_AMPLITUDE_LIMIT * np.ptp(y)
 
 
 class TestSimulateSignal:
@@ -423,6 +464,15 @@ class TestPredictedT1:
         six = predicted_t1(b1_params, b1_resonator, env, bias,
                            mode=T1Mode.MULTILEVEL_POPULATION, n_levels=6)
         assert six == pytest.approx(two, rel=0.20)
+
+    @pytest.mark.parametrize("qubit", ["A3", "B3"])
+    def test_unresolved_flux_noise_signal_raises(self, qubit):
+        # flux noise alone barely moves the signal on the grid its dominant
+        # mode sets (A3: 57 ms), so the trace determines no decay time
+        with pytest.raises(FitError):
+            predicted_t1(params_of(qubit), resonator_of(qubit), environment_of(qubit),
+                         FluxBias(0.24), mode=T1Mode.MULTILEVEL_SIGNAL,
+                         mechanisms=(Mechanism.FLUX_NOISE,))
 
     def test_residual_gate_constant_known(self):
         assert FIT_RESIDUAL_GATE == 1e-3

@@ -13,9 +13,8 @@ from fluxt1.hamiltonian import (
     FluxoniumParams,
     diagonalize,
     flux_dispersion,
-    spectrum_vs_flux,
-    transition_frequency,
 )
+from fluxt1.pipeline import CachedSpectrumProvider
 
 from conftest import params_of
 
@@ -174,21 +173,21 @@ class TestDiagonalize:
 
 class TestTransitionFrequency:
     def test_zero_on_diagonal(self, b1_half_flux_spectrum):
-        assert transition_frequency(b1_half_flux_spectrum, 0, 0) == 0.0
+        assert b1_half_flux_spectrum.transition_frequency(0, 0) == 0.0
 
     def test_antisymmetric(self, b1_half_flux_spectrum):
-        up = transition_frequency(b1_half_flux_spectrum, 0, 1)
-        down = transition_frequency(b1_half_flux_spectrum, 1, 0)
+        up = b1_half_flux_spectrum.transition_frequency(0, 1)
+        down = b1_half_flux_spectrum.transition_frequency(1, 0)
         assert up == -down
         assert up > 0
 
     def test_a5_small_splitting(self):
         spec = diagonalize(params_of("A5"), FluxBias(0.5), n_levels=2)
-        assert transition_frequency(spec, 0, 1) == pytest.approx(0.042e9, rel=0.05)
+        assert spec.transition_frequency(0, 1) == pytest.approx(0.042e9, rel=0.05)
 
     def test_out_of_range(self, b1_half_flux_spectrum):
         with pytest.raises(IndexError):
-            transition_frequency(b1_half_flux_spectrum, 0, 6)
+            b1_half_flux_spectrum.transition_frequency(0, 6)
 
 
 class TestFluxDispersion:
@@ -211,27 +210,25 @@ class TestFluxDispersion:
 
 
 class TestSpectrumVsFlux:
+    # a flux sweep is one diagonalization per bias, as CachedSpectrumProvider
+    # serves the pipeline
+
     def test_single_point_equals_diagonalize(self, b1_params):
-        grid = [FluxBias(0.27)]
         direct = diagonalize(b1_params, FluxBias(0.27), n_levels=4)
-        via_sweep = spectrum_vs_flux(b1_params, grid, n_levels=4)[0]
+        via_sweep = CachedSpectrumProvider(b1_params, n_levels=4)(0.27)
         np.testing.assert_allclose(via_sweep.energies, direct.energies, rtol=1e-12)
 
     def test_mirror_symmetry_about_half_flux(self, b1_params):
-        grid = [FluxBias(0.5 - d) for d in (0.1, 0.2)] + [FluxBias(0.5 + d) for d in (0.1, 0.2)]
-        specs = spectrum_vs_flux(b1_params, grid, n_levels=4)
+        sweep = CachedSpectrumProvider(b1_params, n_levels=4)
+        specs = [sweep(0.5 - d) for d in (0.1, 0.2)] + [sweep(0.5 + d) for d in (0.1, 0.2)]
         np.testing.assert_allclose(specs[0].energies, specs[2].energies, rtol=1e-10)
         np.testing.assert_allclose(specs[1].energies, specs[3].energies, rtol=1e-10)
 
     def test_monotone_descent_toward_sweet_spot(self, b1_params):
-        grid = [FluxBias(x) for x in np.linspace(0.0, 0.5, 11)]
-        freqs = [f01(s) for s in spectrum_vs_flux(b1_params, grid, n_levels=2)]
+        sweep = CachedSpectrumProvider(b1_params, n_levels=2)
+        freqs = [f01(sweep(x)) for x in np.linspace(0.0, 0.5, 11)]
         assert all(a > b for a, b in zip(freqs, freqs[1:]))
         assert freqs[-1] == pytest.approx(0.427e9, rel=0.02)
-
-    def test_empty_grid_rejected(self, b1_params):
-        with pytest.raises(ValueError):
-            spectrum_vs_flux(b1_params, [], n_levels=4)
 
 
 # moderate example counts: every draw costs a full diagonalization
