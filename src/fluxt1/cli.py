@@ -18,16 +18,12 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import (
+    BiasModel,
     T1Mode,
-    build_generator,
     default_time_grid,
     evolve,
     fit_exponential,
     heralded_misassignment_error,
-    invert_computational,
-    predicted_t1,
-    simulate_t1_signal,
-    thermal_population,
 )
 from .errors import DataError, FluxT1Error
 from .hamiltonian import FluxBias, diagonalize
@@ -47,7 +43,6 @@ from .loss import ANALYSIS_MECHANISMS, Mechanism
 from .pipeline import (
     CachedSpectrumProvider,
     QubitAnalysisInput,
-    T1Dataset,
     bin_average,
     exclusion_filter,
     extract_flux_noise_amplitude,
@@ -171,22 +166,19 @@ def _cmd_predict_t1(args) -> int:
 
     rows = []
     for phi in _flux_grid(args):
-        bias = FluxBias(float(phi))
-        # one solve per bias; predicted_t1 slices it for the two-level mode
-        spec = diagonalize(params, bias, n_levels=args.levels)
-        omega01 = spec.transition_frequency(0, 1)
+        # one solve and one model per bias; every row reads the model
+        model = BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=args.levels),
+                          res, env)
+        omega01 = model.spec.transition_frequency(0, 1)
         for tok in mech_tokens:
             mechanisms = ANALYSIS_MECHANISMS if tok == "total" else (_MECHANISM_NAMES[tok],)
             for mode_tok in mode_tokens:
-                mode = mode_map[mode_tok]
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     try:
-                        t1 = predicted_t1(params, res, env, bias, mode=mode,
-                                          mechanisms=mechanisms, n_levels=args.levels,
-                                          spec=spec)
-                    except (FluxT1Error, ZeroDivisionError):
-                        t1 = float("inf")  # mechanism switched off at this bias
+                        t1 = model.t1(mode_map[mode_tok], mechanisms)
+                    except FluxT1Error:
+                        t1 = float("nan")  # the model cannot determine T1 here
                 rows.append([tok, mode_tok, float(phi), omega01, t1])
     _emit(_csv_text(["mechanism", "mode", "phi_ext_phi0", "omega01_hz", "t1_s"], rows),
           args.out)
@@ -195,16 +187,14 @@ def _cmd_predict_t1(args) -> int:
 
 def _cmd_simulate_decay(args) -> int:
     _, params, res, env = _device_env(args)
-    bias = FluxBias(args.flux)
-    spec = diagonalize(params, bias, n_levels=args.levels)
-    rm = build_generator(spec, res, env, ANALYSIS_MECHANISMS)
-    p0 = invert_computational(thermal_population(spec, env.t_qubit))
-    times = default_time_grid(rm, p0, n_points=args.points)
-    trace = evolve(rm, p0, times)
-    _, signal = simulate_t1_signal(rm, spec, res, env, times)
+    model = BiasModel(diagonalize(params, FluxBias(args.flux), n_levels=args.levels), res, env)
+    rm = model.generator()
+    times = default_time_grid(rm, model.p0, n_points=args.points)
+    trace = evolve(rm, model.p0, times)
+    signal = np.abs(trace.populations @ model.weights)
     fit_p1 = fit_exponential(times, trace.populations[:, 1])
     fit_s = fit_exponential(times, signal)
-    err_ground, err_excited = heralded_misassignment_error(rm, spec, env, times)
+    err_ground, err_excited = heralded_misassignment_error(rm, model.p0, times)
 
     if args.trace_out is not None:
         header = ["tau_s", "signal"] + [f"p_{k}" for k in range(rm.n)]
@@ -226,32 +216,36 @@ def _cmd_simulate_decay(args) -> int:
     return EXIT_OK
 
 
-def _fill_omega01(ds: T1Dataset, provider: CachedSpectrumProvider) -> T1Dataset:
-    """Model omega01 for records whose CSV row left it out."""
-    filled = [
+def _ingest(device, csv_path: str, env, args) -> tuple[QubitAnalysisInput, int, int]:
+    """Parse one qubit's T1 CSV, model omega01 where a row left it out, bin
+    and exclude; returns the kept records with the provider that served them
+    (so no later stage solves a bias again) and the parsed and binned counts."""
+    parsed = parse_t1_csv(csv_path, qubit_id=device.qubit_id)
+    provider = CachedSpectrumProvider(device.fluxonium_params(), n_levels=args.levels)
+    filled = tuple(
         r if r.omega01 is not None
         else replace(r, omega01=provider(r.phi_ext).transition_frequency(0, 1))
-        for r in ds.records
-    ]
-    return replace(ds, records=tuple(filled))
+        for r in parsed.records
+    )
+    binned = bin_average(replace(parsed, records=filled), bin_width=args.bin_width_hz)
+    res = device.resonator_params()
+    kept, _dropped = exclusion_filter(binned, provider, env, res,
+                                      threshold=args.exclusion_threshold)
+    qi = QubitAnalysisInput(dataset=kept, spec_provider=provider, res=res, env=env)
+    return qi, len(parsed), len(binned)
 
 
 def _cmd_extract_qceff(args) -> int:
-    device, params, res, env = _device_env(args)
-    ds = parse_t1_csv(args.t1_csv, qubit_id=device.qubit_id)
-    n_raw = len(ds)
-    provider = CachedSpectrumProvider(params, n_levels=args.levels)
-    ds = _fill_omega01(ds, provider)
-    binned = bin_average(ds, bin_width=args.bin_width_hz)
-    kept, _dropped = exclusion_filter(binned, provider, env, res,
-                                      threshold=args.exclusion_threshold)
-    dist = extract_qceff_dataset(kept, provider, res, env, mode=T1Mode(args.mode))
+    device, _, _, env = _device_env(args)
+    qi, n_raw, n_binned = _ingest(device, args.t1_csv, env, args)
+    dist = extract_qceff_dataset(qi.dataset, qi.spec_provider, qi.res, env,
+                                 mode=T1Mode(args.mode))
     config = dict(device=args.device, t1_csv=args.t1_csv, levels=args.levels,
                   epsilon=args.epsilon, bin_width_hz=args.bin_width_hz,
                   exclusion_threshold=args.exclusion_threshold, mode=args.mode,
                   qubit_temp_k=args.qubit_temp_k, res_temp_k=args.res_temp_k)
     data = distribution_to_payload(dist)
-    data.update(n_raw=n_raw, n_binned=len(binned), n_kept=len(kept))
+    data.update(n_raw=n_raw, n_binned=n_binned, n_kept=len(qi.dataset))
     _emit_json("extract-qceff", config, data, args.out)
     return EXIT_OK
 
@@ -260,14 +254,8 @@ def _cmd_fit_epsilon(args) -> int:
     inputs = []
     for device_path, csv_path in args.qubit:
         device = parse_device_file(device_path)
-        ds = parse_t1_csv(csv_path, qubit_id=device.qubit_id)
-        provider = CachedSpectrumProvider(device.fluxonium_params(), n_levels=args.levels)
-        ds = bin_average(_fill_omega01(ds, provider), bin_width=args.bin_width_hz)
         env = device.environment(qc_eff=args.qceff, epsilon=0.0, x_qp=args.xqp)
-        kept, _ = exclusion_filter(ds, provider, env, device.resonator_params(),
-                                   threshold=args.exclusion_threshold)
-        inputs.append(QubitAnalysisInput(dataset=kept, spec_provider=provider,
-                                         res=device.resonator_params(), env=env))
+        inputs.append(_ingest(device, csv_path, env, args)[0])
     grid = np.arange(args.grid_start, args.grid_stop + args.grid_step / 2, args.grid_step)
     result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
     config = dict(qubits=[list(pair) for pair in args.qubit], levels=args.levels,

@@ -6,6 +6,9 @@ relaxation time is always extracted by fitting an exponential to the full
 multi-mode solution (population of level 1, or the synthesized readout signal
 including higher-state resonator pulls), never by picking a single eigenvalue:
 the measured protocol fits a decay trace, so the model does too.
+``BiasModel`` holds that model at one flux bias and is the one place a model
+T1 is read, for ``predicted_t1``, ``predict-t1`` and the quality-factor
+inversion alike.
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
@@ -17,10 +20,12 @@ quality-factor inversion in ``pipeline`` uses it too.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -28,7 +33,13 @@ from scipy.optimize import brentq
 from .constants import H, K_B
 from .errors import DominantModeTieError, FitError, NumericalError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
-from .loss import ANALYSIS_MECHANISMS, Environment, MechanismRateTable, build_mechanism_table
+from .loss import (
+    ANALYSIS_MECHANISMS,
+    Environment,
+    Mechanism,
+    MechanismRateTable,
+    build_mechanism_table,
+)
 from .resonator import ResonatorParams, dressed_response
 
 _EIG_IMAG_RTOL = 1e-9
@@ -366,33 +377,9 @@ def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51) -> np.
     return np.logspace(math.log10(t_guess / 50.0), math.log10(8.0 * t_guess), n_points)
 
 
-def simulate_t1_signal(
-    rm: RateMatrix,
-    spec: Spectrum,
-    res: ResonatorParams,
-    env: Environment,
-    times: np.ndarray,
-) -> tuple[PopulationTrace, np.ndarray]:
-    """Synthesize the dispersive decay signal s(tau).
-
-    Starts from the computationally inverted thermal state, evolves it, and
-    weights each state's population by the real part of its rotated S21 at
-    the ground-state dressed probe: s = |sum_i p_i Re S21_rot,i|.
-    """
-    if len(times) == 0:
-        raise ValueError("times must be nonempty")
-    p0 = invert_computational(thermal_population(spec, env.t_qubit))
-    trace = evolve(rm, p0, np.asarray(times, dtype=float))
-    response = dressed_response(spec, res)
-    weights = response.rotated_points().real
-    signal = np.abs(trace.populations @ weights)
-    return trace, signal
-
-
 def heralded_misassignment_error(
     rm: RateMatrix,
-    spec: Spectrum,
-    env: Environment,
+    p0: np.ndarray,
     times: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Relative T1 error from misassigning higher-level population.
@@ -401,7 +388,6 @@ def heralded_misassignment_error(
     that error is identically zero. Misassignment to the excited state fits
     p1 + sum_{i>=2} p_i instead of p1 and reports (T1 - T1') / T1.
     """
-    p0 = invert_computational(thermal_population(spec, env.t_qubit))
     if times is None:
         times = default_time_grid(rm, p0)
     trace = evolve(rm, p0, np.asarray(times, dtype=float))
@@ -411,17 +397,6 @@ def heralded_misassignment_error(
     fit_lumped = fit_exponential(trace.times, lumped)
     to_excited = (fit_clean.t1 - fit_lumped.t1) / fit_clean.t1
     return 0.0, float(to_excited)
-
-
-def build_generator(
-    spec: Spectrum,
-    res: ResonatorParams | None,
-    env: Environment,
-    mechanisms=ANALYSIS_MECHANISMS,
-) -> RateMatrix:
-    """Mechanism tables summed into one rate matrix."""
-    tables = [build_mechanism_table(spec, res, env, m) for m in mechanisms]
-    return build_rate_matrix(tables)
 
 
 def two_level_total_rate(
@@ -438,6 +413,111 @@ def two_level_total_rate(
     return total
 
 
+class BiasModel:
+    """The relaxation model at one flux bias, read in any mode at any qc_eff.
+
+    Memoizes what every evaluation at the bias shares: each channel's rate
+    table and its 0<->1 pair rate (built at ``env.qc_eff`` on first use), the
+    computationally inverted thermal state ``p0`` and the readout ``weights``
+    (each state's rotated S21 at the ground-state dressed probe, real part).
+    At a fixed frequency exponent the capacitive table scales exactly as
+    1/qc_eff, so a trial qc_eff rescales it by env.qc_eff / qc_eff instead of
+    rebuilding it.
+    """
+
+    def __init__(self, spec: Spectrum, res: ResonatorParams | None, env: Environment):
+        self.spec = spec
+        self.res = res
+        self.env = env
+        self._channels: dict[Mechanism, tuple[MechanismRateTable, float]] = {}
+
+    def _channel(self, mechanism: Mechanism) -> tuple[MechanismRateTable, float]:
+        """(rate table, 0<->1 pair rate) of one channel at env.qc_eff."""
+        entry = self._channels.get(mechanism)
+        if entry is None:
+            table = build_mechanism_table(self.spec, self.res, self.env, mechanism)
+            entry = self._channels[mechanism] = (table, table.pair_sum(0, 1))
+        return entry
+
+    @cached_property
+    def p0(self) -> np.ndarray:
+        return invert_computational(thermal_population(self.spec, self.env.t_qubit))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return dressed_response(self.spec, self.res).rotated_points().real
+
+    def with_epsilon(self, epsilon: float) -> "BiasModel":
+        """This model at another frequency exponent.
+
+        The copy shares p0, the weights and every table built so far except
+        the capacitive one, the only channel that depends on the exponent.
+        """
+        if epsilon == self.env.epsilon:
+            return self
+        other = copy.copy(self)
+        other.env = replace(self.env, epsilon=epsilon)
+        capacitive = Mechanism.CAPACITIVE
+        other._channels = {m: entry for m, entry in self._channels.items() if m != capacitive}
+        return other
+
+    def pair_rate(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> float:
+        """Sum over mechanisms of the symmetrized 0<->1 rate, in
+        two_level_total_rate's order, so at env.qc_eff both agree bit for bit."""
+        scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
+        # the inversion repeats this: read the enum member once (~0.2 us a
+        # lookup on Python 3.11)
+        channels, capacitive, total = self._channels, Mechanism.CAPACITIVE, 0.0
+        for m in mechanisms:
+            pair = (channels.get(m) or self._channel(m))[1]
+            total += pair * scale if m == capacitive else pair
+        return total
+
+    def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
+        """The selected channels summed into one rate matrix, at qc_eff if given."""
+        scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
+        tables = [self._channel(m)[0] for m in mechanisms]
+        return build_rate_matrix([
+            replace(t, rates=t.rates * scale) if t.mechanism is Mechanism.CAPACITIVE else t
+            for t in tables
+        ])
+
+    def t1(self, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL, mechanisms=ANALYSIS_MECHANISMS,
+           qc_eff: float | None = None) -> float:
+        """Model T1 (s) from the selected channels, at qc_eff if given.
+
+        two_level inverts the sum of 0<->1 rates; the multilevel modes fit an
+        exponential to the p1 decay or to the readout signal |p . weights| on
+        the grid the dominant mode sets, and warn when the fit residual
+        exceeds FIT_RESIDUAL_GATE of the amplitude. An exactly zero rate (the
+        0<->1 sum, or every selected table) gives inf.
+        """
+        # compared by value (a mode string works too): the two-level branch,
+        # which the inversion repeats, skips T1Mode(), as costly as the branch
+        if mode == T1Mode.TWO_LEVEL:
+            rate = self.pair_rate(mechanisms, qc_eff)
+            return 1.0 / rate if rate else math.inf
+        mode = T1Mode(mode)
+        rm = self.generator(mechanisms, qc_eff)
+        if not rm.b.any():
+            return math.inf
+        times = default_time_grid(rm, self.p0)
+        populations = evolve(rm, self.p0, times).populations
+        if mode is T1Mode.MULTILEVEL_POPULATION:
+            signal = populations[:, 1]
+        else:
+            signal = np.abs(populations @ self.weights)
+        fit = fit_exponential(times, signal)
+        if abs(fit.amplitude) > 0 and fit.residual_rms > FIT_RESIDUAL_GATE * abs(fit.amplitude):
+            # static message so repeated sweeps warn once per call site
+            warnings.warn(
+                "decay fit residual exceeds the model-signal gate "
+                f"({FIT_RESIDUAL_GATE:g} of amplitude)",
+                stacklevel=2,
+            )
+        return fit.t1
+
+
 def predicted_t1(
     params: FluxoniumParams,
     res: ResonatorParams,
@@ -446,39 +526,15 @@ def predicted_t1(
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
     mechanisms=ANALYSIS_MECHANISMS,
     n_levels: int = 6,
-    times: np.ndarray | None = None,
     spec: Spectrum | None = None,
 ) -> float:
-    """Model T1 (s) at one flux bias.
+    """Model T1 (s) at one flux bias: ``BiasModel.t1`` on its spectrum.
 
-    two_level inverts the simple sum of 0<->1 rates; the multilevel modes fit
-    an exponential to the p1 decay or to the synthesized readout signal. A
-    precomputed ``spec`` with at least the levels the mode needs (2 for
+    A precomputed ``spec`` with at least the levels the mode needs (2 for
     two_level, else ``n_levels``) is sliced to them instead of solving again.
     """
     mode = T1Mode(mode)
     need = 2 if mode is T1Mode.TWO_LEVEL else n_levels
     if spec is None or spec.n_levels < need:
         spec = diagonalize(params, bias, n_levels=need)
-    spec = spec.lowest(need)
-    if mode is T1Mode.TWO_LEVEL:
-        return 1.0 / two_level_total_rate(spec, res, env, mechanisms)
-
-    rm = build_generator(spec, res, env, mechanisms)
-    p0 = invert_computational(thermal_population(spec, env.t_qubit))
-    if times is None:
-        times = default_time_grid(rm, p0)
-    if mode is T1Mode.MULTILEVEL_POPULATION:
-        trace = evolve(rm, p0, times)
-        fit = fit_exponential(trace.times, trace.populations[:, 1])
-    else:
-        _, signal = simulate_t1_signal(rm, spec, res, env, times)
-        fit = fit_exponential(times, signal)
-    if abs(fit.amplitude) > 0 and fit.residual_rms > FIT_RESIDUAL_GATE * abs(fit.amplitude):
-        # static message so repeated sweeps warn once per call site
-        warnings.warn(
-            "decay fit residual exceeds the model-signal gate "
-            f"({FIT_RESIDUAL_GATE:g} of amplitude)",
-            stacklevel=2,
-        )
-    return fit.t1
+    return BiasModel(spec.lowest(need), res, env).t1(mode, mechanisms)

@@ -212,13 +212,13 @@ def diagonalize(
     )
 
 
-def flux_dispersion(params: FluxoniumParams, bias: FluxBias, **diag_kwargs) -> float:
+def flux_dispersion(params: FluxoniumParams, bias: FluxBias) -> float:
     """Slope of the 0->1 angular transition frequency vs external flux.
 
     Returns d(omega_01)/d(Phi_ext/Phi0) in rad/s per Phi0, computed via the
     Hellmann-Feynman derivative of the inductive term:
     dE_k/d(phi_ext) = -2 pi E_L <k|phi - 2 pi phi_ext|k>.
     """
-    spec = diagonalize(params, bias, n_levels=max(2, diag_kwargs.pop("n_levels", 2)), **diag_kwargs)
+    spec = diagonalize(params, bias, n_levels=2)
     de = -2.0 * np.pi * params.el * spec._phi_centered_diag
     return float(2.0 * np.pi * (de[1] - de[0]))

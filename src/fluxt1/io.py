@@ -303,7 +303,7 @@ def result_envelope(command: str, config: dict, data: dict) -> dict:
 
 
 def dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_result(path: str, command: str, config: dict, data: dict) -> None:

@@ -10,35 +10,18 @@ log-centered quality factors across qubits.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import (
-    RateMatrix,
-    T1Mode,
-    build_rate_matrix,
-    default_time_grid,
-    evolve,
-    fit_exponential,
-    invert_computational,
-    rising_root,
-    thermal_population,
-    two_level_total_rate,
-)
+from .dynamics import BiasModel, T1Mode, rising_root, two_level_total_rate
 from .errors import FitError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
-from .loss import (
-    ANALYSIS_MECHANISMS,
-    BACKGROUND_MECHANISMS,
-    Environment,
-    Mechanism,
-    build_mechanism_table,
-)
+from .loss import BACKGROUND_MECHANISMS, Environment, Mechanism, build_mechanism_table
 from .resonator import ResonatorParams
 
 logger = logging.getLogger(__name__)
@@ -60,6 +43,16 @@ ROOT_XTOL = 1e-12
 SWEET_SPOT_TOL = 1e-6
 
 
+def _check(name: str, value, sign: str = "", optional: bool = False) -> None:
+    """Raise ValueError unless value is finite and obeys ``sign`` ("> 0" or
+    ">= 0"); None passes when ``optional``."""
+    if value is None and optional:
+        return
+    if not math.isfinite(value) or (sign == "> 0" and value <= 0.0) or \
+            (sign == ">= 0" and value < 0.0):
+        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class T1Record:
     """One relaxation measurement at a flux bias."""
@@ -71,8 +64,10 @@ class T1Record:
     n_binned: int = 1
 
     def __post_init__(self):
-        if not self.t1 > 0.0:
-            raise ValueError(f"t1 must be > 0, got {self.t1!r}")
+        _check("phi_ext", self.phi_ext)
+        _check("t1", self.t1, "> 0")
+        _check("omega01", self.omega01, "> 0", optional=True)
+        _check("t1_err", self.t1_err, ">= 0", optional=True)
 
 
 @dataclass(frozen=True)
@@ -107,18 +102,15 @@ class T1Dataset:
 class CachedSpectrumProvider:
     """phi_ext -> Spectrum map with memoization, for per-record rate work."""
 
-    def __init__(self, params: FluxoniumParams, n_levels: int = 6, **diag_kwargs):
+    def __init__(self, params: FluxoniumParams, n_levels: int = 6):
         self.params = params
         self.n_levels = n_levels
-        self._kwargs = diag_kwargs
         self._cache: dict[float, Spectrum] = {}
 
     def __call__(self, phi_ext: float) -> Spectrum:
         key = float(phi_ext)
         if key not in self._cache:
-            self._cache[key] = diagonalize(
-                self.params, FluxBias(key), n_levels=self.n_levels, **self._kwargs
-            )
+            self._cache[key] = diagonalize(self.params, FluxBias(key), n_levels=self.n_levels)
         return self._cache[key]
 
 
@@ -180,72 +172,27 @@ def exclusion_filter(
     return make(kept), make(dropped)
 
 
-class QceffInverter:
-    """Measured t1 -> qc_eff at one flux bias, reusing fixed-rate tables.
+class QceffInverter(BiasModel):
+    """Measured t1 -> qc_eff at one flux bias, through the bias's model.
 
-    Only the capacitive table depends on qc_eff, and it scales exactly as
-    1/qc_eff at fixed frequency exponent, so each trial rebuilds the 6x6
-    generator from a cached reference instead of recomputing rates. Modeled
-    t1 rises monotonically with qc_eff, so the inversion is a bracketed root
-    find in log10(qc_eff).
+    Each trial qc_eff rescales the model's memoized capacitive table, so no
+    rate is recomputed. Modeled t1 rises monotonically with qc_eff, so the
+    inversion is a bracketed root find in log10(qc_eff).
     """
 
-    def __init__(
-        self,
-        spec: Spectrum,
-        res: ResonatorParams,
-        env: Environment,
-        mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
-        mechanisms=ANALYSIS_MECHANISMS,
-    ):
-        self.spec = spec
-        self.res = res
+    def __init__(self, spec: Spectrum, res: ResonatorParams, env: Environment,
+                 mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL):
+        super().__init__(spec, res, env)
         self.mode = T1Mode(mode)
-        cap = [m for m in mechanisms if m is Mechanism.CAPACITIVE]
-        others = [m for m in mechanisms if m is not Mechanism.CAPACITIVE]
-        if not cap:
-            raise ValueError("inversion requires the capacitive mechanism in the set")
-        self._fixed = [build_mechanism_table(spec, res, env, m) for m in others]
-        self._fixed_pair = sum(t.pair_sum(0, 1) for t in self._fixed)
-        self._set_capacitive(env)
-        if self.mode is not T1Mode.TWO_LEVEL:
-            self._p0 = invert_computational(thermal_population(spec, env.t_qubit))
-        if self.mode is T1Mode.MULTILEVEL_SIGNAL:
-            # readout weights do not depend on qc_eff; compute them once
-            from .resonator import dressed_response
-
-            self._weights = dressed_response(spec, res).rotated_points().real
-
-    def _set_capacitive(self, env: Environment) -> None:
-        self.env = env
-        self._q_ref = env.qc_eff
-        self._cap_ref = build_mechanism_table(self.spec, self.res, env, Mechanism.CAPACITIVE)
-        self._cap_pair_ref = self._cap_ref.pair_sum(0, 1)
-
-    def _with_epsilon(self, epsilon: float) -> "QceffInverter":
-        """Copy at another frequency exponent, sharing every qc_eff- and
-        epsilon-independent table, the initial state and the readout weights."""
-        if epsilon == self.env.epsilon:
-            return self
-        other = copy.copy(self)
-        other._set_capacitive(replace(self.env, epsilon=epsilon))
-        return other
-
-    def _generator(self, qc_eff: float) -> RateMatrix:
-        scale = self._q_ref / qc_eff
-        scaled = replace(self._cap_ref, rates=self._cap_ref.rates * scale)
-        return build_rate_matrix([*self._fixed, scaled])
 
     def predict_t1(self, qc_eff: float) -> float:
-        if self.mode is T1Mode.TWO_LEVEL:
-            return 1.0 / (self._fixed_pair + self._cap_pair_ref * self._q_ref / qc_eff)
-        rm = self._generator(qc_eff)
-        times = default_time_grid(rm, self._p0)
-        trace = evolve(rm, self._p0, times)
-        if self.mode is T1Mode.MULTILEVEL_POPULATION:
-            return fit_exponential(times, trace.populations[:, 1]).t1
-        signal = np.abs(trace.populations @ self._weights)
-        return fit_exponential(times, signal).t1
+        return self.t1(self.mode, qc_eff=qc_eff)
+
+    @cached_property
+    def _background_pair(self) -> float:
+        """0<->1 rate of the non-capacitive channels; epsilon-independent, so
+        ``with_epsilon`` copies share it."""
+        return self.pair_rate(BACKGROUND_MECHANISMS)
 
     def _warm_start(self, t1_measured: float) -> float:
         """log10 starting point from the algebraic two-level inversion.
@@ -255,9 +202,9 @@ class QceffInverter:
         root; FALLBACK_QCEFF is used when no positive closed-form solution
         exists. Deterministic either way.
         """
-        residual = 1.0 / t1_measured - self._fixed_pair
+        residual = 1.0 / t1_measured - self._background_pair
         if residual > 0.0:
-            q = self._q_ref * self._cap_pair_ref / residual
+            q = self.env.qc_eff * self._channel(Mechanism.CAPACITIVE)[1] / residual
             if 1e2 < q < 1e9:
                 return math.log10(q)
         return math.log10(FALLBACK_QCEFF)
@@ -440,7 +387,7 @@ def fit_epsilon_global(
     for k, eps in enumerate(grid):
         pooled = []
         for records in inverters:
-            values = np.array([inv._with_epsilon(float(eps)).invert(t1) for inv, t1 in records])
+            values = np.array([inv.with_epsilon(float(eps)).invert(t1) for inv, t1 in records])
             pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
         variances[k] = float(np.var(pooled))
     best = int(np.argmin(variances))
@@ -453,6 +400,11 @@ class DephasingRecord:
     phi_ext: float
     gamma_phi_e: float
     slope: float | None = None  # rad/s per Phi0, recomputed when absent
+
+    def __post_init__(self):
+        _check("phi_ext", self.phi_ext)
+        _check("gamma_phi_e", self.gamma_phi_e, ">= 0")
+        _check("slope", self.slope, optional=True)
 
 
 @dataclass(frozen=True)

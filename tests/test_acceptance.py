@@ -19,8 +19,8 @@ from fluxt1.cli import cli
 from fluxt1.constants import H, K_B
 from fluxt1.errors import DominantModeTieError
 from fluxt1.dynamics import (
+    BiasModel,
     T1Mode,
-    build_generator,
     build_rate_matrix,
     default_time_grid,
     evolve,
@@ -29,8 +29,6 @@ from fluxt1.dynamics import (
     heralded_misassignment_error,
     invert_computational,
     predicted_t1,
-    simulate_t1_signal,
-    thermal_population,
     two_level_total_rate,
 )
 from fluxt1.hamiltonian import FluxBias, diagonalize
@@ -281,15 +279,15 @@ def test_criterion_08_signal_model_error_bands():
         spec = diagonalize(params, FluxBias(float(phi)), n_levels=6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rm = build_generator(spec, res, env, ANALYSIS_MECHANISMS)
-            p0 = invert_computational(thermal_population(spec, env.t_qubit))
-            times = default_time_grid(rm, p0)
-            trace = evolve(rm, p0, times)
+            model = BiasModel(spec, res, env)
+            rm = model.generator(ANALYSIS_MECHANISMS)
+            times = default_time_grid(rm, model.p0)
+            trace = evolve(rm, model.p0, times)
             fit_p1 = fit_exponential(times, trace.populations[:, 1])
-            _, signal = simulate_t1_signal(rm, spec, res, env, times)
+            signal = np.abs(trace.populations @ model.weights)
             fit_s = fit_exponential(times, signal)
             signal_err[k] = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
-            _, to_excited = heralded_misassignment_error(rm, spec, env, times)
+            _, to_excited = heralded_misassignment_error(rm, model.p0, times)
             herald_err[k] = abs(to_excited)
     k_sig = int(np.nanargmax(signal_err))
     k_her = int(np.nanargmax(herald_err))
@@ -325,8 +323,8 @@ def test_criterion_09_exponentialness():
             spec = diagonalize(params, FluxBias(float(phi)), n_levels=6)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                rm = build_generator(spec, res, env, ANALYSIS_MECHANISMS)
-                p0 = invert_computational(thermal_population(spec, env.t_qubit))
+                model = BiasModel(spec, res, env)
+                rm, p0 = model.generator(ANALYSIS_MECHANISMS), model.p0
                 try:
                     m = exponentialness(rm, p0).m
                 except DominantModeTieError:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from fluxt1.constants import H, K_B
 from fluxt1.dynamics import (
     FIT_AMPLITUDE_LIMIT,
     FIT_RESIDUAL_GATE,
+    BiasModel,
     T1Mode,
-    build_generator,
     build_rate_matrix,
     default_time_grid,
     evolve,
@@ -23,13 +24,17 @@ from fluxt1.dynamics import (
     heralded_misassignment_error,
     invert_computational,
     predicted_t1,
-    simulate_t1_signal,
     thermal_population,
     two_level_total_rate,
 )
 from fluxt1.errors import FitError
 from fluxt1.hamiltonian import FluxBias, diagonalize
-from fluxt1.loss import Mechanism, MechanismRateTable
+from fluxt1.loss import (
+    ANALYSIS_MECHANISMS,
+    Mechanism,
+    MechanismRateTable,
+    build_mechanism_table,
+)
 
 from conftest import environment_of, params_of, resonator_of
 
@@ -59,13 +64,13 @@ def random_db_generator(rng, n=6, temperature=0.040):
 def b1_model_trace(kind):
     """B1 at Phi = 0.3, all analysis channels: the p1 decay or the readout signal."""
     spec = diagonalize(params_of("B1"), FluxBias(0.3), n_levels=6)
-    res, env = resonator_of("B1"), environment_of("B1")
-    rm = build_generator(spec, res, env)
-    p0 = invert_computational(thermal_population(spec, env.t_qubit))
-    times = default_time_grid(rm, p0)
+    model = BiasModel(spec, resonator_of("B1"), environment_of("B1"))
+    rm = model.generator()
+    times = default_time_grid(rm, model.p0)
+    populations = evolve(rm, model.p0, times).populations
     if kind == "population":
-        return times, evolve(rm, p0, times).populations[:, 1]
-    return times, simulate_t1_signal(rm, spec, res, env, times)[1]
+        return times, populations[:, 1]
+    return times, np.abs(populations @ model.weights)
 
 
 class TestBuildRateMatrix:
@@ -95,7 +100,7 @@ class TestBuildRateMatrix:
                       Mechanism.PURCELL, Mechanism.QP_JUNCTION, Mechanism.QP_ARRAY]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rm = build_generator(b1_half_flux_spectrum, b1_resonator, env, mechanisms)
+            rm = BiasModel(b1_half_flux_spectrum, b1_resonator, env).generator(mechanisms)
         boltzmann = thermal_population(b1_half_flux_spectrum, 0.040)
         np.testing.assert_allclose(rm.stationary_distribution(), boltzmann, atol=1e-6)
 
@@ -274,10 +279,10 @@ class TestFitExponential:
 class TestSimulateSignal:
     def test_identical_weights_give_constant_signal(self, b1_half_flux_spectrum,
                                                     b1_environment, b1_resonator):
-        rm = build_generator(b1_half_flux_spectrum, b1_resonator, b1_environment)
-        times = np.logspace(-6, -2, 30)
-        trace, signal = simulate_t1_signal(rm, b1_half_flux_spectrum, b1_resonator,
-                                           b1_environment, times)
+        model = BiasModel(b1_half_flux_spectrum, b1_resonator, b1_environment)
+        rm = model.generator()
+        trace = evolve(rm, model.p0, np.logspace(-6, -2, 30))
+        signal = np.abs(trace.populations @ model.weights)
         # replaying the trace with equal weights collapses the signal
         flat = np.abs(trace.populations @ np.full(rm.n, 0.5))
         np.testing.assert_allclose(flat, 0.5, atol=1e-9)
@@ -286,14 +291,15 @@ class TestSimulateSignal:
     def test_two_level_signal_is_single_exponential(self, b1_params, b1_resonator):
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
-        rm = build_generator(spec, b1_resonator, env)
-        p0 = invert_computational(thermal_population(spec, env.t_qubit))
-        times = default_time_grid(rm, p0)
-        _, signal = simulate_t1_signal(rm, spec, b1_resonator, env, times)
+        model = BiasModel(spec, b1_resonator, env)
+        rm = model.generator()
+        times = default_time_grid(rm, model.p0)
+        signal = np.abs(evolve(rm, model.p0, times).populations @ model.weights)
         fit = fit_exponential(times, signal)
         gamma = two_level_total_rate(spec, b1_resonator, env)
         assert fit.t1 == pytest.approx(1.0 / gamma, rel=1e-9)
         assert fit.residual_rms < 1e-12
+        assert model.t1(T1Mode.MULTILEVEL_SIGNAL) == pytest.approx(1.0 / gamma, rel=1e-9)
 
 
 class TestMeasuredScaleConsistency:
@@ -327,14 +333,14 @@ class TestSignalModelDistortion:
         res = resonator_of("B2")
         env = environment_of("B2")
         spec = diagonalize(params, FluxBias(0.185), n_levels=6)
-        rm = build_generator(spec, res, env)
-        p0 = invert_computational(thermal_population(spec, env.t_qubit))
-        times = default_time_grid(rm, p0)
-        trace = evolve(rm, p0, times)
+        model = BiasModel(spec, res, env)
+        rm = model.generator()
+        times = default_time_grid(rm, model.p0)
+        trace = evolve(rm, model.p0, times)
         fit_p1 = fit_exponential(times, trace.populations[:, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            _, signal = simulate_t1_signal(rm, spec, res, env, times)
+            signal = np.abs(trace.populations @ model.weights)
         fit_s = fit_exponential(times, signal)
         deviation = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
         assert 0.10 <= deviation <= 0.20
@@ -370,8 +376,8 @@ class TestExponentialness:
         ms, residuals = [], []
         for phi in fluxes:
             spec = diagonalize(params, FluxBias(phi), n_levels=6)
-            rm = build_generator(spec, res, env)
-            p0 = invert_computational(thermal_population(spec, env.t_qubit))
+            model = BiasModel(spec, res, env)
+            rm, p0 = model.generator(), model.p0
             report = exponentialness(rm, p0)
             ms.append(report.m)
             times = default_time_grid(rm, p0)
@@ -387,16 +393,15 @@ class TestHeraldedMisassignment:
     def test_two_levels_vanish(self, b1_params, b1_resonator):
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
-        rm = build_generator(spec, b1_resonator, env)
-        to_ground, to_excited = heralded_misassignment_error(rm, spec, env)
+        model = BiasModel(spec, b1_resonator, env)
+        to_ground, to_excited = heralded_misassignment_error(model.generator(), model.p0)
         assert to_ground == 0.0
         assert to_excited == 0.0
 
     def test_to_ground_exactly_zero_by_construction(self, b1_half_flux_spectrum,
                                                     b1_environment, b1_resonator):
-        rm = build_generator(b1_half_flux_spectrum, b1_resonator, b1_environment)
-        to_ground, _ = heralded_misassignment_error(rm, b1_half_flux_spectrum,
-                                                    b1_environment)
+        model = BiasModel(b1_half_flux_spectrum, b1_resonator, b1_environment)
+        to_ground, _ = heralded_misassignment_error(model.generator(), model.p0)
         assert to_ground == 0.0
 
     def test_b2_sweep_peak_band(self):
@@ -409,8 +414,8 @@ class TestHeraldedMisassignment:
         fluxes = np.linspace(0.0, 0.5, 51)
         for phi in fluxes:
             spec = diagonalize(params, FluxBias(phi), n_levels=6)
-            rm = build_generator(spec, res, env)
-            _, to_excited = heralded_misassignment_error(rm, spec, env)
+            model = BiasModel(spec, res, env)
+            _, to_excited = heralded_misassignment_error(model.generator(), model.p0)
             errs.append(abs(to_excited))
         peak = int(np.argmax(errs))
         assert 0.08 <= errs[peak] <= 0.18
@@ -477,6 +482,55 @@ class TestPredictedT1:
     def test_residual_gate_constant_known(self):
         assert FIT_RESIDUAL_GATE == 1e-3
 
+
+
+class TestBiasModel:
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    def test_switched_off_channel_gives_inf(self, mode, b1_params, b1_resonator):
+        # x_qp = 0 zeroes the junction quasiparticle table at every bias
+        env = environment_of("B1", x_qp=0.0)
+        for phi in (0.1, 0.5):
+            spec = diagonalize(b1_params, FluxBias(phi), n_levels=6)
+            model = BiasModel(spec, b1_resonator, env)
+            assert model.t1(mode, (Mechanism.QP_JUNCTION,)) == math.inf
+
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    def test_trial_qc_eff_matches_a_model_built_there(self, mode, b1_params, b1_resonator):
+        env = environment_of("B1")
+        spec = diagonalize(b1_params, FluxBias(0.3), n_levels=6)
+        model = BiasModel(spec, b1_resonator, env)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for q in (1.2e5, 4.5e5):
+                rebuilt = BiasModel(spec, b1_resonator, replace(env, qc_eff=q)).t1(mode)
+                assert model.t1(mode, qc_eff=q) == pytest.approx(rebuilt, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    def test_with_epsilon_rebuilds_only_the_capacitive_table(
+            self, b1_params, b1_resonator, monkeypatch):
+        import fluxt1.dynamics as dynamics
+
+        built = []
+
+        def counting(spec, res, env, mechanism):
+            built.append(mechanism)
+            return build_mechanism_table(spec, res, env, mechanism)
+
+        monkeypatch.setattr(dynamics, "build_mechanism_table", counting)
+        env = environment_of("B1")
+        spec = diagonalize(b1_params, FluxBias(0.3), n_levels=6)
+        model = BiasModel(spec, b1_resonator, env)
+        before = model.t1(T1Mode.MULTILEVEL_POPULATION)
+        assert sorted(built) == sorted(ANALYSIS_MECHANISMS)
+        assert model.with_epsilon(env.epsilon) is model
+        other = model.with_epsilon(0.6)
+        built.clear()
+        moved = other.t1(T1Mode.MULTILEVEL_POPULATION)
+        assert built == [Mechanism.CAPACITIVE]
+        assert other.p0 is model.p0
+        fresh = BiasModel(spec, b1_resonator, replace(env, epsilon=0.6))
+        assert moved == fresh.t1(T1Mode.MULTILEVEL_POPULATION)
+        assert model.t1(T1Mode.MULTILEVEL_POPULATION) == before != moved
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))

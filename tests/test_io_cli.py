@@ -2,9 +2,11 @@
 
 import csv
 import json
+import math
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 
 from fluxt1.cli import cli
@@ -151,6 +153,37 @@ class TestT1Csv:
         assert path.read_bytes() == first
 
 
+A3_ROW = dict(qubit_id="A3", process_label="A", ej_ghz=4.38, ec_ghz=1.02, el_ghz=0.53,
+              omega_res_ghz=7.273, g_mhz=123, kappa_mhz=0.34, sqrt_a_phi_uphi0=4.3)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("extract-qceff", "phi_ext,t1_s,omega01_hz\n0.2,1e-4,4.5e8\n0.3,inf,4.0e8\n"),
+    ("extract-qceff", "phi_ext,t1_s,omega01_hz\n0.2,1e-4,4.5e8\n0.3,1e-4,nan\n"),
+    ("extract-qceff", "phi_ext,t1_s,omega01_hz\n0.2,1e-4,4.5e8\n0.3,1e-4,-5e9\n"),
+    ("extract-qceff", "phi_ext,t1_s,omega01_hz\n0.2,1e-4,4.5e8\nnan,1e-4,4.0e8\n"),
+    ("extract-qceff", "phi_ext,t1_s,t1_err_s\n0.2,1e-4,1e-6\n0.3,1e-4,-1e-6\n"),
+    ("extract-qceff", "phi_ext,t1_s,t1_err_s\n0.2,1e-4,1e-6\n0.3,1e-4,inf\n"),
+    ("fit-flux-noise", "phi_ext,gamma_phi_e_per_s\n0.2,1e4\n0.3,nan\n"),
+    ("fit-flux-noise", "phi_ext,gamma_phi_e_per_s\n0.2,1e4\n0.3,-1.0\n"),
+    ("fit-flux-noise",
+     "phi_ext,gamma_phi_e_per_s,slope_rad_per_s_per_phi0\n0.2,1e4,1e9\n0.3,1e4,inf\n"),
+], ids=["t1_inf", "omega01_nan", "omega01_negative", "phi_ext_nan", "t1_err_negative",
+        "t1_err_inf", "gamma_nan", "gamma_negative", "slope_inf"])
+def test_bad_number_in_csv_is_a_data_error_naming_the_row(
+        a1_device, tmp_path, result_schema, capsys, command, text):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    flag = "--t1-csv" if command == "extract-qceff" else "--dephasing-csv"
+    code, out, err = run_cli([command, "--device", a1_device, flag, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    validate(payload, result_schema)
+    assert payload["error"]["type"] == "DataError"
+    assert "row 3" in payload["error"]["message"]
+
+
 def run_cli(args, capsys):
     code = cli(args)
     captured = capsys.readouterr()
@@ -190,6 +223,28 @@ class TestCli:
                         ("total", "two_level"), ("total", "six_level")}
         for r in rows:
             assert float(r["t1_s"]) > 0
+
+    @pytest.mark.parametrize("mode", ["two_level", "six_level", "signal"])
+    def test_predict_t1_switched_off_channel_is_inf(self, a1_device, mode, capsys):
+        code, out, _ = run_cli(
+            ["predict-t1", "--device", a1_device, "--flux-start", "0.1", "--flux-stop", "0.5",
+             "--flux-points", "3", "--mechanisms", "qp_junction", "--xqp", "0",
+             "--modes", mode], capsys)
+        assert code == 0
+        assert [r["t1_s"] for r in csv.DictReader(out.splitlines())] == ["inf"] * 3
+
+    def test_predict_t1_unresolved_fit_is_nan(self, tmp_path, capsys):
+        # flux noise alone leaves A3's readout signal without a resolvable
+        # decay at this bias: a failure, not an infinite T1
+        device = tmp_path / "a3.json"
+        device.write_text(json.dumps(A3_ROW))
+        code, out, _ = run_cli(
+            ["predict-t1", "--device", str(device), "--flux", "0.24",
+             "--mechanisms", "flux_noise,capacitive", "--modes", "signal"], capsys)
+        assert code == 0
+        t1 = {r["mechanism"]: r["t1_s"] for r in csv.DictReader(out.splitlines())}
+        assert t1["flux_noise"] == "nan"
+        assert 0.0 < float(t1["capacitive"]) < math.inf
 
     def test_simulate_decay_outputs(self, tmp_path, result_schema, capsys):
         device = tmp_path / "b2.json"
@@ -422,6 +477,27 @@ class TestOneSolvePerBias:
         assert code == 0
         assert len(list(csv.DictReader(out.splitlines()))) == 5 * 2 * 3
         assert solved == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
+
+    def test_predict_t1_builds_each_table_once_per_flux_point(self, a1_device, monkeypatch,
+                                                               capsys):
+        import fluxt1.dynamics
+        from fluxt1.loss import ANALYSIS_MECHANISMS, build_mechanism_table
+
+        built = []
+
+        def counting(spec, res, env, mechanism):
+            built.append((spec.bias.phi_ext, mechanism))
+            return build_mechanism_table(spec, res, env, mechanism)
+
+        monkeypatch.setattr(fluxt1.dynamics, "build_mechanism_table", counting)
+        code, _, _ = run_cli(
+            ["predict-t1", "--device", a1_device, "--flux-start", "0.1",
+             "--flux-stop", "0.5", "--flux-points", "5",
+             "--mechanisms", "capacitive,flux_noise,purcell,total",
+             "--modes", "two_level,six_level,signal"], capsys)
+        assert code == 0
+        assert sorted(built) == sorted((phi, m) for phi in np.linspace(0.1, 0.5, 5)
+                                       for m in ANALYSIS_MECHANISMS)
 
     def test_fit_epsilon_solves_each_record_flux_once(self, tmp_path, solved, capsys):
         device_path = tmp_path / "b1.json"

@@ -1,6 +1,7 @@
 """Binning, exclusion, quality-factor inversion, exponent and noise fits."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxt1.dynamics import T1Mode, two_level_total_rate
+from fluxt1.dynamics import T1Mode, predicted_t1, two_level_total_rate
 from fluxt1.errors import FitError
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize, flux_dispersion
 from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
@@ -213,6 +214,20 @@ class TestQceffExtraction:
         for e in dist.entries:
             assert e.qceff == pytest.approx(2.2e5, rel=1e-3)
 
+
+class TestOneModelPath:
+    @pytest.mark.parametrize("qubit", ["A1", "A3", "B1", "B3"])
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    def test_predicted_t1_is_the_inverter_model_bit_for_bit(self, qubit, mode):
+        params, res, env = params_of(qubit), resonator_of(qubit), environment_of(qubit)
+        provider = CachedSpectrumProvider(params, n_levels=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for phi in (0.1, 0.27, 0.5):
+                spec = provider(phi)
+                direct = predicted_t1(params, res, env, FluxBias(phi), mode=mode, spec=spec)
+                inverted = QceffInverter(spec, res, env, mode).predict_t1(env.qc_eff)
+                assert direct == inverted
 
 class TestInversionContract:
     @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
