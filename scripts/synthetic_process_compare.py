@@ -23,7 +23,7 @@ import numpy as np
 
 from fluxt1.cli import cli
 from fluxt1.dynamics import T1Mode
-from fluxt1.io import SCHEMA_ID, parse_device_file, read_distribution
+from fluxt1.io import parse_device_file, read_distribution, write_result
 from fluxt1.pipeline import CachedSpectrumProvider, QceffInverter
 
 PROCESS_A = ("a1", "a2", "a3")
@@ -62,13 +62,8 @@ def pool_distributions(paths, pooled_id: str, out_path: Path) -> None:
             {"freq_hz": e.freq, "qceff": e.qceff, "n_binned": e.n_binned}
             for e in dist.entries
         )
-    payload = {
-        "schema": SCHEMA_ID,
-        "command": "extract-qceff",
-        "config": {"pooled_from": [str(p) for p in paths]},
-        "data": {"qubit_id": pooled_id, "epsilon_used": epsilon, "entries": entries},
-    }
-    out_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_result(str(out_path), "extract-qceff", {"pooled_from": [str(p) for p in paths]},
+                 {"qubit_id": pooled_id, "epsilon_used": epsilon, "entries": entries})
 
 
 def main() -> int:

@@ -17,14 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dynamics import (
-    BiasModel,
-    T1Mode,
-    default_time_grid,
-    evolve,
-    fit_exponential,
-    heralded_misassignment_error,
-)
+from .dynamics import BiasModel, T1Mode, fit_exponential, heralded_misassignment_error
 from .errors import DataError, FluxT1Error
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
@@ -188,17 +181,15 @@ def _cmd_predict_t1(args) -> int:
 def _cmd_simulate_decay(args) -> int:
     _, params, res, env = _device_env(args)
     model = BiasModel(diagonalize(params, FluxBias(args.flux), n_levels=args.levels), res, env)
-    rm = model.generator()
-    times = default_time_grid(rm, model.p0, n_points=args.points)
-    trace = evolve(rm, model.p0, times)
-    signal = np.abs(trace.populations @ model.weights)
-    fit_p1 = fit_exponential(times, trace.populations[:, 1])
+    times, populations = model.decay(n_points=args.points)
+    signal = np.abs(populations @ model.weights)
+    fit_p1 = fit_exponential(times, populations[:, 1])
     fit_s = fit_exponential(times, signal)
-    err_ground, err_excited = heralded_misassignment_error(rm, model.p0, times)
+    err_ground, err_excited = heralded_misassignment_error(times, populations)
 
     if args.trace_out is not None:
-        header = ["tau_s", "signal"] + [f"p_{k}" for k in range(rm.n)]
-        rows = [[times[k], signal[k], *trace.populations[k]] for k in range(times.size)]
+        header = ["tau_s", "signal"] + [f"p_{k}" for k in range(model.spec.n_levels)]
+        rows = [[times[k], signal[k], *populations[k]] for k in range(times.size)]
         _emit(_csv_text(header, rows), args.trace_out)
 
     config = dict(device=args.device, flux=args.flux, levels=args.levels,
@@ -254,7 +245,8 @@ def _cmd_fit_epsilon(args) -> int:
     inputs = []
     for device_path, csv_path in args.qubit:
         device = parse_device_file(device_path)
-        env = device.environment(qc_eff=args.qceff, epsilon=0.0, x_qp=args.xqp)
+        # qc_eff cancels in every inversion, and no analysis channel reads x_qp
+        env = device.environment(epsilon=0.0)
         inputs.append(_ingest(device, csv_path, env, args)[0])
     grid = np.arange(args.grid_start, args.grid_stop + args.grid_step / 2, args.grid_step)
     result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
@@ -387,8 +379,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--qubit", nargs=2, action="append", required=True,
                    metavar=("DEVICE_JSON", "T1_CSV"))
     p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--qceff", type=float, default=3.0e5)
-    p.add_argument("--xqp", type=float, default=0.0)
     p.add_argument("--mode", default="multilevel_signal",
                    choices=[m.value for m in T1Mode])
     p.add_argument("--bin-width-hz", type=float, default=8e6)

@@ -6,9 +6,10 @@ relaxation time is always extracted by fitting an exponential to the full
 multi-mode solution (population of level 1, or the synthesized readout signal
 including higher-state resonator pulls), never by picking a single eigenvalue:
 the measured protocol fits a decay trace, so the model does too.
-``BiasModel`` holds that model at one flux bias and is the one place a model
-T1 is read, for ``predicted_t1``, ``predict-t1`` and the quality-factor
-inversion alike.
+``BiasModel`` holds that model at one flux bias. Its ``decay`` is the one
+place a decay trace is made, and its ``t1`` the one place a model T1 is
+read, for ``predicted_t1``, ``predict-t1`` and the quality-factor inversion
+alike.
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
@@ -101,18 +102,19 @@ class RateMatrix:
         return self._vinv @ np.asarray(p0, dtype=self._vinv.dtype)
 
 
-def build_rate_matrix(tables: list[MechanismRateTable]) -> RateMatrix:
-    """Sum mechanism tables into the master-equation generator and decompose it."""
-    if not tables:
-        raise ValueError("need at least one mechanism table")
-    n = tables[0].n
-    for t in tables:
-        if t.n != n:
-            raise ValueError(f"table dimension mismatch: {t.n} != {n}")
-    total = np.zeros((n, n))
-    for t in tables:
-        total = total + t.rates
-    b = total.T.copy()
+def build_rate_matrix(rates: np.ndarray) -> RateMatrix:
+    """The master-equation generator of directional rates, decomposed.
+
+    ``rates[i, j]`` is Gamma_{i->j} with every channel summed; the diagonal
+    is ignored.
+    """
+    rates = np.asarray(rates, dtype=float)
+    if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
+        raise ValueError(f"rates must be a square matrix, got shape {rates.shape}")
+    n = rates.shape[0]
+    # a C-ordered copy: the fills below leave the caller's rates alone, and
+    # b @ y sums each row contiguously (a transposed view rounds differently)
+    b = rates.T.copy()
     np.fill_diagonal(b, 0.0)
     np.fill_diagonal(b, -b.sum(axis=0))
 
@@ -165,9 +167,7 @@ def invert_computational(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PopulationTrace:
-    times: np.ndarray
     populations: np.ndarray  # shape (T, N), rows are probability vectors
-    initial: np.ndarray
     renormalized: bool = False
 
 
@@ -203,7 +203,7 @@ def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray) -> PopulationTrace
         )
         pops = pops / pops.sum(axis=1, keepdims=True)
     pops.setflags(write=False)
-    return PopulationTrace(times=times, populations=pops, initial=p0, renormalized=renormalized)
+    return PopulationTrace(populations=pops, renormalized=renormalized)
 
 
 @dataclass(frozen=True)
@@ -310,14 +310,12 @@ def fit_exponential(times, signal) -> DecayFit:
 class ExponentialnessReport:
     """How far the initial state lies outside the stationary + dominant modes.
 
-    m is the Euclidean norm of delta; zero means the decay is exactly single
-    exponential (always the case for two levels).
+    m is the Euclidean norm of that residual; zero means the decay is exactly
+    single exponential (always the case for two levels).
     """
 
     m: float
-    delta: np.ndarray
     dominant_index: int
-    dominant_rate: float
 
 
 def dominant_mode(rm: RateMatrix, p0: np.ndarray) -> tuple[int, np.ndarray]:
@@ -350,13 +348,8 @@ def exponentialness(rm: RateMatrix, p0: np.ndarray) -> ExponentialnessReport:
     s_idx = rm.stationary_index
     v = rm.eigenvectors
     delta = p0 - c[s_idx] * v[:, s_idx] - c[k_max] * v[:, k_max]
-    delta = np.real_if_close(delta, tol=1000)
-    if np.iscomplexobj(delta):
-        delta = delta.real
-    m = float(np.linalg.norm(delta))
-    rate = float(-np.real(rm.eigenvalues[k_max]))
-    delta.setflags(write=False)
-    return ExponentialnessReport(m=m, delta=delta, dominant_index=int(k_max), dominant_rate=rate)
+    # p0 is real; only a complex dominant mode leaves an imaginary part
+    return ExponentialnessReport(m=float(np.linalg.norm(delta.real)), dominant_index=int(k_max))
 
 
 def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51) -> np.ndarray:
@@ -377,24 +370,18 @@ def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51) -> np.
     return np.logspace(math.log10(t_guess / 50.0), math.log10(8.0 * t_guess), n_points)
 
 
-def heralded_misassignment_error(
-    rm: RateMatrix,
-    p0: np.ndarray,
-    times: np.ndarray | None = None,
-) -> tuple[float, float]:
-    """Relative T1 error from misassigning higher-level population.
+def heralded_misassignment_error(times, populations) -> tuple[float, float]:
+    """Relative T1 error from misassigning higher-level population in a decay
+    trace (``BiasModel.decay``).
 
     Misassignment to the ground state leaves the level-1 decay untouched, so
     that error is identically zero. Misassignment to the excited state fits
     p1 + sum_{i>=2} p_i instead of p1 and reports (T1 - T1') / T1.
     """
-    if times is None:
-        times = default_time_grid(rm, p0)
-    trace = evolve(rm, p0, np.asarray(times, dtype=float))
-    p1 = trace.populations[:, 1]
-    fit_clean = fit_exponential(trace.times, p1)
-    lumped = p1 + trace.populations[:, 2:].sum(axis=1)
-    fit_lumped = fit_exponential(trace.times, lumped)
+    p1 = populations[:, 1]
+    fit_clean = fit_exponential(times, p1)
+    lumped = p1 + populations[:, 2:].sum(axis=1)
+    fit_lumped = fit_exponential(times, lumped)
     to_excited = (fit_clean.t1 - fit_lumped.t1) / fit_clean.t1
     return 0.0, float(to_excited)
 
@@ -475,12 +462,25 @@ class BiasModel:
 
     def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
         """The selected channels summed into one rate matrix, at qc_eff if given."""
+        if not mechanisms:
+            raise ValueError("need at least one mechanism")
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
-        tables = [self._channel(m)[0] for m in mechanisms]
-        return build_rate_matrix([
-            replace(t, rates=t.rates * scale) if t.mechanism is Mechanism.CAPACITIVE else t
-            for t in tables
-        ])
+        total = np.zeros((self.spec.n_levels,) * 2)
+        for m in mechanisms:
+            rates = self._channel(m)[0].rates
+            total = total + (rates * scale if m == Mechanism.CAPACITIVE else rates)
+        return build_rate_matrix(total)
+
+    def decay(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None,
+              n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:
+        """(times, populations) of p0 relaxing under the selected channels, on
+        the n_points grid the dominant mode sets; None when every selected
+        rate is zero."""
+        rm = self.generator(mechanisms, qc_eff)
+        if not rm.b.any():
+            return None
+        times = default_time_grid(rm, self.p0, n_points)
+        return times, evolve(rm, self.p0, times).populations
 
     def t1(self, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL, mechanisms=ANALYSIS_MECHANISMS,
            qc_eff: float | None = None) -> float:
@@ -498,11 +498,10 @@ class BiasModel:
             rate = self.pair_rate(mechanisms, qc_eff)
             return 1.0 / rate if rate else math.inf
         mode = T1Mode(mode)
-        rm = self.generator(mechanisms, qc_eff)
-        if not rm.b.any():
+        trace = self.decay(mechanisms, qc_eff)
+        if trace is None:
             return math.inf
-        times = default_time_grid(rm, self.p0)
-        populations = evolve(rm, self.p0, times).populations
+        times, populations = trace
         if mode is T1Mode.MULTILEVEL_POPULATION:
             signal = populations[:, 1]
         else:

@@ -126,11 +126,12 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 def _phase_basis(dim: int):
     """Eigenbasis of the dimensionless phase quadrature x = a + a^dag.
 
-    Returns (lam, d2_x, d_x): eigenvalues of the truncated x, plus the
-    truncated (a^dag - a)^2 and (a^dag - a) operators rotated into that
-    eigenbasis. Everything here is parameter-free, so one decomposition per
-    truncation serves all circuits; in the x eigenbasis the potential is
-    diagonal and only the kinetic term stays dense.
+    Returns (lam, d2_x, d_x, parity_x): eigenvalues of the truncated x, plus
+    the truncated (a^dag - a)^2 and (a^dag - a) operators and the mirror
+    parity diag((-1)^n) (x -> -x) rotated into that eigenbasis. Everything
+    here is parameter-free, so one decomposition per truncation serves all
+    circuits; in the x eigenbasis the potential is diagonal and only the
+    kinetic term stays dense.
     """
     ladder = np.sqrt(np.arange(1.0, dim))
     lam, u = eigh_tridiagonal(np.zeros(dim), ladder)
@@ -138,9 +139,10 @@ def _phase_basis(dim: int):
     d = a.T - a
     d_x = u.T @ d @ u
     d2_x = d_x @ d_x
-    for arr in (lam, d2_x, d_x):
+    parity_x = (u.T * (-1.0) ** np.arange(dim)) @ u
+    for arr in (lam, d2_x, d_x, parity_x):
         arr.setflags(write=False)
-    return lam, d2_x, d_x
+    return lam, d2_x, d_x, parity_x
 
 
 def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: int):
@@ -149,7 +151,7 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
     n_zpf = 0.5 / phi_zpf
     theta = 2.0 * np.pi * phi_ext
 
-    lam, d2_x, d_x = _phase_basis(dim)
+    lam, d2_x, d_x, parity_x = _phase_basis(dim)
     phi_grid = phi_zpf * lam  # diagonal of phi' in its own eigenbasis
     h_mat = -4.0 * params.ec * n_zpf**2 * d2_x
     idx = np.arange(dim)
@@ -159,6 +161,13 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
     phi_centered = (v.T * phi_grid) @ v
     n_elem = 1j * n_zpf * (v.T @ d_x @ v)
     sin_half_elem = (v.T * np.sin(0.5 * (phi_grid + theta))) @ v
+    if (2.0 * phi_ext) % 2.0 == 1.0:
+        # at half-odd flux the potential is even in phi' and sin(phi/2) =
+        # +-cos(phi'/2) is even too, so it cannot connect eigenstates of
+        # opposite mirror parity (Pop et al., Nature 508, 369 (2014)); the
+        # parity of each eigenvector is the sign of its expectation value
+        parity = np.sign(((parity_x @ v) * v).sum(axis=0))
+        sin_half_elem[parity[:, None] != parity] = 0.0
     phi_elem = phi_centered + theta * np.eye(n_levels)
 
     return energies, n_elem, phi_elem, sin_half_elem, np.diag(phi_centered).copy()

@@ -131,25 +131,23 @@ def q_of_frequency(env: Environment, f):
     return env.qc_eff * (Q_REFERENCE_FREQUENCY / f) ** env.epsilon
 
 
-def purcell_impedance(res: ResonatorParams, f):
-    """Input impedance (Ohm) of the feedline filtered by the readout resonator.
+def purcell_resistance(res: ResonatorParams, f):
+    """Re Z_in (Ohm) of the feedline filtered by the readout resonator.
 
-    Quarter-wave line of impedance Z0, inductively coupled to a matched
-    feedline with mutual M inferred from the resonator quality factor:
-    M = (Z0/w_res) sqrt(pi/(2 Q_res)). Written with cos/sin instead of cot so
-    cotangent poles evaluate to their finite limits. f may be a scalar or an
-    array; the result is complex of the same shape.
+    Quarter-wave line of impedance Z0 and angle theta = pi f / (2 f_res),
+    inductively coupled to a matched feedline with mutual M inferred from the
+    resonator quality factor: M = (Z0/w_res) sqrt(pi/(2 Q_res)). Of
+    Z_in = Z0 (w^2 M^2 cos + 2j Z0^2 sin) / (2 Z0^2 cos + j w^2 M^2 sin) only
+    the real part, 2 Z0^3 w^2 M^2 / (4 Z0^4 cos^2 + w^4 M^4 sin^2), relaxes the
+    qubit; it stays finite at the cotangent poles. f may be a scalar or an array.
     """
     if not np.all(f > 0.0):
         raise ValueError(f"frequency must be > 0, got {f!r}")
-    omega = 2.0 * math.pi * f
-    m = purcell_mutual_inductance(res)
+    coupling = (2.0 * math.pi * f * purcell_mutual_inductance(res)) ** 2  # w^2 M^2
     theta = math.pi * f / (2.0 * res.omega_res)
-    c, s = np.cos(theta), np.sin(theta)
     z0 = res.z0
-    num = omega**2 * m**2 * c + 2j * z0**2 * s
-    den = 2.0 * z0**2 * c + 1j * omega**2 * m**2 * s
-    return z0 * num / den
+    return (2.0 * z0**3 * coupling
+            / (4.0 * z0**4 * np.cos(theta) ** 2 + coupling**2 * np.sin(theta) ** 2))
 
 
 def purcell_mutual_inductance(res: ResonatorParams) -> float:
@@ -227,7 +225,7 @@ def build_mechanism_table(
         op, temperature = spec.n_elem, env.t_res
         c_ratio = coupling_capacitance(res, p.c_sigma) / p.c_sigma
         coupling = 8.0 * E_CHARGE**2 / HBAR * c_ratio**2
-        spectral = omega * purcell_impedance(res, fs).real
+        spectral = omega * purcell_resistance(res, fs)
 
     # |M_ij|^2 from the canonical upper slot: the two float entries can differ
     # at roundoff on parity-forbidden pairs, and one slot keeps up/down exact.

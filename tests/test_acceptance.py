@@ -33,7 +33,7 @@ from fluxt1.dynamics import (
 )
 from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.io import SCHEMA_ID
-from fluxt1.loss import ANALYSIS_MECHANISMS, Mechanism, MechanismRateTable
+from fluxt1.loss import Mechanism
 from fluxt1.pipeline import (
     CachedSpectrumProvider,
     QceffInverter,
@@ -98,7 +98,7 @@ def test_criterion_02_dispersive_shift_regression():
         f"conditions rather than the sum itself")
 
 
-def _random_db_tables(rng, n=6, temperature=0.040):
+def _random_db_rates(rng, n=6, temperature=0.040):
     freqs = np.sort(rng.uniform(0.2e9, 9e9, size=n - 1)).cumsum()
     energies = np.concatenate([[0.0], freqs])
     base = rng.uniform(1e2, 1e5, size=(n, n))
@@ -113,15 +113,14 @@ def _random_db_tables(rng, n=6, temperature=0.040):
                 value *= math.exp(-H * gap / (K_B * temperature))
             rates[i, j] = value
     boltzmann = np.exp(-H * energies / (K_B * temperature))
-    return (MechanismRateTable(Mechanism.CAPACITIVE, rates),
-            boltzmann / boltzmann.sum())
+    return rates, boltzmann / boltzmann.sum()
 
 
 def test_criterion_03_rate_matrix_correctness(rng):
     worst_col = worst_stat = worst_ode = 0.0
     for _ in range(100):
-        table, boltzmann = _random_db_tables(rng)
-        rm = build_rate_matrix([table])
+        rates, boltzmann = _random_db_rates(rng)
+        rm = build_rate_matrix(rates)
         worst_col = max(worst_col,
                         np.abs(rm.b.sum(axis=0)).max() / np.abs(rm.b).max())
         worst_stat = max(worst_stat,
@@ -280,14 +279,12 @@ def test_criterion_08_signal_model_error_bands():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             model = BiasModel(spec, res, env)
-            rm = model.generator(ANALYSIS_MECHANISMS)
-            times = default_time_grid(rm, model.p0)
-            trace = evolve(rm, model.p0, times)
-            fit_p1 = fit_exponential(times, trace.populations[:, 1])
-            signal = np.abs(trace.populations @ model.weights)
+            times, populations = model.decay()
+            fit_p1 = fit_exponential(times, populations[:, 1])
+            signal = np.abs(populations @ model.weights)
             fit_s = fit_exponential(times, signal)
             signal_err[k] = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
-            _, to_excited = heralded_misassignment_error(rm, model.p0, times)
+            _, to_excited = heralded_misassignment_error(times, populations)
             herald_err[k] = abs(to_excited)
     k_sig = int(np.nanargmax(signal_err))
     k_her = int(np.nanargmax(herald_err))
@@ -309,7 +306,7 @@ def test_criterion_08_signal_model_error_bands():
 
 def test_criterion_09_exponentialness():
     rates = np.array([[0.0, 80.0], [30.0, 0.0]])
-    rm2 = build_rate_matrix([MechanismRateTable(Mechanism.CAPACITIVE, rates)])
+    rm2 = build_rate_matrix(rates)
     report2 = exponentialness(rm2, np.array([0.4, 0.6]))
     two_level_zero = report2.m < 1e-13
 
@@ -324,17 +321,14 @@ def test_criterion_09_exponentialness():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 model = BiasModel(spec, res, env)
-                rm, p0 = model.generator(ANALYSIS_MECHANISMS), model.p0
                 try:
-                    m = exponentialness(rm, p0).m
+                    m = exponentialness(model.generator(), model.p0).m
                 except DominantModeTieError:
                     continue  # degenerate mode pair: the metric is undefined here
             if m > best_m:
-                best_m, best = m, (rm, p0)
-        rm, p0 = best
-        times = default_time_grid(rm, p0)
-        trace = evolve(rm, p0, times)
-        fit = fit_exponential(times, trace.populations[:, 1])
+                best_m, best = m, model
+        times, populations = best.decay()
+        fit = fit_exponential(times, populations[:, 1])
         worst_resid = max(worst_resid, fit.residual_rms / abs(fit.amplitude))
     passed = two_level_zero and worst_resid < 0.01
     verdict(9, passed,

@@ -32,7 +32,6 @@ from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
     Mechanism,
-    MechanismRateTable,
     build_mechanism_table,
 )
 
@@ -40,7 +39,7 @@ from conftest import environment_of, params_of, resonator_of
 
 
 def random_db_generator(rng, n=6, temperature=0.040):
-    """Random detailed-balance rate tables over a random ladder of splittings."""
+    """Random detailed-balance rates over a random ladder of splittings."""
     freqs = np.sort(rng.uniform(0.2e9, 9e9, size=n - 1)).cumsum()
     energies = np.concatenate([[0.0], freqs])
     base = rng.uniform(1e2, 1e5, size=(n, n))
@@ -56,18 +55,15 @@ def random_db_generator(rng, n=6, temperature=0.040):
                 gap = energies[j] - energies[i]
                 rates[i, j] = base[min(i, j), max(i, j)] * math.exp(
                     -H * gap / (K_B * temperature))
-    table = MechanismRateTable(mechanism=Mechanism.CAPACITIVE, rates=rates)
     boltzmann = np.exp(-H * energies / (K_B * temperature))
-    return table, boltzmann / boltzmann.sum()
+    return rates, boltzmann / boltzmann.sum()
 
 
 def b1_model_trace(kind):
     """B1 at Phi = 0.3, all analysis channels: the p1 decay or the readout signal."""
     spec = diagonalize(params_of("B1"), FluxBias(0.3), n_levels=6)
     model = BiasModel(spec, resonator_of("B1"), environment_of("B1"))
-    rm = model.generator()
-    times = default_time_grid(rm, model.p0)
-    populations = evolve(rm, model.p0, times).populations
+    times, populations = model.decay()
     if kind == "population":
         return times, populations[:, 1]
     return times, np.abs(populations @ model.weights)
@@ -76,18 +72,18 @@ def b1_model_trace(kind):
 class TestBuildRateMatrix:
     def test_two_level_closed_form_eigenvalues(self):
         rates = np.array([[0.0, 120.0], [70.0, 0.0]])
-        rm = build_rate_matrix([MechanismRateTable(Mechanism.CAPACITIVE, rates)])
+        rm = build_rate_matrix(rates)
         expected = sorted([0.0, -(120.0 + 70.0)])
         assert sorted(rm.eigenvalues) == pytest.approx(expected, abs=1e-9)
 
     def test_column_sums_vanish(self, rng):
-        table, _ = random_db_generator(rng)
-        rm = build_rate_matrix([table])
+        rates, _ = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
         assert np.abs(rm.b.sum(axis=0)).max() <= 1e-12 * np.abs(rm.b).max()
 
     def test_stationary_equals_boltzmann_for_db_tables(self, rng):
-        table, boltzmann = random_db_generator(rng)
-        rm = build_rate_matrix([table])
+        rates, boltzmann = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
         np.testing.assert_allclose(rm.stationary_distribution(), boltzmann, atol=1e-9)
 
     def test_b1_all_thermal_mechanisms_stationary_is_boltzmann(
@@ -105,10 +101,9 @@ class TestBuildRateMatrix:
         np.testing.assert_allclose(rm.stationary_distribution(), boltzmann, atol=1e-6)
 
     def test_dimension_mismatch_rejected(self):
-        t2 = MechanismRateTable(Mechanism.CAPACITIVE, np.zeros((2, 2)))
-        t3 = MechanismRateTable(Mechanism.FLUX_NOISE, np.ones((3, 3)) - np.eye(3))
-        with pytest.raises(ValueError):
-            build_rate_matrix([t2, t3])
+        for shape in [(2, 3), (3,), (2, 2, 2)]:
+            with pytest.raises(ValueError, match="square"):
+                build_rate_matrix(np.ones(shape))
 
 
 class TestThermalPopulation:
@@ -148,15 +143,15 @@ class TestInvertComputational:
 
 class TestEvolve:
     def test_time_zero_returns_initial(self, rng):
-        table, _ = random_db_generator(rng)
-        rm = build_rate_matrix([table])
+        rates, _ = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
         p0 = invert_computational(rm.stationary_distribution())
         trace = evolve(rm, p0, np.array([0.0]))
         np.testing.assert_allclose(trace.populations[0], p0, atol=1e-12)
 
     def test_long_time_reaches_stationary(self, rng):
-        table, boltzmann = random_db_generator(rng)
-        rm = build_rate_matrix([table])
+        rates, boltzmann = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
         p0 = np.zeros(6)
         p0[3] = 1.0
         slowest = 1.0 / min(-rm.eigenvalues[np.abs(rm.eigenvalues) > 1e-6])
@@ -165,8 +160,8 @@ class TestEvolve:
 
     def test_matches_adaptive_ode_integration(self, rng):
         for _ in range(5):
-            table, _ = random_db_generator(rng)
-            rm = build_rate_matrix([table])
+            rates, _ = random_db_generator(rng)
+            rm = build_rate_matrix(rates)
             p0 = invert_computational(rm.stationary_distribution())
             times = default_time_grid(rm, p0)
             trace = evolve(rm, p0, times)
@@ -175,16 +170,16 @@ class TestEvolve:
             assert np.max(np.abs(trace.populations - sol.y.T)) < 1e-8
 
     def test_rows_are_probability_vectors(self, rng):
-        table, _ = random_db_generator(rng)
-        rm = build_rate_matrix([table])
+        rates, _ = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
         p0 = invert_computational(rm.stationary_distribution())
         trace = evolve(rm, p0, np.logspace(-7, -1, 40))
         np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0, atol=1e-9)
         assert not trace.renormalized
 
     def test_rejects_bad_initial_state(self, rng):
-        table, _ = random_db_generator(rng)
-        rm = build_rate_matrix([table])
+        rates, _ = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
         with pytest.raises(ValueError):
             evolve(rm, np.full(6, 0.3), np.array([0.0]))
 
@@ -292,10 +287,8 @@ class TestSimulateSignal:
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
         model = BiasModel(spec, b1_resonator, env)
-        rm = model.generator()
-        times = default_time_grid(rm, model.p0)
-        signal = np.abs(evolve(rm, model.p0, times).populations @ model.weights)
-        fit = fit_exponential(times, signal)
+        times, populations = model.decay()
+        fit = fit_exponential(times, np.abs(populations @ model.weights))
         gamma = two_level_total_rate(spec, b1_resonator, env)
         assert fit.t1 == pytest.approx(1.0 / gamma, rel=1e-9)
         assert fit.residual_rms < 1e-12
@@ -334,13 +327,11 @@ class TestSignalModelDistortion:
         env = environment_of("B2")
         spec = diagonalize(params, FluxBias(0.185), n_levels=6)
         model = BiasModel(spec, res, env)
-        rm = model.generator()
-        times = default_time_grid(rm, model.p0)
-        trace = evolve(rm, model.p0, times)
-        fit_p1 = fit_exponential(times, trace.populations[:, 1])
+        times, populations = model.decay()
+        fit_p1 = fit_exponential(times, populations[:, 1])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            signal = np.abs(trace.populations @ model.weights)
+            signal = np.abs(populations @ model.weights)
         fit_s = fit_exponential(times, signal)
         deviation = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
         assert 0.10 <= deviation <= 0.20
@@ -349,14 +340,14 @@ class TestSignalModelDistortion:
 class TestExponentialness:
     def test_two_levels_give_zero(self):
         rates = np.array([[0.0, 90.0], [40.0, 0.0]])
-        rm = build_rate_matrix([MechanismRateTable(Mechanism.CAPACITIVE, rates)])
+        rm = build_rate_matrix(rates)
         report = exponentialness(rm, np.array([0.3, 0.7]))
         assert report.m < 1e-13
 
     def test_matches_explicit_reconstruction(self, rng):
         for _ in range(10):
-            table, _ = random_db_generator(rng, n=4)
-            rm = build_rate_matrix([table])
+            rates, _ = random_db_generator(rng, n=4)
+            rm = build_rate_matrix(rates)
             p0 = rng.dirichlet(np.ones(4))
             report = exponentialness(rm, p0)
             c = np.linalg.solve(rm.eigenvectors, p0)
@@ -377,12 +368,9 @@ class TestExponentialness:
         for phi in fluxes:
             spec = diagonalize(params, FluxBias(phi), n_levels=6)
             model = BiasModel(spec, res, env)
-            rm, p0 = model.generator(), model.p0
-            report = exponentialness(rm, p0)
-            ms.append(report.m)
-            times = default_time_grid(rm, p0)
-            trace = evolve(rm, p0, times)
-            fit = fit_exponential(times, trace.populations[:, 1])
+            ms.append(exponentialness(model.generator(), model.p0).m)
+            times, populations = model.decay()
+            fit = fit_exponential(times, populations[:, 1])
             residuals.append(fit.residual_rms / abs(fit.amplitude))
         peak = int(np.argmax(ms))
         assert 0 < peak < len(fluxes) - 1  # interior maximum
@@ -394,14 +382,14 @@ class TestHeraldedMisassignment:
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
         model = BiasModel(spec, b1_resonator, env)
-        to_ground, to_excited = heralded_misassignment_error(model.generator(), model.p0)
+        to_ground, to_excited = heralded_misassignment_error(*model.decay())
         assert to_ground == 0.0
         assert to_excited == 0.0
 
     def test_to_ground_exactly_zero_by_construction(self, b1_half_flux_spectrum,
                                                     b1_environment, b1_resonator):
         model = BiasModel(b1_half_flux_spectrum, b1_resonator, b1_environment)
-        to_ground, _ = heralded_misassignment_error(model.generator(), model.p0)
+        to_ground, _ = heralded_misassignment_error(*model.decay())
         assert to_ground == 0.0
 
     def test_b2_sweep_peak_band(self):
@@ -415,7 +403,7 @@ class TestHeraldedMisassignment:
         for phi in fluxes:
             spec = diagonalize(params, FluxBias(phi), n_levels=6)
             model = BiasModel(spec, res, env)
-            _, to_excited = heralded_misassignment_error(model.generator(), model.p0)
+            _, to_excited = heralded_misassignment_error(*model.decay())
             errs.append(abs(to_excited))
         peak = int(np.argmax(errs))
         assert 0.08 <= errs[peak] <= 0.18
@@ -536,8 +524,8 @@ class TestBiasModel:
 @given(seed=st.integers(0, 10_000))
 def test_probability_conservation_property(seed):
     rng = np.random.default_rng(seed)
-    table, _ = random_db_generator(rng)
-    rm = build_rate_matrix([table])
+    rates, _ = random_db_generator(rng)
+    rm = build_rate_matrix(rates)
     assert max(rm.eigenvalues.real) == pytest.approx(0.0, abs=1e-9 * np.abs(rm.b).max())
     assert all(ev.real <= 1e-9 * np.abs(rm.b).max() for ev in np.atleast_1d(rm.eigenvalues))
     p0 = rng.dirichlet(np.ones(6))

@@ -8,15 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
+from fluxt1.dynamics import two_level_total_rate
 from fluxt1.hamiltonian import (
     FluxBias,
     FluxoniumParams,
     diagonalize,
     flux_dispersion,
 )
+from fluxt1.loss import Mechanism
 from fluxt1.pipeline import CachedSpectrumProvider
 
-from conftest import params_of
+from conftest import environment_of, params_of, resonator_of
 
 
 def f01(spec):
@@ -70,6 +72,20 @@ class TestDiagonalize:
         assert abs(spec.n_elem[1, 1]) < 1e-10
         assert abs(spec.n_elem[0, 2]) < 1e-10
         assert abs(spec.phi_elem[0, 1]) > 1.0  # extremal phase element
+
+    @pytest.mark.parametrize("qubit", ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3"])
+    def test_sin_half_parity_rule_at_half_flux(self, qubit):
+        # sin(phi/2) is even at half flux: its 0-1 element is exactly zero, so
+        # the junction quasiparticle channel cannot relax the qubit there
+        params = params_of(qubit)
+        spec = diagonalize(params, FluxBias(0.5), n_levels=6)
+        assert spec.sin_half_elem[0, 1] == 0.0
+        assert abs(spec.sin_half_elem[0, 2]) > 0.3  # same parity: allowed
+        env = environment_of(qubit, x_qp=1e-9)
+        assert two_level_total_rate(spec.lowest(2), resonator_of(qubit), env,
+                                    (Mechanism.QP_JUNCTION,)) == 0.0
+        # the rule holds at half-odd flux only
+        assert diagonalize(params, FluxBias(0.49), n_levels=6).sin_half_elem[0, 1] != 0.0
 
     def test_sin_half_matrix_function_reconstruction(self, b1_params):
         # independent in-basis route: build phi in the oscillator basis from

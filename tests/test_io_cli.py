@@ -233,6 +233,14 @@ class TestCli:
         assert code == 0
         assert [r["t1_s"] for r in csv.DictReader(out.splitlines())] == ["inf"] * 3
 
+    def test_predict_t1_parity_forbidden_channel_is_inf(self, a1_device, capsys):
+        # the junction quasiparticle 0<->1 rate vanishes by symmetry at half flux
+        code, out, _ = run_cli(
+            ["predict-t1", "--device", a1_device, "--flux", "0.5", "--mechanisms",
+             "qp_junction", "--xqp", "1e-9", "--modes", "two_level"], capsys)
+        assert code == 0
+        assert [r["t1_s"] for r in csv.DictReader(out.splitlines())] == ["inf"]
+
     def test_predict_t1_unresolved_fit_is_nan(self, tmp_path, capsys):
         # flux noise alone leaves A3's readout signal without a resolvable
         # decay at this bias: a failure, not an infinite T1
@@ -266,6 +274,24 @@ class TestCli:
         assert len(rows) == 51
         total = sum(float(rows[0][f"p_{k}"]) for k in range(6))
         assert total == pytest.approx(1.0, abs=1e-9)
+
+    def test_simulate_decay_evolves_once(self, a1_device, monkeypatch, capsys):
+        import fluxt1.cli
+        import fluxt1.dynamics
+
+        evolve, calls = fluxt1.dynamics.evolve, []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2].size)
+            return evolve(*args, **kwargs)
+
+        # wherever the command could look the name up
+        for module in (fluxt1.cli, fluxt1.dynamics):
+            monkeypatch.setattr(module, "evolve", counting, raising=False)
+        code, _, _ = run_cli(["simulate-decay", "--device", a1_device, "--flux", "0.3",
+                              "--points", "37"], capsys)
+        assert code == 0
+        assert calls == [37]
 
     def test_compare_identical_distributions_p_one(self, tmp_path, result_schema,
                                                    capsys):

@@ -19,8 +19,8 @@ from fluxt1.loss import (
     Environment,
     Mechanism,
     build_mechanism_table,
-    purcell_impedance,
     purcell_mutual_inductance,
+    purcell_resistance,
     q_of_frequency,
 )
 from fluxt1.resonator import ResonatorParams, coupling_capacitance
@@ -38,6 +38,17 @@ def coth(x):
 
 def rates(spec, env, mechanism, res=None):
     return build_mechanism_table(spec, res, env, mechanism).rates
+
+
+def input_impedance(res, f):
+    """Complex input impedance of the resonator-filtered feedline (reference)."""
+    omega = 2 * math.pi * f
+    m = purcell_mutual_inductance(res)
+    theta = math.pi * f / (2 * res.omega_res)
+    c, s = np.cos(theta), np.sin(theta)
+    num = omega**2 * m**2 * c + 2j * res.z0**2 * s
+    den = 2 * res.z0**2 * c + 1j * omega**2 * m**2 * s
+    return res.z0 * num / den
 
 
 def transition(spec, i, j):
@@ -281,23 +292,34 @@ class TestPurcellImpedance:
         omega_res = 2 * math.pi * res.omega_res
         # exact expression at the cotangent zero: Z0 * 2j Z0^2 / (j w^2 M^2)
         expected = 2 * res.z0**3 / (omega_res**2 * m**2)
-        at_res = purcell_impedance(res, res.omega_res)
-        assert at_res.real == pytest.approx(expected, rel=1e-12)
+        at_res = purcell_resistance(res, res.omega_res)
+        assert at_res == pytest.approx(expected, rel=1e-12)
         # and it is the scan maximum
-        scan = [purcell_impedance(res, f).real
-                for f in np.linspace(0.2e9, 3 * res.omega_res, 4001)]
-        assert at_res.real >= max(scan) * (1 - 1e-6)
+        scan = purcell_resistance(res, np.linspace(0.2e9, 3 * res.omega_res, 4001))
+        assert at_res >= max(scan) * (1 - 1e-6)
 
     def test_real_part_vanishes_at_low_frequency(self, b1_resonator):
-        assert purcell_impedance(b1_resonator, 1e3).real == pytest.approx(0.0, abs=1e-9)
+        assert purcell_resistance(b1_resonator, 1e3) == pytest.approx(0.0, abs=1e-9)
 
     def test_cotangent_pole_is_finite(self, b1_resonator):
         # at f = 2 f_res the cotangent diverges; the limit is w^2 M^2 / (2 Z0)
         res = b1_resonator
         m = purcell_mutual_inductance(res)
         omega = 2 * math.pi * 2 * res.omega_res
-        value = purcell_impedance(res, 2 * res.omega_res)
-        assert value.real == pytest.approx(omega**2 * m**2 / (2 * res.z0), rel=1e-9)
+        value = purcell_resistance(res, 2 * res.omega_res)
+        assert value == pytest.approx(omega**2 * m**2 / (2 * res.z0), rel=1e-9)
+
+    @pytest.mark.parametrize("qubit", ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3"])
+    def test_is_the_real_part_of_the_input_impedance(self, qubit):
+        # the closed form against the complex impedance it is derived from,
+        # on every level pair of the device over flux
+        res = resonator_of(qubit)
+        for phi in np.linspace(0.0, 0.5, 6):
+            spec = diagonalize(params_of(qubit), FluxBias(phi), n_levels=6)
+            i, j = np.triu_indices(6, k=1)
+            f = spec.energies[j] - spec.energies[i]
+            np.testing.assert_allclose(purcell_resistance(res, f),
+                                       input_impedance(res, f).real, rtol=1e-14, atol=0)
 
     def test_mutual_inductance_closed_form(self):
         res = resonator_of("B1")
@@ -322,7 +344,7 @@ class TestRatePurcell:
         c_c = coupling_capacitance(b1_resonator, c_sigma)
         pair_expected = (8 * E_CHARGE**2 * omega / HBAR * (c_c / c_sigma) ** 2
                          * elems["n_elem"]
-                         * purcell_impedance(b1_resonator, f).real
+                         * input_impedance(b1_resonator, f).real
                          * coth(H * f / (2 * K_B * 0.065)))
         table = rates(spec, env, Mechanism.PURCELL, b1_resonator)
         assert table[i, j] + table[j, i] == pytest.approx(pair_expected, rel=1e-9)
