@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import io as _io
 import sys
 import warnings
@@ -22,18 +23,21 @@ from .errors import DataError, FluxT1Error
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
     atomic_write_text,
+    distribution_from_result,
     distribution_to_payload,
     dump_json,
-    file_sha256,
     parse_dephasing_csv,
     parse_device_file,
     parse_t1_csv,
     read_distribution,
+    read_result,
     write_result,
     result_envelope,
 )
-from .loss import ANALYSIS_MECHANISMS, Mechanism
+from .loss import ANALYSIS_MECHANISMS, Environment, Mechanism
 from .pipeline import (
+    DEFAULT_BIN_WIDTH,
+    DEFAULT_EXCLUSION_THRESHOLD,
     CachedSpectrumProvider,
     QubitAnalysisInput,
     bin_average,
@@ -97,23 +101,40 @@ def _add_flux_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flux-points", type=int, default=51)
 
 
-def _add_model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--levels", type=int, default=6, help="retained circuit levels")
-    p.add_argument("--qceff", type=float, default=3.0e5,
-                   help="effective capacitive quality factor at 6 GHz")
-    p.add_argument("--epsilon", type=float, default=0.25,
-                   help="frequency exponent of the quality factor")
-    p.add_argument("--xqp", type=float, default=0.0, help="normalized quasiparticle density")
-    p.add_argument("--qubit-temp-k", type=float, default=0.040)
-    p.add_argument("--res-temp-k", type=float, default=0.065)
+# The model and ingest options, each defined once; a command takes only those
+# that can change its output.
+_OPTIONS = {
+    "--levels": dict(type=int, default=6, help="retained circuit levels"),
+    "--qceff": dict(type=float, default=Environment.qc_eff,
+                    help="effective capacitive quality factor at 6 GHz"),
+    "--epsilon": dict(type=float, default=Environment.epsilon,
+                      help="frequency exponent of the quality factor"),
+    "--xqp": dict(type=float, default=Environment.x_qp,
+                  help="normalized quasiparticle density"),
+    "--qubit-temp-k": dict(type=float, default=None,
+                           help="qubit bath temperature (default: the device's t_qubit_k)"),
+    "--res-temp-k": dict(type=float, default=None,
+                         help="resonator bath temperature (default: the device's t_res_k)"),
+    "--mode": dict(default=T1Mode.MULTILEVEL_SIGNAL.value, choices=[m.value for m in T1Mode]),
+    "--bin-width-hz": dict(type=float, default=DEFAULT_BIN_WIDTH),
+    "--exclusion-threshold": dict(type=float, default=DEFAULT_EXCLUSION_THRESHOLD),
+}
 
 
-def _device_env(args):
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
+
+
+def _device_env(args, **fields):
+    """The --device file and its environment at --epsilon and ``fields``, in
+    the file's bath unless a temperature flag replaces it."""
     device = parse_device_file(args.device)
-    env = device.environment(qc_eff=args.qceff, epsilon=args.epsilon, x_qp=args.xqp)
-    if args.qubit_temp_k != env.t_qubit or args.res_temp_k != env.t_res:
-        env = replace(env, t_qubit=args.qubit_temp_k, t_res=args.res_temp_k)
-    return device, device.fluxonium_params(), device.resonator_params(), env
+    env = device.environment(
+        t_qubit=device.t_qubit if args.qubit_temp_k is None else args.qubit_temp_k,
+        t_res=device.t_res if args.res_temp_k is None else args.res_temp_k,
+        epsilon=args.epsilon, **fields)
+    return device, env
 
 
 def _cmd_spectrum(args) -> int:
@@ -144,7 +165,8 @@ _MECHANISM_NAMES = {m.value: m for m in Mechanism}
 
 
 def _cmd_predict_t1(args) -> int:
-    _, params, res, env = _device_env(args)
+    device, env = _device_env(args, qc_eff=args.qceff, x_qp=args.xqp)
+    params, res = device.fluxonium_params(), device.resonator_params()
     mech_tokens = [tok.strip() for tok in args.mechanisms.split(",") if tok.strip()]
     for tok in mech_tokens:
         if tok != "total" and tok not in _MECHANISM_NAMES:
@@ -179,13 +201,14 @@ def _cmd_predict_t1(args) -> int:
 
 
 def _cmd_simulate_decay(args) -> int:
-    _, params, res, env = _device_env(args)
-    model = BiasModel(diagonalize(params, FluxBias(args.flux), n_levels=args.levels), res, env)
+    device, env = _device_env(args, qc_eff=args.qceff)
+    spec = diagonalize(device.fluxonium_params(), FluxBias(args.flux), n_levels=args.levels)
+    model = BiasModel(spec, device.resonator_params(), env)
     times, populations = model.decay(n_points=args.points)
     signal = np.abs(populations @ model.weights)
     fit_p1 = fit_exponential(times, populations[:, 1])
     fit_s = fit_exponential(times, signal)
-    err_ground, err_excited = heralded_misassignment_error(times, populations)
+    err_ground, err_excited = heralded_misassignment_error(times, populations, fit_p1)
 
     if args.trace_out is not None:
         header = ["tau_s", "signal"] + [f"p_{k}" for k in range(model.spec.n_levels)]
@@ -193,9 +216,8 @@ def _cmd_simulate_decay(args) -> int:
         _emit(_csv_text(header, rows), args.trace_out)
 
     config = dict(device=args.device, flux=args.flux, levels=args.levels,
-                  qceff=args.qceff, epsilon=args.epsilon, xqp=args.xqp,
-                  qubit_temp_k=args.qubit_temp_k, res_temp_k=args.res_temp_k,
-                  points=args.points)
+                  qceff=env.qc_eff, epsilon=env.epsilon,
+                  qubit_temp_k=env.t_qubit, res_temp_k=env.t_res, points=args.points)
     data = dict(
         t1_population_s=fit_p1.t1,
         t1_signal_s=fit_s.t1,
@@ -227,14 +249,15 @@ def _ingest(device, csv_path: str, env, args) -> tuple[QubitAnalysisInput, int, 
 
 
 def _cmd_extract_qceff(args) -> int:
-    device, _, _, env = _device_env(args)
+    # qc_eff cancels in every inversion, and no analysis channel reads x_qp
+    device, env = _device_env(args)
     qi, n_raw, n_binned = _ingest(device, args.t1_csv, env, args)
     dist = extract_qceff_dataset(qi.dataset, qi.spec_provider, qi.res, env,
                                  mode=T1Mode(args.mode))
     config = dict(device=args.device, t1_csv=args.t1_csv, levels=args.levels,
-                  epsilon=args.epsilon, bin_width_hz=args.bin_width_hz,
+                  epsilon=env.epsilon, bin_width_hz=args.bin_width_hz,
                   exclusion_threshold=args.exclusion_threshold, mode=args.mode,
-                  qubit_temp_k=args.qubit_temp_k, res_temp_k=args.res_temp_k)
+                  qubit_temp_k=env.t_qubit, res_temp_k=env.t_res)
     data = distribution_to_payload(dist)
     data.update(n_raw=n_raw, n_binned=n_binned, n_kept=len(qi.dataset))
     _emit_json("extract-qceff", config, data, args.out)
@@ -274,7 +297,7 @@ def _cmd_fit_flux_noise(args) -> int:
     data = dict(
         sqrt_a_phi_phi0_per_sqrt_hz=sqrt_a,
         sqrt_a_phi_uphi0=sqrt_a * 1e6,
-        n_records_used=len(ds.records),
+        n_records_used=len(ds.fit_records()),
     )
     _emit_json("fit-flux-noise", config, data, args.out)
     return EXIT_OK
@@ -308,21 +331,21 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import json as _json
-
-    dists = [read_distribution(p) for p in args.dist]
+    # each file is read once, so the recorded hash is of the bytes analysed
+    dists, sha256, input_configs = [], {}, {}
+    for p in args.dist:
+        blob, raw = read_result(p)
+        dists.append(distribution_from_result(p, raw))
+        sha256[p] = hashlib.sha256(blob).hexdigest()
+        # echo each input's own extraction configuration alongside ours
+        input_configs[p] = raw.get("config", {})
     summaries = []
     for d in dists:
         s = summarize(d)
         summaries.append(dict(qubit_id=d.qubit_id, mean=s.mean, median=s.median,
                               std=s.std, iqr=s.iqr, n=s.n))
     welch_matrix = _welch_pairs(dists, args.alpha) if len(dists) > 1 else []
-    provenance = {"sha256": {p: file_sha256(p) for p in args.dist}}
-    # echo each input's own extraction configuration alongside ours
-    input_configs = {}
-    for p in args.dist:
-        with open(p, encoding="utf-8") as fh:
-            input_configs[p] = _json.load(fh).get("config", {})
+    provenance = {"sha256": sha256}
     config = dict(dists=list(args.dist), alpha=args.alpha,
                   epsilon_used=[d.epsilon_used for d in dists],
                   input_configs=input_configs)
@@ -338,14 +361,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("spectrum", help="eigenenergies and matrix elements over flux")
     p.add_argument("--device", required=True)
     _add_flux_args(p)
-    p.add_argument("--levels", type=int, default=6)
+    _add_options(p, "--levels")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("predict-t1", help="model T1 curves per mechanism and mode")
     p.add_argument("--device", required=True)
     _add_flux_args(p)
-    _add_model_args(p)
+    _add_options(p, "--levels", "--qceff", "--epsilon", "--xqp", "--qubit-temp-k",
+                 "--res-temp-k")
     p.add_argument("--mechanisms",
                    default="capacitive,flux_noise,charge_line,flux_line,purcell,total",
                    help="comma list of channels; 'total' sums the analysis set "
@@ -358,7 +382,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("simulate-decay", help="decay signal with resonator pulls")
     p.add_argument("--device", required=True)
     p.add_argument("--flux", type=float, required=True)
-    _add_model_args(p)
+    _add_options(p, "--levels", "--qceff", "--epsilon", "--qubit-temp-k", "--res-temp-k")
     p.add_argument("--points", type=int, default=51)
     p.add_argument("--trace-out", default=None, help="CSV path for s(tau) and populations")
     p.add_argument("--out", default=None)
@@ -367,22 +391,15 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("extract-qceff", help="invert measured T1 into quality factors")
     p.add_argument("--device", required=True)
     p.add_argument("--t1-csv", required=True)
-    _add_model_args(p)
-    p.add_argument("--bin-width-hz", type=float, default=8e6)
-    p.add_argument("--exclusion-threshold", type=float, default=0.1)
-    p.add_argument("--mode", default="multilevel_signal",
-                   choices=[m.value for m in T1Mode])
+    _add_options(p, "--levels", "--epsilon", "--qubit-temp-k", "--res-temp-k",
+                 "--bin-width-hz", "--exclusion-threshold", "--mode")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_extract_qceff)
 
     p = sub.add_parser("fit-epsilon", help="global frequency exponent over qubits")
     p.add_argument("--qubit", nargs=2, action="append", required=True,
                    metavar=("DEVICE_JSON", "T1_CSV"))
-    p.add_argument("--levels", type=int, default=6)
-    p.add_argument("--mode", default="multilevel_signal",
-                   choices=[m.value for m in T1Mode])
-    p.add_argument("--bin-width-hz", type=float, default=8e6)
-    p.add_argument("--exclusion-threshold", type=float, default=0.1)
+    _add_options(p, "--levels", "--mode", "--bin-width-hz", "--exclusion-threshold")
     p.add_argument("--grid-start", type=float, default=-1.0)
     p.add_argument("--grid-stop", type=float, default=1.0)
     p.add_argument("--grid-step", type=float, default=0.05)

@@ -370,20 +370,17 @@ def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51) -> np.
     return np.logspace(math.log10(t_guess / 50.0), math.log10(8.0 * t_guess), n_points)
 
 
-def heralded_misassignment_error(times, populations) -> tuple[float, float]:
+def heralded_misassignment_error(times, populations, fit_p1: DecayFit) -> tuple[float, float]:
     """Relative T1 error from misassigning higher-level population in a decay
-    trace (``BiasModel.decay``).
+    trace (``BiasModel.decay``), given ``fit_p1``, the trace's level-1 fit.
 
     Misassignment to the ground state leaves the level-1 decay untouched, so
     that error is identically zero. Misassignment to the excited state fits
     p1 + sum_{i>=2} p_i instead of p1 and reports (T1 - T1') / T1.
     """
-    p1 = populations[:, 1]
-    fit_clean = fit_exponential(times, p1)
-    lumped = p1 + populations[:, 2:].sum(axis=1)
+    lumped = populations[:, 1] + populations[:, 2:].sum(axis=1)
     fit_lumped = fit_exponential(times, lumped)
-    to_excited = (fit_clean.t1 - fit_lumped.t1) / fit_clean.t1
-    return 0.0, float(to_excited)
+    return 0.0, float((fit_p1.t1 - fit_lumped.t1) / fit_p1.t1)
 
 
 def two_level_total_rate(

@@ -10,7 +10,6 @@ inputs: keys are sorted, floats use repr, and no timestamps are embedded.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io as _io
 import json
 import logging
@@ -20,7 +19,6 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 
-from .constants import PHI0
 from .errors import DataError
 from .hamiltonian import FluxoniumParams
 from .loss import Environment
@@ -52,10 +50,10 @@ _REQUIRED_DEVICE_KEYS = (
 _OPTIONAL_DEVICE_KEYS = {
     "n_array": 151,
     "junction_area_um2": None,
-    "c_drive_f": 20e-18,
-    "m_drive_wb_per_a": PHI0 / 0.0215,
-    "t_qubit_k": 0.040,
-    "t_res_k": 0.065,
+    "c_drive_f": Environment.c_drive,
+    "m_drive_wb_per_a": Environment.m_drive,
+    "t_qubit_k": Environment.t_qubit,
+    "t_res_k": Environment.t_res,
 }
 
 
@@ -85,18 +83,13 @@ class DeviceFile:
     def resonator_params(self) -> ResonatorParams:
         return ResonatorParams(omega_res=self.omega_res, g=self.g, kappa=self.kappa)
 
-    def environment(self, qc_eff: float = 3.0e5, epsilon: float = 0.25,
-                    x_qp: float = 0.0) -> Environment:
-        return Environment(
-            t_qubit=self.t_qubit,
-            t_res=self.t_res,
-            a_phi=self.sqrt_a_phi**2,
-            x_qp=x_qp,
-            c_drive=self.c_drive,
-            m_drive=self.m_drive,
-            qc_eff=qc_eff,
-            epsilon=epsilon,
-        )
+    def environment(self, **fields) -> Environment:
+        """The device's bath, flux noise and drive couplings; ``fields`` sets
+        any other Environment field (qc_eff, epsilon, x_qp) or replaces one of
+        the device's."""
+        device = dict(t_qubit=self.t_qubit, t_res=self.t_res, a_phi=self.sqrt_a_phi**2,
+                      c_drive=self.c_drive, m_drive=self.m_drive)
+        return Environment(**(device | fields))
 
 
 def _key_location(text: str, key: str, occurrence: int = 1) -> str:
@@ -193,44 +186,47 @@ def parse_device_file(path: str) -> DeviceFile:
     )
 
 
-_T1_REQUIRED_COLUMNS = ("phi_ext", "t1_s")
-_T1_OPTIONAL_COLUMNS = ("omega01_hz", "t1_err_s")
-
-
-def parse_t1_csv(path: str, qubit_id: str = "") -> T1Dataset:
-    """Read measured T1 records; applies the ingest drop rule (err > 2*t1)."""
+def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:
+    """Records of a numeric CSV file, one per row: ``build`` maps each row's
+    cells, as floats keyed by header column, to a record. An empty optional
+    cell reads None. Missing required and unknown columns, malformed rows
+    (named by line number) and files without rows are data errors."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file; expected header with "
-                                f"columns {_T1_REQUIRED_COLUMNS}")
-            missing = [c for c in _T1_REQUIRED_COLUMNS if c not in reader.fieldnames]
+                raise DataError(f"{path}: empty file; expected header with columns {required}")
+            missing = [c for c in required if c not in reader.fieldnames]
             if missing:
                 raise DataError(f"{path}: header missing required columns {missing}")
-            unknown = [c for c in reader.fieldnames
-                       if c not in _T1_REQUIRED_COLUMNS + _T1_OPTIONAL_COLUMNS]
+            unknown = [c for c in reader.fieldnames if c not in required + optional]
             if unknown:
                 raise DataError(f"{path}: unknown columns {unknown}")
             records = []
             for row_num, row in enumerate(reader, start=2):
                 try:
-                    records.append(
-                        T1Record(
-                            phi_ext=float(row["phi_ext"]),
-                            t1=float(row["t1_s"]),
-                            omega01=(float(row["omega01_hz"])
-                                     if row.get("omega01_hz") not in (None, "") else None),
-                            t1_err=(float(row["t1_err_s"])
-                                    if row.get("t1_err_s") not in (None, "") else None),
-                        )
-                    )
+                    records.append(build({
+                        c: float(row[c]) if c in required or row[c] else None
+                        for c in reader.fieldnames
+                    }))
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
     except OSError as exc:
-        raise DataError(f"cannot read T1 file {path}: {exc}") from exc
+        raise DataError(f"cannot read {path}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: no data rows")
+    return records
+
+
+def parse_t1_csv(path: str, qubit_id: str = "") -> T1Dataset:
+    """Read measured T1 records (phi_ext,t1_s[,omega01_hz][,t1_err_s]);
+    applies the ingest drop rule (err > 2*t1)."""
+    records = _read_csv(
+        path, ("phi_ext", "t1_s"), ("omega01_hz", "t1_err_s"),
+        lambda cells: T1Record(phi_ext=cells["phi_ext"], t1=cells["t1_s"],
+                               omega01=cells.get("omega01_hz"),
+                               t1_err=cells.get("t1_err_s")),
+    )
     ds = T1Dataset.from_records(records, qubit_id=qubit_id)
     logger.info("%s: ingested %d records (%d dropped by the error-bar rule)",
                 path, len(ds), ds.n_ingest_dropped)
@@ -252,33 +248,14 @@ def write_t1_csv(path: str, ds: T1Dataset) -> None:
 
 
 def parse_dephasing_csv(path: str, qubit_id: str = "") -> DephasingDataset:
-    """Read echo-dephasing records: phi_ext, gamma_phi_e_per_s[, slope]."""
-    required = ("phi_ext", "gamma_phi_e_per_s")
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file; expected header with columns {required}")
-            missing = [c for c in required if c not in reader.fieldnames]
-            if missing:
-                raise DataError(f"{path}: header missing required columns {missing}")
-            records = []
-            for row_num, row in enumerate(reader, start=2):
-                try:
-                    slope = row.get("slope_rad_per_s_per_phi0")
-                    records.append(
-                        DephasingRecord(
-                            phi_ext=float(row["phi_ext"]),
-                            gamma_phi_e=float(row["gamma_phi_e_per_s"]),
-                            slope=float(slope) if slope not in (None, "") else None,
-                        )
-                    )
-                except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
-    except OSError as exc:
-        raise DataError(f"cannot read dephasing file {path}: {exc}") from exc
-    if not records:
-        raise DataError(f"{path}: no data rows")
+    """Read echo-dephasing records
+    (phi_ext,gamma_phi_e_per_s[,slope_rad_per_s_per_phi0])."""
+    records = _read_csv(
+        path, ("phi_ext", "gamma_phi_e_per_s"), ("slope_rad_per_s_per_phi0",),
+        lambda cells: DephasingRecord(phi_ext=cells["phi_ext"],
+                                      gamma_phi_e=cells["gamma_phi_e_per_s"],
+                                      slope=cells.get("slope_rad_per_s_per_phi0")),
+    )
     return DephasingDataset(records=tuple(records), qubit_id=qubit_id)
 
 
@@ -321,17 +298,26 @@ def distribution_to_payload(dist: QceffDistribution) -> dict:
     }
 
 
-def read_distribution(path: str) -> QceffDistribution:
-    """Load a quality-factor distribution from an extract-qceff result file."""
+def read_result(path: str) -> tuple[bytes, dict]:
+    """The bytes of a result file, read once, and the envelope they hold."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, "rb") as fh:
+            blob = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read distribution file {path}: {exc}") from exc
+        raise DataError(f"cannot read result file {path}: {exc}") from exc
+    try:
+        raw = json.loads(blob.decode("utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise DataError(f"{path}: a result file must hold a JSON object")
     if raw.get("schema") != SCHEMA_ID:
         raise DataError(f"{path}: expected schema {SCHEMA_ID!r}, got {raw.get('schema')!r}")
+    return blob, raw
+
+
+def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
+    """The quality-factor distribution in an extract-qceff result envelope."""
     payload = raw.get("data", {})
     if "entries" not in payload:
         raise DataError(f"{path}: no distribution entries found")
@@ -352,9 +338,6 @@ def read_distribution(path: str) -> QceffDistribution:
     )
 
 
-def file_sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def read_distribution(path: str) -> QceffDistribution:
+    """Load a quality-factor distribution from an extract-qceff result file."""
+    return distribution_from_result(path, read_result(path)[1])

@@ -29,7 +29,7 @@ logger = logging.getLogger(__name__)
 DEFAULT_BIN_WIDTH = 8e6  # Hz
 DEFAULT_EXCLUSION_THRESHOLD = 0.1
 # warm start when the two-level closed form has no usable positive solution
-FALLBACK_QCEFF = 3.0e5
+FALLBACK_QCEFF = Environment.qc_eff
 # the inversion searches log10(qc_eff) within these bounds
 LOG10_QCEFF_MIN = 0.0
 LOG10_QCEFF_MAX = 12.0
@@ -412,19 +412,21 @@ class DephasingDataset:
     records: tuple[DephasingRecord, ...]
     qubit_id: str = ""
 
+    def fit_records(self) -> tuple[DephasingRecord, ...]:
+        """The records the flux-noise fit uses: those away from the half-flux
+        sweet spot, where dephasing carries no slope information."""
+        return tuple(r for r in self.records
+                     if abs(r.phi_ext % 1.0 - 0.5) >= SWEET_SPOT_TOL)
+
 
 def extract_flux_noise_amplitude(ds: DephasingDataset, params: FluxoniumParams) -> float:
     """sqrt(A_phi) in Phi0/sqrt(Hz) from echo dephasing versus flux slope.
 
     Fits gamma_phi = |domega01/dPhi| * sqrt(A_phi ln 2) through the origin
-    (dephasing must vanish where the slope does). Sweet-spot records carry no
-    slope information and are excluded.
+    (dephasing must vanish where the slope does) over ``ds.fit_records()``.
     """
     xs, ys = [], []
-    for r in ds.records:
-        frac = (r.phi_ext % 1.0)
-        if abs(frac - 0.5) < SWEET_SPOT_TOL:
-            continue
+    for r in ds.fit_records():
         slope = r.slope
         if slope is None:
             slope = flux_dispersion(params, FluxBias(r.phi_ext))

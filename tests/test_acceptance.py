@@ -284,7 +284,7 @@ def test_criterion_08_signal_model_error_bands():
             signal = np.abs(populations @ model.weights)
             fit_s = fit_exponential(times, signal)
             signal_err[k] = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
-            _, to_excited = heralded_misassignment_error(times, populations)
+            _, to_excited = heralded_misassignment_error(times, populations, fit_p1)
             herald_err[k] = abs(to_excited)
     k_sig = int(np.nanargmax(signal_err))
     k_her = int(np.nanargmax(herald_err))

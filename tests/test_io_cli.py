@@ -184,6 +184,36 @@ def test_bad_number_in_csv_is_a_data_error_naming_the_row(
     assert "row 3" in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("command, text, column", [
+    ("extract-qceff", "phi_ext,t1_s,t1_eror_s\n0.2,1e-4,1e-6\n0.3,1e-4,1e-6\n", "t1_eror_s"),
+    ("fit-flux-noise",
+     "phi_ext,gamma_phi_e_per_s,slope_rad_per_s_per_phio\n0.2,1e4,1e9\n0.3,1e4,2e9\n",
+     "slope_rad_per_s_per_phio"),
+], ids=["t1", "dephasing"])
+def test_unknown_csv_column_is_a_data_error_naming_it(
+        a1_device, tmp_path, capsys, command, text, column):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    flag = "--t1-csv" if command == "extract-qceff" else "--dephasing-csv"
+    code, out, err = run_cli([command, "--device", a1_device, flag, str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert column in json.loads(err)["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["compare", "report"])
+@pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "other/v0"}', "{not json"],
+                         ids=["not_an_object", "wrong_schema", "invalid_json"])
+def test_distribution_file_that_is_not_a_result_is_a_data_error(tmp_path, capsys,
+                                                                command, text):
+    path = tmp_path / "dist.json"
+    path.write_text(text)
+    code, out, err = run_cli([command, "--dist", str(path), "--dist", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "DataError"
+
+
 def run_cli(args, capsys):
     code = cli(args)
     captured = capsys.readouterr()
@@ -293,6 +323,24 @@ class TestCli:
         assert code == 0
         assert calls == [37]
 
+    def test_simulate_decay_fits_each_trace_once(self, a1_device, monkeypatch, capsys):
+        import fluxt1.cli
+        import fluxt1.dynamics
+
+        fit, calls = fluxt1.dynamics.fit_exponential, []
+
+        def counting(times, signal):
+            calls.append(signal)
+            return fit(times, signal)
+
+        for module in (fluxt1.cli, fluxt1.dynamics):
+            monkeypatch.setattr(module, "fit_exponential", counting)
+        code, _, _ = run_cli(["simulate-decay", "--device", a1_device, "--flux", "0.3"],
+                             capsys)
+        assert code == 0
+        # level-1 population, readout signal, lumped excited population
+        assert len(calls) == 3
+
     def test_compare_identical_distributions_p_one(self, tmp_path, result_schema,
                                                    capsys):
         dist = {
@@ -371,8 +419,7 @@ class TestCli:
         t1_path.write_text("\n".join(lines) + "\n")
         out_path = tmp_path / "dist.json"
         code = cli(["extract-qceff", "--device", str(device_path),
-                    "--t1-csv", str(t1_path), "--qceff", "2.5e5",
-                    "--epsilon", "0.25", "--out", str(out_path)])
+                    "--t1-csv", str(t1_path), "--epsilon", "0.25", "--out", str(out_path)])
         assert code == 0
         payload = json.loads(out_path.read_text())
         validate(payload, result_schema)
@@ -416,6 +463,7 @@ class TestCli:
             slope = flux_dispersion(params, FluxBias(phi))
             echo_lines.append(
                 f"{phi},{abs(slope) * 5.2e-6 * math.sqrt(math.log(2))!r}")
+        echo_lines.append("0.5,1e3")  # sweet spot: no slope, so the fit skips it
         echo_path = tmp_path / "echo.csv"
         echo_path.write_text("\n".join(echo_lines) + "\n")
         code, out, _ = run_cli(
@@ -425,6 +473,7 @@ class TestCli:
         payload = json.loads(out)
         validate(payload, result_schema)
         assert payload["data"]["sqrt_a_phi_uphi0"] == pytest.approx(5.2, rel=1e-6)
+        assert payload["data"]["n_records_used"] == 3
 
         t1_path = tmp_path / "t1.csv"
         t1_path.write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n0.5,2.1e-4\n")
@@ -541,3 +590,73 @@ class TestOneSolvePerBias:
         assert len(json.loads(out)["data"]["variance_curve"]) == 3
         assert sorted(solved) == sorted(set(solved))
         assert set(solved) == set(fluxes)
+
+
+class TestOptionsChangeOutput:
+    """Each command takes only the options that can change what it computes."""
+
+    @pytest.mark.parametrize("command, args", [
+        ("predict-t1", ["--flux-points", "3", "--modes", "two_level,six_level,signal"]),
+        ("simulate-decay", ["--flux", "0.2"]),
+        ("extract-qceff", ["--t1-csv", "t1.csv"]),
+    ])
+    def test_device_bath_temperatures_equal_the_flags(self, tmp_path, monkeypatch, capsys,
+                                                      command, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t1.csv").write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n0.5,2.1e-4\n")
+        outputs = []
+        # one device path, so that the echoed configs can match byte for byte
+        for row, flags in ((dict(B1_ROW, t_qubit_k=0.06, t_res_k=0.09), []),
+                           (B1_ROW, ["--qubit-temp-k", "0.06", "--res-temp-k", "0.09"]),
+                           (B1_ROW, [])):
+            (tmp_path / "b1.json").write_text(json.dumps(row))
+            code, out, _ = run_cli([command, "--device", "b1.json", *args, *flags], capsys)
+            assert code == 0
+            outputs.append(out)
+        from_file, from_flags, default = outputs
+        assert from_file == from_flags != default
+
+    @pytest.mark.parametrize("command, args", [
+        ("extract-qceff", ["--t1-csv", "t1.csv", "--qceff", "2e5"]),
+        ("extract-qceff", ["--t1-csv", "t1.csv", "--xqp", "1e-6"]),
+        ("simulate-decay", ["--flux", "0.3", "--xqp", "1e-6"]),
+    ])
+    def test_option_that_cannot_change_output_is_rejected(self, a1_device, tmp_path,
+                                                          monkeypatch, capsys, command, args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t1.csv").write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n")
+        code, out, err = run_cli([command, "--device", a1_device, *args], capsys)
+        assert code == 1
+        assert out == ""
+        assert args[-2] in json.loads(err)["error"]["message"]
+
+
+def test_benchmark_workloads_pass_at_selftest_sizes(tmp_path, monkeypatch):
+    # one prepare -> run -> check pass of each benchmark workload, so that a
+    # CLI change that breaks the benchmark's invocations fails here
+    import ast
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    loader = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                    perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(loader)
+    monkeypatch.setitem(sys.modules, loader.name, workloads)  # dataclasses look it up
+    loader.loader.exec_module(workloads)
+    # selftest.py's TINY sizes, read without importing the timing harness
+    tiny = next(ast.literal_eval(node.value)
+                for node in ast.parse((perfbench / "selftest.py").read_text()).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TINY")
+    assert set(tiny) == set(workloads.WORKLOADS)
+    for name, sizes in tiny.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        workload = workloads.WORKLOADS[name](str(perfbench.parent), str(workdir), seed=7,
+                                             sizes=sizes)
+        workload.prepare()
+        codes = workload.run()
+        assert codes == [0] * len(codes), (name, codes)
+        assert workload.check(codes).problems == [], name
