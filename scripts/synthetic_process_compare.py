@@ -23,8 +23,20 @@ import numpy as np
 
 from fluxt1.cli import cli
 from fluxt1.dynamics import T1Mode
-from fluxt1.io import parse_device_file, read_distribution, write_result
-from fluxt1.pipeline import CachedSpectrumProvider, QceffInverter
+from fluxt1.io import (
+    distribution_to_payload,
+    parse_device_file,
+    read_distribution,
+    write_result,
+    write_t1_csv,
+)
+from fluxt1.pipeline import (
+    CachedSpectrumProvider,
+    QceffDistribution,
+    QceffInverter,
+    T1Dataset,
+    T1Record,
+)
 
 PROCESS_A = ("a1", "a2", "a3")
 PROCESS_B = ("b1", "b2", "b3")
@@ -38,7 +50,7 @@ def synthesize_dataset(device_path: Path, qc_eff: float, n_points: int,
     env = device.environment(qc_eff=qc_eff, epsilon=0.25)
     provider = CachedSpectrumProvider(device.fluxonium_params(), n_levels=6)
     res = device.resonator_params()
-    lines = ["phi_ext,t1_s,omega01_hz"]
+    records = []
     for phi in np.linspace(0.04, 0.5, n_points):
         spec = provider(float(phi))
         with warnings.catch_warnings():
@@ -48,22 +60,17 @@ def synthesize_dataset(device_path: Path, qc_eff: float, n_points: int,
             # defect-dominated variation between bias points
             q_local = qc_eff * rng.lognormal(0.0, 0.35)
             t1 = inverter.predict_t1(q_local)
-        lines.append(f"{float(phi)!r},{t1!r},{spec.transition_frequency(0, 1)!r}")
-    out_csv.write_text("\n".join(lines) + "\n")
+        records.append(T1Record(phi_ext=float(phi), t1=t1,
+                                omega01=spec.transition_frequency(0, 1)))
+    write_t1_csv(str(out_csv), T1Dataset(records=tuple(records)))
 
 
 def pool_distributions(paths, pooled_id: str, out_path: Path) -> None:
-    entries = []
-    epsilon = 0.25
-    for p in paths:
-        dist = read_distribution(str(p))
-        epsilon = dist.epsilon_used
-        entries.extend(
-            {"freq_hz": e.freq, "qceff": e.qceff, "n_binned": e.n_binned}
-            for e in dist.entries
-        )
+    dists = [read_distribution(str(p)) for p in paths]
+    pooled = QceffDistribution(entries=tuple(e for d in dists for e in d.entries),
+                               epsilon_used=dists[-1].epsilon_used, qubit_id=pooled_id)
     write_result(str(out_path), "extract-qceff", {"pooled_from": [str(p) for p in paths]},
-                 {"qubit_id": pooled_id, "epsilon_used": epsilon, "entries": entries})
+                 distribution_to_payload(pooled))
 
 
 def main() -> int:

@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import io as _io
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -38,6 +39,7 @@ from .loss import ANALYSIS_MECHANISMS, Environment, Mechanism
 from .pipeline import (
     DEFAULT_BIN_WIDTH,
     DEFAULT_EXCLUSION_THRESHOLD,
+    EPSILON_GRID,
     CachedSpectrumProvider,
     QubitAnalysisInput,
     bin_average,
@@ -47,7 +49,7 @@ from .pipeline import (
     fit_epsilon_global,
     summarize,
 )
-from .stats import ci_of_mean_difference, welch_t_test
+from .stats import DEFAULT_ALPHA, ci_of_mean_difference, welch_t_test
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -118,6 +120,9 @@ _OPTIONS = {
     "--mode": dict(default=T1Mode.MULTILEVEL_SIGNAL.value, choices=[m.value for m in T1Mode]),
     "--bin-width-hz": dict(type=float, default=DEFAULT_BIN_WIDTH),
     "--exclusion-threshold": dict(type=float, default=DEFAULT_EXCLUSION_THRESHOLD),
+    "--dist": dict(action="append", required=True, help="an extract-qceff result file"),
+    "--alpha": dict(type=float, default=DEFAULT_ALPHA,
+                    help="significance level of the Welch intervals"),
 }
 
 
@@ -128,12 +133,15 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
 
 def _device_env(args, **fields):
     """The --device file and its environment at --epsilon and ``fields``, in
-    the file's bath unless a temperature flag replaces it."""
+    the file's bath unless a temperature flag replaces it. An option value
+    the environment rejects is a usage error."""
     device = parse_device_file(args.device)
-    env = device.environment(
-        t_qubit=device.t_qubit if args.qubit_temp_k is None else args.qubit_temp_k,
-        t_res=device.t_res if args.res_temp_k is None else args.res_temp_k,
-        epsilon=args.epsilon, **fields)
+    baths = dict(t_qubit=args.qubit_temp_k, t_res=args.res_temp_k)
+    try:
+        env = device.environment(epsilon=args.epsilon, **fields,
+                                 **{k: v for k, v in baths.items() if v is not None})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     return device, env
 
 
@@ -271,7 +279,10 @@ def _cmd_fit_epsilon(args) -> int:
         # qc_eff cancels in every inversion, and no analysis channel reads x_qp
         env = device.environment(epsilon=0.0)
         inputs.append(_ingest(device, csv_path, env, args)[0])
-    grid = np.arange(args.grid_start, args.grid_stop + args.grid_step / 2, args.grid_step)
+    start, stop, step = args.grid_start, args.grid_stop, args.grid_step
+    if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf):
+        raise _UsageError("--grid-start and --grid-stop must be finite, --grid-step finite and > 0")
+    grid = np.arange(start, stop + step / 2, step)
     result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
     config = dict(qubits=[list(pair) for pair in args.qubit], levels=args.levels,
                   mode=args.mode, bin_width_hz=args.bin_width_hz,
@@ -400,9 +411,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--qubit", nargs=2, action="append", required=True,
                    metavar=("DEVICE_JSON", "T1_CSV"))
     _add_options(p, "--levels", "--mode", "--bin-width-hz", "--exclusion-threshold")
-    p.add_argument("--grid-start", type=float, default=-1.0)
-    p.add_argument("--grid-stop", type=float, default=1.0)
-    p.add_argument("--grid-step", type=float, default=0.05)
+    for name, default in zip(("--grid-start", "--grid-stop", "--grid-step"), EPSILON_GRID):
+        p.add_argument(name, type=float, default=default)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_epsilon)
 
@@ -413,14 +423,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_fit_flux_noise)
 
     p = sub.add_parser("compare", help="pairwise Welch tests between distributions")
-    p.add_argument("--dist", action="append", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_options(p, "--dist", "--alpha")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="summary statistics plus the Welch matrix")
-    p.add_argument("--dist", action="append", required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_options(p, "--dist", "--alpha")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
 

@@ -1,4 +1,28 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the number rule.
+
+The number rule is the one check of every model input: each field of a model
+type must hold a finite number of its stated sign, or None where its default
+is None, else building the object raises ValueError (``check_fields``).
+"""
+
+import math
+from dataclasses import fields
+
+
+def check_fields(obj, **signs: str) -> None:
+    """The number rule on every field of the dataclass ``obj``; ``signs``
+    gives a field's sign, "> 0" or ">= 0" (any sign when unnamed)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is not None or f.default is not None:
+            check_number(f.name, value, signs.get(f.name, ""))
+
+
+def check_number(name: str, value, sign: str = "") -> None:
+    """The number rule for one value: finite, and of ``sign`` if one is given."""
+    if not math.isfinite(value) or (sign == "> 0" and value <= 0.0) or \
+            (sign == ">= 0" and value < 0.0):
+        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {value!r}")
 
 
 class FluxT1Error(Exception):

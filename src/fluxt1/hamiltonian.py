@@ -19,7 +19,6 @@ arrays are write-locked) and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -27,7 +26,7 @@ import numpy as np
 from scipy.linalg import eigh, eigh_tridiagonal
 
 from .constants import E_CHARGE, H
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_fields
 
 DEFAULT_BASIS_DIM = 60
 BASIS_GROWTH = 20
@@ -44,10 +43,7 @@ class FluxoniumParams:
     el: float
 
     def __post_init__(self):
-        for name in ("ej", "ec", "el"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        check_fields(self, ej="> 0", ec="> 0", el="> 0")
 
     @property
     def c_sigma(self) -> float:
@@ -62,8 +58,7 @@ class FluxBias:
     phi_ext: float
 
     def __post_init__(self):
-        if not math.isfinite(self.phi_ext):
-            raise ValueError(f"phi_ext must be finite, got {self.phi_ext!r}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

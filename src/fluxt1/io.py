@@ -13,13 +13,14 @@ import csv
 import io as _io
 import json
 import logging
+import math
 import os
 import re
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import DataError
+from .errors import DataError, check_number
 from .hamiltonian import FluxoniumParams
 from .loss import Environment
 from .pipeline import (
@@ -47,49 +48,39 @@ _REQUIRED_DEVICE_KEYS = (
     "kappa_mhz",
     "sqrt_a_phi_uphi0",
 )
+# each optional key and the Environment field it sets; an absent key leaves the
+# field's default. n_array and junction_area_um2 are checked, but no model reads them.
 _OPTIONAL_DEVICE_KEYS = {
-    "n_array": 151,
+    "c_drive_f": "c_drive",
+    "m_drive_wb_per_a": "m_drive",
+    "t_qubit_k": "t_qubit",
+    "t_res_k": "t_res",
+    "n_array": None,
     "junction_area_um2": None,
-    "c_drive_f": Environment.c_drive,
-    "m_drive_wb_per_a": Environment.m_drive,
-    "t_qubit_k": Environment.t_qubit,
-    "t_res_k": Environment.t_res,
 }
 
 
 @dataclass(frozen=True)
 class DeviceFile:
-    """Validated device parameters, converted to SI."""
+    """A device file's identity and its validated model objects, in SI."""
 
     qubit_id: str
     process_label: str
-    ej: float
-    ec: float
-    el: float
-    omega_res: float
-    g: float
-    kappa: float
-    sqrt_a_phi: float  # Phi0 / sqrt(Hz)
-    n_array: int
-    junction_area_um2: float | None
-    c_drive: float
-    m_drive: float
-    t_qubit: float
-    t_res: float
+    params: FluxoniumParams
+    res: ResonatorParams
+    env: Environment  # at Environment's default qc_eff, epsilon and x_qp
 
     def fluxonium_params(self) -> FluxoniumParams:
-        return FluxoniumParams(ej=self.ej, ec=self.ec, el=self.el)
+        return self.params
 
     def resonator_params(self) -> ResonatorParams:
-        return ResonatorParams(omega_res=self.omega_res, g=self.g, kappa=self.kappa)
+        return self.res
 
     def environment(self, **fields) -> Environment:
         """The device's bath, flux noise and drive couplings; ``fields`` sets
         any other Environment field (qc_eff, epsilon, x_qp) or replaces one of
         the device's."""
-        device = dict(t_qubit=self.t_qubit, t_res=self.t_res, a_phi=self.sqrt_a_phi**2,
-                      c_drive=self.c_drive, m_drive=self.m_drive)
-        return Environment(**(device | fields))
+        return replace(self.env, **fields)
 
 
 def _key_location(text: str, key: str, occurrence: int = 1) -> str:
@@ -108,8 +99,9 @@ def parse_device_file(path: str) -> DeviceFile:
     """Parse and validate a device JSON file.
 
     Missing required keys, unknown keys, and duplicate keys are hard errors
-    with locations; energies outside the plausible (0.1, 100) GHz window only
-    warn, since unusual devices are legitimate.
+    with locations, as is any value that is not a finite number or that the
+    model objects reject; energies outside the plausible (0.1, 100) GHz
+    window only warn, since unusual devices are legitimate.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -150,40 +142,43 @@ def parse_device_file(path: str) -> DeviceFile:
         where = ", ".join(f"{k} ({_key_location(text, k)})" for k in unknown)
         raise DataError(f"{path}: unknown keys: {where}")
 
-    def number(key, value):
+    def number(key):
+        value = raw[key]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise DataError(f"{path}: key {key} must be a number, got {value!r} "
                             f"({_key_location(text, key)})")
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            return math.inf
 
     for key in ("ej_ghz", "ec_ghz", "el_ghz"):
-        value = number(key, raw[key])
+        value = number(key)
         if not 0.1 < value < 100.0:
             warnings.warn(
                 f"{path}: {key} = {value} GHz is outside the plausible (0.1, 100) GHz window",
                 stacklevel=2,
             )
 
-    merged = dict(_OPTIONAL_DEVICE_KEYS)
-    merged.update(raw)
-    area = merged["junction_area_um2"]
-    return DeviceFile(
-        qubit_id=str(raw["qubit_id"]),
-        process_label=str(raw["process_label"]),
-        ej=number("ej_ghz", raw["ej_ghz"]) * 1e9,
-        ec=number("ec_ghz", raw["ec_ghz"]) * 1e9,
-        el=number("el_ghz", raw["el_ghz"]) * 1e9,
-        omega_res=number("omega_res_ghz", raw["omega_res_ghz"]) * 1e9,
-        g=number("g_mhz", raw["g_mhz"]) * 1e6,
-        kappa=number("kappa_mhz", raw["kappa_mhz"]) * 1e6,
-        sqrt_a_phi=number("sqrt_a_phi_uphi0", raw["sqrt_a_phi_uphi0"]) * 1e-6,
-        n_array=int(merged["n_array"]),
-        junction_area_um2=None if area is None else number("junction_area_um2", area),
-        c_drive=number("c_drive_f", merged["c_drive_f"]),
-        m_drive=number("m_drive_wb_per_a", merged["m_drive_wb_per_a"]),
-        t_qubit=number("t_qubit_k", merged["t_qubit_k"]),
-        t_res=number("t_res_k", merged["t_res_k"]),
-    )
+    try:
+        for key in ("n_array", "junction_area_um2"):
+            if raw.get(key) is not None:
+                check_number(key, number(key), "> 0")
+        check_number("sqrt_a_phi_uphi0", number("sqrt_a_phi_uphi0"), ">= 0")  # before squaring
+        sqrt_a_phi = number("sqrt_a_phi_uphi0") * 1e-6  # Phi0 / sqrt(Hz)
+        return DeviceFile(
+            qubit_id=str(raw["qubit_id"]),
+            process_label=str(raw["process_label"]),
+            params=FluxoniumParams(ej=number("ej_ghz") * 1e9, ec=number("ec_ghz") * 1e9,
+                                   el=number("el_ghz") * 1e9),
+            res=ResonatorParams(omega_res=number("omega_res_ghz") * 1e9,
+                                g=number("g_mhz") * 1e6, kappa=number("kappa_mhz") * 1e6),
+            env=Environment(a_phi=sqrt_a_phi**2, **{
+                field: number(key) for key, field in _OPTIONAL_DEVICE_KEYS.items()
+                if field is not None and key in raw}),
+        )
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import E_CHARGE, H, HBAR, K_B, PHI0
-from .errors import QuasiparticleEnergyWarning, ZeroTransitionError
+from .errors import QuasiparticleEnergyWarning, ZeroTransitionError, check_fields
 from .hamiltonian import Spectrum
 from .resonator import ResonatorParams, coupling_capacitance
 
@@ -95,17 +95,8 @@ class Environment:
     epsilon: float = 0.25
 
     def __post_init__(self):
-        if not self.t_qubit > 0.0:
-            raise ValueError(f"t_qubit must be > 0, got {self.t_qubit!r}")
-        if not self.t_res > 0.0:
-            raise ValueError(f"t_res must be > 0, got {self.t_res!r}")
-        if not self.qc_eff > 0.0:
-            raise ValueError(f"qc_eff must be > 0, got {self.qc_eff!r}")
-        for name in ("a_phi", "x_qp"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
-        if not self.gap > 0.0:
-            raise ValueError(f"gap must be > 0, got {self.gap!r}")
+        check_fields(self, t_qubit="> 0", t_res="> 0", a_phi=">= 0", x_qp=">= 0", gap="> 0",
+                     c_drive=">= 0", m_drive=">= 0", qc_eff="> 0")
 
 
 @dataclass(frozen=True)

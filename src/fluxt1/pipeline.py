@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .dynamics import BiasModel, T1Mode, rising_root, two_level_total_rate
-from .errors import FitError
+from .errors import FitError, check_fields
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
 from .loss import BACKGROUND_MECHANISMS, Environment, Mechanism, build_mechanism_table
 from .resonator import ResonatorParams
@@ -28,6 +28,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_BIN_WIDTH = 8e6  # Hz
 DEFAULT_EXCLUSION_THRESHOLD = 0.1
+EPSILON_GRID = (-1.0, 1.0, 0.05)  # default frequency-exponent grid: start, stop, step
 # warm start when the two-level closed form has no usable positive solution
 FALLBACK_QCEFF = Environment.qc_eff
 # the inversion searches log10(qc_eff) within these bounds
@@ -43,16 +44,6 @@ ROOT_XTOL = 1e-12
 SWEET_SPOT_TOL = 1e-6
 
 
-def _check(name: str, value, sign: str = "", optional: bool = False) -> None:
-    """Raise ValueError unless value is finite and obeys ``sign`` ("> 0" or
-    ">= 0"); None passes when ``optional``."""
-    if value is None and optional:
-        return
-    if not math.isfinite(value) or (sign == "> 0" and value <= 0.0) or \
-            (sign == ">= 0" and value < 0.0):
-        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class T1Record:
     """One relaxation measurement at a flux bias."""
@@ -64,10 +55,7 @@ class T1Record:
     n_binned: int = 1
 
     def __post_init__(self):
-        _check("phi_ext", self.phi_ext)
-        _check("t1", self.t1, "> 0")
-        _check("omega01", self.omega01, "> 0", optional=True)
-        _check("t1_err", self.t1_err, ">= 0", optional=True)
+        check_fields(self, t1="> 0", omega01="> 0", t1_err=">= 0", n_binned="> 0")
 
 
 @dataclass(frozen=True)
@@ -369,13 +357,15 @@ def fit_epsilon_global(
     if not qubit_inputs:
         raise ValueError("need at least one qubit dataset")
     if grid is None:
-        grid = np.linspace(-1.0, 1.0, 41)
+        start, stop, step = EPSILON_GRID
+        grid = np.linspace(start, stop, round((stop - start) / step) + 1)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("the exponent grid is empty")
 
     # only the capacitive table depends on the exponent: build each record's
     # inverter once, at the first grid point, and re-derive it per exponent
+    # in one environment per qubit
     inverters = []
     for qi in qubit_inputs:
         env0 = replace(qi.env, epsilon=float(grid[0]))
@@ -384,10 +374,11 @@ def fit_epsilon_global(
             for r in qi.dataset.records
         ])
     variances = np.empty(grid.size)
-    for k, eps in enumerate(grid):
+    for k, eps in enumerate(grid.tolist()):
         pooled = []
-        for records in inverters:
-            values = np.array([inv.with_epsilon(float(eps)).invert(t1) for inv, t1 in records])
+        for qi, records in zip(qubit_inputs, inverters):
+            env = replace(qi.env, epsilon=eps)
+            values = np.array([inv.with_epsilon(eps, env).invert(t1) for inv, t1 in records])
             pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
         variances[k] = float(np.var(pooled))
     best = int(np.argmin(variances))
@@ -402,9 +393,7 @@ class DephasingRecord:
     slope: float | None = None  # rad/s per Phi0, recomputed when absent
 
     def __post_init__(self):
-        _check("phi_ext", self.phi_ext)
-        _check("gamma_phi_e", self.gamma_phi_e, ">= 0")
-        _check("slope", self.slope, optional=True)
+        check_fields(self, gamma_phi_e=">= 0")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import E_CHARGE, HBAR
-from .errors import ResonanceCollisionError
+from .errors import ResonanceCollisionError, check_fields
 from .hamiltonian import Spectrum
 
 DEFAULT_GUARD_BAND = 1e3  # Hz
@@ -31,12 +31,7 @@ class ResonatorParams:
     z0: float = 50.0
 
     def __post_init__(self):
-        if not self.omega_res > 0.0:
-            raise ValueError(f"omega_res must be > 0, got {self.omega_res!r}")
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be > 0, got {self.kappa!r}")
-        if self.g < 0.0:
-            raise ValueError(f"g must be >= 0, got {self.g!r}")
+        check_fields(self, omega_res="> 0", g=">= 0", kappa="> 0", z0="> 0")
 
     @property
     def q_res(self) -> float:

@@ -36,6 +36,8 @@ _LANCZOS_COEFFS = (
 
 _ROUTE_AGREEMENT = 1e-9
 
+DEFAULT_ALPHA = 0.05  # significance level: 95% intervals
+
 
 def lgamma(x: float) -> float:
     """log Gamma(x) for x > 0 via the Lanczos series (reflection below 1/2)."""
@@ -116,7 +118,7 @@ class WelchResult:
     n2: int
 
 
-def welch_t_test(sample1, sample2, alpha: float = 0.05) -> WelchResult:
+def welch_t_test(sample1, sample2, alpha: float = DEFAULT_ALPHA) -> WelchResult:
     """Welch's two-sided t-test with a (1 - alpha) mean-difference interval.
 
     Uses sample (n-1) variances; raises :class:`DegenerateSampleError` when

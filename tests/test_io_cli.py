@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import fields, replace
 from importlib import resources
 
 import jsonschema
@@ -18,7 +19,10 @@ from fluxt1.io import (
     read_distribution,
     write_t1_csv,
 )
-from fluxt1.pipeline import T1Dataset, T1Record
+from fluxt1.hamiltonian import FluxBias, FluxoniumParams
+from fluxt1.loss import Environment
+from fluxt1.pipeline import DephasingRecord, T1Dataset, T1Record
+from fluxt1.resonator import ResonatorParams
 
 A1_ROW = {
     "qubit_id": "A1",
@@ -60,7 +64,6 @@ class TestDeviceFile:
         env = device.environment()
         assert env.a_phi == pytest.approx((10.4e-6) ** 2, rel=1e-12)
         assert env.c_drive == 20e-18
-        assert device.n_array == 151
 
     def test_empty_file_lists_all_required_keys(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -97,13 +100,61 @@ class TestDeviceFile:
         path.write_text(json.dumps(row))
         with pytest.warns(UserWarning, match="plausible"):
             device = parse_device_file(str(path))
-        assert device.ej == 500.0e9
+        assert device.fluxonium_params().ej == 500.0e9
 
     def test_syntax_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"qubit_id": }')
         with pytest.raises(DataError, match="line 1"):
             parse_device_file(str(path))
+
+
+# one valid instance of each type the number rule checks
+CHECKED = [
+    FluxoniumParams(ej=3.54e9, ec=1.05e9, el=0.53e9),
+    FluxBias(0.3),
+    ResonatorParams(omega_res=7.09e9, g=124e6, kappa=0.25e6),
+    Environment(),
+    T1Record(phi_ext=0.3, t1=1e-4, omega01=5e8, t1_err=1e-6),
+    DephasingRecord(phi_ext=0.3, gamma_phi_e=1e4, slope=1e9),
+]
+CHECKED_FIELDS = [(obj, f.name) for obj in CHECKED for f in fields(obj)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("obj, name", CHECKED_FIELDS,
+                         ids=[f"{type(o).__name__}.{n}" for o, n in CHECKED_FIELDS])
+def test_every_checked_field_rejects_non_finite_values(obj, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        replace(obj, **{name: bad})
+
+
+@pytest.mark.parametrize("obj, name, bad", [
+    (CHECKED[2], "z0", 0.0), (CHECKED[2], "g", -1.0), (CHECKED[3], "c_drive", -1e-18),
+    (CHECKED[3], "m_drive", -1.0), (CHECKED[3], "qc_eff", 0.0), (CHECKED[4], "n_binned", 0),
+])
+def test_checked_field_rejects_wrong_sign(obj, name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be finite and"):
+        replace(obj, **{name: bad})
+
+
+@pytest.mark.filterwarnings("ignore:.*plausible")
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in ("g_mhz", "kappa_mhz", "el_ghz", "sqrt_a_phi_uphi0", "t_qubit_k",
+                             "c_drive_f")
+    for value in (math.nan, math.inf, -math.inf, -1.0)
+] + [("el_ghz", 0.0), ("kappa_mhz", 0.0), ("t_qubit_k", 0.0), ("t_res_k", -1.0),
+     ("n_array", "abc"), ("n_array", math.nan), ("junction_area_um2", -1.0),
+     ("g_mhz", 10**400)])
+def test_bad_device_value_is_a_data_error_naming_the_file(tmp_path, capsys, key, value):
+    path = tmp_path / "bad_device.json"
+    path.write_text(json.dumps(dict(A1_ROW, **{key: value})))
+    code, out, err = run_cli(["predict-t1", "--device", str(path), "--flux", "0.2"], capsys)
+    assert code == 2
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"]["type"] == "DataError"
+    assert str(path) in payload["error"]["message"]
 
 
 class TestT1Csv:
@@ -629,6 +680,40 @@ class TestOptionsChangeOutput:
         assert code == 1
         assert out == ""
         assert args[-2] in json.loads(err)["error"]["message"]
+
+
+class TestOptionValues:
+    """An option value the model rejects is a usage error (exit 1)."""
+
+    @pytest.mark.parametrize("args", [
+        ["predict-t1", "--flux", "0.2", "--epsilon", "nan"],
+        ["predict-t1", "--flux", "0.2", "--qceff", "inf"],
+        ["predict-t1", "--flux", "0.2", "--qceff", "-1"],
+        ["predict-t1", "--flux", "0.2", "--xqp", "-1e-9"],
+        ["simulate-decay", "--flux", "0.2", "--qubit-temp-k", "0"],
+        ["simulate-decay", "--flux", "0.2", "--res-temp-k", "nan"],
+        ["extract-qceff", "--t1-csv", "t1.csv", "--epsilon", "-inf"],
+    ], ids=lambda args: f"{args[0]} {' '.join(args[-2:])}")
+    def test_rejected_model_option_exits_1(self, a1_device, tmp_path, monkeypatch, capsys,
+                                           args):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "t1.csv").write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n")
+        code, out, err = run_cli([args[0], "--device", a1_device, *args[1:]], capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize("grid", [["--grid-step", "0"], ["--grid-step", "-0.1"],
+                                      ["--grid-step", "nan"], ["--grid-start", "inf"]],
+                             ids=lambda grid: " ".join(grid))
+    def test_fit_epsilon_bad_grid_exits_1(self, a1_device, tmp_path, capsys, grid):
+        t1 = tmp_path / "t1.csv"
+        t1.write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n")
+        code, out, err = run_cli(["fit-epsilon", "--qubit", a1_device, str(t1), *grid],
+                                 capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def test_benchmark_workloads_pass_at_selftest_sizes(tmp_path, monkeypatch):

@@ -356,6 +356,17 @@ class TestEpsilonFit:
         with pytest.raises(ValueError, match="grid is empty"):
             fit_epsilon_global(self._synthetic_inputs(epsilon=0.25), grid=np.array([]))
 
+    def test_one_environment_per_qubit_and_exponent(self, monkeypatch):
+        inputs = self._synthetic_inputs(epsilon=0.25)
+        built = []
+        check = Environment.__post_init__
+        monkeypatch.setattr(Environment, "__post_init__",
+                            lambda env: built.append(env.epsilon) or check(env))
+        grid = np.linspace(0.0, 0.5, 5)
+        fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
+        # one at the first grid point and one per exponent, for each qubit
+        assert len(built) == len(inputs) * (grid.size + 1)
+
     def test_variance_curve_matches_fresh_extraction_per_exponent(self):
         inputs = self._synthetic_inputs(epsilon=0.25)[:2]
         grid = np.array([-0.5, 0.25, 0.75])
