@@ -12,7 +12,6 @@ import argparse
 import csv
 import hashlib
 import io as _io
-import math
 import sys
 import warnings
 from dataclasses import replace
@@ -20,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import BiasModel, T1Mode, fit_exponential, heralded_misassignment_error
-from .errors import DataError, FluxT1Error
+from .errors import DataError, FluxT1Error, check_number
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
     atomic_write_text,
@@ -273,15 +272,19 @@ def _cmd_extract_qceff(args) -> int:
 
 
 def _cmd_fit_epsilon(args) -> int:
+    start, stop, step = args.grid_start, args.grid_stop, args.grid_step
+    try:
+        check_number("--grid-start", start)
+        check_number("--grid-stop", stop)
+        check_number("--grid-step", step, "> 0")
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     inputs = []
     for device_path, csv_path in args.qubit:
         device = parse_device_file(device_path)
         # qc_eff cancels in every inversion, and no analysis channel reads x_qp
         env = device.environment(epsilon=0.0)
         inputs.append(_ingest(device, csv_path, env, args)[0])
-    start, stop, step = args.grid_start, args.grid_stop, args.grid_step
-    if not (math.isfinite(start) and math.isfinite(stop) and 0.0 < step < math.inf):
-        raise _UsageError("--grid-start and --grid-stop must be finite, --grid-step finite and > 0")
     grid = np.arange(start, stop + step / 2, step)
     result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
     config = dict(qubits=[list(pair) for pair in args.qubit], levels=args.levels,

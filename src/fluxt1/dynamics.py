@@ -24,7 +24,7 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -431,17 +431,17 @@ class BiasModel:
     def weights(self) -> np.ndarray:
         return dressed_response(self.spec, self.res).rotated_points().real
 
-    def with_epsilon(self, epsilon: float, env: Environment | None = None) -> "BiasModel":
-        """This model at another frequency exponent.
+    def with_epsilon(self, env: Environment) -> "BiasModel":
+        """This model in ``env``, which must differ from this model's
+        environment in the frequency exponent alone.
 
         The copy shares p0, the weights and every table built so far except
         the capacitive one, the only channel that depends on the exponent.
-        ``env``, if given, is this model's environment at ``epsilon``.
         """
-        if epsilon == self.env.epsilon:
+        if env.epsilon == self.env.epsilon:
             return self
         other = copy.copy(self)
-        other.env = replace(self.env, epsilon=epsilon) if env is None else env
+        other.env = env
         capacitive = Mechanism.CAPACITIVE
         other._channels = {m: entry for m, entry in self._channels.items() if m != capacitive}
         return other

@@ -162,7 +162,7 @@ def parse_device_file(path: str) -> DeviceFile:
 
     try:
         for key in ("n_array", "junction_area_um2"):
-            if raw.get(key) is not None:
+            if key in raw:
                 check_number(key, number(key), "> 0")
         check_number("sqrt_a_phi_uphi0", number("sqrt_a_phi_uphi0"), ">= 0")  # before squaring
         sqrt_a_phi = number("sqrt_a_phi_uphi0") * 1e-6  # Phi0 / sqrt(Hz)

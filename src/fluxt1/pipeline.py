@@ -345,8 +345,8 @@ class EpsilonFitResult:
 
 def fit_epsilon_global(
     qubit_inputs: list[QubitAnalysisInput],
+    grid: np.ndarray,
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
-    grid: np.ndarray | None = None,
 ) -> EpsilonFitResult:
     """Frequency exponent minimizing the pooled variance of centered log Q.
 
@@ -356,9 +356,6 @@ def fit_epsilon_global(
     """
     if not qubit_inputs:
         raise ValueError("need at least one qubit dataset")
-    if grid is None:
-        start, stop, step = EPSILON_GRID
-        grid = np.linspace(start, stop, round((stop - start) / step) + 1)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("the exponent grid is empty")
@@ -378,7 +375,7 @@ def fit_epsilon_global(
         pooled = []
         for qi, records in zip(qubit_inputs, inverters):
             env = replace(qi.env, epsilon=eps)
-            values = np.array([inv.with_epsilon(eps, env).invert(t1) for inv, t1 in records])
+            values = np.array([inv.with_epsilon(env).invert(t1) for inv, t1 in records])
             pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
         variances[k] = float(np.var(pooled))
     best = int(np.argmin(variances))

@@ -516,8 +516,8 @@ class TestBiasModel:
         model = BiasModel(spec, b1_resonator, env)
         before = model.t1(T1Mode.MULTILEVEL_POPULATION)
         assert sorted(built) == sorted(ANALYSIS_MECHANISMS)
-        assert model.with_epsilon(env.epsilon) is model
-        other = model.with_epsilon(0.6)
+        assert model.with_epsilon(env) is model
+        other = model.with_epsilon(replace(env, epsilon=0.6))
         built.clear()
         moved = other.t1(T1Mode.MULTILEVEL_POPULATION)
         assert built == [Mechanism.CAPACITIVE]

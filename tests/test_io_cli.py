@@ -144,7 +144,8 @@ def test_checked_field_rejects_wrong_sign(obj, name, bad):
                              "c_drive_f")
     for value in (math.nan, math.inf, -math.inf, -1.0)
 ] + [("el_ghz", 0.0), ("kappa_mhz", 0.0), ("t_qubit_k", 0.0), ("t_res_k", -1.0),
-     ("n_array", "abc"), ("n_array", math.nan), ("junction_area_um2", -1.0),
+     ("n_array", "abc"), ("n_array", math.nan), ("n_array", None),
+     ("junction_area_um2", -1.0), ("junction_area_um2", None),
      ("g_mhz", 10**400)])
 def test_bad_device_value_is_a_data_error_naming_the_file(tmp_path, capsys, key, value):
     path = tmp_path / "bad_device.json"

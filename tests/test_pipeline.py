@@ -336,12 +336,12 @@ class TestEpsilonFit:
 
     def test_recovers_generating_exponent(self):
         inputs = self._synthetic_inputs(epsilon=0.25)
-        result = fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL)
+        result = fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=np.linspace(-1, 1, 41))
         assert result.epsilon == pytest.approx(0.25, abs=1e-12)
 
     def test_recovers_zero_for_flat_data(self):
         inputs = self._synthetic_inputs(epsilon=0.0)
-        result = fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL)
+        result = fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=np.linspace(-1, 1, 41))
         assert result.epsilon == pytest.approx(0.0, abs=1e-12)
 
     def test_variance_curve_has_grid_shape(self):
