@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import BiasModel, T1Mode, fit_exponential, heralded_misassignment_error
-from .errors import DataError, FluxT1Error, check_number
+from .errors import DataError, FluxT1Error
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
     atomic_write_text,
@@ -88,6 +88,18 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _within(low: float = -np.inf, high: float = np.inf, kind=float):
+    """argparse type of an option value that no model type holds: a ``kind`` in
+    (low, high), never nan; argparse makes any other value a usage error."""
+    def parse(text: str):
+        value = kind(text)
+        if not low < value < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low:g}, {high:g}), got {value!r}")
+        return value
+    parse.__name__ = kind.__name__  # so unreadable text stays "invalid float value"
+    return parse
+
+
 def _flux_grid(args) -> np.ndarray:
     if args.flux is not None:
         return np.array([args.flux])
@@ -95,17 +107,17 @@ def _flux_grid(args) -> np.ndarray:
 
 
 def _add_flux_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--flux", type=float, default=None,
+    p.add_argument("--flux", type=_within(), default=None,
                    help="single flux bias in Phi0 units (overrides the grid)")
-    p.add_argument("--flux-start", type=float, default=0.0)
-    p.add_argument("--flux-stop", type=float, default=0.5)
-    p.add_argument("--flux-points", type=int, default=51)
+    p.add_argument("--flux-start", type=_within(), default=0.0)
+    p.add_argument("--flux-stop", type=_within(), default=0.5)
+    p.add_argument("--flux-points", type=_within(0, np.inf, int), default=51)
 
 
 # The model and ingest options, each defined once; a command takes only those
 # that can change its output.
 _OPTIONS = {
-    "--levels": dict(type=int, default=6, help="retained circuit levels"),
+    "--levels": dict(type=_within(1, np.inf, int), default=6, help="retained circuit levels"),
     "--qceff": dict(type=float, default=Environment.qc_eff,
                     help="effective capacitive quality factor at 6 GHz"),
     "--epsilon": dict(type=float, default=Environment.epsilon,
@@ -117,10 +129,10 @@ _OPTIONS = {
     "--res-temp-k": dict(type=float, default=None,
                          help="resonator bath temperature (default: the device's t_res_k)"),
     "--mode": dict(default=T1Mode.MULTILEVEL_SIGNAL.value, choices=[m.value for m in T1Mode]),
-    "--bin-width-hz": dict(type=float, default=DEFAULT_BIN_WIDTH),
-    "--exclusion-threshold": dict(type=float, default=DEFAULT_EXCLUSION_THRESHOLD),
+    "--bin-width-hz": dict(type=_within(0.0), default=DEFAULT_BIN_WIDTH),
+    "--exclusion-threshold": dict(type=_within(0.0), default=DEFAULT_EXCLUSION_THRESHOLD),
     "--dist": dict(action="append", required=True, help="an extract-qceff result file"),
-    "--alpha": dict(type=float, default=DEFAULT_ALPHA,
+    "--alpha": dict(type=_within(0.0, 1.0), default=DEFAULT_ALPHA,
                     help="significance level of the Welch intervals"),
 }
 
@@ -273,12 +285,8 @@ def _cmd_extract_qceff(args) -> int:
 
 def _cmd_fit_epsilon(args) -> int:
     start, stop, step = args.grid_start, args.grid_stop, args.grid_step
-    try:
-        check_number("--grid-start", start)
-        check_number("--grid-stop", stop)
-        check_number("--grid-step", step, "> 0")
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    if stop < start:
+        raise _UsageError(f"--grid-stop {stop!r} is below --grid-start {start!r}")
     inputs = []
     for device_path, csv_path in args.qubit:
         device = parse_device_file(device_path)
@@ -395,9 +403,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("simulate-decay", help="decay signal with resonator pulls")
     p.add_argument("--device", required=True)
-    p.add_argument("--flux", type=float, required=True)
+    p.add_argument("--flux", type=_within(), required=True)
     _add_options(p, "--levels", "--qceff", "--epsilon", "--qubit-temp-k", "--res-temp-k")
-    p.add_argument("--points", type=int, default=51)
+    p.add_argument("--points", type=_within(3, np.inf, int), default=51)
     p.add_argument("--trace-out", default=None, help="CSV path for s(tau) and populations")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate_decay)
@@ -414,8 +422,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--qubit", nargs=2, action="append", required=True,
                    metavar=("DEVICE_JSON", "T1_CSV"))
     _add_options(p, "--levels", "--mode", "--bin-width-hz", "--exclusion-threshold")
-    for name, default in zip(("--grid-start", "--grid-stop", "--grid-step"), EPSILON_GRID):
-        p.add_argument(name, type=float, default=default)
+    p.add_argument("--grid-start", type=_within(), default=EPSILON_GRID[0])
+    p.add_argument("--grid-stop", type=_within(), default=EPSILON_GRID[1])
+    p.add_argument("--grid-step", type=_within(0.0), default=EPSILON_GRID[2])
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_epsilon)
 

@@ -8,15 +8,15 @@ including higher-state resonator pulls), never by picking a single eigenvalue:
 the measured protocol fits a decay trace, so the model does too.
 ``BiasModel`` holds that model at one flux bias. Its ``decay`` is the one
 place a decay trace is made, and its ``t1`` the one place a model T1 is
-read, for ``predicted_t1``, ``predict-t1`` and the quality-factor inversion
-alike.
+read, for ``predicted_t1``, ``predict-t1`` and the multilevel quality-factor
+inversion alike; the two-level inversion reads its 0<->1 ``pair_rate``.
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
 in (A, C), which the normal equations give directly, so the search is over
 the decay rate alone and ends at the root of one scalar gradient.
 ``rising_root`` brackets such a root and solves it with Brent's method; the
-quality-factor inversion in ``pipeline`` uses it too.
+multilevel quality-factor inversion in ``pipeline`` uses it too.
 """
 
 from __future__ import annotations
@@ -389,7 +389,9 @@ def two_level_total_rate(
     env: Environment,
     mechanisms=ANALYSIS_MECHANISMS,
 ) -> float:
-    """Sum over mechanisms of the symmetrized 0<->1 rate."""
+    """Sum over mechanisms of the symmetrized 0<->1 rate, from freshly built
+    tables: the reference route that ``BiasModel.pair_rate`` must match bit
+    for bit, for ``two_level_qceff_closed_form`` and the tests."""
     total = 0.0
     for m in mechanisms:
         table = build_mechanism_table(spec, res, env, m)
@@ -450,12 +452,10 @@ class BiasModel:
         """Sum over mechanisms of the symmetrized 0<->1 rate, in
         two_level_total_rate's order, so at env.qc_eff both agree bit for bit."""
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
-        # the inversion repeats this: read the enum member once (~0.2 us a
-        # lookup on Python 3.11)
-        channels, capacitive, total = self._channels, Mechanism.CAPACITIVE, 0.0
+        total = 0.0
         for m in mechanisms:
-            pair = (channels.get(m) or self._channel(m))[1]
-            total += pair * scale if m == capacitive else pair
+            pair = self._channel(m)[1]
+            total += pair * scale if m == Mechanism.CAPACITIVE else pair
         return total
 
     def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
@@ -490,12 +490,10 @@ class BiasModel:
         exceeds FIT_RESIDUAL_GATE of the amplitude. An exactly zero rate (the
         0<->1 sum, or every selected table) gives inf.
         """
-        # compared by value (a mode string works too): the two-level branch,
-        # which the inversion repeats, skips T1Mode(), as costly as the branch
-        if mode == T1Mode.TWO_LEVEL:
+        mode = T1Mode(mode)
+        if mode is T1Mode.TWO_LEVEL:
             rate = self.pair_rate(mechanisms, qc_eff)
             return 1.0 / rate if rate else math.inf
-        mode = T1Mode(mode)
         trace = self.decay(mechanisms, qc_eff)
         if trace is None:
             return math.inf

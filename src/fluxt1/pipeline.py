@@ -2,8 +2,9 @@
 
 The chain runs: ingest measured relaxation times -> 8 MHz binned average (to
 de-weight oversampled defect features) -> drop points dominated by flux noise
-or radiative loss -> invert the remaining points through the multilevel decay
-model into an effective capacitive quality factor per frequency bin. A global
+or radiative loss -> invert the remaining points into an effective capacitive
+quality factor per frequency bin: in closed form in the two-level model, by a
+bracketed root find through the multilevel decay model otherwise. A global
 frequency exponent is chosen by minimizing the pooled variance of the
 log-centered quality factors across qubits.
 """
@@ -14,7 +15,6 @@ import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -29,12 +29,12 @@ logger = logging.getLogger(__name__)
 DEFAULT_BIN_WIDTH = 8e6  # Hz
 DEFAULT_EXCLUSION_THRESHOLD = 0.1
 EPSILON_GRID = (-1.0, 1.0, 0.05)  # default frequency-exponent grid: start, stop, step
-# warm start when the two-level closed form has no usable positive solution
+# multilevel root-find start when the two-level closed form is outside (1e2, 1e9)
 FALLBACK_QCEFF = Environment.qc_eff
-# the inversion searches log10(qc_eff) within these bounds
+# the inversion returns a qc_eff with log10(qc_eff) within these bounds
 LOG10_QCEFF_MIN = 0.0
 LOG10_QCEFF_MAX = 12.0
-# first half-width of the bracket around the warm start, in decades; doubles
+# first half-width of the bracket around the start, in decades; doubles
 # until the bracket holds a sign change
 BRACKET_STEP = 0.02
 # root tolerance in decades of qc_eff (~2e-12 relative): just above the
@@ -151,8 +151,7 @@ def exclusion_filter(
     """
     kept, dropped = [], []
     for r in ds.records:
-        spec = spec_provider(r.phi_ext)
-        predicted = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
+        predicted = BiasModel(spec_provider(r.phi_ext), res, env).pair_rate(BACKGROUND_MECHANISMS)
         measured = 1.0 / r.t1
         (dropped if predicted / measured > threshold else kept).append(r)
     make = lambda recs: T1Dataset(records=tuple(recs), qubit_id=ds.qubit_id,  # noqa: E731
@@ -163,9 +162,11 @@ def exclusion_filter(
 class QceffInverter(BiasModel):
     """Measured t1 -> qc_eff at one flux bias, through the bias's model.
 
-    Each trial qc_eff rescales the model's memoized capacitive table, so no
-    rate is recomputed. Modeled t1 rises monotonically with qc_eff, so the
-    inversion is a bracketed root find in log10(qc_eff).
+    In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so the inversion is one
+    division. The multilevel modes start from that two-level answer and find
+    the root in log10(qc_eff), where modeled t1 rises monotonically; each
+    trial qc_eff rescales the model's memoized capacitive table, so no rate
+    is recomputed.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams, env: Environment,
@@ -176,37 +177,31 @@ class QceffInverter(BiasModel):
     def predict_t1(self, qc_eff: float) -> float:
         return self.t1(self.mode, qc_eff=qc_eff)
 
-    @cached_property
-    def _background_pair(self) -> float:
-        """0<->1 rate of the non-capacitive channels; epsilon-independent, so
-        ``with_epsilon`` copies share it."""
-        return self.pair_rate(BACKGROUND_MECHANISMS)
-
-    def _warm_start(self, t1_measured: float) -> float:
-        """log10 starting point from the algebraic two-level inversion.
-
-        The two-level answer usually sits within a few percent of the
-        multilevel one, so the first bracket around it already holds the
-        root; FALLBACK_QCEFF is used when no positive closed-form solution
-        exists. Deterministic either way.
-        """
-        residual = 1.0 / t1_measured - self._background_pair
-        if residual > 0.0:
-            q = self.env.qc_eff * self._channel(Mechanism.CAPACITIVE)[1] / residual
-            if 1e2 < q < 1e9:
-                return math.log10(q)
-        return math.log10(FALLBACK_QCEFF)
-
     def invert(self, t1_measured: float) -> float:
-        """Root of log t1_model(10**u) - log t1_measured over u = log10(qc_eff).
+        """The qc_eff in [10**LOG10_QCEFF_MIN, 10**LOG10_QCEFF_MAX] whose
+        model t1 is ``t1_measured``.
 
-        ``rising_root`` brackets it from BRACKET_STEP decades off the warm
-        start, widening geometrically toward the root, clipped to
-        [LOG10_QCEFF_MIN, LOG10_QCEFF_MAX]. Raises FitError when no sign
-        change lies within those bounds (for instance a t1 longer than the
-        non-capacitive channels alone allow); a FitError from a model
-        evaluation propagates.
+        The two-level closed form q = qc_eff * K / (1/t1 - Gamma_bg) is the
+        two_level answer. The multilevel modes solve log t1_model(10**u) =
+        log t1_measured over u = log10(qc_eff) with ``rising_root``, from
+        log10(q) when 1e2 < q < 1e9, else from FALLBACK_QCEFF. Raises
+        FitError when no qc_eff within the bounds reproduces t1 (for
+        instance a t1 longer than the non-capacitive channels alone allow);
+        a FitError from a model evaluation propagates.
         """
+        background = self.pair_rate(BACKGROUND_MECHANISMS)
+        residual = 1.0 / t1_measured - background
+        q = (self.env.qc_eff * self.pair_rate((Mechanism.CAPACITIVE,)) / residual
+             if residual > 0.0 else 0.0)
+        unmatched = (f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
+                     f"reproduces t1 = {t1_measured:.3e} s")
+        if self.mode is T1Mode.TWO_LEVEL:
+            if 10.0 ** LOG10_QCEFF_MIN <= q <= 10.0 ** LOG10_QCEFF_MAX:
+                return q
+            detail = (f"the closed form gives qc_eff = {q:.3e}" if residual > 0.0 else
+                      f"the non-capacitive channels alone give t1 = {1.0 / background:.3e} s")
+            raise FitError(f"{unmatched} ({detail})")
+
         log_t1 = math.log(t1_measured)
         memo: dict[float, float] = {}
 
@@ -215,17 +210,14 @@ class QceffInverter(BiasModel):
                 memo[u] = math.log(self.predict_t1(10.0 ** u)) - log_t1
             return memo[u]
 
+        u0 = math.log10(q) if 1e2 < q < 1e9 else math.log10(FALLBACK_QCEFF)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            u0 = self._warm_start(t1_measured)
             u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
         if u is None:
             bound = LOG10_QCEFF_MAX if g(u0) < 0.0 else LOG10_QCEFF_MIN
-            raise FitError(
-                f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
-                f"reproduces t1 = {t1_measured:.3e} s (model t1 at the bound "
-                f"is {math.exp(g(bound) + log_t1):.3e} s)"
-            )
+            raise FitError(f"{unmatched} (model t1 at the bound is "
+                           f"{math.exp(g(bound) + log_t1):.3e} s)")
         return 10.0 ** u
 
 
@@ -238,8 +230,10 @@ def two_level_qceff_closed_form(
     """Algebraic two-level inversion: solve 1/t1 = Gamma_bg + K/qc_eff.
 
     The capacitive pair rate at fixed epsilon is exactly proportional to
-    1/qc_eff, so the inversion is one division. Serves as the independent
-    check on the root-find path.
+    1/qc_eff, so the inversion is one division. Builds its tables through
+    ``two_level_total_rate`` and ``build_mechanism_table``, apart from any
+    ``BiasModel``, as the reference for ``QceffInverter.invert`` in two_level
+    mode, which does the same arithmetic.
     """
     bg = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
     residual = 1.0 / t1_measured - bg
@@ -301,20 +295,18 @@ class DistributionSummary:
     n: int
 
 
-def summarize(dist: QceffDistribution, allow_singleton: bool = False) -> DistributionSummary:
+def summarize(dist: QceffDistribution) -> DistributionSummary:
     """Mean, midpoint median, sample (n-1) std, and interpolated IQR."""
     values = dist.values()
     if values.size == 0:
         raise ValueError("cannot summarize an empty distribution")
-    if values.size == 1 and not allow_singleton:
-        raise ValueError("standard deviation undefined for a single entry "
-                         "(pass allow_singleton=True to report 0)")
+    if values.size == 1:
+        raise ValueError("standard deviation undefined for a single entry")
     q1, q3 = np.percentile(values, [25.0, 75.0], method="linear")
-    std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return DistributionSummary(
         mean=float(np.mean(values)),
         median=float(np.median(values)),
-        std=std,
+        std=float(np.std(values, ddof=1)),
         iqr=float(q3 - q1),
         n=int(values.size),
     )
@@ -424,29 +416,3 @@ def extract_flux_noise_amplitude(ds: DephasingDataset, params: FluxoniumParams) 
     ys = np.asarray(ys)
     fitted = float(xs @ ys / (xs @ xs))  # least squares through the origin
     return fitted / math.sqrt(math.log(2.0))
-
-
-def jj_participation(
-    junction_area: float,
-    c_sigma: float,
-    specific_capacitance: float = 49e-15,
-) -> float:
-    """Junction fraction of the total capacitance; area in um^2, caps in F."""
-    p = junction_area * specific_capacitance / c_sigma
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"participation {p!r} outside (0, 1); check the inputs")
-    return p
-
-
-def map_qjj(qceff: float, p_jj: float, q_other: float = math.inf) -> float:
-    """Junction quality factor from 1/Q = P/Q_jj + (1-P)/Q_other."""
-    if not 0.0 < p_jj < 1.0:
-        raise ValueError(f"p_jj must be in (0, 1), got {p_jj!r}")
-    if math.isinf(q_other):
-        return p_jj * qceff
-    if not q_other > 0.0:
-        raise ValueError(f"q_other must be > 0 or infinite, got {q_other!r}")
-    inv = 1.0 / qceff - (1.0 - p_jj) / q_other
-    if inv <= 0.0:
-        raise ValueError("q_other alone already explains the total loss; q_jj undefined")
-    return p_jj / inv

@@ -705,13 +705,57 @@ class TestOptionValues:
         assert json.loads(err)["error"]["type"] == "UsageError"
 
     @pytest.mark.parametrize("grid", [["--grid-step", "0"], ["--grid-step", "-0.1"],
-                                      ["--grid-step", "nan"], ["--grid-start", "inf"]],
+                                      ["--grid-step", "nan"], ["--grid-start", "inf"],
+                                      ["--grid-start", "1", "--grid-stop", "-1"]],
                              ids=lambda grid: " ".join(grid))
     def test_fit_epsilon_bad_grid_exits_1(self, a1_device, tmp_path, capsys, grid):
         t1 = tmp_path / "t1.csv"
         t1.write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n")
         code, out, err = run_cli(["fit-epsilon", "--qubit", a1_device, str(t1), *grid],
                                  capsys)
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    # values no model type holds, checked when the options are parsed
+    @pytest.mark.parametrize("args", [
+        ["compare", "--dist", "{dist}", "--dist", "{dist}", "--alpha", "2"],
+        ["compare", "--dist", "{dist}", "--dist", "{dist}", "--alpha", "1"],
+        ["compare", "--dist", "{dist}", "--dist", "{dist}", "--alpha", "nan"],
+        ["report", "--dist", "{dist}", "--alpha", "0"],
+        ["spectrum", "--device", "{device}", "--levels", "1"],
+        ["predict-t1", "--device", "{device}", "--flux", "0.2", "--levels", "1"],
+        ["simulate-decay", "--device", "{device}", "--flux", "0.2", "--levels", "1"],
+        ["extract-qceff", "--device", "{device}", "--t1-csv", "{t1}", "--levels", "1"],
+        ["fit-epsilon", "--qubit", "{device}", "{t1}", "--levels", "1"],
+        ["predict-t1", "--device", "{device}", "--flux", "nan"],
+        ["predict-t1", "--device", "{device}", "--flux-start", "nan"],
+        ["simulate-decay", "--device", "{device}", "--flux", "inf"],
+        ["simulate-decay", "--device", "{device}", "--flux", "0.2", "--points", "3"],
+        ["spectrum", "--device", "{device}", "--flux-points", "0"],
+        ["predict-t1", "--device", "{device}", "--flux-points", "0"],
+        ["predict-t1", "--device", "{device}", "--flux-points", "-3"],
+        ["extract-qceff", "--device", "{device}", "--t1-csv", "{t1}",
+         "--exclusion-threshold", "-1"],
+        ["extract-qceff", "--device", "{device}", "--t1-csv", "{t1}",
+         "--exclusion-threshold", "inf"],
+        ["extract-qceff", "--device", "{device}", "--t1-csv", "{t1}",
+         "--exclusion-threshold", "nan"],
+        ["extract-qceff", "--device", "{device}", "--t1-csv", "{t1}", "--bin-width-hz", "nan"],
+        ["fit-epsilon", "--qubit", "{device}", "{t1}", "--bin-width-hz", "nan"],
+    ], ids=lambda args: f"{args[0]} {' '.join(args[-2:])}")
+    def test_rejected_option_value_exits_1(self, a1_device, tmp_path, capsys, args):
+        t1 = tmp_path / "t1.csv"
+        t1.write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n")
+        dist = tmp_path / "dist.json"
+        dist.write_text(json.dumps({
+            "schema": SCHEMA_ID, "command": "extract-qceff", "config": {},
+            "data": {"qubit_id": "X", "epsilon_used": 0.25,
+                     "entries": [{"freq_hz": 1e9 + k * 1e7, "qceff": 1e5 * (1 + 0.1 * k),
+                                  "n_binned": 1} for k in range(8)]},
+        }))
+        argv = [a.format(device=a1_device, t1=t1, dist=dist) for a in args]
+        code, out, err = run_cli(argv, capsys)
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "UsageError"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fluxt1.dynamics import T1Mode, predicted_t1, two_level_total_rate
 from fluxt1.errors import FitError
-from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize, flux_dispersion
+from fluxt1.hamiltonian import FluxBias, diagonalize, flux_dispersion
 from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
 from fluxt1.pipeline import (
     CachedSpectrumProvider,
@@ -28,8 +28,6 @@ from fluxt1.pipeline import (
     extract_flux_noise_amplitude,
     extract_qceff_dataset,
     fit_epsilon_global,
-    jj_participation,
-    map_qjj,
     summarize,
     two_level_qceff_closed_form,
 )
@@ -184,14 +182,16 @@ class TestQceffExtraction:
             t1 = inverter.predict_t1(q_true)
             assert inverter.invert(t1) == pytest.approx(q_true, rel=1e-3)
 
-    def test_two_level_root_find_matches_closed_form(self, b1_params, b1_resonator):
-        env = environment_of("B1")
-        spec = diagonalize(b1_params, FluxBias(0.27), n_levels=6)
-        inverter = QceffInverter(spec, b1_resonator, env, mode=T1Mode.TWO_LEVEL)
-        t1 = inverter.predict_t1(2.5e5)
-        root = inverter.invert(t1)
-        closed = two_level_qceff_closed_form(t1, spec, b1_resonator, env)
-        assert root == pytest.approx(closed, rel=1e-6)
+    @pytest.mark.parametrize("qubit", ["B1", "A3"])
+    def test_two_level_inversion_is_the_closed_form_bit_for_bit(self, qubit):
+        # the reference route builds its own tables apart from the inverter
+        # and does the same arithmetic, so the two agree exactly
+        params, res, env = params_of(qubit), resonator_of(qubit), environment_of(qubit)
+        for phi in (0.1, 0.27, 0.5):
+            spec = diagonalize(params, FluxBias(phi), n_levels=6)
+            inverter = QceffInverter(spec, res, env, mode=T1Mode.TWO_LEVEL)
+            t1 = inverter.predict_t1(2.5e5)
+            assert inverter.invert(t1) == two_level_qceff_closed_form(t1, spec, res, env)
 
     def test_monotone_in_measured_t1(self, b1_half_flux_spectrum, b1_resonator):
         env = environment_of("B1")
@@ -257,13 +257,11 @@ class TestInversionContract:
         with pytest.raises(FitError):
             inverter.invert(2.0 * t1_limit)
 
-    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("phi", (0.27, 0.5))
-    def test_round_trip_takes_at_most_20_model_evaluations(
-            self, mode, phi, b1_params, b1_resonator):
-        env = environment_of("B1")
-        spec = diagonalize(b1_params, FluxBias(phi), n_levels=6)
-        inverter = QceffInverter(spec, b1_resonator, env, mode=mode)
+    @staticmethod
+    def _counted_round_trip(mode, phi, params, res):
+        """(inverted qc_eff, model evaluations) of one round trip at 2.5e5."""
+        spec = diagonalize(params, FluxBias(phi), n_levels=6)
+        inverter = QceffInverter(spec, res, environment_of("B1"), mode=mode)
         t1 = inverter.predict_t1(2.5e5)
         model = inverter.predict_t1
         calls = []
@@ -273,8 +271,35 @@ class TestInversionContract:
             return model(qc_eff)
 
         inverter.predict_t1 = counted
-        assert inverter.invert(t1) == pytest.approx(2.5e5, rel=1e-3)
-        assert 1 <= len(calls) <= 20
+        return inverter.invert(t1), len(calls)
+
+    @pytest.mark.parametrize("phi", (0.27, 0.5))
+    def test_two_level_round_trip_evaluates_no_model(self, phi, b1_params, b1_resonator):
+        q, n_calls = self._counted_round_trip(T1Mode.TWO_LEVEL, phi, b1_params, b1_resonator)
+        assert q == pytest.approx(2.5e5, rel=1e-12)
+        assert n_calls == 0
+
+    @pytest.mark.parametrize("mode", [T1Mode.MULTILEVEL_POPULATION, T1Mode.MULTILEVEL_SIGNAL],
+                             ids=lambda m: m.value)
+    @pytest.mark.parametrize("phi", (0.27, 0.5))
+    def test_multilevel_round_trip_takes_at_most_20_model_evaluations(
+            self, mode, phi, b1_params, b1_resonator):
+        q, n_calls = self._counted_round_trip(mode, phi, b1_params, b1_resonator)
+        assert q == pytest.approx(2.5e5, rel=1e-3)
+        assert 1 <= n_calls <= 20
+
+    @pytest.mark.parametrize("beyond", ["above_1e12", "below_1"])
+    def test_two_level_closed_form_outside_bounds_raises_fit_error(
+            self, beyond, b1_half_flux_spectrum, b1_resonator):
+        spec, env = b1_half_flux_spectrum, environment_of("B1")
+        t1_limit = 1.0 / two_level_total_rate(spec, b1_resonator, env, BACKGROUND_MECHANISMS)
+        # a t1 just short of the background-only limit, or far below any model t1
+        t1 = t1_limit * (1.0 - 1e-12) if beyond == "above_1e12" else 1e-12
+        closed = two_level_qceff_closed_form(t1, spec, b1_resonator, env)
+        assert closed > 1e12 if beyond == "above_1e12" else closed < 1.0
+        inverter = QceffInverter(spec, b1_resonator, env, mode=T1Mode.TWO_LEVEL)
+        with pytest.raises(FitError, match=r"no qc_eff in \[1e0, 1e12\] reproduces"):
+            inverter.invert(t1)
 
     @pytest.mark.parametrize("mode", [T1Mode.MULTILEVEL_POPULATION, T1Mode.MULTILEVEL_SIGNAL],
                              ids=lambda m: m.value)
@@ -444,11 +469,9 @@ class TestSummarize:
         assert s.iqr == pytest.approx(1.5)
         assert s.n == 4
 
-    def test_singleton_errors_by_default(self):
+    def test_singleton_rejected(self):
         with pytest.raises(ValueError):
             summarize(dist_of([3.0]))
-        s = summarize(dist_of([3.0]), allow_singleton=True)
-        assert s.mean == s.median == 3.0 and s.std == 0.0
 
     def test_symmetric_distribution_mean_equals_median(self):
         s = summarize(dist_of([1.0, 2.0, 3.0, 4.0, 5.0]))
@@ -457,30 +480,3 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             summarize(dist_of([]))
-
-
-class TestJJParticipation:
-    def test_infinite_other_limit(self):
-        assert map_qjj(2.0e5, 0.15) == pytest.approx(0.15 * 2.0e5, rel=1e-12)
-
-    def test_full_participation(self):
-        assert map_qjj(2.0e5, 1.0 - 1e-12) == pytest.approx(2.0e5, rel=1e-9)
-
-    def test_design_areas_land_in_reported_band(self):
-        # junction sizes spanning the design range participate at 11-18%
-        c_sigma = FluxoniumParams(ej=4e9, ec=1.02e9, el=0.53e9).c_sigma
-        p_small = jj_participation(0.045, c_sigma)
-        p_large = jj_participation(0.065, c_sigma)
-        assert 0.11 <= p_small <= 0.18
-        assert 0.11 <= p_large <= 0.18
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            jj_participation(10.0, 1.8e-14)
-        with pytest.raises(ValueError):
-            map_qjj(2.0e5, 1.5)
-
-    def test_finite_other_consistency(self):
-        # the round trip through the participation identity is exact
-        q_jj = map_qjj(2.0e5, 0.15, q_other=8.0e5)
-        assert 1.0 / (0.15 / q_jj + 0.85 / 8.0e5) == pytest.approx(2.0e5, rel=1e-12)
