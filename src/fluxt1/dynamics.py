@@ -26,7 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -399,53 +398,101 @@ def two_level_total_rate(
     return total
 
 
+@dataclass
+class _BiasMemo:
+    """What every model of one bias shares, whatever its frequency exponent:
+    each channel's table as first built there, the 0<->1 pair rate of each
+    channel but the capacitive one, p0 and the readout weights."""
+
+    tables: dict[Mechanism, MechanismRateTable] = field(default_factory=dict)
+    pairs: dict[Mechanism, float] = field(default_factory=dict)
+    p0: np.ndarray | None = None
+    weights: np.ndarray | None = None
+
+
 class BiasModel:
     """The relaxation model at one flux bias, read in any mode at any qc_eff.
 
-    Memoizes what every evaluation at the bias shares: each channel's rate
-    table and its 0<->1 pair rate (built at ``env.qc_eff`` on first use), the
-    computationally inverted thermal state ``p0`` and the readout ``weights``
-    (each state's rotated S21 at the ground-state dressed probe, real part).
-    At a fixed frequency exponent the capacitive table scales exactly as
-    1/qc_eff, so a trial qc_eff rescales it by env.qc_eff / qc_eff instead of
-    rebuilding it.
+    Each channel's rate table is built once for the bias, and with it the
+    channel's exponent-free ``ChannelPairs``. The frequency exponent enters
+    only the capacitive channel, as the factor 1/Q'(f_ij) on its split
+    pairs, so a model at another exponent (``with_epsilon``) evaluates that
+    factor from the shared pairs and rebuilds nothing: one model per bias
+    serves the exclusion filter and the inversion at every exponent. At a
+    fixed exponent the capacitive rates scale exactly as 1/qc_eff, so a
+    trial qc_eff rescales them by env.qc_eff / qc_eff. Also shared: the
+    computationally inverted thermal state ``p0`` and the readout
+    ``weights`` (each state's rotated S21 at the ground-state dressed probe,
+    real part).
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams | None, env: Environment):
         self.spec = spec
         self.res = res
         self.env = env
-        self._channels: dict[Mechanism, tuple[MechanismRateTable, float]] = {}
+        self._memo = _BiasMemo()
+        # the capacitive 0<->1 pair rate and table at this model's exponent
+        self._capacitive_pair: float | None = None
+        self._capacitive_rates: np.ndarray | None = None
 
-    def _channel(self, mechanism: Mechanism) -> tuple[MechanismRateTable, float]:
-        """(rate table, 0<->1 pair rate) of one channel at env.qc_eff."""
-        entry = self._channels.get(mechanism)
-        if entry is None:
-            table = build_mechanism_table(self.spec, self.res, self.env, mechanism)
-            entry = self._channels[mechanism] = (table, table.pair_sum(0, 1))
-        return entry
+    def _table(self, mechanism: Mechanism) -> MechanismRateTable:
+        """The channel's table as first built for the bias."""
+        tables = self._memo.tables
+        table = tables.get(mechanism)
+        if table is None:
+            table = tables[mechanism] = build_mechanism_table(self.spec, self.res, self.env,
+                                                              mechanism)
+        return table
 
-    @cached_property
+    def _pair(self, mechanism: Mechanism) -> float:
+        """One channel's 0<->1 pair rate at env.qc_eff and env.epsilon."""
+        if mechanism == Mechanism.CAPACITIVE:
+            if self._capacitive_pair is None:
+                self._capacitive_pair = self._table(mechanism).pairs.pair_sum(self.env)
+            return self._capacitive_pair
+        pairs = self._memo.pairs
+        pair = pairs.get(mechanism)
+        if pair is None:
+            pair = pairs[mechanism] = self._table(mechanism).pair_sum(0, 1)
+        return pair
+
+    def _rates(self, mechanism: Mechanism) -> np.ndarray:
+        """One channel's rate table at env.qc_eff and env.epsilon."""
+        table = self._table(mechanism)
+        if mechanism != Mechanism.CAPACITIVE:
+            return table.rates
+        if self._capacitive_rates is None:
+            self._capacitive_rates = table.pairs.table(self.env).rates
+        return self._capacitive_rates
+
+    @property
     def p0(self) -> np.ndarray:
-        return invert_computational(thermal_population(self.spec, self.env.t_qubit))
+        memo = self._memo
+        if memo.p0 is None:
+            memo.p0 = invert_computational(thermal_population(self.spec, self.env.t_qubit))
+        return memo.p0
 
-    @cached_property
+    @property
     def weights(self) -> np.ndarray:
-        return dressed_response(self.spec, self.res).rotated_points().real
+        memo = self._memo
+        if memo.weights is None:
+            memo.weights = dressed_response(self.spec, self.res).rotated_points().real
+        return memo.weights
 
     def with_epsilon(self, env: Environment) -> "BiasModel":
         """This model in ``env``, which must differ from this model's
         environment in the frequency exponent alone.
 
-        The copy shares p0, the weights and every table built so far except
-        the capacitive one, the only channel that depends on the exponent.
+        The copy builds nothing: it shares p0, the weights and every table
+        built for the bias, before or after, by any model of the bias, and
+        evaluates the capacitive factor at its exponent from the shared
+        capacitive pairs when first read.
         """
         if env.epsilon == self.env.epsilon:
             return self
         other = copy.copy(self)
         other.env = env
-        capacitive = Mechanism.CAPACITIVE
-        other._channels = {m: entry for m, entry in self._channels.items() if m != capacitive}
+        other._capacitive_pair = other._capacitive_rates = None
         return other
 
     def pair_rate(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> float:
@@ -454,7 +501,7 @@ class BiasModel:
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         total = 0.0
         for m in mechanisms:
-            pair = self._channel(m)[1]
+            pair = self._pair(m)
             total += pair * scale if m == Mechanism.CAPACITIVE else pair
         return total
 
@@ -465,7 +512,7 @@ class BiasModel:
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         total = np.zeros((self.spec.n_levels,) * 2)
         for m in mechanisms:
-            rates = self._channel(m)[0].rates
+            rates = self._rates(m)
             total = total + (rates * scale if m == Mechanism.CAPACITIVE else rates)
         return build_rate_matrix(total)
 

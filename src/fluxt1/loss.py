@@ -101,10 +101,14 @@ class Environment:
 
 @dataclass(frozen=True)
 class MechanismRateTable:
-    """N x N directional rates for one mechanism; rates[i, j] = Gamma_{i->j}."""
+    """N x N directional rates for one mechanism; rates[i, j] = Gamma_{i->j}.
+
+    ``pairs`` is the exponent-free part the rates were evaluated from.
+    """
 
     mechanism: Mechanism
     rates: np.ndarray
+    pairs: ChannelPairs
 
     @property
     def n(self) -> int:
@@ -117,7 +121,8 @@ class MechanismRateTable:
 
 def q_of_frequency(env: Environment, f):
     """Capacitive quality factor at transition frequency f (Hz, scalar or array)."""
-    if not np.all(f > 0.0):
+    # the array method skips np.all's dispatch, a few us of every evaluation
+    if not (np.asarray(f) > 0.0).all():
         raise ValueError(f"frequency must be > 0, got {f!r}")
     return env.qc_eff * (Q_REFERENCE_FREQUENCY / f) ** env.epsilon
 
@@ -156,13 +161,63 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+@dataclass(frozen=True)
+class ChannelPairs:
+    """One channel at one bias over its split level pairs (f_ij > 0), with
+    everything but the capacitive quality factor evaluated.
+
+    A pair's total rate is ``strength``, except in the capacitive channel:
+    there ``strength`` is coupling * |n_ij|^2, and the total is
+    strength * (1 / Q'(f_ij)) at the environment's qc_eff and frequency
+    exponent, so one build serves every exponent. The bath splits the total
+    into the downward (j -> i) rate total * ``down`` and the upward
+    (i -> j) rate total * ``up``. Degenerate pairs are left out: their rates
+    are zero, and no factor ever touches them.
+    """
+
+    mechanism: Mechanism
+    n: int  # levels of the table
+    i: np.ndarray  # lower and upper level of each split pair, in table order
+    j: np.ndarray
+    f: np.ndarray  # f_ij, Hz
+    strength: np.ndarray
+    down: np.ndarray
+    up: np.ndarray
+
+    def rates(self, env: Environment, first: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(downward, upward) rates in env of the first ``first`` split pairs
+        (all by default): one array expression for a table and a pair alike."""
+        k = slice(first)
+        total = self.strength[k]
+        if self.mechanism is Mechanism.CAPACITIVE:
+            total = total * (1.0 / q_of_frequency(env, self.f[k]))
+        return total * self.down[k], total * self.up[k]
+
+    def table(self, env: Environment) -> MechanismRateTable:
+        """The channel's N x N rate table in env."""
+        down, up = self.rates(env)
+        rates = np.zeros((self.n, self.n))
+        rates[self.j, self.i] = down
+        rates[self.i, self.j] = up
+        rates.setflags(write=False)
+        return MechanismRateTable(mechanism=self.mechanism, rates=rates, pairs=self)
+
+    def pair_sum(self, env: Environment) -> float:
+        """``table(env).pair_sum(0, 1)`` from the 0<->1 entry alone."""
+        if not (self.j.size and self.j[0] == 1):
+            return 0.0  # a degenerate 0<->1 pair, which carries no rate
+        down, up = self.rates(env, 1)
+        return float(up[0] + down[0])
+
+
 def build_mechanism_table(
     spec: Spectrum,
     res: ResonatorParams | None,
     env: Environment,
     mechanism: Mechanism,
 ) -> MechanismRateTable:
-    """Fill the full directional rate table for one mechanism.
+    """Fill the full directional rate table for one mechanism: the table of
+    its freshly built ``ChannelPairs`` in env.
 
     ``res`` is only consulted by the Purcell channel and may be None for the
     others. A degenerate pair (f_ij = 0) with a nonzero matrix element and a
@@ -185,8 +240,10 @@ def build_mechanism_table(
     # function on the split pairs, and bath
     bath, temperature = "thermal", env.t_qubit
     if mechanism is Mechanism.CAPACITIVE:
+        # S = 1 / Q'(f) carries qc_eff and the exponent: ChannelPairs.rates
+        # applies it
         op, coupling = spec.n_elem, 16.0 * H * p.ec / HBAR
-        spectral = 1.0 / q_of_frequency(env, fs)
+        spectral = None
     elif mechanism is Mechanism.FLUX_NOISE:
         # S_Phi(w) = (2 pi A_phi / w)^alpha; A_phi sits inside the power law,
         # so it switches the channel here rather than through the prefactor
@@ -241,21 +298,20 @@ def build_mechanism_table(
                 stacklevel=2,
             )
 
-    total = coupling * elem2[split] * spectral
+    strength = coupling * elem2[split]
+    if spectral is not None:
+        strength = strength * spectral
     if bath == "symmetric":
-        down = up = total
+        down = up = np.ones_like(fs)
     elif bath == "boltzmann":
-        down, up = total, total * np.exp(-H * fs / (K_B * temperature))
+        down, up = np.ones_like(fs), np.exp(-H * fs / (K_B * temperature))
     else:
         # absorption factor 1/(exp(2x) - 1); beyond x = 350 it is exactly 0
         x = H * fs / (2.0 * K_B * temperature)
         absorption = np.zeros_like(x)
         warm = x <= 350.0
         absorption[warm] = 1.0 / np.expm1(2.0 * x[warm])
-        down, up = total * (1.0 + absorption), total * absorption
+        down, up = 1.0 + absorption, absorption
 
-    rates = np.zeros((spec.n_levels, spec.n_levels))
-    rates[j[split], i[split]] = down
-    rates[i[split], j[split]] = up
-    rates.setflags(write=False)
-    return MechanismRateTable(mechanism=mechanism, rates=rates)
+    return ChannelPairs(mechanism=mechanism, n=spec.n_levels, i=i[split], j=j[split], f=fs,
+                        strength=strength, down=down, up=up).table(env)

@@ -88,18 +88,29 @@ class T1Dataset:
 
 
 class CachedSpectrumProvider:
-    """phi_ext -> Spectrum map with memoization, for per-record rate work."""
+    """phi_ext -> Spectrum map with memoization, for per-record rate work,
+    and the memoized ``BiasModel`` of each bias, resonator and environment:
+    the one model that the exclusion filter and every inversion there read."""
 
     def __init__(self, params: FluxoniumParams, n_levels: int = 6):
         self.params = params
         self.n_levels = n_levels
         self._cache: dict[float, Spectrum] = {}
+        self._models: dict[tuple, BiasModel] = {}
 
     def __call__(self, phi_ext: float) -> Spectrum:
         key = float(phi_ext)
         if key not in self._cache:
             self._cache[key] = diagonalize(self.params, FluxBias(key), n_levels=self.n_levels)
         return self._cache[key]
+
+    def model(self, phi_ext: float, res: ResonatorParams, env: Environment) -> BiasModel:
+        """The bias's model in (res, env), built on first use."""
+        key = (float(phi_ext), res, env)
+        model = self._models.get(key)
+        if model is None:
+            model = self._models[key] = BiasModel(self(phi_ext), res, env)
+        return model
 
 
 def bin_average(ds: T1Dataset, bin_width: float = DEFAULT_BIN_WIDTH) -> T1Dataset:
@@ -147,11 +158,13 @@ def exclusion_filter(
 
     A record is dropped when the combined flux-noise plus radiative
     prediction exceeds ``threshold`` of its measured decay rate: such points
-    say little about capacitive loss.
+    say little about capacitive loss. The prediction reads the bias's model
+    from ``spec_provider`` (a ``CachedSpectrumProvider``), which the
+    inversion reads later.
     """
     kept, dropped = [], []
     for r in ds.records:
-        predicted = BiasModel(spec_provider(r.phi_ext), res, env).pair_rate(BACKGROUND_MECHANISMS)
+        predicted = spec_provider.model(r.phi_ext, res, env).pair_rate(BACKGROUND_MECHANISMS)
         measured = 1.0 / r.t1
         (dropped if predicted / measured > threshold else kept).append(r)
     make = lambda recs: T1Dataset(records=tuple(recs), qubit_id=ds.qubit_id,  # noqa: E731
@@ -166,13 +179,23 @@ class QceffInverter(BiasModel):
     division. The multilevel modes start from that two-level answer and find
     the root in log10(qc_eff), where modeled t1 rises monotonically; each
     trial qc_eff rescales the model's memoized capacitive table, so no rate
-    is recomputed.
+    is recomputed. The frequency exponent enters only K, as the factor
+    (f_ij / 6 GHz)^epsilon on the capacitive pairs: an inverter made by
+    ``of`` from the bias's model, and each ``with_epsilon`` copy of it,
+    share that model's tables and build none.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams, env: Environment,
                  mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL):
         super().__init__(spec, res, env)
         self.mode = T1Mode(mode)
+
+    @classmethod
+    def of(cls, model: BiasModel, mode: T1Mode) -> "QceffInverter":
+        """An inverter in ``mode`` that shares everything ``model`` memoizes."""
+        inverter = cls(model.spec, model.res, model.env, mode)
+        inverter._memo = model._memo
+        return inverter
 
     def predict_t1(self, qc_eff: float) -> float:
         return self.t1(self.mode, qc_eff=qc_eff)
@@ -275,12 +298,14 @@ def extract_qceff_dataset(
     env: Environment,
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
 ) -> QceffDistribution:
-    """Invert every record of a dataset, in record order."""
+    """Invert every record of a dataset, in record order, through the
+    bias's model that ``spec_provider`` memoizes."""
     entries = []
     for record in ds.records:
-        spec = spec_provider(record.phi_ext)
-        q = QceffInverter(spec, res, env, mode=mode).invert(record.t1)
-        freq = record.omega01 if record.omega01 is not None else spec.transition_frequency(0, 1)
+        model = spec_provider.model(record.phi_ext, res, env)
+        q = QceffInverter.of(model, mode).invert(record.t1)
+        freq = (record.omega01 if record.omega01 is not None
+                else model.spec.transition_frequency(0, 1))
         entries.append(QceffEntry(freq=float(freq), qceff=q, n_binned=record.n_binned))
     return QceffDistribution(entries=tuple(entries), epsilon_used=env.epsilon,
                              qubit_id=ds.qubit_id)
@@ -316,10 +341,10 @@ def summarize(dist: QceffDistribution) -> DistributionSummary:
 class QubitAnalysisInput:
     """Everything needed to re-run the extraction for one qubit.
 
-    ``spec_provider`` maps a record's phi_ext to its spectrum (a
-    ``CachedSpectrumProvider``, typically the one that already served the
-    exclusion filter, so no bias is solved twice); it fixes the retained
-    levels.
+    ``spec_provider`` maps a record's phi_ext to its spectrum and its model
+    (a ``CachedSpectrumProvider``, typically the one that already served the
+    exclusion filter, so no bias is solved or modeled twice); it fixes the
+    retained levels.
     """
 
     dataset: T1Dataset
@@ -352,14 +377,14 @@ def fit_epsilon_global(
     if grid.size == 0:
         raise ValueError("the exponent grid is empty")
 
-    # only the capacitive table depends on the exponent: build each record's
-    # inverter once, at the first grid point, and re-derive it per exponent
-    # in one environment per qubit
+    # the exponent enters only the capacitive pairs' factor: each record's
+    # inverter reads the bias's model in the qubit's own environment (the
+    # one the exclusion filter read), and its with_epsilon copy at each
+    # exponent, in one environment per qubit, builds no table
     inverters = []
     for qi in qubit_inputs:
-        env0 = replace(qi.env, epsilon=float(grid[0]))
         inverters.append([
-            (QceffInverter(qi.spec_provider(r.phi_ext), qi.res, env0, mode=mode), r.t1)
+            (QceffInverter.of(qi.spec_provider.model(r.phi_ext, qi.res, qi.env), mode), r.t1)
             for r in qi.dataset.records
         ])
     variances = np.empty(grid.size)

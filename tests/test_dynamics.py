@@ -3,6 +3,7 @@
 import math
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,13 +30,17 @@ from fluxt1.dynamics import (
 )
 from fluxt1.errors import FitError
 from fluxt1.hamiltonian import FluxBias, diagonalize
+from fluxt1.io import parse_device_file
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
     Mechanism,
     build_mechanism_table,
 )
+from fluxt1.pipeline import EPSILON_GRID
 
 from conftest import environment_of, params_of, resonator_of
+
+SHIPPED_DEVICES = sorted((Path(__file__).resolve().parents[1] / "devices").glob("*.json"))
 
 
 def random_db_generator(rng, n=6, temperature=0.040):
@@ -500,8 +505,7 @@ class TestBiasModel:
                 assert model.t1(mode, qc_eff=q) == pytest.approx(rebuilt, rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:decay fit residual")
-    def test_with_epsilon_rebuilds_only_the_capacitive_table(
-            self, b1_params, b1_resonator, monkeypatch):
+    def test_with_epsilon_builds_no_table(self, b1_params, b1_resonator, monkeypatch):
         import fluxt1.dynamics as dynamics
 
         built = []
@@ -520,11 +524,36 @@ class TestBiasModel:
         other = model.with_epsilon(replace(env, epsilon=0.6))
         built.clear()
         moved = other.t1(T1Mode.MULTILEVEL_POPULATION)
-        assert built == [Mechanism.CAPACITIVE]
+        assert built == []
         assert other.p0 is model.p0
         fresh = BiasModel(spec, b1_resonator, replace(env, epsilon=0.6))
         assert moved == fresh.t1(T1Mode.MULTILEVEL_POPULATION)
         assert model.t1(T1Mode.MULTILEVEL_POPULATION) == before != moved
+
+    @pytest.mark.parametrize("device", SHIPPED_DEVICES, ids=lambda path: path.stem)
+    def test_with_epsilon_capacitive_rates_equal_a_fresh_build(self, device):
+        # the copy evaluates the shared exponent-free pairs at its exponent:
+        # its pair rate and its table equal a table built there, bit for bit
+        dev = parse_device_file(str(device))
+        env, res = dev.environment(), dev.resonator_params()
+        start, stop, step = EPSILON_GRID
+        exponents = [*np.arange(start, stop + step / 2, step).tolist(), -1.0, 1.0]
+        capacitive = (Mechanism.CAPACITIVE,)
+        for phi in (0.05, 0.27, 0.5):
+            spec = diagonalize(dev.fluxonium_params(), FluxBias(phi), n_levels=6)
+            model = BiasModel(spec, res, env)
+            for eps in exponents:
+                moved = replace(env, epsilon=eps)
+                fresh = build_mechanism_table(spec, res, moved, Mechanism.CAPACITIVE)
+                other = model.with_epsilon(moved)
+                assert other.pair_rate(capacitive) == fresh.pair_sum(0, 1)
+                assert np.array_equal(other.generator(capacitive).b,
+                                      build_rate_matrix(fresh.rates).b)
+            if phi == 0.5:
+                # the six parity-forbidden pairs, whose rates are rounding
+                # residue here, were compared too
+                off = fresh.rates[~np.eye(spec.n_levels, dtype=bool)]
+                assert np.count_nonzero(off < 1e-12 * off.max()) >= 12
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 10_000))

@@ -5,6 +5,7 @@ import json
 import math
 from dataclasses import fields, replace
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -642,6 +643,74 @@ class TestOneSolvePerBias:
         assert len(json.loads(out)["data"]["variance_curve"]) == 3
         assert sorted(solved) == sorted(set(solved))
         assert set(solved) == set(fluxes)
+
+
+class TestOneModelPerBias:
+    """One model per bias serves the exclusion filter and every inversion,
+    at every exponent, so no CLI call builds a rate table twice."""
+
+    @pytest.fixture()
+    def built(self, monkeypatch):
+        import fluxt1.dynamics
+        import fluxt1.pipeline
+        from fluxt1.loss import build_mechanism_table
+
+        tables = []
+
+        def counting(spec, res, env, mechanism):
+            tables.append((spec.params, spec.bias.phi_ext, mechanism))
+            return build_mechanism_table(spec, res, env, mechanism)
+
+        for module in (fluxt1.dynamics, fluxt1.pipeline):
+            monkeypatch.setattr(module, "build_mechanism_table", counting)
+        return tables
+
+    @staticmethod
+    def _qubit_args(tmp_path, names=("a1", "b1")):
+        """--qubit arguments for shipped devices, each with T1s its own
+        two-level model predicts at qc_eff = 2.2e5 and epsilon = 0.25."""
+        from fluxt1.dynamics import T1Mode, predicted_t1
+
+        args = []
+        for name in names:
+            device_path = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
+            device = parse_device_file(str(device_path))
+            env = device.environment(qc_eff=2.2e5, epsilon=0.25)
+            lines = ["phi_ext,t1_s"]
+            for phi in (0.1, 0.2, 0.3, 0.4):
+                t1 = predicted_t1(device.fluxonium_params(), device.resonator_params(), env,
+                                  FluxBias(phi), mode=T1Mode.TWO_LEVEL)
+                lines.append(f"{phi},{t1!r}")
+            t1_path = tmp_path / f"{name}_t1.csv"
+            t1_path.write_text("\n".join(lines) + "\n")
+            args += ["--qubit", str(device_path), str(t1_path)]
+        return args
+
+    def test_fit_epsilon_builds_as_many_tables_for_3_exponents_as_for_41(
+            self, tmp_path, built, capsys):
+        qubits = self._qubit_args(tmp_path)
+        counts = []
+        for grid in (["--grid-start", "0.0", "--grid-stop", "0.1", "--grid-step", "0.05"], []):
+            built.clear()
+            code, out, _ = run_cli(["fit-epsilon", *qubits, "--mode", "two_level", *grid],
+                                   capsys)
+            assert code == 0
+            assert len(json.loads(out)["data"]["variance_curve"]) == (41 if not grid else 3)
+            assert len(built) == len(set(built))
+            counts.append(len(built))
+        assert counts[0] == counts[1] > 0
+
+    def test_extract_qceff_builds_no_table_twice(self, tmp_path, built, capsys):
+        from fluxt1.loss import ANALYSIS_MECHANISMS
+
+        _, device_path, t1_path = self._qubit_args(tmp_path, names=("a1",))
+        built.clear()
+        code, out, _ = run_cli(["extract-qceff", "--device", device_path, "--t1-csv", t1_path],
+                               capsys)
+        assert code == 0
+        assert json.loads(out)["data"]["n_kept"] > 0
+        assert len(built) == len(set(built))
+        assert {m for *_, m in built} == set(ANALYSIS_MECHANISMS)
 
 
 class TestOptionsChangeOutput:

@@ -470,6 +470,30 @@ class TestDegenerateTransitions:
         assert table[1, 2] == 0.0 and table[2, 1] == 0.0
         assert table[0, 1] > 0.0
 
+    def test_capacitive_factor_touches_only_split_pairs(self):
+        # at epsilon = -1 the factor (f / 6 GHz)^-1 of a degenerate pair would
+        # be 1/0, and 0 * inf is nan: the dead pair stays exactly 0, silently
+        from fluxt1.dynamics import BiasModel
+
+        env = Environment(epsilon=-1.0)
+        capacitive = (Mechanism.CAPACITIVE,)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            table = rates(self._degenerate_spectrum(dead_pair=(1, 2)), env,
+                          Mechanism.CAPACITIVE)
+            model = BiasModel(self._degenerate_spectrum(dead_pair=(1, 2)), None,
+                              Environment()).with_epsilon(env)
+            assert model.pair_rate(capacitive) == table[0, 1] + table[1, 0] > 0.0
+            moved = model.generator(capacitive).b
+        assert table[1, 2] == 0.0 and table[2, 1] == 0.0
+        assert moved[1, 2] == 0.0 and moved[2, 1] == 0.0
+        assert np.array_equal(moved[~np.eye(4, dtype=bool)], table.T[~np.eye(4, dtype=bool)])
+        live = BiasModel(self._degenerate_spectrum(), None, Environment()).with_epsilon(env)
+        for read in (lambda: rates(self._degenerate_spectrum(), env, Mechanism.CAPACITIVE),
+                     lambda: live.pair_rate(capacitive)):
+            with pytest.raises(ZeroTransitionError, match=r"\(1, 2\)"):
+                read()
+
     @pytest.mark.parametrize("mechanism, off", [
         (Mechanism.FLUX_NOISE, dict(a_phi=0.0)),
         (Mechanism.QP_JUNCTION, dict(x_qp=0.0)),

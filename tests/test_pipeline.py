@@ -389,8 +389,8 @@ class TestEpsilonFit:
                             lambda env: built.append(env.epsilon) or check(env))
         grid = np.linspace(0.0, 0.5, 5)
         fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
-        # one at the first grid point and one per exponent, for each qubit
-        assert len(built) == len(inputs) * (grid.size + 1)
+        # one per exponent for each qubit; the inverters read the qubit's own
+        assert len(built) == len(inputs) * grid.size
 
     def test_variance_curve_matches_fresh_extraction_per_exponent(self):
         inputs = self._synthetic_inputs(epsilon=0.25)[:2]
