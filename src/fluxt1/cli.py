@@ -9,9 +9,7 @@ failure; failures also print a machine-readable error JSON on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io as _io
 import sys
 import warnings
 from dataclasses import replace
@@ -23,6 +21,7 @@ from .errors import DataError, FluxT1Error
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
     atomic_write_text,
+    csv_text,
     distribution_from_result,
     distribution_to_payload,
     dump_json,
@@ -31,7 +30,6 @@ from .io import (
     parse_t1_csv,
     read_distribution,
     read_result,
-    write_result,
     result_envelope,
 )
 from .loss import ANALYSIS_MECHANISMS, Environment, Mechanism
@@ -70,22 +68,6 @@ def _emit(content: str, out: str | None) -> None:
         sys.stdout.write(content)
     else:
         atomic_write_text(out, content)
-
-
-def _emit_json(command: str, config: dict, data: dict, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(dump_json(result_envelope(command, config, data)))
-    else:
-        write_result(out, command, config, data)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([x if isinstance(x, str) else repr(float(x)) for x in row])
-    return buf.getvalue()
 
 
 def _within(low: float = -np.inf, high: float = np.inf, kind=float):
@@ -176,7 +158,7 @@ def _cmd_spectrum(args) -> int:
         row += [abs(spec.phi_elem[0, j]) for j in range(1, n)]
         row += [abs(spec.sin_half_elem[0, j]) for j in range(1, n)]
         rows.append(row)
-    _emit(_csv_text(header, rows), args.out)
+    _emit(csv_text(header, rows), args.out)
     return EXIT_OK
 
 
@@ -214,7 +196,7 @@ def _cmd_predict_t1(args) -> int:
                     except FluxT1Error:
                         t1 = float("nan")  # the model cannot determine T1 here
                 rows.append([tok, mode_tok, float(phi), omega01, t1])
-    _emit(_csv_text(["mechanism", "mode", "phi_ext_phi0", "omega01_hz", "t1_s"], rows),
+    _emit(csv_text(["mechanism", "mode", "phi_ext_phi0", "omega01_hz", "t1_s"], rows),
           args.out)
     return EXIT_OK
 
@@ -232,7 +214,7 @@ def _cmd_simulate_decay(args) -> int:
     if args.trace_out is not None:
         header = ["tau_s", "signal"] + [f"p_{k}" for k in range(model.spec.n_levels)]
         rows = [[times[k], signal[k], *populations[k]] for k in range(times.size)]
-        _emit(_csv_text(header, rows), args.trace_out)
+        _emit(csv_text(header, rows), args.trace_out)
 
     config = dict(device=args.device, flux=args.flux, levels=args.levels,
                   qceff=env.qc_eff, epsilon=env.epsilon,
@@ -244,7 +226,7 @@ def _cmd_simulate_decay(args) -> int:
         misassignment_to_ground_relative_error=err_ground,
         misassignment_to_excited_relative_error=err_excited,
     )
-    _emit_json("simulate-decay", config, data, args.out)
+    _emit(dump_json(result_envelope("simulate-decay", config, data)), args.out)
     return EXIT_OK
 
 
@@ -279,7 +261,7 @@ def _cmd_extract_qceff(args) -> int:
                   qubit_temp_k=env.t_qubit, res_temp_k=env.t_res)
     data = distribution_to_payload(dist)
     data.update(n_raw=n_raw, n_binned=n_binned, n_kept=len(qi.dataset))
-    _emit_json("extract-qceff", config, data, args.out)
+    _emit(dump_json(result_envelope("extract-qceff", config, data)), args.out)
     return EXIT_OK
 
 
@@ -307,7 +289,7 @@ def _cmd_fit_epsilon(args) -> int:
             for e, v in zip(result.grid, result.pooled_variance)
         ],
     )
-    _emit_json("fit-epsilon", config, data, args.out)
+    _emit(dump_json(result_envelope("fit-epsilon", config, data)), args.out)
     return EXIT_OK
 
 
@@ -321,7 +303,7 @@ def _cmd_fit_flux_noise(args) -> int:
         sqrt_a_phi_uphi0=sqrt_a * 1e6,
         n_records_used=len(ds.fit_records()),
     )
-    _emit_json("fit-flux-noise", config, data, args.out)
+    _emit(dump_json(result_envelope("fit-flux-noise", config, data)), args.out)
     return EXIT_OK
 
 
@@ -348,7 +330,7 @@ def _cmd_compare(args) -> int:
         raise _UsageError("compare needs at least two --dist files")
     config = dict(dists=list(args.dist), alpha=args.alpha)
     data = dict(pairs=_welch_pairs(dists, args.alpha))
-    _emit_json("compare", config, data, args.out)
+    _emit(dump_json(result_envelope("compare", config, data)), args.out)
     return EXIT_OK
 
 
@@ -372,7 +354,7 @@ def _cmd_report(args) -> int:
                   epsilon_used=[d.epsilon_used for d in dists],
                   input_configs=input_configs)
     data = dict(summaries=summaries, welch_matrix=welch_matrix, provenance=provenance)
-    _emit_json("report", config, data, args.out)
+    _emit(dump_json(result_envelope("report", config, data)), args.out)
     return EXIT_OK
 
 

@@ -568,15 +568,7 @@ def predicted_t1(
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
     mechanisms=ANALYSIS_MECHANISMS,
     n_levels: int = 6,
-    spec: Spectrum | None = None,
 ) -> float:
-    """Model T1 (s) at one flux bias: ``BiasModel.t1`` on its spectrum.
-
-    A precomputed ``spec`` with at least the levels the mode needs (2 for
-    two_level, else ``n_levels``) is sliced to them instead of solving again.
-    """
-    mode = T1Mode(mode)
-    need = 2 if mode is T1Mode.TWO_LEVEL else n_levels
-    if spec is None or spec.n_levels < need:
-        spec = diagonalize(params, bias, n_levels=need)
-    return BiasModel(spec.lowest(need), res, env).t1(mode, mechanisms)
+    """Model T1 (s) at one flux bias: ``BiasModel.t1`` on its n_levels
+    spectrum, which the two-level mode reads through its 0<->1 rates."""
+    return BiasModel(diagonalize(params, bias, n_levels=n_levels), res, env).t1(mode, mechanisms)

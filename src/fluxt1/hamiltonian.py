@@ -19,7 +19,7 @@ arrays are write-locked) and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -89,27 +89,6 @@ class Spectrum:
             raise IndexError(f"level indices ({i}, {j}) out of range for "
                              f"n_levels={self.n_levels}")
         return float(self.energies[j] - self.energies[i])
-
-    def lowest(self, n: int) -> "Spectrum":
-        """The same eigensystem restricted to its lowest ``n`` levels.
-
-        The arrays are read-only views of this spectrum's leading blocks; no
-        solve is repeated. Convergence carries over, since the contract held
-        for every retained level.
-        """
-        if not 2 <= n <= self.n_levels:
-            raise ValueError(f"n must be in [2, {self.n_levels}], got {n}")
-        if n == self.n_levels:
-            return self
-        return replace(
-            self,
-            energies=self.energies[:n],
-            n_elem=self.n_elem[:n, :n],
-            phi_elem=self.phi_elem[:n, :n],
-            sin_half_elem=self.sin_half_elem[:n, :n],
-            n_levels=n,
-            _phi_centered_diag=self._phi_centered_diag[:n],
-        )
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:

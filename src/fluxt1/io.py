@@ -228,18 +228,22 @@ def parse_t1_csv(path: str, qubit_id: str = "") -> T1Dataset:
     return ds
 
 
-def write_t1_csv(path: str, ds: T1Dataset) -> None:
+def csv_text(header: list[str], rows) -> str:
+    """CSV text with CRLF line ends: a text cell is written as given, None as
+    an empty cell, and any other cell as repr(float(cell))."""
     buf = _io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["phi_ext", "t1_s", "omega01_hz", "t1_err_s"])
-    for r in ds.records:
-        writer.writerow([
-            repr(r.phi_ext),
-            repr(r.t1),
-            "" if r.omega01 is None else repr(r.omega01),
-            "" if r.t1_err is None else repr(r.t1_err),
-        ])
-    atomic_write_text(path, buf.getvalue())
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if x is None else x if isinstance(x, str) else repr(float(x))
+                         for x in row])
+    return buf.getvalue()
+
+
+def write_t1_csv(path: str, ds: T1Dataset) -> None:
+    atomic_write_text(path, csv_text(
+        ["phi_ext", "t1_s", "omega01_hz", "t1_err_s"],
+        ([r.phi_ext, r.t1, r.omega01, r.t1_err] for r in ds.records)))
 
 
 def parse_dephasing_csv(path: str, qubit_id: str = "") -> DephasingDataset:

@@ -19,6 +19,8 @@ bath that splits the pair total into a downward (j -> i) and an upward
 - 1/f flux noise is classical symmetric noise (equal up/down rates): its
   temperature dependence lives inside the measured noise amplitude, so
   imposing a quantum asymmetry on top would double count.
+
+The aluminum gap ``GAP`` and the resonator impedance ``RESONATOR_Z0`` are constants.
 """
 
 from __future__ import annotations
@@ -34,12 +36,14 @@ import numpy as np
 from .constants import E_CHARGE, H, HBAR, K_B, PHI0
 from .errors import QuasiparticleEnergyWarning, ZeroTransitionError, check_fields
 from .hamiltonian import Spectrum
-from .resonator import ResonatorParams, coupling_capacitance
+from .resonator import RESONATOR_Z0, ResonatorParams, coupling_capacitance
 
 # Control and readout lines present a matched microwave environment.
 LINE_IMPEDANCE = 50.0  # Ohm
 
 Q_REFERENCE_FREQUENCY = 6e9  # Hz, pivot of the quality-factor power law
+
+GAP = 44e9  # Hz, superconducting gap of thin-film aluminum as a frequency
 
 
 class Mechanism(str, Enum):
@@ -77,25 +81,23 @@ class Environment:
     """Bath temperatures, noise amplitudes, and coupling constants.
 
     a_phi is the 1/f flux-noise power at 1 Hz in units of Phi0^2 (the square
-    of the usual sqrt(A_phi) quoted in uPhi0/sqrt(Hz)). gap is the
-    superconducting gap as a frequency (44 GHz is thin-film aluminum).
-    qc_eff and epsilon parameterize the frequency-dependent capacitive
-    quality factor Q'(f) = qc_eff * (6 GHz / f)^epsilon.
+    of the usual sqrt(A_phi) quoted in uPhi0/sqrt(Hz)). qc_eff and epsilon
+    parameterize the frequency-dependent capacitive quality factor
+    Q'(f) = qc_eff * (6 GHz / f)^epsilon. The superconducting gap is the
+    constant ``GAP``.
     """
 
     t_qubit: float = 0.040
     t_res: float = 0.065
     a_phi: float = 0.0
-    alpha: float = 1.0
     x_qp: float = 0.0
-    gap: float = 44e9
     c_drive: float = 20e-18
     m_drive: float = PHI0 / 0.0215
     qc_eff: float = 3.0e5
     epsilon: float = 0.25
 
     def __post_init__(self):
-        check_fields(self, t_qubit="> 0", t_res="> 0", a_phi=">= 0", x_qp=">= 0", gap="> 0",
+        check_fields(self, t_qubit="> 0", t_res="> 0", a_phi=">= 0", x_qp=">= 0",
                      c_drive=">= 0", m_drive=">= 0", qc_eff="> 0")
 
 
@@ -109,10 +111,6 @@ class MechanismRateTable:
     mechanism: Mechanism
     rates: np.ndarray
     pairs: ChannelPairs
-
-    @property
-    def n(self) -> int:
-        return self.rates.shape[0]
 
     def pair_sum(self, i: int = 0, j: int = 1) -> float:
         """Gamma_{i->j} + Gamma_{j->i}, the symmetrized two-level rate."""
@@ -130,9 +128,10 @@ def q_of_frequency(env: Environment, f):
 def purcell_resistance(res: ResonatorParams, f):
     """Re Z_in (Ohm) of the feedline filtered by the readout resonator.
 
-    Quarter-wave line of impedance Z0 and angle theta = pi f / (2 f_res),
-    inductively coupled to a matched feedline with mutual M inferred from the
-    resonator quality factor: M = (Z0/w_res) sqrt(pi/(2 Q_res)). Of
+    Quarter-wave line of impedance Z0 = RESONATOR_Z0 and angle
+    theta = pi f / (2 f_res), inductively coupled to a matched feedline with
+    mutual M inferred from the resonator quality factor:
+    M = (Z0/w_res) sqrt(pi/(2 Q_res)). Of
     Z_in = Z0 (w^2 M^2 cos + 2j Z0^2 sin) / (2 Z0^2 cos + j w^2 M^2 sin) only
     the real part, 2 Z0^3 w^2 M^2 / (4 Z0^4 cos^2 + w^4 M^4 sin^2), relaxes the
     qubit; it stays finite at the cotangent poles. f may be a scalar or an array.
@@ -141,7 +140,7 @@ def purcell_resistance(res: ResonatorParams, f):
         raise ValueError(f"frequency must be > 0, got {f!r}")
     coupling = (2.0 * math.pi * f * purcell_mutual_inductance(res)) ** 2  # w^2 M^2
     theta = math.pi * f / (2.0 * res.omega_res)
-    z0 = res.z0
+    z0 = RESONATOR_Z0
     return (2.0 * z0**3 * coupling
             / (4.0 * z0**4 * np.cos(theta) ** 2 + coupling**2 * np.sin(theta) ** 2))
 
@@ -149,7 +148,7 @@ def purcell_resistance(res: ResonatorParams, f):
 def purcell_mutual_inductance(res: ResonatorParams) -> float:
     """Resonator-feedline mutual (H) implied by the loaded quality factor."""
     omega_res = 2.0 * math.pi * res.omega_res
-    return res.z0 / omega_res * math.sqrt(math.pi / (2.0 * res.q_res))
+    return RESONATOR_Z0 / omega_res * math.sqrt(math.pi / (2.0 * res.q_res))
 
 
 @lru_cache(maxsize=16)
@@ -223,7 +222,7 @@ def build_mechanism_table(
     others. A degenerate pair (f_ij = 0) with a nonzero matrix element and a
     switched-on channel raises ZeroTransitionError naming the pair. The
     quasiparticle channels warn once per table when live pairs lie above
-    gap/10, where their low-energy spectral density is inaccurate.
+    GAP/10, where their low-energy spectral density is inaccurate.
     """
     mechanism = Mechanism(mechanism)
     if mechanism is Mechanism.PURCELL and res is None:
@@ -245,11 +244,11 @@ def build_mechanism_table(
         op, coupling = spec.n_elem, 16.0 * H * p.ec / HBAR
         spectral = None
     elif mechanism is Mechanism.FLUX_NOISE:
-        # S_Phi(w) = (2 pi A_phi / w)^alpha; A_phi sits inside the power law,
-        # so it switches the channel here rather than through the prefactor
+        # 1/f noise S_Phi(w) = 2 pi A_phi Phi0^2 / w; a zero A_phi switches
+        # the channel off through the prefactor
         op, bath = spec.phi_elem, "symmetric"
         coupling = 2.0 / HBAR**2 * (2.0 * math.pi * H * p.el / PHI0) ** 2 if env.a_phi else 0.0
-        spectral = (2.0 * math.pi * env.a_phi * PHI0**2 / omega) ** env.alpha
+        spectral = 2.0 * math.pi * env.a_phi * PHI0**2 / omega
     elif mechanism in (Mechanism.QP_JUNCTION, Mechanism.QP_ARRAY):
         # the array's per-junction phase drop is linearized, so the junction
         # count cancels and the closed form carries 2 E_L and the full phi
@@ -257,7 +256,7 @@ def build_mechanism_table(
             op, coupling = spec.sin_half_elem, 16.0 * H * p.ej * env.x_qp / (math.pi * HBAR)
         else:
             op, coupling = spec.phi_elem, 2.0 * H * p.el * env.x_qp / (math.pi * HBAR)
-        spectral, bath = np.sqrt(2.0 * env.gap / fs), "boltzmann"
+        spectral, bath = np.sqrt(2.0 * GAP / fs), "boltzmann"
     elif mechanism is Mechanism.CHARGE_LINE:
         # voltage noise S_V = hbar w Z coth(x) through C_d across n
         op = spec.n_elem
@@ -288,11 +287,11 @@ def build_mechanism_table(
             f"degenerate pair ({i[k]}, {j[k]}): {mechanism.value} rate undefined"
         )
     if bath == "boltzmann":
-        n_hot = np.count_nonzero(live & (f > env.gap / 10.0))
+        n_hot = np.count_nonzero(live & (f > GAP / 10.0))
         if n_hot:
             warnings.warn(
                 f"{mechanism.value}: {n_hot} level pair(s) lie above gap/10 = "
-                f"{env.gap / 10.0:.3e} Hz; the low-energy quasiparticle spectral "
+                f"{GAP / 10.0:.3e} Hz; the low-energy quasiparticle spectral "
                 "density is inaccurate there",
                 QuasiparticleEnergyWarning,
                 stacklevel=2,

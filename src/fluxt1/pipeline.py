@@ -216,14 +216,12 @@ class QceffInverter(BiasModel):
         residual = 1.0 / t1_measured - background
         q = (self.env.qc_eff * self.pair_rate((Mechanism.CAPACITIVE,)) / residual
              if residual > 0.0 else 0.0)
-        unmatched = (f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
-                     f"reproduces t1 = {t1_measured:.3e} s")
         if self.mode is T1Mode.TWO_LEVEL:
             if 10.0 ** LOG10_QCEFF_MIN <= q <= 10.0 ** LOG10_QCEFF_MAX:
                 return q
             detail = (f"the closed form gives qc_eff = {q:.3e}" if residual > 0.0 else
                       f"the non-capacitive channels alone give t1 = {1.0 / background:.3e} s")
-            raise FitError(f"{unmatched} ({detail})")
+            raise _unmatched(t1_measured, detail)
 
         log_t1 = math.log(t1_measured)
         memo: dict[float, float] = {}
@@ -239,9 +237,15 @@ class QceffInverter(BiasModel):
             u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
         if u is None:
             bound = LOG10_QCEFF_MAX if g(u0) < 0.0 else LOG10_QCEFF_MIN
-            raise FitError(f"{unmatched} (model t1 at the bound is "
-                           f"{math.exp(g(bound) + log_t1):.3e} s)")
+            raise _unmatched(t1_measured, "model t1 at the bound is "
+                                          f"{math.exp(g(bound) + log_t1):.3e} s")
         return 10.0 ** u
+
+
+def _unmatched(t1_measured: float, detail: str) -> FitError:
+    """The error of a t1 that no qc_eff within the bounds reproduces."""
+    return FitError(f"no qc_eff in [1e{LOG10_QCEFF_MIN:g}, 1e{LOG10_QCEFF_MAX:g}] "
+                    f"reproduces t1 = {t1_measured:.3e} s ({detail})")
 
 
 def two_level_qceff_closed_form(

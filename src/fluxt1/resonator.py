@@ -18,20 +18,21 @@ from .constants import E_CHARGE, HBAR
 from .errors import ResonanceCollisionError, check_fields
 from .hamiltonian import Spectrum
 
-DEFAULT_GUARD_BAND = 1e3  # Hz
+GUARD_BAND = 1e3  # Hz
+RESONATOR_Z0 = 50.0  # Ohm, characteristic impedance of the readout resonator
 
 
 @dataclass(frozen=True)
 class ResonatorParams:
-    """Bare resonator frequency, coupling and linewidth, all in Hz."""
+    """Bare resonator frequency, coupling and linewidth, all in Hz; the line
+    impedance is the constant ``RESONATOR_Z0``."""
 
     omega_res: float
     g: float
     kappa: float
-    z0: float = 50.0
 
     def __post_init__(self):
-        check_fields(self, omega_res="> 0", g=">= 0", kappa="> 0", z0="> 0")
+        check_fields(self, omega_res="> 0", g=">= 0", kappa="> 0")
 
     @property
     def q_res(self) -> float:
@@ -41,7 +42,8 @@ class ResonatorParams:
 
 @dataclass(frozen=True)
 class DressedResponse:
-    """Per-state dispersive shifts and S21 points at a fixed probe tone.
+    """Per-state dispersive shifts and S21 points at the probe tone
+    omega_res + chi_0, the ground-state dressed frequency.
 
     ``s21_points`` are unrotated; ``rotation_angle`` is the global phase that
     maximizes the 0-1 readout contrast.
@@ -50,23 +52,17 @@ class DressedResponse:
     chi: np.ndarray
     s21_points: np.ndarray
     rotation_angle: float
-    probe: float
 
     def rotated_points(self) -> np.ndarray:
         return self.s21_points * np.exp(1j * self.rotation_angle)
 
 
-def dispersive_shift(
-    spec: Spectrum,
-    res: ResonatorParams,
-    state: int,
-    guard_band: float = DEFAULT_GUARD_BAND,
-) -> float:
+def dispersive_shift(spec: Spectrum, res: ResonatorParams, state: int) -> float:
     """Resonator pull chi_state (Hz) from second-order charge coupling.
 
     chi_i = sum_{j != i} 2 g^2 |<i|n|j>|^2 w_ij / (w_ij^2 - w_res^2).
     Raises :class:`ResonanceCollisionError` if any contributing transition
-    falls within ``guard_band`` of the resonator: near-resonant terms are an
+    falls within ``GUARD_BAND`` of the resonator: near-resonant terms are an
     error rather than being skipped, since skipping silently biases chi.
     """
     n = spec.n_levels
@@ -79,10 +75,10 @@ def dispersive_shift(
         if j == state:
             continue
         w_ij = float(spec.energies[j] - spec.energies[state])
-        if abs(abs(w_ij) - res.omega_res) < guard_band:
+        if abs(abs(w_ij) - res.omega_res) < GUARD_BAND:
             raise ResonanceCollisionError(
                 f"transition ({state}, {j}) at {w_ij:.6e} Hz lies within "
-                f"{guard_band:.0e} Hz of the resonator at {res.omega_res:.6e} Hz",
+                f"{GUARD_BAND:.0e} Hz of the resonator at {res.omega_res:.6e} Hz",
                 transition=(state, j),
             )
         elem2 = abs(spec.n_elem[state, j]) ** 2
@@ -115,34 +111,25 @@ def rotate_for_contrast(points) -> tuple[float, np.ndarray]:
     return angle, pts * np.exp(1j * angle)
 
 
-def dressed_response(
-    spec: Spectrum,
-    res: ResonatorParams,
-    probe: float | None = None,
-    guard_band: float = DEFAULT_GUARD_BAND,
-) -> DressedResponse:
-    """Dispersive shifts and S21 for every retained state at one probe tone.
-
-    The probe defaults to the ground-state dressed frequency omega_res + chi_0,
-    matching how the readout tone is parked in practice.
+def dressed_response(spec: Spectrum, res: ResonatorParams) -> DressedResponse:
+    """Dispersive shifts and S21 for every retained state, probed at the
+    ground-state dressed frequency omega_res + chi_0, where the readout tone
+    is parked in practice.
     """
-    chi = np.array(
-        [dispersive_shift(spec, res, i, guard_band=guard_band) for i in range(spec.n_levels)]
-    )
-    if probe is None:
-        probe = res.omega_res + chi[0]
+    chi = np.array([dispersive_shift(spec, res, i) for i in range(spec.n_levels)])
+    probe = res.omega_res + chi[0]
     points = np.array([s21(res, c, probe) for c in chi])
     angle, _ = rotate_for_contrast(points)
     chi.setflags(write=False)
     points.setflags(write=False)
-    return DressedResponse(chi=chi, s21_points=points, rotation_angle=angle, probe=float(probe))
+    return DressedResponse(chi=chi, s21_points=points, rotation_angle=angle)
 
 
 def coupling_capacitance(res: ResonatorParams, c_sigma: float) -> float:
     """Qubit-resonator coupling capacitance (F) implied by g.
 
     C_c = hbar g C_sigma / (2 e omega_res) * sqrt(pi / (2 hbar Z0)), with g
-    and omega_res as angular frequencies.
+    and omega_res as angular frequencies and Z0 = RESONATOR_Z0.
     """
     if c_sigma <= 0.0:
         raise ValueError(f"c_sigma must be > 0, got {c_sigma!r}")
@@ -150,5 +137,5 @@ def coupling_capacitance(res: ResonatorParams, c_sigma: float) -> float:
     w_res_ang = 2.0 * math.pi * res.omega_res
     return (
         HBAR * g_ang * c_sigma / (2.0 * E_CHARGE * w_res_ang)
-        * math.sqrt(math.pi / (2.0 * HBAR * res.z0))
+        * math.sqrt(math.pi / (2.0 * HBAR * RESONATOR_Z0))
     )

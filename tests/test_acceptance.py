@@ -162,8 +162,7 @@ def test_criterion_04_two_level_equivalence():
                         continue
                     t1_pop = predicted_t1(params, res, env, bias,
                                           mode=T1Mode.MULTILEVEL_POPULATION,
-                                          n_levels=2, mechanisms=(mechanism,),
-                                          spec=spec)
+                                          n_levels=2, mechanisms=(mechanism,))
                 worst = max(worst, abs(t1_pop - 1.0 / gamma) * gamma)
                 checked += 1
     passed = worst <= 1e-9

@@ -82,7 +82,8 @@ class TestDiagonalize:
         assert spec.sin_half_elem[0, 1] == 0.0
         assert abs(spec.sin_half_elem[0, 2]) > 0.3  # same parity: allowed
         env = environment_of(qubit, x_qp=1e-9)
-        assert two_level_total_rate(spec.lowest(2), resonator_of(qubit), env,
+        two = diagonalize(params, FluxBias(0.5), n_levels=2)
+        assert two_level_total_rate(two, resonator_of(qubit), env,
                                     (Mechanism.QP_JUNCTION,)) == 0.0
         # the rule holds at half-odd flux only
         assert diagonalize(params, FluxBias(0.49), n_levels=6).sin_half_elem[0, 1] != 0.0
@@ -143,26 +144,6 @@ class TestDiagonalize:
                 kept = want > 1e-6 * want.max()
                 np.testing.assert_allclose(got[kept], want[kept], rtol=1e-8,
                                            err_msg=f"{qubit} {name} at phi={phi}")
-
-    def test_lowest_returns_leading_blocks_without_solving(self, b1_half_flux_spectrum,
-                                                           monkeypatch):
-        import fluxt1.hamiltonian as hamiltonian
-
-        spec = b1_half_flux_spectrum
-        monkeypatch.setattr(hamiltonian, "_solve_basis", None)  # any solve would fail
-        two = spec.lowest(2)
-        assert (two.n_levels, two.basis_dim) == (2, spec.basis_dim)
-        assert (two.params, two.bias) == (spec.params, spec.bias)
-        np.testing.assert_array_equal(two.energies, spec.energies[:2])
-        for name in ("n_elem", "phi_elem", "sin_half_elem"):
-            np.testing.assert_array_equal(getattr(two, name), getattr(spec, name)[:2, :2])
-        np.testing.assert_array_equal(two._phi_centered_diag, spec._phi_centered_diag[:2])
-        assert spec.lowest(6) is spec
-        with pytest.raises(ValueError):
-            two.energies[0] = 0.0
-        for bad in (1, 7):
-            with pytest.raises(ValueError):
-                spec.lowest(bad)
 
     def test_convergence_failure_carries_last_delta(self, b1_params, monkeypatch):
         import fluxt1.hamiltonian as hamiltonian

@@ -14,6 +14,7 @@ import pytest
 from fluxt1.cli import cli
 from fluxt1.errors import DataError
 from fluxt1.io import (
+    _OPTIONAL_DEVICE_KEYS,
     SCHEMA_ID,
     parse_device_file,
     parse_t1_csv,
@@ -131,12 +132,20 @@ def test_every_checked_field_rejects_non_finite_values(obj, name, bad):
 
 
 @pytest.mark.parametrize("obj, name, bad", [
-    (CHECKED[2], "z0", 0.0), (CHECKED[2], "g", -1.0), (CHECKED[3], "c_drive", -1e-18),
+    (CHECKED[2], "g", -1.0), (CHECKED[3], "c_drive", -1e-18),
     (CHECKED[3], "m_drive", -1.0), (CHECKED[3], "qc_eff", 0.0), (CHECKED[4], "n_binned", 0),
 ])
 def test_checked_field_rejects_wrong_sign(obj, name, bad):
     with pytest.raises(ValueError, match=f"{name} must be finite and"):
         replace(obj, **{name: bad})
+
+
+def test_every_model_field_is_set_by_an_input():
+    # a field that no device key or CLI option sets is a constant, not a field
+    settable = {name for name in _OPTIONAL_DEVICE_KEYS.values() if name is not None}
+    settable |= {"a_phi", "qc_eff", "epsilon", "x_qp"}  # sqrt_a_phi_uphi0; --qceff/--epsilon/--xqp
+    assert {f.name for f in fields(Environment)} == settable
+    assert [f.name for f in fields(ResonatorParams)] == ["omega_res", "g", "kappa"]
 
 
 @pytest.mark.filterwarnings("ignore:.*plausible")

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fluxt1 import loss
 from fluxt1.constants import E_CHARGE, H, HBAR, K_B, PHI0
 from fluxt1.dynamics import two_level_total_rate
 from fluxt1.errors import QuasiparticleEnergyWarning, ZeroTransitionError
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
+    GAP,
     Environment,
     Mechanism,
     build_mechanism_table,
@@ -23,7 +25,7 @@ from fluxt1.loss import (
     purcell_resistance,
     q_of_frequency,
 )
-from fluxt1.resonator import ResonatorParams, coupling_capacitance
+from fluxt1.resonator import RESONATOR_Z0, ResonatorParams, coupling_capacitance
 
 from conftest import environment_of, params_of, resonator_of
 
@@ -46,9 +48,9 @@ def input_impedance(res, f):
     m = purcell_mutual_inductance(res)
     theta = math.pi * f / (2 * res.omega_res)
     c, s = np.cos(theta), np.sin(theta)
-    num = omega**2 * m**2 * c + 2j * res.z0**2 * s
-    den = 2 * res.z0**2 * c + 1j * omega**2 * m**2 * s
-    return res.z0 * num / den
+    num = omega**2 * m**2 * c + 2j * RESONATOR_Z0**2 * s
+    den = 2 * RESONATOR_Z0**2 * c + 1j * omega**2 * m**2 * s
+    return RESONATOR_Z0 * num / den
 
 
 def transition(spec, i, j):
@@ -171,7 +173,7 @@ class TestRateQuasiparticle:
         i, j = pair
         f, downward, elems = transition(spec, i, j)
         expected = (16 * H * spec.params.ej * 1e-9 / (math.pi * HBAR)
-                    * math.sqrt(2 * env.gap / f)
+                    * math.sqrt(2 * GAP / f)
                     * elems["sin_half_elem"])
         if not downward:
             expected *= math.exp(-H * f / (K_B * env.t_qubit))
@@ -187,7 +189,7 @@ class TestRateQuasiparticle:
         i, j = pair
         f, downward, elems = transition(spec, i, j)
         expected = (2 * H * spec.params.el * 1e-9 / (math.pi * HBAR)
-                    * math.sqrt(2 * env.gap / f)
+                    * math.sqrt(2 * GAP / f)
                     * elems["phi_elem"])
         if not downward:
             expected *= math.exp(-H * f / (K_B * env.t_qubit))
@@ -215,14 +217,15 @@ class TestRateQuasiparticle:
             table = rates(b1_half_flux_spectrum, env, Mechanism.QP_JUNCTION)
         assert table[1, 0] < 1.0  # T1 > 1 s from this channel alone
 
-    def test_warns_above_gap_fraction(self, b1_params):
-        env = Environment(x_qp=1e-9, gap=30e9)
+    def test_warns_above_gap_fraction(self, b1_params, monkeypatch):
+        monkeypatch.setattr(loss, "GAP", 30e9)
+        env = Environment(x_qp=1e-9)
         # one warning per table, counting live unordered pairs above gap/10
         for n_levels in (2, 6):
             spec = diagonalize(b1_params, FluxBias(0.0), n_levels=n_levels)  # f01 ~4.4 GHz
             i, j = np.triu_indices(n_levels, k=1)
             live_hot = np.count_nonzero(
-                (spec.energies[j] - spec.energies[i] > env.gap / 10)
+                (spec.energies[j] - spec.energies[i] > loss.GAP / 10)
                 & (spec.sin_half_elem[i, j] != 0.0))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -291,7 +294,7 @@ class TestPurcellImpedance:
         m = purcell_mutual_inductance(res)
         omega_res = 2 * math.pi * res.omega_res
         # exact expression at the cotangent zero: Z0 * 2j Z0^2 / (j w^2 M^2)
-        expected = 2 * res.z0**3 / (omega_res**2 * m**2)
+        expected = 2 * RESONATOR_Z0**3 / (omega_res**2 * m**2)
         at_res = purcell_resistance(res, res.omega_res)
         assert at_res == pytest.approx(expected, rel=1e-12)
         # and it is the scan maximum
@@ -307,7 +310,7 @@ class TestPurcellImpedance:
         m = purcell_mutual_inductance(res)
         omega = 2 * math.pi * 2 * res.omega_res
         value = purcell_resistance(res, 2 * res.omega_res)
-        assert value == pytest.approx(omega**2 * m**2 / (2 * res.z0), rel=1e-9)
+        assert value == pytest.approx(omega**2 * m**2 / (2 * RESONATOR_Z0), rel=1e-9)
 
     @pytest.mark.parametrize("qubit", ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3"])
     def test_is_the_real_part_of_the_input_impedance(self, qubit):
@@ -324,7 +327,7 @@ class TestPurcellImpedance:
     def test_mutual_inductance_closed_form(self):
         res = resonator_of("B1")
         q_res = res.omega_res / res.kappa
-        expected = res.z0 / (2 * math.pi * res.omega_res) * math.sqrt(math.pi / (2 * q_res))
+        expected = RESONATOR_Z0 / (2 * math.pi * res.omega_res) * math.sqrt(math.pi / (2 * q_res))
         assert purcell_mutual_inductance(res) == pytest.approx(expected, rel=1e-12)
 
 

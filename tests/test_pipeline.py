@@ -225,7 +225,7 @@ class TestOneModelPath:
             warnings.simplefilter("ignore")
             for phi in (0.1, 0.27, 0.5):
                 spec = provider(phi)
-                direct = predicted_t1(params, res, env, FluxBias(phi), mode=mode, spec=spec)
+                direct = predicted_t1(params, res, env, FluxBias(phi), mode=mode)
                 inverted = QceffInverter(spec, res, env, mode).predict_t1(env.qc_eff)
                 assert direct == inverted
 
