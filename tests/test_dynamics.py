@@ -441,6 +441,22 @@ class TestPredictedT1:
                                mode=T1Mode.MULTILEVEL_POPULATION, n_levels=2)
             assert pop == pytest.approx(two, rel=1e-9)
 
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    @pytest.mark.parametrize("mode", list(T1Mode))
+    def test_is_the_bias_model_on_its_spectrum(self, b1_params, b1_resonator, mode,
+                                               monkeypatch):
+        import fluxt1.dynamics as dynamics
+
+        env = environment_of("B1")
+        bias = FluxBias(0.5)
+        spec = diagonalize(b1_params, bias, n_levels=6)
+        solves = []
+        monkeypatch.setattr(dynamics, "diagonalize",
+                            lambda *a, **k: solves.append(k) or diagonalize(*a, **k))
+        t1 = predicted_t1(b1_params, b1_resonator, env, bias, mode=mode, n_levels=6)
+        assert solves == [{"n_levels": 6}]  # one solve, at the requested size
+        assert t1 == BiasModel(spec, b1_resonator, env).t1(mode, ANALYSIS_MECHANISMS)
+
     def test_b1_six_level_close_to_two_level_at_half_flux(self, b1_params, b1_resonator):
         env = environment_of("B1")
         bias = FluxBias(0.5)

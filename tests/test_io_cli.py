@@ -16,6 +16,7 @@ from fluxt1.errors import DataError
 from fluxt1.io import (
     _OPTIONAL_DEVICE_KEYS,
     SCHEMA_ID,
+    csv_text,
     parse_device_file,
     parse_t1_csv,
     read_distribution,
@@ -213,6 +214,22 @@ class TestT1Csv:
             [(r.phi_ext, r.t1, r.omega01, r.t1_err) for r in ds.records]
         write_t1_csv(str(path), back)
         assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("cell, text", [
+    ("0.50", "0.50"), ("two_level", "two_level"), (None, ""), (0.1, "0.1"), (1, "1.0"),
+    (np.float64(1e-4), "0.0001"), (np.float32(0.1), "0.10000000149011612"),
+], ids=["numeric-text", "text", "none", "float", "int", "float64", "float32"])
+def test_csv_text_cell(cell, text):
+    # text passes as given, None is empty, every other cell is repr(float(cell))
+    assert csv_text(["c", "d"], [[cell, 0.5]]) == f"c,d\r\n{text},0.5\r\n"
+
+
+def test_t1_csv_is_csv_text_of_its_records(tmp_path):
+    ds = T1Dataset(records=(T1Record(phi_ext=0.3, t1=9.87e-5, omega01=None, t1_err=None),))
+    path = tmp_path / "one.csv"
+    write_t1_csv(str(path), ds)
+    assert path.read_bytes() == b"phi_ext,t1_s,omega01_hz,t1_err_s\r\n0.3,9.87e-05,,\r\n"
 
 
 A3_ROW = dict(qubit_id="A3", process_label="A", ej_ghz=4.38, ec_ghz=1.02, el_ghz=0.53,

@@ -182,6 +182,19 @@ class TestRateQuasiparticle:
             table = rates(spec, env, Mechanism.QP_JUNCTION)
         assert table[i, j] == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("mechanism", [Mechanism.QP_JUNCTION, Mechanism.QP_ARRAY])
+    def test_gap_is_read_at_call_time(self, b1_params, mechanism, monkeypatch):
+        # the spectral density goes as sqrt(GAP): a fourfold gap doubles every rate
+        spec = diagonalize(b1_params, FluxBias(0.37), n_levels=6)
+        env = Environment(x_qp=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            base = rates(spec, env, mechanism)
+            monkeypatch.setattr(loss, "GAP", 4 * GAP)
+            scaled = rates(spec, env, mechanism)
+        assert base.any()
+        np.testing.assert_allclose(scaled, 2 * base, rtol=1e-12)
+
     @pytest.mark.parametrize("pair", DIRECTED)
     def test_array_against_printed_closed_form(self, b1_half_flux_spectrum, pair):
         spec = b1_half_flux_spectrum

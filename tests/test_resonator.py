@@ -12,6 +12,7 @@ from fluxt1.constants import E_CHARGE, HBAR
 from fluxt1.errors import ResonanceCollisionError
 from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.resonator import (
+    GUARD_BAND,
     ResonatorParams,
     coupling_capacitance,
     dispersive_shift,
@@ -53,6 +54,18 @@ class TestDispersiveShift:
         with pytest.raises(ResonanceCollisionError) as err:
             dispersive_shift(spec, res, 0)
         assert err.value.transition == (0, 3)
+
+    @pytest.mark.parametrize("offset, collides", [(0.5, True), (2.0, False)])
+    def test_guard_band_sets_the_collision_edge(self, b1_half_flux_spectrum, offset,
+                                                collides):
+        spec = b1_half_flux_spectrum
+        w03 = float(spec.energies[3] - spec.energies[0])
+        res = ResonatorParams(omega_res=w03 + offset * GUARD_BAND, g=100e6, kappa=0.3e6)
+        if collides:
+            with pytest.raises(ResonanceCollisionError):
+                dispersive_shift(spec, res, 0)
+        else:
+            assert math.isfinite(dispersive_shift(spec, res, 0))
 
     def test_sign_change_across_flux(self, b1_params, b1_resonator):
         # a transition crossing the resonator flips the relative shift sign
