@@ -21,11 +21,11 @@ multilevel quality-factor inversion in ``pipeline`` uses it too.
 
 from __future__ import annotations
 
-import copy
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import brentq
@@ -219,8 +219,16 @@ def rising_root(g, u0: float, step: float, lo: float, hi: float, xtol: float) ->
     The bracket reaches ``step`` from u0 toward the sign change and doubles
     its reach until g changes sign, clipped to [lo, hi]; ``brentq`` then
     solves it to ``xtol``. Returns None when g keeps its sign up to the bound.
+    Each value of g is computed once: ``brentq`` reads the bracket ends again.
     """
-    g0 = g(u0)
+    seen: dict[float, float] = {}
+
+    def once(u: float) -> float:
+        if u not in seen:
+            seen[u] = g(u)
+        return seen[u]
+
+    g0 = once(u0)
     if g0 == 0.0:
         return u0
     # g rises with u, so the root lies above u0 when g0 < 0
@@ -228,12 +236,12 @@ def rising_root(g, u0: float, step: float, lo: float, hi: float, xtol: float) ->
     inner = u0
     while True:
         outer = min(max(u0 + toward * step, lo), hi)
-        if toward * g(outer) >= 0.0:
+        if toward * once(outer) >= 0.0:
             break
         if outer in (lo, hi):
             return None
         inner, step = outer, 2.0 * step
-    return brentq(g, min(inner, outer), max(inner, outer), xtol=xtol)
+    return brentq(once, min(inner, outer), max(inner, outer), xtol=xtol)
 
 
 def fit_exponential(times, signal) -> DecayFit:
@@ -398,62 +406,56 @@ def two_level_total_rate(
     return total
 
 
-@dataclass
-class _BiasMemo:
-    """What every model of one bias shares, whatever its frequency exponent:
-    each channel's table as first built there, the 0<->1 pair rate of each
-    channel but the capacitive one, p0 and the readout weights."""
-
-    tables: dict[Mechanism, MechanismRateTable] = field(default_factory=dict)
-    pairs: dict[Mechanism, float] = field(default_factory=dict)
-    p0: np.ndarray | None = None
-    weights: np.ndarray | None = None
+# every Environment field but the two of the capacitive quality factor: with
+# the resonator they key the rate data a spectrum's models share, so a field
+# added later joins the key and can never make two environments share wrongly
+_bath = attrgetter(*(f.name for f in fields(Environment) if f.name not in ("qc_eff", "epsilon")))
 
 
 class BiasModel:
     """The relaxation model at one flux bias, read in any mode at any qc_eff.
 
-    Each channel's rate table is built once for the bias, and with it the
-    channel's exponent-free ``ChannelPairs``. The frequency exponent enters
-    only the capacitive channel, as the factor 1/Q'(f_ij) on its split
-    pairs, so a model at another exponent (``with_epsilon``) evaluates that
-    factor from the shared pairs and rebuilds nothing: one model per bias
-    serves the exclusion filter and the inversion at every exponent. At a
-    fixed exponent the capacitive rates scale exactly as 1/qc_eff, so a
-    trial qc_eff rescales them by env.qc_eff / qc_eff. Also shared: the
-    computationally inverted thermal state ``p0`` and the readout
-    ``weights`` (each state's rotated S21 at the ground-state dressed probe,
-    real part).
+    Every model built on one spectrum with one resonator and bath (every
+    ``Environment`` field but qc_eff and epsilon) shares its rate data in
+    ``spec.memo``, whatever its qc_eff or frequency exponent: each channel's
+    table, built once with its exponent-free ``ChannelPairs``, the
+    non-capacitive 0<->1 pair rates, the computationally inverted thermal
+    state ``p0`` and the readout ``weights`` (each state's rotated S21 at the
+    ground-state dressed probe, real part). The exponent enters only the
+    capacitive channel, as the factor 1/Q'(f_ij) on its split pairs, which
+    the model evaluates from the shared pairs, so a model at another
+    exponent builds no table. At a fixed exponent the capacitive rates scale
+    exactly as 1/qc_eff, so a trial qc_eff rescales them by
+    env.qc_eff / qc_eff.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams | None, env: Environment):
         self.spec = spec
         self.res = res
         self.env = env
-        self._memo = _BiasMemo()
-        # the capacitive 0<->1 pair rate and table at this model's exponent
-        self._capacitive_pair: float | None = None
-        self._capacitive_rates: np.ndarray | None = None
+        self._memo = spec.memo.setdefault((res, _bath(env)), {})
+
+    def _memoized(self, key, make):
+        """The bias's shared value under key, made on first read."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = make()
+        return value
 
     def _table(self, mechanism: Mechanism) -> MechanismRateTable:
         """The channel's table as first built for the bias."""
-        tables = self._memo.tables
-        table = tables.get(mechanism)
-        if table is None:
-            table = tables[mechanism] = build_mechanism_table(self.spec, self.res, self.env,
-                                                              mechanism)
-        return table
+        return self._memoized(mechanism, lambda: build_mechanism_table(
+            self.spec, self.res, self.env, mechanism))
 
     def _pair(self, mechanism: Mechanism) -> float:
         """One channel's 0<->1 pair rate at env.qc_eff and env.epsilon."""
         if mechanism == Mechanism.CAPACITIVE:
-            if self._capacitive_pair is None:
-                self._capacitive_pair = self._table(mechanism).pairs.pair_sum(self.env)
-            return self._capacitive_pair
-        pairs = self._memo.pairs
-        pair = pairs.get(mechanism)
+            return self._table(mechanism).pairs.pair_sum(self.env)
+        # read four times on every two-level step, so without _memoized's call
+        key = (mechanism, "pair")
+        pair = self._memo.get(key)
         if pair is None:
-            pair = pairs[mechanism] = self._table(mechanism).pair_sum(0, 1)
+            pair = self._memo[key] = self._table(mechanism).pair_sum(0, 1)
         return pair
 
     def _rates(self, mechanism: Mechanism) -> np.ndarray:
@@ -461,39 +463,18 @@ class BiasModel:
         table = self._table(mechanism)
         if mechanism != Mechanism.CAPACITIVE:
             return table.rates
-        if self._capacitive_rates is None:
-            self._capacitive_rates = table.pairs.table(self.env).rates
-        return self._capacitive_rates
+        return self._memoized((mechanism, self.env.qc_eff, self.env.epsilon),
+                              lambda: table.pairs.table(self.env).rates)
 
     @property
     def p0(self) -> np.ndarray:
-        memo = self._memo
-        if memo.p0 is None:
-            memo.p0 = invert_computational(thermal_population(self.spec, self.env.t_qubit))
-        return memo.p0
+        return self._memoized("p0", lambda: invert_computational(
+            thermal_population(self.spec, self.env.t_qubit)))
 
     @property
     def weights(self) -> np.ndarray:
-        memo = self._memo
-        if memo.weights is None:
-            memo.weights = dressed_response(self.spec, self.res).rotated_points().real
-        return memo.weights
-
-    def with_epsilon(self, env: Environment) -> "BiasModel":
-        """This model in ``env``, which must differ from this model's
-        environment in the frequency exponent alone.
-
-        The copy builds nothing: it shares p0, the weights and every table
-        built for the bias, before or after, by any model of the bias, and
-        evaluates the capacitive factor at its exponent from the shared
-        capacitive pairs when first read.
-        """
-        if env.epsilon == self.env.epsilon:
-            return self
-        other = copy.copy(self)
-        other.env = env
-        other._capacitive_pair = other._capacitive_rates = None
-        return other
+        return self._memoized("weights", lambda: dressed_response(
+            self.spec, self.res).rotated_points().real)
 
     def pair_rate(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> float:
         """Sum over mechanisms of the symmetrized 0<->1 rate, in

@@ -13,8 +13,9 @@ retained energies are stable to one part in 1e9, so results do not depend on
 the starting truncation; each solve computes only the retained levels, not
 the whole basis spectrum.
 
-All functions here are pure; ``Spectrum`` values are immutable (backing
-arrays are write-locked) and safe to share across threads.
+All functions here are pure. A ``Spectrum``'s arrays are write-locked; its
+``memo`` only holds values that downstream layers derive from those arrays,
+so filling it twice gives the same result.
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class Spectrum:
     charge, phase, and sin(phi/2) operators in the energy eigenbasis. The
     generating parameters and bias are carried along because downstream rate
     formulas need the circuit energies together with the matrix elements.
+    ``memo`` holds what downstream layers derive from the spectrum, filled on
+    first read: the ``BiasModel``s built on it share their rate data there.
     """
 
     params: FluxoniumParams
@@ -82,6 +85,7 @@ class Spectrum:
     n_levels: int
     # diagonal of phi' (well-centered phase) per level, used for flux dispersion
     _phi_centered_diag: np.ndarray = field(repr=False, default=None)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def transition_frequency(self, i: int, j: int) -> float:
         """Signed transition frequency energies[j] - energies[i] in Hz."""

@@ -88,29 +88,21 @@ class T1Dataset:
 
 
 class CachedSpectrumProvider:
-    """phi_ext -> Spectrum map with memoization, for per-record rate work,
-    and the memoized ``BiasModel`` of each bias, resonator and environment:
-    the one model that the exclusion filter and every inversion there read."""
+    """phi_ext -> Spectrum map with memoization, for per-record rate work:
+    the models built on a served spectrum share its rate data, so the
+    exclusion filter and every inversion of one bias share one build of its
+    tables."""
 
     def __init__(self, params: FluxoniumParams, n_levels: int = 6):
         self.params = params
         self.n_levels = n_levels
         self._cache: dict[float, Spectrum] = {}
-        self._models: dict[tuple, BiasModel] = {}
 
     def __call__(self, phi_ext: float) -> Spectrum:
         key = float(phi_ext)
         if key not in self._cache:
             self._cache[key] = diagonalize(self.params, FluxBias(key), n_levels=self.n_levels)
         return self._cache[key]
-
-    def model(self, phi_ext: float, res: ResonatorParams, env: Environment) -> BiasModel:
-        """The bias's model in (res, env), built on first use."""
-        key = (float(phi_ext), res, env)
-        model = self._models.get(key)
-        if model is None:
-            model = self._models[key] = BiasModel(self(phi_ext), res, env)
-        return model
 
 
 def bin_average(ds: T1Dataset, bin_width: float = DEFAULT_BIN_WIDTH) -> T1Dataset:
@@ -143,8 +135,7 @@ def bin_average(ds: T1Dataset, bin_width: float = DEFAULT_BIN_WIDTH) -> T1Datase
                     n_binned=total,
                 )
             )
-    return T1Dataset(records=tuple(out), qubit_id=ds.qubit_id,
-                     n_ingest_dropped=ds.n_ingest_dropped)
+    return replace(ds, records=tuple(out))
 
 
 def exclusion_filter(
@@ -158,18 +149,16 @@ def exclusion_filter(
 
     A record is dropped when the combined flux-noise plus radiative
     prediction exceeds ``threshold`` of its measured decay rate: such points
-    say little about capacitive loss. The prediction reads the bias's model
-    from ``spec_provider`` (a ``CachedSpectrumProvider``), which the
-    inversion reads later.
+    say little about capacitive loss. ``spec_provider`` is any
+    phi_ext -> Spectrum callable; on a ``CachedSpectrumProvider``'s spectra
+    the tables built here serve the later inversion of the same records.
     """
     kept, dropped = [], []
     for r in ds.records:
-        predicted = spec_provider.model(r.phi_ext, res, env).pair_rate(BACKGROUND_MECHANISMS)
+        predicted = BiasModel(spec_provider(r.phi_ext), res, env).pair_rate(BACKGROUND_MECHANISMS)
         measured = 1.0 / r.t1
         (dropped if predicted / measured > threshold else kept).append(r)
-    make = lambda recs: T1Dataset(records=tuple(recs), qubit_id=ds.qubit_id,  # noqa: E731
-                                  n_ingest_dropped=ds.n_ingest_dropped)
-    return make(kept), make(dropped)
+    return replace(ds, records=tuple(kept)), replace(ds, records=tuple(dropped))
 
 
 class QceffInverter(BiasModel):
@@ -180,22 +169,15 @@ class QceffInverter(BiasModel):
     the root in log10(qc_eff), where modeled t1 rises monotonically; each
     trial qc_eff rescales the model's memoized capacitive table, so no rate
     is recomputed. The frequency exponent enters only K, as the factor
-    (f_ij / 6 GHz)^epsilon on the capacitive pairs: an inverter made by
-    ``of`` from the bias's model, and each ``with_epsilon`` copy of it,
-    share that model's tables and build none.
+    (f_ij / 6 GHz)^epsilon on the capacitive pairs: inverters on one
+    spectrum, at any exponent, share its tables and build none after the
+    first.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams, env: Environment,
                  mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL):
         super().__init__(spec, res, env)
         self.mode = T1Mode(mode)
-
-    @classmethod
-    def of(cls, model: BiasModel, mode: T1Mode) -> "QceffInverter":
-        """An inverter in ``mode`` that shares everything ``model`` memoizes."""
-        inverter = cls(model.spec, model.res, model.env, mode)
-        inverter._memo = model._memo
-        return inverter
 
     def predict_t1(self, qc_eff: float) -> float:
         return self.t1(self.mode, qc_eff=qc_eff)
@@ -224,21 +206,18 @@ class QceffInverter(BiasModel):
             raise _unmatched(t1_measured, detail)
 
         log_t1 = math.log(t1_measured)
-        memo: dict[float, float] = {}
 
         def g(u: float) -> float:
-            if u not in memo:
-                memo[u] = math.log(self.predict_t1(10.0 ** u)) - log_t1
-            return memo[u]
+            return math.log(self.predict_t1(10.0 ** u)) - log_t1
 
         u0 = math.log10(q) if 1e2 < q < 1e9 else math.log10(FALLBACK_QCEFF)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
-        if u is None:
-            bound = LOG10_QCEFF_MAX if g(u0) < 0.0 else LOG10_QCEFF_MIN
-            raise _unmatched(t1_measured, "model t1 at the bound is "
-                                          f"{math.exp(g(bound) + log_t1):.3e} s")
+            if u is None:
+                bound = LOG10_QCEFF_MAX if g(u0) < 0.0 else LOG10_QCEFF_MIN
+                raise _unmatched(t1_measured, "model t1 at the bound is "
+                                              f"{math.exp(g(bound) + log_t1):.3e} s")
         return 10.0 ** u
 
 
@@ -302,14 +281,13 @@ def extract_qceff_dataset(
     env: Environment,
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
 ) -> QceffDistribution:
-    """Invert every record of a dataset, in record order, through the
-    bias's model that ``spec_provider`` memoizes."""
+    """Invert every record of a dataset, in record order, on the spectrum
+    ``spec_provider`` serves for its bias."""
     entries = []
     for record in ds.records:
-        model = spec_provider.model(record.phi_ext, res, env)
-        q = QceffInverter.of(model, mode).invert(record.t1)
-        freq = (record.omega01 if record.omega01 is not None
-                else model.spec.transition_frequency(0, 1))
+        spec = spec_provider(record.phi_ext)
+        q = QceffInverter(spec, res, env, mode).invert(record.t1)
+        freq = record.omega01 if record.omega01 is not None else spec.transition_frequency(0, 1)
         entries.append(QceffEntry(freq=float(freq), qceff=q, n_binned=record.n_binned))
     return QceffDistribution(entries=tuple(entries), epsilon_used=env.epsilon,
                              qubit_id=ds.qubit_id)
@@ -345,9 +323,9 @@ def summarize(dist: QceffDistribution) -> DistributionSummary:
 class QubitAnalysisInput:
     """Everything needed to re-run the extraction for one qubit.
 
-    ``spec_provider`` maps a record's phi_ext to its spectrum and its model
-    (a ``CachedSpectrumProvider``, typically the one that already served the
-    exclusion filter, so no bias is solved or modeled twice); it fixes the
+    ``spec_provider`` maps a record's phi_ext to its spectrum (a
+    ``CachedSpectrumProvider``, typically the one that already served the
+    exclusion filter, so no bias is solved or tabulated twice); it fixes the
     retained levels.
     """
 
@@ -374,6 +352,8 @@ def fit_epsilon_global(
     For each trial exponent, every qubit's records are re-inverted; each
     qubit's log10 quality factors are centered on the log of that qubit's
     mean, pooled, and the exponent with the smallest pooled variance wins.
+    The exponent enters only the capacitive pairs' factor, so an inverter at
+    any exponent shares the tables its spectrum already holds and builds none.
     """
     if not qubit_inputs:
         raise ValueError("need at least one qubit dataset")
@@ -381,22 +361,15 @@ def fit_epsilon_global(
     if grid.size == 0:
         raise ValueError("the exponent grid is empty")
 
-    # the exponent enters only the capacitive pairs' factor: each record's
-    # inverter reads the bias's model in the qubit's own environment (the
-    # one the exclusion filter read), and its with_epsilon copy at each
-    # exponent, in one environment per qubit, builds no table
-    inverters = []
-    for qi in qubit_inputs:
-        inverters.append([
-            (QceffInverter.of(qi.spec_provider.model(r.phi_ext, qi.res, qi.env), mode), r.t1)
-            for r in qi.dataset.records
-        ])
+    spectra = [[(qi.spec_provider(r.phi_ext), r.t1) for r in qi.dataset.records]
+               for qi in qubit_inputs]
     variances = np.empty(grid.size)
     for k, eps in enumerate(grid.tolist()):
         pooled = []
-        for qi, records in zip(qubit_inputs, inverters):
+        for qi, records in zip(qubit_inputs, spectra):
             env = replace(qi.env, epsilon=eps)
-            values = np.array([inv.with_epsilon(env).invert(t1) for inv, t1 in records])
+            values = np.array([QceffInverter(spec, qi.res, env, mode).invert(t1)
+                               for spec, t1 in records])
             pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
         variances[k] = float(np.var(pooled))
     best = int(np.argmin(variances))

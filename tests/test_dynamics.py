@@ -2,7 +2,7 @@
 
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.io import parse_device_file
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
+    Environment,
     Mechanism,
     build_mechanism_table,
 )
@@ -500,8 +501,9 @@ class TestBiasModel:
                 rebuilt = BiasModel(spec, b1_resonator, replace(env, qc_eff=q)).t1(mode)
                 assert model.t1(mode, qc_eff=q) == pytest.approx(rebuilt, rel=1e-12)
 
-    @pytest.mark.filterwarnings("ignore:decay fit residual")
-    def test_with_epsilon_builds_no_table(self, b1_params, b1_resonator, monkeypatch):
+    @staticmethod
+    def _count_builds(monkeypatch) -> list:
+        """The mechanisms of every table built from here on, in build order."""
         import fluxt1.dynamics as dynamics
 
         built = []
@@ -511,25 +513,66 @@ class TestBiasModel:
             return build_mechanism_table(spec, res, env, mechanism)
 
         monkeypatch.setattr(dynamics, "build_mechanism_table", counting)
+        return built
+
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    def test_model_at_another_exponent_builds_no_table(self, b1_params, b1_resonator,
+                                                       monkeypatch):
+        built = self._count_builds(monkeypatch)
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.3), n_levels=6)
         model = BiasModel(spec, b1_resonator, env)
         before = model.t1(T1Mode.MULTILEVEL_POPULATION)
         assert sorted(built) == sorted(ANALYSIS_MECHANISMS)
-        assert model.with_epsilon(env) is model
-        other = model.with_epsilon(replace(env, epsilon=0.6))
+        other = BiasModel(spec, b1_resonator, replace(env, epsilon=0.6))
         built.clear()
         moved = other.t1(T1Mode.MULTILEVEL_POPULATION)
         assert built == []
         assert other.p0 is model.p0
-        fresh = BiasModel(spec, b1_resonator, replace(env, epsilon=0.6))
+        fresh = BiasModel(diagonalize(b1_params, FluxBias(0.3), n_levels=6), b1_resonator,
+                          replace(env, epsilon=0.6))
         assert moved == fresh.t1(T1Mode.MULTILEVEL_POPULATION)
         assert model.t1(T1Mode.MULTILEVEL_POPULATION) == before != moved
 
+    def test_models_of_one_spectrum_share_tables_across_qc_eff_and_epsilon(
+            self, b1_params, b1_resonator, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        env = environment_of("B1")
+        spec = diagonalize(b1_params, FluxBias(0.3), n_levels=6)
+        models = [BiasModel(spec, b1_resonator, replace(env, **moved))
+                  for moved in ({}, dict(qc_eff=1.2e5), dict(epsilon=-0.4),
+                                dict(qc_eff=4.5e5, epsilon=0.9))]
+        for model in models:
+            model.generator()
+        assert sorted(built) == sorted(ANALYSIS_MECHANISMS)
+        assert all(model.p0 is models[0].p0 for model in models)
+        assert all(model.weights is models[0].weights for model in models)
+
+    @pytest.mark.parametrize("changed", ["resonator", *(
+        f.name for f in fields(Environment) if f.name not in ("qc_eff", "epsilon"))])
+    def test_another_resonator_or_bath_builds_fresh_tables(self, changed, b1_params,
+                                                           b1_resonator, monkeypatch):
+        built = self._count_builds(monkeypatch)
+        env, res = environment_of("B1"), b1_resonator
+        spec = diagonalize(b1_params, FluxBias(0.3), n_levels=6)
+        model = BiasModel(spec, res, env)
+        model.generator()
+        if changed == "resonator":
+            res = replace(res, kappa=2.0 * res.kappa)
+        else:
+            value = getattr(env, changed)
+            env = replace(env, **{changed: 2.0 * value if value else 1e-9})
+        built.clear()
+        other = BiasModel(spec, res, env)
+        other.generator()
+        assert sorted(built) == sorted(ANALYSIS_MECHANISMS)
+        assert other.p0 is not model.p0
+
     @pytest.mark.parametrize("device", SHIPPED_DEVICES, ids=lambda path: path.stem)
-    def test_with_epsilon_capacitive_rates_equal_a_fresh_build(self, device):
-        # the copy evaluates the shared exponent-free pairs at its exponent:
-        # its pair rate and its table equal a table built there, bit for bit
+    def test_model_at_another_exponent_has_the_rates_of_a_fresh_build(self, device):
+        # a model on the same spectrum evaluates the shared exponent-free
+        # pairs at its exponent: its pair rate and its table equal a table
+        # built there, bit for bit
         dev = parse_device_file(str(device))
         env, res = dev.environment(), dev.resonator_params()
         start, stop, step = EPSILON_GRID
@@ -537,11 +580,11 @@ class TestBiasModel:
         capacitive = (Mechanism.CAPACITIVE,)
         for phi in (0.05, 0.27, 0.5):
             spec = diagonalize(dev.fluxonium_params(), FluxBias(phi), n_levels=6)
-            model = BiasModel(spec, res, env)
+            BiasModel(spec, res, env).generator(capacitive)
             for eps in exponents:
                 moved = replace(env, epsilon=eps)
                 fresh = build_mechanism_table(spec, res, moved, Mechanism.CAPACITIVE)
-                other = model.with_epsilon(moved)
+                other = BiasModel(spec, res, moved)
                 assert other.pair_rate(capacitive) == fresh.pair_sum(0, 1)
                 assert np.array_equal(other.generator(capacitive).b,
                                       build_rate_matrix(fresh.rates).b)

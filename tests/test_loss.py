@@ -497,14 +497,17 @@ class TestDegenerateTransitions:
             warnings.simplefilter("error", RuntimeWarning)
             table = rates(self._degenerate_spectrum(dead_pair=(1, 2)), env,
                           Mechanism.CAPACITIVE)
-            model = BiasModel(self._degenerate_spectrum(dead_pair=(1, 2)), None,
-                              Environment()).with_epsilon(env)
+            # the spectrum's capacitive pairs are first read at the default
+            # exponent, then evaluated at -1
+            spec = self._degenerate_spectrum(dead_pair=(1, 2))
+            BiasModel(spec, None, Environment()).generator(capacitive)
+            model = BiasModel(spec, None, env)
             assert model.pair_rate(capacitive) == table[0, 1] + table[1, 0] > 0.0
             moved = model.generator(capacitive).b
         assert table[1, 2] == 0.0 and table[2, 1] == 0.0
         assert moved[1, 2] == 0.0 and moved[2, 1] == 0.0
         assert np.array_equal(moved[~np.eye(4, dtype=bool)], table.T[~np.eye(4, dtype=bool)])
-        live = BiasModel(self._degenerate_spectrum(), None, Environment()).with_epsilon(env)
+        live = BiasModel(self._degenerate_spectrum(), None, env)
         for read in (lambda: rates(self._degenerate_spectrum(), env, Mechanism.CAPACITIVE),
                      lambda: live.pair_rate(capacitive)):
             with pytest.raises(ZeroTransitionError, match=r"\(1, 2\)"):
