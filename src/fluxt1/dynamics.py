@@ -451,12 +451,8 @@ class BiasModel:
         """One channel's 0<->1 pair rate at env.qc_eff and env.epsilon."""
         if mechanism == Mechanism.CAPACITIVE:
             return self._table(mechanism).pairs.pair_sum(self.env)
-        # read four times on every two-level step, so without _memoized's call
-        key = (mechanism, "pair")
-        pair = self._memo.get(key)
-        if pair is None:
-            pair = self._memo[key] = self._table(mechanism).pair_sum(0, 1)
-        return pair
+        return self._memoized((mechanism, "pair"),
+                              lambda: self._table(mechanism).pair_sum(0, 1))
 
     def _rates(self, mechanism: Mechanism) -> np.ndarray:
         """One channel's rate table at env.qc_eff and env.epsilon."""

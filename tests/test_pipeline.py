@@ -305,14 +305,16 @@ class TestInversionContract:
                              ids=lambda m: m.value)
     @pytest.mark.parametrize("phi", (0.04, 0.2444, 0.3, 0.5))
     def test_multilevel_round_trip_reaches_root_tolerance(self, mode, phi):
-        # the data come from an inverter with another reference qc_eff, as
-        # when extract-qceff reads T1s simulated elsewhere; the model T1 must
-        # be smooth enough in qc_eff that the root find, not fit scatter,
-        # sets the error (ROOT_XTOL decades is ~2.3e-12 relative)
-        spec = diagonalize(params_of("A3"), FluxBias(phi), n_levels=6)
+        # the data come from an inverter with another reference qc_eff, built
+        # on its own spectrum so the two share no memoized data, as when
+        # extract-qceff reads T1s simulated elsewhere; the model T1 must be
+        # smooth enough in qc_eff that the root find, not fit scatter, sets
+        # the error (ROOT_XTOL decades is ~2.3e-12 relative)
         res = resonator_of("A3")
-        source = QceffInverter(spec, res, environment_of("A3", qc_eff=2.2e5), mode=mode)
-        inverter = QceffInverter(spec, res, environment_of("A3", qc_eff=3.0e5), mode=mode)
+        source, inverter = (
+            QceffInverter(diagonalize(params_of("A3"), FluxBias(phi), n_levels=6), res,
+                          environment_of("A3", qc_eff=q), mode=mode)
+            for q in (2.2e5, 3.0e5))
         for q_true in (1.4e5, 2.2e5, 3.7e5):
             assert inverter.invert(source.predict_t1(q_true)) == pytest.approx(q_true, rel=1e-11)
 
