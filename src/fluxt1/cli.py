@@ -165,20 +165,24 @@ def _cmd_spectrum(args) -> int:
 _MECHANISM_NAMES = {m.value: m for m in Mechanism}
 
 
+def _selection(text: str, kind: str, choices: list[str]) -> list[str]:
+    """The tokens of a comma list; an empty list or an unknown token is a usage error."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise _UsageError(f"no {kind} selected; choose from {choices}")
+    for tok in tokens:
+        if tok not in choices:
+            raise _UsageError(f"unknown {kind} {tok!r}; choose from {choices}")
+    return tokens
+
+
 def _cmd_predict_t1(args) -> int:
     device, env = _device_env(args, qc_eff=args.qceff, x_qp=args.xqp)
     params, res = device.fluxonium_params(), device.resonator_params()
-    mech_tokens = [tok.strip() for tok in args.mechanisms.split(",") if tok.strip()]
-    for tok in mech_tokens:
-        if tok != "total" and tok not in _MECHANISM_NAMES:
-            raise _UsageError(f"unknown mechanism {tok!r}; choose from "
-                              f"{sorted(_MECHANISM_NAMES) + ['total']}")
-    mode_tokens = [tok.strip() for tok in args.modes.split(",") if tok.strip()]
+    mech_tokens = _selection(args.mechanisms, "mechanism", sorted(_MECHANISM_NAMES) + ["total"])
     mode_map = {"two_level": T1Mode.TWO_LEVEL, "six_level": T1Mode.MULTILEVEL_POPULATION,
                 "signal": T1Mode.MULTILEVEL_SIGNAL}
-    for tok in mode_tokens:
-        if tok not in mode_map:
-            raise _UsageError(f"unknown mode {tok!r}; choose from {sorted(mode_map)}")
+    mode_tokens = _selection(args.modes, "mode", sorted(mode_map))
 
     rows = []
     for phi in _flux_grid(args):

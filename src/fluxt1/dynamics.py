@@ -93,8 +93,8 @@ class RateMatrix:
 
     def stationary_distribution(self) -> np.ndarray:
         """Zero-mode eigenvector normalized to unit 1-norm (a probability vector)."""
-        v0 = np.real_if_close(self.eigenvectors[:, self.stationary_index])
-        return np.real(v0) / np.real(v0).sum()
+        v0 = np.real(self.eigenvectors[:, self.stationary_index])
+        return v0 / v0.sum()
 
     def mode_coefficients(self, p0: np.ndarray) -> np.ndarray:
         """Expansion coefficients c with p0 = V c."""
@@ -105,7 +105,8 @@ def build_rate_matrix(rates: np.ndarray) -> RateMatrix:
     """The master-equation generator of directional rates, decomposed.
 
     ``rates[i, j]`` is Gamma_{i->j} with every channel summed; the diagonal
-    is ignored.
+    is ignored. The eigensystem is the one ``np.linalg.eig`` returns, real or
+    complex; a resolved complex pair (max |Im w| > 1e-9 max |Re w|) warns.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
@@ -118,19 +119,11 @@ def build_rate_matrix(rates: np.ndarray) -> RateMatrix:
     np.fill_diagonal(b, -b.sum(axis=0))
 
     try:
-        w_raw, v_raw = np.linalg.eig(b)
+        w, v = np.linalg.eig(b)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"generator eigendecomposition failed: {exc}") from exc
-    scale = float(np.max(np.abs(w_raw.real))) if np.max(np.abs(w_raw.real)) > 0 else 1.0
-    w, v = w_raw, v_raw
-    if np.max(np.abs(w_raw.imag)) <= _EIG_IMAG_RTOL * scale:
-        # a borderline conjugate pair can leave v.real rank-deficient even
-        # when the imaginary parts are negligible; fall back to complex then
-        w, v = w_raw.real, v_raw.real
-        cond = np.linalg.cond(v)
-        if not np.isfinite(cond) or cond > 1e12:
-            w, v = w_raw, v_raw
-    else:
+    scale = float(np.max(np.abs(w.real))) or 1.0
+    if np.max(np.abs(w.imag)) > _EIG_IMAG_RTOL * scale:
         warnings.warn(
             "generator has a complex eigenpair (mixed-temperature baths can "
             "drive steady-state cycles); keeping complex arithmetic",

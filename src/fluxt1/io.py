@@ -1,10 +1,10 @@
 """File schemas: device parameter JSON, T1/dephasing CSV, result envelopes.
 
 Every file carries explicit units in its keys or headers; values convert to
-SI immediately on parse. JSON results share one versioned envelope
-(``fluxt1/result/v1``) validated by the schema shipped in ``schemas/``. All
-writes are atomic (temp file + rename) and byte-deterministic for fixed
-inputs: keys are sorted, floats use repr, and no timestamps are embedded.
+SI on parse. JSON results share one versioned envelope (``fluxt1/result/v1``);
+the tests validate it against the schema in ``schemas/``, and ``read_result``
+checks only its schema id. Writes are atomic (temp file + rename) and
+byte-deterministic for fixed inputs: sorted keys, repr floats, no timestamps.
 """
 
 from __future__ import annotations

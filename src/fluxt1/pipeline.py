@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import BiasModel, T1Mode, rising_root, two_level_total_rate
-from .errors import FitError, check_fields
+from .errors import DataError, FitError, check_fields
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
 from .loss import BACKGROUND_MECHANISMS, Environment, Mechanism, build_mechanism_table
 from .resonator import ResonatorParams
@@ -360,6 +360,9 @@ def fit_epsilon_global(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("the exponent grid is empty")
+    empty = [qi.dataset.qubit_id for qi in qubit_inputs if not qi.dataset.records]
+    if empty:
+        raise DataError(f"no records left to fit for qubits {empty}")
 
     spectra = [[(qi.spec_provider(r.phi_ext), r.t1) for r in qi.dataset.records]
                for qi in qubit_inputs]

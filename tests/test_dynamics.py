@@ -28,7 +28,7 @@ from fluxt1.dynamics import (
     thermal_population,
     two_level_total_rate,
 )
-from fluxt1.errors import FitError
+from fluxt1.errors import FitError, NumericalError
 from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.io import parse_device_file
 from fluxt1.loss import (
@@ -105,6 +105,43 @@ class TestBuildRateMatrix:
             rm = BiasModel(b1_half_flux_spectrum, b1_resonator, env).generator(mechanisms)
         boltzmann = thermal_population(b1_half_flux_spectrum, 0.040)
         np.testing.assert_allclose(rm.stationary_distribution(), boltzmann, atol=1e-6)
+
+    def test_real_eigensystem_stays_float64(self, rng):
+        rates, _ = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
+        assert rm.eigenvalues.dtype == rm.eigenvectors.dtype == np.float64
+
+    def test_cycle_keeps_complex_pair_and_evolves_exactly(self):
+        # a driven 3-cycle: eigenvalues 0 and -151.5 +- 85.7i
+        rates = np.array([[0.0, 100.0, 1.0], [1.0, 0.0, 100.0], [100.0, 1.0, 0.0]])
+        with pytest.warns(UserWarning, match="complex eigenpair") as record:
+            rm = build_rate_matrix(rates)
+        assert len(record) == 1
+        assert rm.eigenvalues.dtype == rm.eigenvectors.dtype == np.complex128
+        assert np.abs(rm.eigenvalues.imag).max() == pytest.approx(85.7365, rel=1e-5)
+        p0 = np.array([1.0, 0.0, 0.0])
+        times = np.linspace(0.0, 0.05, 40)
+        trace = evolve(rm, p0, times)
+        sol = solve_ivp(lambda t, y: rm.b @ y, (0.0, times[-1]), p0,
+                        t_eval=times, method="DOP853", rtol=1e-11, atol=1e-13)
+        assert np.max(np.abs(trace.populations - sol.y.T)) < 1e-8
+        np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0, atol=1e-12)
+        assert not trace.renormalized
+
+    def test_reducible_generator_stays_complex_silently_and_has_no_decay(self):
+        # A1 at half flux, junction quasiparticles alone: parity splits the
+        # levels into two closed sets, so the generator has two zero modes,
+        # and eig returns a complex system with a negligible imaginary part
+        spec = diagonalize(params_of("A1"), FluxBias(0.5), n_levels=6)
+        model = BiasModel(spec, resonator_of("A1"), environment_of("A1", x_qp=1e-9))
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            rm = model.generator((Mechanism.QP_JUNCTION,))
+        assert not [w for w in record if "complex eigenpair" in str(w.message)]
+        assert rm.eigenvalues.dtype == rm.eigenvectors.dtype == np.complex128
+        assert np.abs(rm.eigenvalues.imag).max() <= 1e-9 * np.abs(rm.eigenvalues.real).max()
+        with pytest.raises(NumericalError, match="found 2"):
+            model.decay((Mechanism.QP_JUNCTION,))
 
     def test_dimension_mismatch_rejected(self):
         for shape in [(2, 3), (3,), (2, 2, 2)]:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import fields, replace
 from importlib import resources
 from pathlib import Path
@@ -838,6 +839,9 @@ class TestOptionValues:
          "--exclusion-threshold", "nan"],
         ["extract-qceff", "--device", "{device}", "--t1-csv", "{t1}", "--bin-width-hz", "nan"],
         ["fit-epsilon", "--qubit", "{device}", "{t1}", "--bin-width-hz", "nan"],
+        ["predict-t1", "--device", "{device}", "--flux", "0.2", "--mechanisms", ""],
+        ["predict-t1", "--device", "{device}", "--flux", "0.2", "--modes", " , "],
+        ["predict-t1", "--device", "{device}", "--flux", "0.2", "--modes", "three_level"],
     ], ids=lambda args: f"{args[0]} {' '.join(args[-2:])}")
     def test_rejected_option_value_exits_1(self, a1_device, tmp_path, capsys, args):
         t1 = tmp_path / "t1.csv"
@@ -854,6 +858,28 @@ class TestOptionValues:
         assert code == 1
         assert out == ""
         assert json.loads(err)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("kept_b1", [True, False], ids=["b1 kept", "every qubit empty"])
+def test_fit_epsilon_qubit_without_records_is_a_data_error(a1_device, tmp_path, capsys,
+                                                          kept_b1):
+    # T1 = 10 s is far above every background limit, so exclusion drops each a1 row
+    a1_t1 = tmp_path / "a1.csv"
+    a1_t1.write_text("phi_ext,t1_s\n0.1,10\n0.2,10\n0.3,10\n")
+    b1_device, b1_t1 = tmp_path / "b1.json", tmp_path / "b1.csv"
+    b1_device.write_text(json.dumps(B1_ROW))
+    b1_t1.write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n0.5,2.1e-4\n")
+    b1 = ["--qubit", str(b1_device), str(b1_t1 if kept_b1 else a1_t1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["fit-epsilon", "--qubit", a1_device, str(a1_t1), *b1,
+                                  "--mode", "two_level"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert "A1" in error["message"]
+    assert ("B1" in error["message"]) != kept_b1
 
 
 def test_benchmark_workloads_pass_at_selftest_sizes(tmp_path, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxt1.dynamics import T1Mode, predicted_t1, two_level_total_rate
-from fluxt1.errors import FitError
+from fluxt1.errors import DataError, FitError
 from fluxt1.hamiltonian import FluxBias, diagonalize, flux_dispersion
 from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
 from fluxt1.pipeline import (
@@ -382,6 +382,14 @@ class TestEpsilonFit:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="grid is empty"):
             fit_epsilon_global(self._synthetic_inputs(epsilon=0.25), grid=np.array([]))
+
+    def test_qubit_without_records_is_a_data_error_naming_it(self):
+        inputs = self._synthetic_inputs(epsilon=0.25)
+        inputs[0] = replace(inputs[0], dataset=replace(inputs[0].dataset, records=()))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match=r"\['A1'\]"):
+                fit_epsilon_global(inputs, grid=np.array([0.0, 0.25]))
 
     def test_one_environment_per_qubit_and_exponent(self, monkeypatch):
         inputs = self._synthetic_inputs(epsilon=0.25)
