@@ -3,9 +3,10 @@
 
 Synthesizes noisy per-qubit relaxation datasets for the three process-A and
 three process-B device designs, with process B generated at a chosen relative
-quality advantage. The measured files then run through the production CLI
-pipeline (extract-qceff per qubit, compare on the pooled process files) and
-the script prints whether the planted advantage is resolved.
+quality advantage. Each measured file runs through the production CLI's
+extract-qceff; the script then pools each process's quality factors in
+process, runs Welch's test on the pooled values, and prints whether the
+planted advantage is resolved.
 
 Example:
     python scripts/synthetic_process_compare.py --advantage 1.14 \
@@ -13,7 +14,6 @@ Example:
 """
 
 import argparse
-import json
 import sys
 import tempfile
 import warnings
@@ -23,20 +23,9 @@ import numpy as np
 
 from fluxt1.cli import cli
 from fluxt1.dynamics import T1Mode
-from fluxt1.io import (
-    distribution_to_payload,
-    parse_device_file,
-    read_distribution,
-    write_result,
-    write_t1_csv,
-)
-from fluxt1.pipeline import (
-    CachedSpectrumProvider,
-    QceffDistribution,
-    QceffInverter,
-    T1Dataset,
-    T1Record,
-)
+from fluxt1.io import parse_device_file, read_distribution, write_t1_csv
+from fluxt1.pipeline import CachedSpectrumProvider, QceffInverter, T1Dataset, T1Record
+from fluxt1.stats import ci_of_mean_difference, welch_t_test
 
 PROCESS_A = ("a1", "a2", "a3")
 PROCESS_B = ("b1", "b2", "b3")
@@ -65,14 +54,6 @@ def synthesize_dataset(device_path: Path, qc_eff: float, n_points: int,
     write_t1_csv(str(out_csv), T1Dataset(records=tuple(records)))
 
 
-def pool_distributions(paths, pooled_id: str, out_path: Path) -> None:
-    dists = [read_distribution(str(p)) for p in paths]
-    pooled = QceffDistribution(entries=tuple(e for d in dists for e in d.entries),
-                               epsilon_used=dists[-1].epsilon_used, qubit_id=pooled_id)
-    write_result(str(out_path), "extract-qceff", {"pooled_from": [str(p) for p in paths]},
-                 distribution_to_payload(pooled))
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--advantage", type=float, default=1.14,
@@ -90,7 +71,7 @@ def main() -> int:
     devices_dir = Path(args.devices_dir)
     print(f"working directory: {workdir}")
 
-    dist_paths = {"A": [], "B": []}
+    values = {"A": [], "B": []}
     for process, names, advantage in (("A", PROCESS_A, 1.0),
                                       ("B", PROCESS_B, args.advantage)):
         for name in names:
@@ -105,29 +86,17 @@ def main() -> int:
             if code != 0:
                 print(f"extraction failed for {name}", file=sys.stderr)
                 return code
-            dist = read_distribution(str(dist_path))
-            mean = float(np.mean(dist.values()))
-            print(f"  {name}: {len(dist)} points, mean qceff {mean:.3e}")
-            dist_paths[process].append(dist_path)
+            qceff = read_distribution(str(dist_path)).values()
+            print(f"  {name}: {qceff.size} points, mean qceff {float(np.mean(qceff)):.3e}")
+            values[process].append(qceff)
 
-    pooled_a = workdir / "processA.json"
-    pooled_b = workdir / "processB.json"
-    pool_distributions(dist_paths["A"], "processA", pooled_a)
-    pool_distributions(dist_paths["B"], "processB", pooled_b)
-
-    compare_path = workdir / "compare.json"
-    code = cli(["compare", "--dist", str(pooled_b), "--dist", str(pooled_a),
-                "--alpha", "0.05", "--out", str(compare_path)])
-    if code != 0:
-        return code
-    payload = json.loads(compare_path.read_text())
-    pair = next(p for p in payload["data"]["pairs"]
-                if p["id1"] == "processB" and p["id2"] == "processA")
-    lo, hi = pair["ci_low_percent_of_mean2"], pair["ci_high_percent_of_mean2"]
+    result = welch_t_test(np.concatenate(values["B"]), np.concatenate(values["A"]),
+                          alpha=0.05)
+    lo, hi = ci_of_mean_difference(result, result.mean2)
     planted = (args.advantage - 1.0) * 100.0
     print(f"\nplanted advantage: +{planted:.1f}% of the process-A mean")
     print(f"Welch 95% interval for (B - A): [{lo:+.1f}%, {hi:+.1f}%], "
-          f"p = {pair['p_value']:.3g}")
+          f"p = {result.p_value:.3g}")
     resolved = lo > 0.0 or hi < 0.0
     print("verdict:", "difference resolved" if resolved else "not resolved")
     return 0

@@ -12,7 +12,8 @@ import argparse
 import hashlib
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .io import (
     parse_dephasing_csv,
     parse_device_file,
     parse_t1_csv,
-    read_distribution,
     read_result,
     result_envelope,
 )
@@ -312,53 +312,43 @@ def _cmd_fit_flux_noise(args) -> int:
 
 
 def _welch_pairs(dists, alpha: float) -> list[dict]:
+    """Welch tests of every ordered pair of distributions, row by row; each
+    unordered pair is tested once and read in reverse through ``swapped``."""
+    tests = {}
+    for i, j in combinations(range(len(dists)), 2):
+        tests[i, j] = welch_t_test(dists[i].values(), dists[j].values(), alpha=alpha)
+        tests[j, i] = tests[i, j].swapped()
     pairs = []
-    for d1 in dists:
-        for d2 in dists:
-            if d1 is d2:
-                continue
-            result = welch_t_test(d1.values(), d2.values(), alpha=alpha)
-            lo_pct, hi_pct = ci_of_mean_difference(result, result.mean2)
-            pairs.append(dict(
-                id1=d1.qubit_id, id2=d2.qubit_id,
-                t0=result.t0, nu=result.nu, p_value=result.p_value,
-                ci_low=result.ci_low, ci_high=result.ci_high,
-                ci_low_percent_of_mean2=lo_pct, ci_high_percent_of_mean2=hi_pct,
-            ))
+    for (i, j), result in sorted(tests.items()):
+        lo_pct, hi_pct = ci_of_mean_difference(result, result.mean2)
+        pairs.append(dict(
+            id1=dists[i].qubit_id, id2=dists[j].qubit_id,
+            t0=result.t0, nu=result.nu, p_value=result.p_value,
+            ci_low=result.ci_low, ci_high=result.ci_high,
+            ci_low_percent_of_mean2=lo_pct, ci_high_percent_of_mean2=hi_pct,
+        ))
     return pairs
 
 
 def _cmd_compare(args) -> int:
-    dists = [read_distribution(p) for p in args.dist]
-    if len(dists) < 2:
-        raise _UsageError("compare needs at least two --dist files")
-    config = dict(dists=list(args.dist), alpha=args.alpha)
-    data = dict(pairs=_welch_pairs(dists, args.alpha))
-    _emit(dump_json(result_envelope("compare", config, data)), args.out)
-    return EXIT_OK
-
-
-def _cmd_report(args) -> int:
     # each file is read once, so the recorded hash is of the bytes analysed
     dists, sha256, input_configs = [], {}, {}
     for p in args.dist:
         blob, raw = read_result(p)
-        dists.append(distribution_from_result(p, raw))
+        dist = distribution_from_result(p, raw)
+        if len(dist) < 2:
+            raise DataError(f"{p}: a distribution needs at least 2 entries, got {len(dist)}")
+        dists.append(dist)
         sha256[p] = hashlib.sha256(blob).hexdigest()
         # echo each input's own extraction configuration alongside ours
         input_configs[p] = raw.get("config", {})
-    summaries = []
-    for d in dists:
-        s = summarize(d)
-        summaries.append(dict(qubit_id=d.qubit_id, mean=s.mean, median=s.median,
-                              std=s.std, iqr=s.iqr, n=s.n))
-    welch_matrix = _welch_pairs(dists, args.alpha) if len(dists) > 1 else []
-    provenance = {"sha256": sha256}
+    summaries = [dict(qubit_id=d.qubit_id, **asdict(summarize(d))) for d in dists]
     config = dict(dists=list(args.dist), alpha=args.alpha,
                   epsilon_used=[d.epsilon_used for d in dists],
                   input_configs=input_configs)
-    data = dict(summaries=summaries, welch_matrix=welch_matrix, provenance=provenance)
-    _emit(dump_json(result_envelope("report", config, data)), args.out)
+    data = dict(summaries=summaries, pairs=_welch_pairs(dists, args.alpha),
+                provenance={"sha256": sha256})
+    _emit(dump_json(result_envelope("compare", config, data)), args.out)
     return EXIT_OK
 
 
@@ -420,15 +410,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_fit_flux_noise)
 
-    p = sub.add_parser("compare", help="pairwise Welch tests between distributions")
+    p = sub.add_parser("compare", help="summary statistics and pairwise Welch tests "
+                                       "of one or more distributions")
     _add_options(p, "--dist", "--alpha")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("report", help="summary statistics plus the Welch matrix")
-    _add_options(p, "--dist", "--alpha")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_report)
 
     return parser
 

@@ -489,10 +489,10 @@ class BiasModel:
     def decay(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None,
               n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:
         """(times, populations) of p0 relaxing under the selected channels, on
-        the n_points grid the dominant mode sets; None when every selected
-        rate is zero."""
+        the n_points grid the dominant mode sets; None when no path of nonzero
+        rates leads from level 1 to level 0 (every rate zero, or a parity split)."""
         rm = self.generator(mechanisms, qc_eff)
-        if not rm.b.any():
+        if not np.linalg.matrix_power(rm.b != 0.0, rm.n - 1)[0, 1]:
             return None
         times = default_time_grid(rm, self.p0, n_points)
         return times, evolve(rm, self.p0, times).populations
@@ -504,8 +504,8 @@ class BiasModel:
         two_level inverts the sum of 0<->1 rates; the multilevel modes fit an
         exponential to the p1 decay or to the readout signal |p . weights| on
         the grid the dominant mode sets, and warn when the fit residual
-        exceeds FIT_RESIDUAL_GATE of the amplitude. An exactly zero rate (the
-        0<->1 sum, or every selected table) gives inf.
+        exceeds FIT_RESIDUAL_GATE of the amplitude. A zero 0<->1 rate sum, or
+        no path of nonzero rates from level 1 to level 0, gives inf.
         """
         mode = T1Mode(mode)
         if mode is T1Mode.TWO_LEVEL:

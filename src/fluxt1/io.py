@@ -326,10 +326,8 @@ def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
                        n_binned=int(e.get("n_binned", 1)))
             for e in payload["entries"]
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed distribution entry: {exc}") from exc
-    if any(e.qceff <= 0.0 for e in entries):
-        raise DataError(f"{path}: quality factors must be positive")
     return QceffDistribution(
         entries=entries,
         epsilon_used=float(payload.get("epsilon_used", 0.0)),

@@ -258,6 +258,9 @@ class QceffEntry:
     qceff: float
     n_binned: int = 1
 
+    def __post_init__(self):
+        check_fields(self, freq="> 0", qceff="> 0", n_binned="> 0")
+
 
 @dataclass(frozen=True)
 class QceffDistribution:

@@ -10,7 +10,7 @@ the coefficients in this file alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -116,6 +116,12 @@ class WelchResult:
     mean2: float
     n1: int
     n2: int
+
+    def swapped(self) -> WelchResult:
+        """The same test with the samples in the other order, as
+        ``welch_t_test(sample2, sample1)`` computes it bit for bit."""
+        return replace(self, t0=-self.t0, ci_low=-self.ci_high, ci_high=-self.ci_low,
+                       mean1=self.mean2, mean2=self.mean1, n1=self.n2, n2=self.n1)
 
 
 def welch_t_test(sample1, sample2, alpha: float = DEFAULT_ALPHA) -> WelchResult:

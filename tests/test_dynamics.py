@@ -131,7 +131,8 @@ class TestBuildRateMatrix:
     def test_reducible_generator_stays_complex_silently_and_has_no_decay(self):
         # A1 at half flux, junction quasiparticles alone: parity splits the
         # levels into two closed sets, so the generator has two zero modes,
-        # and eig returns a complex system with a negligible imaginary part
+        # and eig returns a complex system with a negligible imaginary part;
+        # level 1 has no path to level 0, so no mode has a decay to fit
         spec = diagonalize(params_of("A1"), FluxBias(0.5), n_levels=6)
         model = BiasModel(spec, resonator_of("A1"), environment_of("A1", x_qp=1e-9))
         with warnings.catch_warnings(record=True) as record:
@@ -141,7 +142,10 @@ class TestBuildRateMatrix:
         assert rm.eigenvalues.dtype == rm.eigenvectors.dtype == np.complex128
         assert np.abs(rm.eigenvalues.imag).max() <= 1e-9 * np.abs(rm.eigenvalues.real).max()
         with pytest.raises(NumericalError, match="found 2"):
-            model.decay((Mechanism.QP_JUNCTION,))
+            rm.stationary_index
+        assert model.decay((Mechanism.QP_JUNCTION,)) is None
+        for mode in T1Mode:
+            assert model.t1(mode, (Mechanism.QP_JUNCTION,)) == math.inf
 
     def test_dimension_mismatch_rejected(self):
         for shape in [(2, 3), (3,), (2, 2, 2)]:

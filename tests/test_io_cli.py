@@ -1,6 +1,7 @@
 """File parsing, result envelopes, CLI subcommands, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import math
 import warnings
@@ -281,17 +282,70 @@ def test_unknown_csv_column_is_a_data_error_naming_it(
     assert column in json.loads(err)["error"]["message"]
 
 
-@pytest.mark.parametrize("command", ["compare", "report"])
 @pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "other/v0"}', "{not json"],
                          ids=["not_an_object", "wrong_schema", "invalid_json"])
-def test_distribution_file_that_is_not_a_result_is_a_data_error(tmp_path, capsys,
-                                                                command, text):
+def test_distribution_file_that_is_not_a_result_is_a_data_error(tmp_path, capsys, text):
     path = tmp_path / "dist.json"
     path.write_text(text)
-    code, out, err = run_cli([command, "--dist", str(path), "--dist", str(path)], capsys)
+    code, out, err = run_cli(["compare", "--dist", str(path), "--dist", str(path)], capsys)
     assert code == 2
     assert out == ""
     assert json.loads(err)["error"]["type"] == "DataError"
+
+
+def dist_envelope(qubit_id, qceff, n_binned=1):
+    """The text of an extract-qceff result holding one entry per quality
+    factor; json writes a non-finite float as NaN or Infinity."""
+    return json.dumps({
+        "schema": SCHEMA_ID, "command": "extract-qceff", "config": {},
+        "data": {"qubit_id": qubit_id, "epsilon_used": 0.25,
+                 "entries": [{"freq_hz": 1e9 + k * 1e7, "qceff": q, "n_binned": n_binned}
+                             for k, q in enumerate(qceff)]},
+    })
+
+
+@pytest.mark.parametrize("qceff, n_binned", [
+    (math.nan, 1), (math.inf, 1), (0.0, 1), (-1.0, 1), (2e5, 0), (2e5, math.inf),
+], ids=["qceff_nan", "qceff_inf", "qceff_zero", "qceff_negative", "n_binned_zero",
+        "n_binned_inf"])
+def test_bad_number_in_distribution_is_a_data_error_naming_the_file(
+        tmp_path, capsys, qceff, n_binned):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
+    bad.write_text(dist_envelope("B", [1.5e5, qceff], n_binned=n_binned))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)],
+                                 capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(bad) in error["message"]
+
+
+@pytest.mark.parametrize("n_entries", [0, 1])
+def test_distribution_with_fewer_than_two_entries_is_a_data_error(tmp_path, capsys,
+                                                                  n_entries):
+    good, short = tmp_path / "good.json", tmp_path / "short.json"
+    good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
+    short.write_text(dist_envelope("S", [1.5e5] * n_entries))
+    code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(short)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert error["message"] == \
+        f"{short}: a distribution needs at least 2 entries, got {n_entries}"
+
+
+def test_report_is_not_a_command(tmp_path, capsys):
+    path = tmp_path / "dist.json"
+    path.write_text(dist_envelope("X", [1e5, 2e5, 3e5]))
+    code, out, err = run_cli(["report", "--dist", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "UsageError"
 
 
 def run_cli(args, capsys):
@@ -344,12 +398,13 @@ class TestCli:
         assert [r["t1_s"] for r in csv.DictReader(out.splitlines())] == ["inf"] * 3
 
     def test_predict_t1_parity_forbidden_channel_is_inf(self, a1_device, capsys):
-        # the junction quasiparticle 0<->1 rate vanishes by symmetry at half flux
+        # the junction quasiparticle 0<->1 rate vanishes by symmetry at half
+        # flux, and parity closes level 1 off from level 0 in every mode
         code, out, _ = run_cli(
             ["predict-t1", "--device", a1_device, "--flux", "0.5", "--mechanisms",
-             "qp_junction", "--xqp", "1e-9", "--modes", "two_level"], capsys)
+             "qp_junction", "--xqp", "1e-9", "--modes", "two_level,six_level,signal"], capsys)
         assert code == 0
-        assert [r["t1_s"] for r in csv.DictReader(out.splitlines())] == ["inf"]
+        assert [r["t1_s"] for r in csv.DictReader(out.splitlines())] == ["inf"] * 3
 
     def test_predict_t1_unresolved_fit_is_nan(self, tmp_path, capsys):
         # flux noise alone leaves A3's readout signal without a resolvable
@@ -451,12 +506,12 @@ class TestCli:
             assert pair["p_value"] == 1.0
             assert pair["t0"] == 0.0
 
-    def test_report_includes_provenance_and_summary(self, tmp_path, result_schema,
-                                                    capsys, rng):
+    def test_compare_includes_provenance_and_summary(self, tmp_path, result_schema,
+                                                     capsys, rng):
         paths = []
         for name in ("p1", "p2"):
             dist = {
-                "schema": SCHEMA_ID, "command": "extract-qceff", "config": {},
+                "schema": SCHEMA_ID, "command": "extract-qceff", "config": {"k": name},
                 "data": {"qubit_id": name, "epsilon_used": 0.25,
                          "entries": [{"freq_hz": float(f), "qceff": float(q),
                                       "n_binned": 1}
@@ -467,13 +522,42 @@ class TestCli:
             p.write_text(json.dumps(dist))
             paths.append(str(p))
         code, out, _ = run_cli(
-            ["report", "--dist", paths[0], "--dist", paths[1]], capsys)
+            ["compare", "--dist", paths[0], "--dist", paths[1]], capsys)
         assert code == 0
         payload = json.loads(out)
         validate(payload, result_schema)
-        assert {s["qubit_id"] for s in payload["data"]["summaries"]} == {"p1", "p2"}
-        assert set(payload["data"]["provenance"]["sha256"]) == set(paths)
-        assert len(payload["data"]["welch_matrix"]) == 2
+        assert [s["qubit_id"] for s in payload["data"]["summaries"]] == ["p1", "p2"]
+        assert payload["data"]["provenance"]["sha256"] == {
+            p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+        assert payload["config"]["input_configs"] == {paths[0]: {"k": "p1"},
+                                                      paths[1]: {"k": "p2"}}
+        assert payload["config"]["epsilon_used"] == [0.25, 0.25]
+        assert [(p["id1"], p["id2"]) for p in payload["data"]["pairs"]] == \
+            [("p1", "p2"), ("p2", "p1")]
+
+    def test_compare_tests_each_unordered_pair_once(self, tmp_path, monkeypatch, capsys):
+        import fluxt1.cli
+
+        welch, calls = fluxt1.cli.welch_t_test, []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return welch(*args, **kwargs)
+
+        monkeypatch.setattr(fluxt1.cli, "welch_t_test", counting)
+        argv = ["compare"]
+        for name, n in (("x", 5), ("y", 9), ("z", 7)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(dist_envelope(name, [1e5 * (1 + 0.1 * k * k) for k in range(n)]))
+            argv += ["--dist", str(path)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(calls) == 3
+        pairs = json.loads(out)["data"]["pairs"]
+        assert [(p["id1"], p["id2"]) for p in pairs] == [
+            ("x", "y"), ("x", "z"), ("y", "x"), ("y", "z"), ("z", "x"), ("z", "y")]
+        assert pairs[2]["t0"] == -pairs[0]["t0"]
+        assert pairs[2]["p_value"] == pairs[0]["p_value"]
 
     def test_extract_round_trip_through_files(self, tmp_path, result_schema, capsys):
         # synthesize decay times from a known quality factor, write them as a
@@ -508,7 +592,7 @@ class TestCli:
         for entry in dist.entries:
             assert entry.qceff == pytest.approx(2.5e5, rel=1e-3)
 
-    def test_report_byte_reproducible(self, tmp_path, rng, capsys):
+    def test_compare_one_file_byte_reproducible(self, tmp_path, rng, result_schema):
         dist = {
             "schema": SCHEMA_ID, "command": "extract-qceff", "config": {},
             "data": {"qubit_id": "r", "epsilon_used": 0.25,
@@ -521,8 +605,12 @@ class TestCli:
         src_path.write_text(json.dumps(dist))
         out1, out2 = tmp_path / "rep1.json", tmp_path / "rep2.json"
         for out in (out1, out2):
-            assert cli(["report", "--dist", str(src_path), "--out", str(out)]) == 0
+            assert cli(["compare", "--dist", str(src_path), "--out", str(out)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        payload = json.loads(out1.read_text())
+        validate(payload, result_schema)
+        assert payload["data"]["pairs"] == []
+        assert payload["data"]["summaries"][0]["n"] == 30
 
     def test_fit_commands_validate_against_schema(self, tmp_path, result_schema,
                                                    capsys):
@@ -818,7 +906,7 @@ class TestOptionValues:
         ["compare", "--dist", "{dist}", "--dist", "{dist}", "--alpha", "2"],
         ["compare", "--dist", "{dist}", "--dist", "{dist}", "--alpha", "1"],
         ["compare", "--dist", "{dist}", "--dist", "{dist}", "--alpha", "nan"],
-        ["report", "--dist", "{dist}", "--alpha", "0"],
+        ["compare", "--dist", "{dist}", "--alpha", "0"],
         ["spectrum", "--device", "{device}", "--levels", "1"],
         ["predict-t1", "--device", "{device}", "--flux", "0.2", "--levels", "1"],
         ["simulate-decay", "--device", "{device}", "--flux", "0.2", "--levels", "1"],
@@ -911,3 +999,29 @@ def test_benchmark_workloads_pass_at_selftest_sizes(tmp_path, monkeypatch):
         codes = workload.run()
         assert codes == [0] * len(codes), (name, codes)
         assert workload.check(codes).problems == [], name
+
+
+def test_synthetic_process_compare_script_runs(tmp_path):
+    # the end-to-end study at a small size: it extracts each qubit through the
+    # CLI, leaves only those files behind, and prints its verdict
+    import os
+    import subprocess
+    import sys
+
+    repo = Path(__file__).resolve().parents[1]
+    workdir = tmp_path / "work"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(repo / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "synthetic_process_compare.py"),
+         "--points-per-qubit", "8", "--workdir", str(workdir),
+         "--devices-dir", str(repo / "devices")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-3] == "planted advantage: +14.0% of the process-A mean"
+    assert lines[-2] == "Welch 95% interval for (B - A): [-16.6%, +39.1%], p = 0.418"
+    assert lines[-1] == "verdict: not resolved"
+    names = ("a1", "a2", "a3", "b1", "b2", "b3")
+    assert sorted(p.name for p in workdir.iterdir()) == sorted(
+        f"{n}_{kind}" for n in names for kind in ("t1.csv", "dist.json"))

@@ -111,6 +111,19 @@ class TestWelch:
         with pytest.raises(ValueError):
             welch_t_test([1.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize("sizes, constant", [((7, 31), False), ((2, 5), False),
+                                                 ((12, 9), True)],
+                             ids=["unequal", "smallest", "one_constant"])
+    def test_swapped_is_the_reversed_test_bit_for_bit(self, rng, sizes, constant):
+        x = rng.lognormal(12.0, 0.4, size=sizes[0])
+        y = np.full(sizes[1], 2.3e5) if constant else rng.lognormal(12.1, 0.3, size=sizes[1])
+        r = welch_t_test(x, y, alpha=0.1)
+        direct = welch_t_test(y, x, alpha=0.1)
+        assert r.swapped() == direct  # every field, with ==
+        assert ci_of_mean_difference(r.swapped(), r.mean1) == \
+            ci_of_mean_difference(direct, direct.mean2)
+        assert r.swapped().swapped() == r
+
     def test_ci_coverage_simulation(self, rng):
         # equal means: about 95% of 95% intervals must contain zero
         hits = 0
