@@ -17,7 +17,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import BiasModel, T1Mode, fit_exponential, heralded_misassignment_error
+from .dynamics import (
+    BiasModel,
+    T1Mode,
+    fit_exponential,
+    heralded_misassignment_error,
+    multilevel_t1,
+)
 from .errors import DataError, FluxT1Error
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
@@ -184,25 +190,60 @@ def _cmd_predict_t1(args) -> int:
                 "signal": T1Mode.MULTILEVEL_SIGNAL}
     mode_tokens = _selection(args.modes, "mode", sorted(mode_map))
 
-    rows = []
-    for phi in _flux_grid(args):
-        # one solve and one model per bias; every row reads the model
-        model = BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=args.levels),
-                          res, env)
-        omega01 = model.spec.transition_frequency(0, 1)
-        for tok in mech_tokens:
-            mechanisms = ANALYSIS_MECHANISMS if tok == "total" else (_MECHANISM_NAMES[tok],)
-            for mode_tok in mode_tokens:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")
-                    try:
-                        t1 = model.t1(mode_map[mode_tok], mechanisms)
-                    except FluxT1Error:
-                        t1 = float("nan")  # the model cannot determine T1 here
-                rows.append([tok, mode_tok, float(phi), omega01, t1])
+    selections = [ANALYSIS_MECHANISMS if tok == "total" else (_MECHANISM_NAMES[tok],)
+                  for tok in mech_tokens]
+    modes = [mode_map[tok] for tok in mode_tokens]
+    grid = _flux_grid(args)
+    # one solve and one model per bias; every row reads the model
+    models = [BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=args.levels),
+                        res, env) for phi in grid]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        multilevel = _multilevel_t1_rows(models, selections, modes)
+        rows = []
+        for f, (phi, model) in enumerate(zip(grid, models)):
+            omega01 = model.spec.transition_frequency(0, 1)
+            for s, (tok, mechanisms) in enumerate(zip(mech_tokens, selections)):
+                for mode_tok, mode in zip(mode_tokens, modes):
+                    if mode is not T1Mode.TWO_LEVEL:
+                        t1 = multilevel[mode][f, s]
+                    else:
+                        try:
+                            t1 = model.t1(mode, mechanisms)
+                        except FluxT1Error:
+                            t1 = float("nan")  # the model cannot determine T1 here
+                    rows.append([tok, mode_tok, float(phi), omega01, t1])
     _emit(csv_text(["mechanism", "mode", "phi_ext_phi0", "omega01_hz", "t1_s"], rows),
           args.out)
     return EXIT_OK
+
+
+def _multilevel_t1_rows(models, selections, modes) -> dict:
+    """mode -> (bias, selection) array of the multilevel T1s, from one stack
+    of every (bias, selection) generator, each evaluated once for all modes.
+    An entry the model cannot determine (its member's own error) is nan."""
+    stacked = [mode for mode in dict.fromkeys(modes) if mode is not T1Mode.TWO_LEVEL]
+    if not stacked:
+        return {}
+    members = [(model, mechanisms) for model in models for mechanisms in selections]
+    n = models[0].spec.n_levels
+    rates, p0, weights = (np.zeros((len(members), n, n)), np.zeros((len(members), n)),
+                          np.zeros((len(members), n)))
+    failed = np.full((len(members), len(stacked)), None, dtype=object)
+    for k, (model, mechanisms) in enumerate(members):
+        try:
+            rates[k], p0[k] = model.rates(mechanisms), model.p0
+        except FluxT1Error as exc:
+            failed[k] = exc
+            continue
+        if T1Mode.MULTILEVEL_SIGNAL in stacked:
+            try:
+                weights[k] = model.weights
+            except FluxT1Error as exc:
+                failed[k, stacked.index(T1Mode.MULTILEVEL_SIGNAL)] = exc
+    t1 = multilevel_t1(rates, p0, weights, stacked, failed)
+    return {mode: t1[:, j].reshape(len(models), len(selections))
+            for j, mode in enumerate(stacked)}
 
 
 def _cmd_simulate_decay(args) -> int:

@@ -6,17 +6,28 @@ relaxation time is always extracted by fitting an exponential to the full
 multi-mode solution (population of level 1, or the synthesized readout signal
 including higher-state resonator pulls), never by picking a single eigenvalue:
 the measured protocol fits a decay trace, so the model does too.
-``BiasModel`` holds that model at one flux bias. Its ``decay`` is the one
-place a decay trace is made, and its ``t1`` the one place a model T1 is
-read, for ``predicted_t1``, ``predict-t1`` and the multilevel quality-factor
-inversion alike; the two-level inversion reads its 0<->1 ``pair_rate``.
+
+Every step takes a stack: ``build_rate_matrix``, ``dominant_mode``,
+``default_time_grid``, ``evolve`` and ``fit_exponential`` accept leading batch
+axes, gufunc-style, and an unstacked call is the zero-axis case. A member
+that fails stores its exception in the call's ``errors``, an object array of
+the batch shape, and reads nan; without ``errors`` the first failing member's
+exception is raised, so an unstacked call raises as it always has.
+``multilevel_t1`` runs the multilevel model over a stack of summed rate
+tables: each member relaxes once for every mode, and all of the stack's
+traces are fitted in one call. ``BiasModel`` holds the model at one flux
+bias; its ``decay`` and ``t1`` are stacks of one, and its two-level mode reads
+the 0<->1 ``pair_rate`` instead.
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
 in (A, C), which the normal equations give directly, so the search is over
 the decay rate alone and ends at the root of one scalar gradient.
-``rising_root`` brackets such a root and solves it with Brent's method; the
-multilevel quality-factor inversion in ``pipeline`` uses it too.
+``rising_root`` finds such roots for a whole stack in lockstep: each member
+brackets its own root, then shrinks the bracket by Chandrupatla's safeguarded
+inverse-quadratic step (Adv. Eng. Softw. 28, 145 (1997)) until it meets its
+own tolerance. The multilevel quality-factor inversion in ``pipeline`` uses
+it too.
 """
 
 from __future__ import annotations
@@ -28,7 +39,6 @@ from enum import Enum
 from operator import attrgetter
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import H, K_B
 from .errors import DominantModeTieError, FitError, NumericalError
@@ -54,6 +64,8 @@ FIT_XTOL = 1e-14
 # largest |A| / ptp(signal) of a resolved decay; ordinary model traces stay
 # below ~40, while a decay the grid misses needs an amplitude ~1e6 the range
 FIT_AMPLITUDE_LIMIT = 1e3
+# relative part of rising_root's tolerance, as in brentq: four ulps of the root
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
 
 
 class T1Mode(str, Enum):
@@ -62,11 +74,35 @@ class T1Mode(str, Enum):
     MULTILEVEL_SIGNAL = "multilevel_signal"
 
 
+def _slots(errors, shape: tuple) -> np.ndarray:
+    """The flat per-member error slots of a stacked call over ``shape``: a view
+    of ``errors``, or fresh slots when the call is to raise instead."""
+    if errors is None:
+        return np.full(math.prod(shape), None, dtype=object)
+    if errors.shape != shape or not errors.flags.c_contiguous:
+        raise ValueError(f"errors must be a contiguous array of shape {shape}, "
+                         f"got {errors.shape}")
+    return errors.reshape(-1)
+
+
+def _raise_first(slots) -> None:
+    """Raise the first failure of a stacked call that was given no ``errors``."""
+    for err in slots:
+        if err is not None:
+            raise err
+
+
+def _live(slots) -> np.ndarray:
+    """Flat indices of the members that have not failed."""
+    return np.equal(slots, None).nonzero()[0]
+
+
 @dataclass(frozen=True)
 class RateMatrix:
-    """Generator of the population master equation with cached eigensystem.
+    """Generators of the population master equation with cached eigensystems,
+    one per member of a stack (the leading axes of ``b``).
 
-    b[j, i] holds the rate into j from i; diagonals are minus the column
+    b[..., j, i] holds the rate into j from i; diagonals are minus the column
     off-diagonal sums, so columns sum to zero and probability is conserved.
     """
 
@@ -76,65 +112,100 @@ class RateMatrix:
     n: int
     _vinv: np.ndarray = field(repr=False, default=None)
 
+    def __getitem__(self, members) -> RateMatrix:
+        """The generators of the selected members of a stack."""
+        return RateMatrix(b=self.b[members], eigenvalues=self.eigenvalues[members],
+                          eigenvectors=self.eigenvectors[members], n=self.n,
+                          _vinv=self._vinv[members])
+
+    def stationary_indices(self, errors=None) -> np.ndarray:
+        """Index of each member's unique (near-)zero eigenvalue."""
+        shape = self.eigenvalues.shape[:-1]
+        slots = _slots(errors, shape)
+        mags = np.abs(self.eigenvalues).reshape(-1, self.n)
+        scale = mags.max(axis=1)
+        near = mags <= 1e-9 * scale[:, None]
+        count = near.sum(axis=1)
+        for k in np.flatnonzero((scale == 0.0) | (count != 1)):
+            slots[k] = NumericalError(
+                "all eigenvalues vanish; no unique stationary mode" if scale[k] == 0.0 else
+                f"expected exactly one zero eigenvalue, found {count[k]} "
+                f"within 1e-9 of scale {scale[k]:.3e}")
+        if errors is None:
+            _raise_first(slots)
+        return near.argmax(axis=1).reshape(shape)
+
     @property
     def stationary_index(self) -> int:
-        """Index of the unique (near-)zero eigenvalue."""
-        mags = np.abs(self.eigenvalues)
-        scale = float(mags.max())
-        if scale == 0.0:
-            raise NumericalError("all eigenvalues vanish; no unique stationary mode")
-        near_zero = np.flatnonzero(mags <= 1e-9 * scale)
-        if near_zero.size != 1:
-            raise NumericalError(
-                f"expected exactly one zero eigenvalue, found {near_zero.size} "
-                f"within 1e-9 of scale {scale:.3e}"
-            )
-        return int(near_zero[0])
+        """Index of the unique (near-)zero eigenvalue of one generator."""
+        return int(self.stationary_indices())
 
     def stationary_distribution(self) -> np.ndarray:
-        """Zero-mode eigenvector normalized to unit 1-norm (a probability vector)."""
-        v0 = np.real(self.eigenvectors[:, self.stationary_index])
-        return v0 / v0.sum()
+        """Zero-mode eigenvectors normalized to unit 1-norm (probability vectors)."""
+        s = self.stationary_indices()[..., None, None]
+        v0 = np.real(np.take_along_axis(self.eigenvectors, s, axis=-1))[..., 0]
+        return v0 / v0.sum(axis=-1, keepdims=True)
 
     def mode_coefficients(self, p0: np.ndarray) -> np.ndarray:
-        """Expansion coefficients c with p0 = V c."""
-        return self._vinv @ np.asarray(p0, dtype=self._vinv.dtype)
+        """Expansion coefficients c with p0 = V c, per member."""
+        p0 = np.asarray(p0, dtype=self._vinv.dtype)
+        return (self._vinv @ p0[..., None])[..., 0]
 
 
-def build_rate_matrix(rates: np.ndarray) -> RateMatrix:
-    """The master-equation generator of directional rates, decomposed.
+def _per_member(solve, a: np.ndarray, slots: np.ndarray, failure: str):
+    """``solve`` (eig or inv) over a stack of matrices. If it fails, each
+    member is solved alone: a failing one stores a NumericalError in its slot
+    and is solved as the identity, so its neighbours are unaffected."""
+    try:
+        return solve(a)
+    except np.linalg.LinAlgError:
+        pass
+    a = a.copy()
+    for k, member in enumerate(a.reshape(-1, *a.shape[-2:])):
+        try:
+            solve(member)
+        except np.linalg.LinAlgError as exc:
+            slots[k] = NumericalError(f"{failure}: {exc}")
+            member[...] = np.eye(a.shape[-1])
+    return solve(a)
 
-    ``rates[i, j]`` is Gamma_{i->j} with every channel summed; the diagonal
-    is ignored. The eigensystem is the one ``np.linalg.eig`` returns, real or
-    complex; a resolved complex pair (max |Im w| > 1e-9 max |Re w|) warns.
+
+def build_rate_matrix(rates: np.ndarray, errors=None) -> RateMatrix:
+    """The master-equation generators of a stack of directional rates, decomposed.
+
+    ``rates[..., i, j]`` is Gamma_{i->j} with every channel summed; the
+    diagonal is ignored. The eigensystems are the ones ``np.linalg.eig``
+    returns for the stack: real, or complex for every member when one member
+    is; a member with a resolved complex pair (max |Im w| > 1e-9 max |Re w|)
+    warns. A member whose decomposition fails holds the identity's.
     """
     rates = np.asarray(rates, dtype=float)
-    if rates.ndim != 2 or rates.shape[0] != rates.shape[1]:
-        raise ValueError(f"rates must be a square matrix, got shape {rates.shape}")
-    n = rates.shape[0]
+    if rates.ndim < 2 or rates.shape[-1] != rates.shape[-2]:
+        raise ValueError(f"rates must be a square matrix or a stack of them, "
+                         f"got shape {rates.shape}")
+    n = rates.shape[-1]
+    slots = _slots(errors, rates.shape[:-2])
+    diag = np.arange(n)
     # a C-ordered copy: the fills below leave the caller's rates alone, and
     # b @ y sums each row contiguously (a transposed view rounds differently)
-    b = rates.T.copy()
-    np.fill_diagonal(b, 0.0)
-    np.fill_diagonal(b, -b.sum(axis=0))
+    b = np.swapaxes(rates, -1, -2).copy()
+    b[..., diag, diag] = 0.0
+    b[..., diag, diag] = -b.sum(axis=-2)
 
-    try:
-        w, v = np.linalg.eig(b)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"generator eigendecomposition failed: {exc}") from exc
-    scale = float(np.max(np.abs(w.real))) or 1.0
-    if np.max(np.abs(w.imag)) > _EIG_IMAG_RTOL * scale:
+    w, v = _per_member(np.linalg.eig, b, slots, "generator eigendecomposition failed")
+    re = np.abs(w.real).max(axis=-1).reshape(-1)
+    im = np.abs(w.imag).max(axis=-1).reshape(-1)
+    for k in np.flatnonzero(im > _EIG_IMAG_RTOL * np.where(re > 0.0, re, 1.0)):
         warnings.warn(
             "generator has a complex eigenpair (mixed-temperature baths can "
             "drive steady-state cycles); keeping complex arithmetic",
             stacklevel=2,
         )
-    try:
-        vinv = np.linalg.inv(v)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigenvector matrix is singular: {exc}") from exc
+    vinv = _per_member(np.linalg.inv, v, slots, "eigenvector matrix is singular")
     for arr in (b, w, v, vinv):
         arr.setflags(write=False)
+    if errors is None:
+        _raise_first(slots)
     return RateMatrix(b=b, eigenvalues=w, eigenvectors=v, n=n, _vinv=vinv)
 
 
@@ -159,151 +230,249 @@ def invert_computational(p: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PopulationTrace:
-    populations: np.ndarray  # shape (T, N), rows are probability vectors
-    renormalized: bool = False
+    populations: np.ndarray  # shape (..., T, N), rows are probability vectors
+    renormalized: bool | np.ndarray = False  # per member
 
 
-def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray) -> PopulationTrace:
-    """Propagate p(tau) = V exp(S tau) V^-1 p0 on the given time grid.
+def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> PopulationTrace:
+    """Propagate p(tau) = V exp(S tau) V^-1 p0 on each member's time grid.
 
-    Rows are renormalized (and the trace flagged) only if probability drifts
-    beyond 1e-9, which signals an ill-conditioned eigenbasis.
+    p0 is (..., N) and times (..., T) over the generators' batch axes. A
+    member whose rows drift from unit sum by more than 1e-9, which signals
+    an ill-conditioned eigenbasis, warns and has its rows renormalized (and
+    flagged); one whose trace keeps an imaginary part above 1e-9 fails.
     """
+    shape = rm.eigenvalues.shape[:-1]
     p0 = np.asarray(p0, dtype=float)
     times = np.asarray(times, dtype=float)
-    if p0.shape != (rm.n,):
-        raise ValueError(f"p0 has shape {p0.shape}, expected ({rm.n},)")
-    if abs(p0.sum() - 1.0) > 1e-9 or np.any(p0 < -1e-12):
+    if p0.shape != shape + (rm.n,):
+        raise ValueError(f"p0 has shape {p0.shape}, expected {shape + (rm.n,)}")
+    if np.any(np.abs(p0.sum(axis=-1) - 1.0) > 1e-9) or np.any(p0 < -1e-12):
         raise ValueError("p0 is not a probability vector")
+    if times.ndim == 0:
+        raise ValueError("times must have a time axis")
+    times = np.broadcast_to(times, shape + times.shape[-1:])
     if np.any(times < 0.0):
         raise ValueError("times must be nonnegative")
+    slots = _slots(errors, shape)
 
     c = rm.mode_coefficients(p0)
-    modes = np.exp(np.outer(times, rm.eigenvalues))  # (T, N)
-    pops = (modes * c) @ rm.eigenvectors.T
+    modes = np.exp(times[..., :, None] * rm.eigenvalues[..., None, :])  # (..., T, N)
+    pops = (modes * c[..., None, :]) @ np.swapaxes(rm.eigenvectors, -1, -2)
     if np.iscomplexobj(pops):
-        if np.max(np.abs(pops.imag)) > 1e-9:
-            raise NumericalError("population trace has a non-negligible imaginary part")
-        pops = pops.real
+        leak = np.abs(pops.imag).max(axis=(-2, -1)).reshape(-1)
+        for k in np.flatnonzero(leak > 1e-9):
+            slots[k] = NumericalError("population trace has a non-negligible imaginary part")
+        pops = np.ascontiguousarray(pops.real)
 
-    drift = np.abs(pops.sum(axis=1) - 1.0)
-    renormalized = bool(np.any(drift > _PROB_DRIFT_TOL))
-    if renormalized:
-        warnings.warn(
-            f"probability drifted by up to {drift.max():.3e}; renormalizing rows",
-            stacklevel=2,
-        )
-        pops = pops / pops.sum(axis=1, keepdims=True)
+    rows = pops.reshape(-1, *pops.shape[-2:])
+    drift = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
+    renormalized = np.zeros(rows.shape[0], dtype=bool)
+    for k in _live(slots):
+        if drift[k] > _PROB_DRIFT_TOL:
+            warnings.warn(
+                f"probability drifted by up to {drift[k]:.3e}; renormalizing rows",
+                stacklevel=2,
+            )
+            rows[k] = rows[k] / rows[k].sum(axis=1, keepdims=True)
+            renormalized[k] = True
     pops.setflags(write=False)
-    return PopulationTrace(populations=pops, renormalized=renormalized)
+    if errors is None:
+        _raise_first(slots)
+    return PopulationTrace(populations=pops, renormalized=(
+        bool(renormalized[0]) if shape == () else renormalized.reshape(shape)))
 
 
 @dataclass(frozen=True)
 class DecayFit:
-    t1: float
-    amplitude: float
-    offset: float
-    residual_rms: float
+    """The fitted A exp(-t/T1) + C: arrays over a stack, floats for one trace."""
+
+    t1: float | np.ndarray
+    amplitude: float | np.ndarray
+    offset: float | np.ndarray
+    residual_rms: float | np.ndarray
 
 
-def rising_root(g, u0: float, step: float, lo: float, hi: float, xtol: float) -> float | None:
-    """Root of a function g that rises through zero, searched outward from u0.
+def rising_root(g, u0, step: float, lo, hi, xtol: float):
+    """Roots of a stack of functions that rise through zero, each searched
+    outward from its own u0, all in lockstep.
 
-    The bracket reaches ``step`` from u0 toward the sign change and doubles
-    its reach until g changes sign, clipped to [lo, hi]; ``brentq`` then
-    solves it to ``xtol``. Returns None when g keeps its sign up to the bound.
-    Each value of g is computed once: ``brentq`` reads the bracket ends again.
+    ``g(u, members)`` returns the values at the points u of the functions of
+    ``members`` (flat indices into the stack), nan for a member whose
+    evaluation failed. A member's bracket reaches ``step`` from u0 toward its
+    sign change and doubles its reach until g changes sign, clipped to its
+    [lo, hi]. Chandrupatla's step then shrinks the bracket: a secant first,
+    inverse quadratic interpolation where the last three points allow it,
+    bisection otherwise, and never closer than the tolerance to an end. A
+    member stops once its bracket is narrower than xtol + 4 eps |u|, at the
+    secant root of that last bracket, or at a point where g vanishes. Each
+    round evaluates g once, at one point of every member still searching. A
+    member whose g keeps its sign up to the bound, or fails, has no root:
+    nan in a stack, None for a scalar u0.
     """
-    seen: dict[float, float] = {}
-
-    def once(u: float) -> float:
-        if u not in seen:
-            seen[u] = g(u)
-        return seen[u]
-
-    g0 = once(u0)
-    if g0 == 0.0:
-        return u0
-    # g rises with u, so the root lies above u0 when g0 < 0
-    toward = 1.0 if g0 < 0.0 else -1.0
-    inner = u0
+    u0 = np.asarray(u0, dtype=float)
+    shape = u0.shape
+    start = u0.reshape(-1)
+    who = np.arange(start.size)
+    lo = np.asarray(lo, dtype=float) + np.zeros(start.size)
+    hi = np.asarray(hi, dtype=float) + np.zeros(start.size)
+    f0 = np.asarray(g(start, who), dtype=float)
+    root = np.where(f0 == 0.0, start, np.nan)
+    # the state of each member still searching: x1 is its newest point, x2
+    # the far end of its bracket, x3 the point it dropped last, and frac the
+    # next point's place between x1 and x2; each is nan until it exists
+    nan = np.full(start.size, np.nan)
+    x1, f1, x2, f2, x3, f3, frac = start, f0, nan, nan, nan, nan, nan
+    toward = np.where(f0 < 0.0, 1.0, -1.0)  # g rises: the root lies above when g(u0) < 0
+    reach = np.full(start.size, float(step))
+    keep = np.isfinite(f0) & (f0 != 0.0)
     while True:
-        outer = min(max(u0 + toward * step, lo), hi)
-        if toward * once(outer) >= 0.0:
+        if not keep.all():
+            who, start, lo, hi, toward, reach, x1, f1, x2, f2, x3, f3, frac = (
+                a[keep] for a in (who, start, lo, hi, toward, reach,
+                                  x1, f1, x2, f2, x3, f3, frac))
+        if not who.size:
             break
-        if outer in (lo, hi):
-            return None
-        inner, step = outer, 2.0 * step
-    return brentq(once, min(inner, outer), max(inner, outer), xtol=xtol)
+        widening = np.isnan(frac)
+        trial = np.where(widening, np.minimum(np.maximum(start + toward * reach, lo), hi),
+                         x1 + frac * (x2 - x1))
+        value = np.asarray(g(trial, who), dtype=float)
+        ok = np.isfinite(value)
+        # a trial of the other sign than the newest point closes the bracket
+        # with it, or keeps it; one of the same sign replaces it
+        flip = ok & (np.sign(value) != np.sign(f1))
+        dropped = ok & ~widening
+        x3 = np.where(dropped, np.where(flip, x2, x1), x3)
+        f3 = np.where(dropped, np.where(flip, f2, f1), f3)
+        x2, f2 = np.where(flip, x1, x2), np.where(flip, f1, f2)
+        x1, f1 = np.where(ok, trial, x1), np.where(ok, value, f1)
+        reach = 2.0 * reach
+        at_bound = widening & ok & ~flip & ((trial == lo) | (trial == hi))
+
+        # members without a bracket read nan from here on and stay widening
+        near = np.abs(f1) < np.abs(f2)
+        xm = np.where(near, x1, x2)
+        tol = (xtol + _ROOT_RTOL * np.abs(xm)) / (2.0 * np.abs(x2 - x1))
+        secant = f1 / (f1 - f2)  # the secant root's place between x1 and x2
+        exact = np.where(near, f1, f2) == 0.0
+        done = ok & (exact | (tol > 0.5))
+        root[who[done]] = np.where(exact, xm, x1 + secant * (x2 - x1))[done]
+
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        step_frac = np.where(np.isnan(x3), secant, 0.5)
+        q = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi)).nonzero()[0]
+        a1, a2, a3, b1, b2, b3 = x1[q], x2[q], x3[q], f1[q], f2[q], f3[q]
+        step_frac[q] = (b1 / (b2 - b1) * b3 / (b2 - b3)
+                        + (a3 - a1) / (a2 - a1) * b1 / (b3 - b1) * b2 / (b3 - b2))
+        frac = np.minimum(np.maximum(step_frac, tol), 1.0 - tol)
+        keep = ok & ~done & ~at_bound
+    if shape == ():
+        return None if math.isnan(root[0]) else float(root[0])
+    return root.reshape(shape)
 
 
-def fit_exponential(times, signal) -> DecayFit:
-    """Least-squares fit of A exp(-t/T1) + C by variable projection.
+def fit_exponential(times, signal, errors=None) -> DecayFit:
+    """Least-squares fit of A exp(-t/T1) + C by variable projection, for each
+    trace of a stack (times and signal (..., T), broadcast together).
 
     For a trial decay rate k = 1/T1 the model is linear in (A, C), so both
     follow from the centred normal equations; only k is searched. At that
     inner optimum the gradient of the squared residual in u = ln k is the
     explicit derivative -A k r.(t e) alone (Kaufman, BIT 15, 49 (1975)), and
     the fit is its rising root, bracketed around a log-linear estimate of T1
-    and solved to rounding level, so T1 varies smoothly with the signal.
+    and solved to rounding level, so T1 varies smoothly with the signal. The
+    traces are solved in lockstep by ``rising_root``.
 
-    Raises FitError when the trace cannot determine a decay: fewer than 4
-    samples, a constant signal, no optimum within FIT_BRACKET_SPAN of the
-    estimate, or an amplitude above FIT_AMPLITUDE_LIMIT times the signal's
-    range (a decay the time grid does not resolve).
+    A trace fails with FitError when it cannot determine a decay: a constant
+    signal, no optimum within FIT_BRACKET_SPAN of the estimate, or an
+    amplitude above FIT_AMPLITUDE_LIMIT times the signal's range (a decay the
+    time grid does not resolve). Fewer than 4 samples fail the whole call.
     """
-    t = np.asarray(times, dtype=float)
-    y = np.asarray(signal, dtype=float)
-    if t.size < 4:
-        raise FitError(f"need at least 4 samples to fit, got {t.size}")
-    y_range = np.ptp(y)
-    if y_range == 0.0:
-        raise FitError("signal is constant; decay time undefined")
+    t, y = np.broadcast_arrays(np.asarray(times, dtype=float), np.asarray(signal, dtype=float))
+    n_t = y.shape[-1] if y.ndim else y.size
+    if n_t < 4:
+        raise FitError(f"need at least 4 samples to fit, got {n_t}")
+    shape = y.shape[:-1]
+    slots = _slots(errors, shape)
+    t, y = t.reshape(-1, n_t), y.reshape(-1, n_t)
+    out = np.full((4, y.shape[0]), np.nan)  # t1, amplitude, offset, residual_rms
+    y_range = y.max(axis=1) - y.min(axis=1)
+    for k in np.flatnonzero(y_range == 0.0):
+        slots[k] = FitError("signal is constant; decay time undefined")
+    live = _live(slots)
+    t, y, y_range = t[live], y[live], y_range[live]
 
-    resid = np.abs(y - y[-1])
-    mask = resid > max(1e-3 * (abs(y[0] - y[-1]) or y_range), 1e-300)
-    tau0 = (t[-1] - t[0]) / 3.0 if t[-1] > t[0] else 1.0
-    if mask.sum() >= 2:
-        slope = np.polyfit(t[mask], np.log(resid[mask]), 1)[0]
-        if slope < 0.0:
-            tau0 = -1.0 / slope
+    # the log-linear estimate: a least-squares line through log |y - y_end|
+    # where it stands clear of the end value
+    resid = np.abs(y - y[:, -1:])
+    ends = np.abs(y[:, 0] - y[:, -1])
+    mask = resid > np.maximum(1e-3 * np.where(ends != 0.0, ends, y_range), 1e-300)[:, None]
+    span = t[:, -1] - t[:, 0]
+    tau0 = np.where(span > 0.0, span / 3.0, 1.0)
+    lined = np.flatnonzero(mask.sum(axis=1) >= 2)
+    if lined.size:
+        m = mask[lined]
+        count = m.sum(axis=1)
+        tl = np.where(m, t[lined], 0.0)
+        ll = np.where(m, np.log(np.where(m, resid[lined], 1.0)), 0.0)
+        dt = np.where(m, tl - (tl.sum(axis=1) / count)[:, None], 0.0)
+        slope = np.vecdot(dt, ll) / np.vecdot(dt, dt)
+        falling = slope < 0.0
+        tau0[lined[falling]] = -1.0 / slope[falling]
 
-    y_mean = y.mean()
-    dy = y - y_mean
+    y_mean = y.sum(axis=1) / n_t
+    dy = y - y_mean[:, None]
 
-    def project(u: float):
-        """(A, C, e) minimizing the residual at decay rate k = exp(u)."""
-        e = np.exp(-math.exp(u) * t)
-        e_mean = e.mean()
-        de = e - e_mean
-        norm = de @ de
-        if not norm > 0.0:
-            raise FitError(f"decay time {math.exp(-u):.3e} s is unresolved on the time grid")
-        a = (de @ dy) / norm
-        return a, y_mean - a * e_mean, e
+    def project(u, members):
+        """(A, C, e, t) minimizing the residual at decay rates k = exp(u), and
+        whether e resolves a decay at all."""
+        tm = t[members]
+        e = np.exp(-np.exp(u)[:, None] * tm)
+        e_mean = e.sum(axis=1) / n_t
+        de = e - e_mean[:, None]
+        norm = np.vecdot(de, de)
+        resolved = norm > 0.0
+        a = np.divide(np.vecdot(de, dy[members]), norm, out=np.full(u.size, np.nan),
+                      where=resolved)
+        return a, y_mean[members] - a * e_mean, e, tm, resolved
 
-    def gradient(u: float) -> float:
-        a, c, e = project(u)
-        g = -a * math.exp(u) * ((a * e + c - y) @ (t * e))
-        if not math.isfinite(g):
-            raise FitError(f"decay-fit gradient is not finite at T1 = {math.exp(-u):.3e} s")
+    def gradient(u, members):
+        a, c, e, tm, resolved = project(u, members)
+        g = -a * np.exp(u) * np.vecdot(a[:, None] * e + c[:, None] - y[members], tm * e)
+        for j in (~np.isfinite(g)).nonzero()[0]:
+            slots[live[members[j]]] = FitError(
+                f"decay time {math.exp(-u[j]):.3e} s is unresolved on the time grid"
+                if not resolved[j] else
+                f"decay-fit gradient is not finite at T1 = {math.exp(-u[j]):.3e} s")
         return g
 
-    u0 = -math.log(tau0)
+    u0 = -np.log(tau0)
     u = rising_root(gradient, u0, FIT_BRACKET_STEP, u0 - FIT_BRACKET_SPAN,
                     u0 + FIT_BRACKET_SPAN, FIT_XTOL)
-    if u is None:
-        raise FitError(f"no least-squares decay time within a factor e^{FIT_BRACKET_SPAN:g} "
-                       f"of the estimate {tau0:.3e} s")
-    tau = math.exp(-u)
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise FitError(f"exponential fit returned unphysical decay time {tau!r}")
-    a, c, e = project(u)
-    if abs(a) > FIT_AMPLITUDE_LIMIT * y_range:
-        raise FitError(f"fitted amplitude {a:.3e} exceeds {FIT_AMPLITUDE_LIMIT:g} times the "
-                       f"signal range {y_range:.3e}; the time grid does not resolve the decay")
-    residual_rms = float(np.sqrt(np.mean((a * e + c - y) ** 2)))
-    return DecayFit(t1=tau, amplitude=float(a), offset=float(c), residual_rms=residual_rms)
+    tau = np.exp(-u)
+    for j in np.flatnonzero(np.isnan(u)):
+        if slots[live[j]] is None:
+            slots[live[j]] = FitError(
+                f"no least-squares decay time within a factor e^{FIT_BRACKET_SPAN:g} "
+                f"of the estimate {tau0[j]:.3e} s")
+    for j in np.flatnonzero(~np.isnan(u) & ~(np.isfinite(tau) & (tau > 0.0))):
+        slots[live[j]] = FitError(f"exponential fit returned unphysical decay time "
+                                  f"{float(tau[j])!r}")
+    solved = np.flatnonzero(np.equal(slots[live], None))
+    a, c, e, _, _ = project(u[solved], solved)
+    for j in np.flatnonzero(np.abs(a) > FIT_AMPLITUDE_LIMIT * y_range[solved]):
+        slots[live[solved[j]]] = FitError(
+            f"fitted amplitude {a[j]:.3e} exceeds {FIT_AMPLITUDE_LIMIT:g} times the "
+            f"signal range {y_range[solved[j]]:.3e}; the time grid does not resolve the decay")
+    rms = np.sqrt(np.mean((a[:, None] * e + c[:, None] - y[solved]) ** 2, axis=1))
+    out[:, live[solved]] = tau[solved], a, c, rms
+    out[:, np.flatnonzero(np.not_equal(slots, None))] = np.nan
+    if errors is None:
+        _raise_first(slots)
+    if shape == ():
+        return DecayFit(*(float(v[0]) for v in out))
+    return DecayFit(*(v.reshape(shape) for v in out))
 
 
 @dataclass(frozen=True)
@@ -318,27 +487,34 @@ class ExponentialnessReport:
     dominant_index: int
 
 
-def dominant_mode(rm: RateMatrix, p0: np.ndarray) -> tuple[int, np.ndarray]:
-    """(index, coefficients) of the non-stationary mode with greatest |c|^2.
+def dominant_mode(rm: RateMatrix, p0: np.ndarray, errors=None) -> tuple[np.ndarray, np.ndarray]:
+    """(index, coefficients) of each member's non-stationary mode with
+    greatest |c|^2.
 
-    Exact ties are an error: they indicate degenerate dynamics the caller
-    should inspect rather than silently break.
+    Exact ties are an error (DominantModeTieError): they indicate degenerate
+    dynamics the caller should inspect rather than silently break.
     """
+    shape = rm.eigenvalues.shape[:-1]
+    slots = _slots(errors, shape)
     c = rm.mode_coefficients(p0)
-    s_idx = rm.stationary_index
-    overlaps = np.abs(c) ** 2
-    candidates = [k for k in range(rm.n) if k != s_idx]
-    order = sorted(candidates, key=lambda k: overlaps[k], reverse=True)
-    k_max = order[0]
-    if len(order) > 1:
-        top, runner = overlaps[order[0]], overlaps[order[1]]
-        if top > 0.0 and (top - runner) <= 1e-12 * top:
-            tied = [k for k in order if abs(overlaps[k] - top) <= 1e-12 * top]
-            raise DominantModeTieError(
+    stationary = rm.stationary_indices(slots.reshape(shape)).reshape(-1)
+    overlaps = (np.abs(c) ** 2).reshape(-1, rm.n)
+    overlaps[np.arange(overlaps.shape[0]), stationary] = -1.0  # never a candidate
+    order = np.argsort(-overlaps, axis=1, kind="stable")
+    k_max = order[:, 0]
+    if rm.n > 2:
+        top = np.take_along_axis(overlaps, order[:, :2], axis=1)
+        tie = (top[:, 0] > 0.0) & (top[:, 0] - top[:, 1] <= 1e-12 * top[:, 0])
+        for k in np.flatnonzero(tie & np.equal(slots, None)):
+            tied = [int(j) for j in order[k]
+                    if abs(overlaps[k, j] - top[k, 0]) <= 1e-12 * top[k, 0]]
+            slots[k] = DominantModeTieError(
                 f"dominant decay mode is degenerate between indices {tied}",
                 tied_indices=tied,
             )
-    return k_max, c
+    if errors is None:
+        _raise_first(slots)
+    return (int(k_max[0]) if shape == () else k_max.reshape(shape)), c
 
 
 def exponentialness(rm: RateMatrix, p0: np.ndarray) -> ExponentialnessReport:
@@ -352,22 +528,37 @@ def exponentialness(rm: RateMatrix, p0: np.ndarray) -> ExponentialnessReport:
     return ExponentialnessReport(m=float(np.linalg.norm(delta.real)), dominant_index=int(k_max))
 
 
-def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51) -> np.ndarray:
-    """Log-spaced grid spanning [T/50, 8T], T from the dominant decay mode.
+def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51,
+                      errors=None) -> np.ndarray:
+    """Log-spaced grids spanning [T/50, 8T], T from each member's dominant
+    decay mode: an (..., n_points) array.
 
     A dominant-mode tie (degenerate eigenvalue pair) is harmless here: the
     grid only needs a decay rate, so the slowest tied rate brackets the trace
     safely.
     """
-    try:
-        k_max, _ = dominant_mode(rm, p0)
-        rate = -float(np.real(rm.eigenvalues[k_max]))
-    except DominantModeTieError as err:
-        rate = min(-float(np.real(rm.eigenvalues[k])) for k in err.tied_indices)
-    if rate <= 0.0:
-        raise NumericalError("dominant mode does not decay; cannot scale a time grid")
-    t_guess = 1.0 / rate
-    return np.logspace(math.log10(t_guess / 50.0), math.log10(8.0 * t_guess), n_points)
+    shape = rm.eigenvalues.shape[:-1]
+    slots = _slots(errors, shape)
+    ties = np.full(shape, None, dtype=object)
+    k_max, _ = dominant_mode(rm, p0, ties)
+    decay_rates = -np.real(rm.eigenvalues).reshape(-1, rm.n)
+    rate = np.take_along_axis(decay_rates, np.reshape(k_max, (-1, 1)), axis=1)[:, 0]
+    for k, err in enumerate(ties.reshape(-1)):
+        if isinstance(err, DominantModeTieError):
+            rate[k] = min(decay_rates[k, j] for j in err.tied_indices)
+        elif err is not None:
+            slots[k] = err
+    for k in _live(slots):
+        if rate[k] <= 0.0:
+            slots[k] = NumericalError("dominant mode does not decay; cannot scale a time grid")
+    times = np.full((rate.size, n_points), np.nan)
+    live = _live(slots)
+    t_guess = 1.0 / rate[live]
+    times[live] = np.logspace(np.log10(t_guess / 50.0), np.log10(8.0 * t_guess), n_points,
+                              axis=-1)
+    if errors is None:
+        _raise_first(slots)
+    return times.reshape(shape + (n_points,))
 
 
 def heralded_misassignment_error(times, populations, fit_p1: DecayFit) -> tuple[float, float]:
@@ -397,6 +588,105 @@ def two_level_total_rate(
         table = build_mechanism_table(spec, res, env, m)
         total += table.pair_sum(0, 1)
     return total
+
+
+def _arithmetic_groups(rm: RateMatrix, rates: np.ndarray, members: np.ndarray) -> list:
+    """(members, generators) of the members of a flat stack that evolve alike.
+    That is all of them, unless the stack is complex and some members are
+    real: those are decomposed again on their own, so that each member
+    evolves in the arithmetic its own eigensystem has."""
+    if not np.iscomplexobj(rm.eigenvalues):
+        return [(members, rm[members])]
+    real = ~np.any(rm.eigenvalues.imag[members] != 0.0, axis=-1)
+    groups = []
+    if real.any():
+        groups.append((members[real], build_rate_matrix(rates[members[real]])))
+    if not real.all():
+        groups.append((members[~real], rm[members[~real]]))
+    return groups
+
+
+def decays(rates: np.ndarray, p0: np.ndarray, n_points: int = 51, errors=None):
+    """(times, populations, reached) of each member of an (R, N, N) stack of
+    summed rate tables relaxing from its p0 (R, N) on the n_points grid its
+    dominant mode sets.
+
+    ``reached`` is False, and the member's times and populations nan, where no
+    path of nonzero rates leads from level 1 to level 0 (every rate zero, or
+    a parity split): level 1 then never decays.
+    """
+    rates = np.asarray(rates, dtype=float)
+    n = rates.shape[-1]
+    slots = _slots(errors, rates.shape[:1])
+    rm = build_rate_matrix(rates, slots)
+    reached = np.linalg.matrix_power(rm.b != 0.0, n - 1)[:, 0, 1]
+    times = np.full((rates.shape[0], n_points), np.nan)
+    populations = np.full((rates.shape[0], n_points, n), np.nan)
+    live = _live(slots)
+    for members, group in _arithmetic_groups(rm, rates, live[reached[live]]):
+        failed = np.full(members.size, None, dtype=object)
+        grid = default_time_grid(group, p0[members], n_points, failed)
+        ok = _live(failed)
+        evolved = np.full(ok.size, None, dtype=object)
+        trace = evolve(group[ok], p0[members[ok]], grid[ok], evolved)
+        failed[ok] = evolved
+        slots[members] = failed
+        times[members[ok]] = grid[ok]
+        populations[members[ok]] = trace.populations
+    lost = np.not_equal(slots, None)
+    times[lost] = populations[lost] = np.nan
+    populations.setflags(write=False)
+    if errors is None:
+        _raise_first(slots)
+    return times, populations, reached
+
+
+def multilevel_t1(rates: np.ndarray, p0: np.ndarray, weights: np.ndarray | None, modes,
+                  errors=None) -> np.ndarray:
+    """Model T1 (s) of each member of an (R, N, N) stack of summed rate
+    tables in each multilevel mode: an (R, len(modes)) array.
+
+    Each member relaxes once from its p0 (R, N) for every mode; population
+    mode fits its level-1 population, signal mode its readout signal
+    |p . weights| (weights (R, N), read only for signal mode), and all of the
+    stack's traces are fitted in one call. A fit whose residual exceeds
+    FIT_RESIDUAL_GATE of its amplitude warns; a member with no path of
+    nonzero rates from level 1 to level 0 reads inf. ``errors``, an
+    (R, len(modes)) object array, also skips every trace whose slot already
+    holds an error, so a caller can leave out what it cannot evaluate.
+    """
+    modes = [T1Mode(m) for m in modes]
+    rates = np.asarray(rates, dtype=float)
+    slots = _slots(errors, (rates.shape[0], len(modes))).reshape(-1, len(modes))
+    t1 = np.full(slots.shape, np.nan)
+    wanted = np.flatnonzero(np.equal(slots, None).any(axis=1))
+    failed = np.full(wanted.size, None, dtype=object)
+    times, populations, reached = decays(rates[wanted], p0[wanted], errors=failed)
+    for k, err in zip(wanted, failed):
+        if err is not None:
+            slots[k][np.equal(slots[k], None)] = err
+    t1[wanted[~reached]] = math.inf
+
+    traces = [populations[:, :, 1] if mode is T1Mode.MULTILEVEL_POPULATION else
+              np.abs(np.vecdot(populations, weights[wanted][:, None, :])) for mode in modes]
+    member, column = np.nonzero(np.equal(slots[wanted], None) & reached[:, None])
+    fitted = np.full(member.size, None, dtype=object)
+    fit = fit_exponential(times[member], np.stack(traces, axis=1)[member, column], fitted)
+    gated = (np.abs(fit.amplitude) > 0.0) & (
+        fit.residual_rms > FIT_RESIDUAL_GATE * np.abs(fit.amplitude))
+    for _ in range(np.count_nonzero(gated)):
+        # static message so repeated sweeps warn once per call site
+        warnings.warn(
+            "decay fit residual exceeds the model-signal gate "
+            f"({FIT_RESIDUAL_GATE:g} of amplitude)",
+            stacklevel=2,
+        )
+    t1[wanted[member], column] = fit.t1
+    slots[wanted[member], column] = fitted
+    t1[np.not_equal(slots, None)] = np.nan
+    if errors is None:
+        _raise_first(slots.reshape(-1))
+    return t1
 
 
 # every Environment field but the two of the capacitive quality factor: with
@@ -475,8 +765,8 @@ class BiasModel:
             total += pair * scale if m == Mechanism.CAPACITIVE else pair
         return total
 
-    def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
-        """The selected channels summed into one rate matrix, at qc_eff if given."""
+    def rates(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> np.ndarray:
+        """The selected channels' directional rates summed, at qc_eff if given."""
         if not mechanisms:
             raise ValueError("need at least one mechanism")
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
@@ -484,50 +774,40 @@ class BiasModel:
         for m in mechanisms:
             rates = self._rates(m)
             total = total + (rates * scale if m == Mechanism.CAPACITIVE else rates)
-        return build_rate_matrix(total)
+        return total
+
+    def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
+        """The selected channels summed into one rate matrix, at qc_eff if given."""
+        return build_rate_matrix(self.rates(mechanisms, qc_eff))
 
     def decay(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None,
               n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:
         """(times, populations) of p0 relaxing under the selected channels, on
-        the n_points grid the dominant mode sets; None when no path of nonzero
-        rates leads from level 1 to level 0 (every rate zero, or a parity split)."""
-        rm = self.generator(mechanisms, qc_eff)
-        if not np.linalg.matrix_power(rm.b != 0.0, rm.n - 1)[0, 1]:
-            return None
-        times = default_time_grid(rm, self.p0, n_points)
-        return times, evolve(rm, self.p0, times).populations
+        the n_points grid the dominant mode sets: ``decays`` as a stack of
+        one. None when no path of nonzero rates leads from level 1 to level 0
+        (every rate zero, or a parity split)."""
+        times, populations, reached = decays(self.rates(mechanisms, qc_eff)[None],
+                                             self.p0[None], n_points)
+        return (times[0], populations[0]) if reached[0] else None
 
     def t1(self, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL, mechanisms=ANALYSIS_MECHANISMS,
            qc_eff: float | None = None) -> float:
         """Model T1 (s) from the selected channels, at qc_eff if given.
 
-        two_level inverts the sum of 0<->1 rates; the multilevel modes fit an
-        exponential to the p1 decay or to the readout signal |p . weights| on
-        the grid the dominant mode sets, and warn when the fit residual
-        exceeds FIT_RESIDUAL_GATE of the amplitude. A zero 0<->1 rate sum, or
-        no path of nonzero rates from level 1 to level 0, gives inf.
+        two_level inverts the sum of 0<->1 rates; the multilevel modes are
+        ``multilevel_t1`` as a stack of one: an exponential fitted to the p1
+        decay or to the readout signal |p . weights| on the grid the dominant
+        mode sets, with a warning when the fit residual exceeds
+        FIT_RESIDUAL_GATE of the amplitude. A zero 0<->1 rate sum, or no path
+        of nonzero rates from level 1 to level 0, gives inf.
         """
         mode = T1Mode(mode)
         if mode is T1Mode.TWO_LEVEL:
             rate = self.pair_rate(mechanisms, qc_eff)
             return 1.0 / rate if rate else math.inf
-        trace = self.decay(mechanisms, qc_eff)
-        if trace is None:
-            return math.inf
-        times, populations = trace
-        if mode is T1Mode.MULTILEVEL_POPULATION:
-            signal = populations[:, 1]
-        else:
-            signal = np.abs(populations @ self.weights)
-        fit = fit_exponential(times, signal)
-        if abs(fit.amplitude) > 0 and fit.residual_rms > FIT_RESIDUAL_GATE * abs(fit.amplitude):
-            # static message so repeated sweeps warn once per call site
-            warnings.warn(
-                "decay fit residual exceeds the model-signal gate "
-                f"({FIT_RESIDUAL_GATE:g} of amplitude)",
-                stacklevel=2,
-            )
-        return fit.t1
+        weights = self.weights[None] if mode is T1Mode.MULTILEVEL_SIGNAL else None
+        return float(multilevel_t1(self.rates(mechanisms, qc_eff)[None], self.p0[None],
+                                   weights, (mode,))[0, 0])
 
 
 def predicted_t1(

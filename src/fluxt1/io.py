@@ -318,6 +318,8 @@ def read_result(path: str) -> tuple[bytes, dict]:
 def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
     """The quality-factor distribution in an extract-qceff result envelope."""
     payload = raw.get("data", {})
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: data must be a JSON object, got {type(payload).__name__}")
     if "entries" not in payload:
         raise DataError(f"{path}: no distribution entries found")
     try:
@@ -328,11 +330,14 @@ def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed distribution entry: {exc}") from exc
-    return QceffDistribution(
-        entries=entries,
-        epsilon_used=float(payload.get("epsilon_used", 0.0)),
-        qubit_id=str(payload.get("qubit_id", "")),
-    )
+    try:
+        return QceffDistribution(
+            entries=entries,
+            epsilon_used=float(payload.get("epsilon_used", 0.0)),
+            qubit_id=str(payload.get("qubit_id", "")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed epsilon_used: {exc}") from exc
 
 
 def read_distribution(path: str) -> QceffDistribution:

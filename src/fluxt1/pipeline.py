@@ -4,7 +4,9 @@ The chain runs: ingest measured relaxation times -> 8 MHz binned average (to
 de-weight oversampled defect features) -> drop points dominated by flux noise
 or radiative loss -> invert the remaining points into an effective capacitive
 quality factor per frequency bin: in closed form in the two-level model, by a
-bracketed root find through the multilevel decay model otherwise. A global
+bracketed root find through the multilevel decay model otherwise. The root
+finds of many records run in lockstep (``invert_stack``): each round
+evaluates every record still searching as one stack of models. A global
 frequency exponent is chosen by minimizing the pooled variance of the
 log-centered quality factors across qubits.
 """
@@ -18,10 +20,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import BiasModel, T1Mode, rising_root, two_level_total_rate
-from .errors import DataError, FitError, check_fields
+from .dynamics import BiasModel, T1Mode, multilevel_t1, rising_root, two_level_total_rate
+from .errors import DataError, FitError, check_fields, check_number
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
-from .loss import BACKGROUND_MECHANISMS, Environment, Mechanism, build_mechanism_table
+from .loss import (
+    ANALYSIS_MECHANISMS,
+    BACKGROUND_MECHANISMS,
+    Environment,
+    Mechanism,
+    build_mechanism_table,
+)
 from .resonator import ResonatorParams
 
 logger = logging.getLogger(__name__)
@@ -164,12 +172,9 @@ def exclusion_filter(
 class QceffInverter(BiasModel):
     """Measured t1 -> qc_eff at one flux bias, through the bias's model.
 
-    In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so the inversion is one
-    division. The multilevel modes start from that two-level answer and find
-    the root in log10(qc_eff), where modeled t1 rises monotonically; each
-    trial qc_eff rescales the model's memoized capacitive table, so no rate
-    is recomputed. The frequency exponent enters only K, as the factor
-    (f_ij / 6 GHz)^epsilon on the capacitive pairs: inverters on one
+    ``invert`` is ``invert_stack`` as a stack of one; ``predict_t1`` reads
+    the model t1 at a trial qc_eff. The frequency exponent enters only the
+    capacitive pairs, as the factor (f_ij / 6 GHz)^epsilon: inverters on one
     spectrum, at any exponent, share its tables and build none after the
     first.
     """
@@ -184,41 +189,83 @@ class QceffInverter(BiasModel):
 
     def invert(self, t1_measured: float) -> float:
         """The qc_eff in [10**LOG10_QCEFF_MIN, 10**LOG10_QCEFF_MAX] whose
-        model t1 is ``t1_measured``.
+        model t1 is ``t1_measured``; see ``invert_stack``."""
+        return float(invert_stack([self], [t1_measured], self.mode)[0])
 
-        The two-level closed form q = qc_eff * K / (1/t1 - Gamma_bg) is the
-        two_level answer. The multilevel modes solve log t1_model(10**u) =
-        log t1_measured over u = log10(qc_eff) with ``rising_root``, from
-        log10(q) when 1e2 < q < 1e9, else from FALLBACK_QCEFF. Raises
-        FitError when no qc_eff within the bounds reproduces t1 (for
-        instance a t1 longer than the non-capacitive channels alone allow);
-        a FitError from a model evaluation propagates.
-        """
-        background = self.pair_rate(BACKGROUND_MECHANISMS)
-        residual = 1.0 / t1_measured - background
-        q = (self.env.qc_eff * self.pair_rate((Mechanism.CAPACITIVE,)) / residual
-             if residual > 0.0 else 0.0)
-        if self.mode is T1Mode.TWO_LEVEL:
-            if 10.0 ** LOG10_QCEFF_MIN <= q <= 10.0 ** LOG10_QCEFF_MAX:
-                return q
-            detail = (f"the closed form gives qc_eff = {q:.3e}" if residual > 0.0 else
-                      f"the non-capacitive channels alone give t1 = {1.0 / background:.3e} s")
-            raise _unmatched(t1_measured, detail)
 
-        log_t1 = math.log(t1_measured)
+def invert_stack(models, t1_measured, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL) -> np.ndarray:
+    """The qc_eff in [10**LOG10_QCEFF_MIN, 10**LOG10_QCEFF_MAX] whose model t1
+    is the measured one, for each (model, t1) pair, all inverted in lockstep.
 
-        def g(u: float) -> float:
-            return math.log(self.predict_t1(10.0 ** u)) - log_t1
+    In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so each inversion is the
+    closed form q = qc_eff * K / (1/t1 - Gamma_bg). The multilevel modes
+    solve log t1_model(10**u) = log t1_measured over u = log10(qc_eff) with
+    ``rising_root``, every member from log10(q) when 1e2 < q < 1e9, else from
+    FALLBACK_QCEFF; each round evaluates the trial qc_eff of every member
+    still searching as one ``multilevel_t1`` stack, whose capacitive rates
+    are the model's memoized table rescaled. Raises the first member's
+    FitError, in stack order, when no qc_eff within the bounds reproduces its
+    t1 (for instance a t1 longer than the non-capacitive channels alone
+    allow), or a model evaluation of it fails.
+    """
+    mode = T1Mode(mode)
+    t1_measured = np.asarray(t1_measured, dtype=float)
+    failures = np.full(len(models), None, dtype=object)
+    q, u0 = np.empty(len(models)), np.empty(len(models))
+    for k, (model, t1) in enumerate(zip(models, t1_measured.tolist())):
+        background = model.pair_rate(BACKGROUND_MECHANISMS)
+        residual = 1.0 / t1 - background
+        q[k] = (model.env.qc_eff * model.pair_rate((Mechanism.CAPACITIVE,)) / residual
+                if residual > 0.0 else 0.0)
+        if mode is not T1Mode.TWO_LEVEL:
+            u0[k] = math.log10(q[k]) if 1e2 < q[k] < 1e9 else math.log10(FALLBACK_QCEFF)
+        elif not 10.0 ** LOG10_QCEFF_MIN <= q[k] <= 10.0 ** LOG10_QCEFF_MAX:
+            failures[k] = _unmatched(t1, f"the closed form gives qc_eff = {q[k]:.3e}"
+                                     if residual > 0.0 else "the non-capacitive channels "
+                                     f"alone give t1 = {1.0 / background:.3e} s")
+    if mode is not T1Mode.TWO_LEVEL:
+        # one stack per number of retained levels
+        sizes = np.array([model.spec.n_levels for model in models])
+        for size in np.unique(sizes).tolist():
+            group = np.flatnonzero(sizes == size)
+            failed = failures[group]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                q[group] = 10.0 ** _lockstep_root([models[k] for k in group.tolist()],
+                                                  t1_measured[group], u0[group], mode, failed)
+            failures[group] = failed
+    for err in failures:
+        if err is not None:
+            raise err
+    return q
 
-        u0 = math.log10(q) if 1e2 < q < 1e9 else math.log10(FALLBACK_QCEFF)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
-            if u is None:
-                bound = LOG10_QCEFF_MAX if g(u0) < 0.0 else LOG10_QCEFF_MIN
-                raise _unmatched(t1_measured, "model t1 at the bound is "
-                                              f"{math.exp(g(bound) + log_t1):.3e} s")
-        return 10.0 ** u
+
+def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
+    """``invert_stack``'s multilevel root in log10(qc_eff) of every member,
+    from u0; a member that fails stores its FitError in ``failures``."""
+    log_t1 = np.log(t1_measured)
+    p0 = np.stack([model.p0 for model in models])
+    weights = (np.stack([model.weights for model in models])
+               if mode is T1Mode.MULTILEVEL_SIGNAL else None)
+    last = np.full(len(models), np.nan)  # each member's latest value of g
+
+    def g(u, members):
+        rates = np.stack([models[k].rates(ANALYSIS_MECHANISMS, 10.0 ** v)
+                          for k, v in zip(members.tolist(), u.tolist())])
+        failed = np.full((members.size, 1), None, dtype=object)
+        t1 = multilevel_t1(rates, p0[members], None if weights is None else weights[members],
+                           (mode,), failed)[:, 0]
+        failures[members] = failed[:, 0]
+        last[members] = np.log(t1) - log_t1[members]
+        return last[members]
+
+    u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
+    for k in np.flatnonzero(np.isnan(u)):
+        if failures[k] is None:
+            # the search stopped at the bound, so g was last read there
+            failures[k] = _unmatched(float(t1_measured[k]), "model t1 at the bound is "
+                                     f"{math.exp(last[k] + log_t1[k]):.3e} s")
+    return u
 
 
 def _unmatched(t1_measured: float, detail: str) -> FitError:
@@ -270,6 +317,9 @@ class QceffDistribution:
     epsilon_used: float
     qubit_id: str = ""
 
+    def __post_init__(self):
+        check_number("epsilon_used", self.epsilon_used)
+
     def values(self) -> np.ndarray:
         return np.array([e.qceff for e in self.entries])
 
@@ -284,16 +334,17 @@ def extract_qceff_dataset(
     env: Environment,
     mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL,
 ) -> QceffDistribution:
-    """Invert every record of a dataset, in record order, on the spectrum
-    ``spec_provider`` serves for its bias."""
-    entries = []
-    for record in ds.records:
-        spec = spec_provider(record.phi_ext)
-        q = QceffInverter(spec, res, env, mode).invert(record.t1)
-        freq = record.omega01 if record.omega01 is not None else spec.transition_frequency(0, 1)
-        entries.append(QceffEntry(freq=float(freq), qceff=q, n_binned=record.n_binned))
-    return QceffDistribution(entries=tuple(entries), epsilon_used=env.epsilon,
-                             qubit_id=ds.qubit_id)
+    """Invert every record of a dataset, in lockstep (``invert_stack``), on
+    the spectrum ``spec_provider`` serves for its bias."""
+    specs = [spec_provider(record.phi_ext) for record in ds.records]
+    q = invert_stack([BiasModel(spec, res, env) for spec in specs],
+                     [record.t1 for record in ds.records], mode)
+    entries = tuple(
+        QceffEntry(freq=float(spec.transition_frequency(0, 1) if record.omega01 is None
+                              else record.omega01),
+                   qceff=float(value), n_binned=record.n_binned)
+        for record, spec, value in zip(ds.records, specs, q.tolist()))
+    return QceffDistribution(entries=entries, epsilon_used=env.epsilon, qubit_id=ds.qubit_id)
 
 
 @dataclass(frozen=True)
@@ -352,11 +403,12 @@ def fit_epsilon_global(
 ) -> EpsilonFitResult:
     """Frequency exponent minimizing the pooled variance of centered log Q.
 
-    For each trial exponent, every qubit's records are re-inverted; each
-    qubit's log10 quality factors are centered on the log of that qubit's
-    mean, pooled, and the exponent with the smallest pooled variance wins.
-    The exponent enters only the capacitive pairs' factor, so an inverter at
-    any exponent shares the tables its spectrum already holds and builds none.
+    For each trial exponent, every qubit's records are re-inverted, all in
+    one ``invert_stack``; each qubit's log10 quality factors are centered on
+    the log of that qubit's mean, pooled, and the exponent with the smallest
+    pooled variance wins. The exponent enters only the capacitive pairs'
+    factor, so a model at any exponent shares the tables its spectrum already
+    holds and builds none.
     """
     if not qubit_inputs:
         raise ValueError("need at least one qubit dataset")
@@ -367,16 +419,19 @@ def fit_epsilon_global(
     if empty:
         raise DataError(f"no records left to fit for qubits {empty}")
 
-    spectra = [[(qi.spec_provider(r.phi_ext), r.t1) for r in qi.dataset.records]
-               for qi in qubit_inputs]
+    spectra = [qi.spec_provider(r.phi_ext) for qi in qubit_inputs for r in qi.dataset.records]
+    t1 = [r.t1 for qi in qubit_inputs for r in qi.dataset.records]
+    qubit = np.repeat(np.arange(len(qubit_inputs)),
+                      [len(qi.dataset.records) for qi in qubit_inputs])
     variances = np.empty(grid.size)
     for k, eps in enumerate(grid.tolist()):
+        envs = [replace(qi.env, epsilon=eps) for qi in qubit_inputs]
+        values = invert_stack([BiasModel(spec, qubit_inputs[j].res, envs[j])
+                               for spec, j in zip(spectra, qubit.tolist())], t1, mode)
         pooled = []
-        for qi, records in zip(qubit_inputs, spectra):
-            env = replace(qi.env, epsilon=eps)
-            values = np.array([QceffInverter(spec, qi.res, env, mode).invert(t1)
-                               for spec, t1 in records])
-            pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
+        for j in range(len(qubit_inputs)):
+            mine = values[qubit == j]
+            pooled.extend(np.log10(mine) - math.log10(float(np.mean(mine))))
         variances[k] = float(np.var(pooled))
     best = int(np.argmin(variances))
     variances.setflags(write=False)

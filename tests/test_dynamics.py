@@ -12,23 +12,27 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from fluxt1.constants import H, K_B
+import fluxt1.dynamics as dynamics
 from fluxt1.dynamics import (
     FIT_AMPLITUDE_LIMIT,
     FIT_RESIDUAL_GATE,
     BiasModel,
     T1Mode,
     build_rate_matrix,
+    decays,
     default_time_grid,
     evolve,
     exponentialness,
     fit_exponential,
     heralded_misassignment_error,
     invert_computational,
+    multilevel_t1,
     predicted_t1,
+    rising_root,
     thermal_population,
     two_level_total_rate,
 )
-from fluxt1.errors import FitError, NumericalError
+from fluxt1.errors import FitError, FluxT1Error, NumericalError
 from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.io import parse_device_file
 from fluxt1.loss import (
@@ -37,7 +41,15 @@ from fluxt1.loss import (
     Mechanism,
     build_mechanism_table,
 )
-from fluxt1.pipeline import EPSILON_GRID
+from fluxt1.pipeline import (
+    EPSILON_GRID,
+    ROOT_XTOL,
+    CachedSpectrumProvider,
+    QceffInverter,
+    T1Dataset,
+    T1Record,
+    extract_qceff_dataset,
+)
 
 from conftest import environment_of, params_of, resonator_of
 
@@ -148,9 +160,18 @@ class TestBuildRateMatrix:
             assert model.t1(mode, (Mechanism.QP_JUNCTION,)) == math.inf
 
     def test_dimension_mismatch_rejected(self):
-        for shape in [(2, 3), (3,), (2, 2, 2)]:
+        for shape in [(2, 3), (3,), (2, 2, 3)]:
             with pytest.raises(ValueError, match="square"):
                 build_rate_matrix(np.ones(shape))
+
+    def test_leading_axes_are_a_stack(self, rng):
+        stack = np.stack([random_db_generator(rng)[0] for _ in range(6)]).reshape(2, 3, 6, 6)
+        rm = build_rate_matrix(stack)
+        assert rm.b.shape == (2, 3, 6, 6) and rm.eigenvalues.shape == (2, 3, 6)
+        for index in np.ndindex(2, 3):
+            alone = build_rate_matrix(stack[index])
+            np.testing.assert_array_equal(rm.b[index], alone.b)
+            np.testing.assert_array_equal(rm.eigenvalues[index], alone.eigenvalues)
 
 
 class TestThermalPopulation:
@@ -648,3 +669,186 @@ def test_probability_conservation_property(seed):
     p0 = rng.dirichlet(np.ones(6))
     trace = evolve(rm, p0, np.logspace(-8, 0, 25))
     np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0, atol=1e-9)
+
+
+# the mechanism selections of predict-t1's rows, and its multilevel modes
+PREDICT_SELECTIONS = {
+    **{name: (Mechanism(name),)
+       for name in ("capacitive", "flux_noise", "charge_line", "flux_line", "purcell")},
+    "total": ANALYSIS_MECHANISMS,
+}
+STACKED_MODES = (T1Mode.MULTILEVEL_POPULATION, T1Mode.MULTILEVEL_SIGNAL)
+# members of predict-t1 stacks that fail on their own, at biases of the
+# benchmark's seeded sweeps: (device, phi, selection) -> mode -> error
+KNOWN_FAILURES = {
+    ("b1", 0.36932908630238703, "purcell"): dict.fromkeys(
+        STACKED_MODES, (NumericalError, "expected exactly one zero eigenvalue, found 2")),
+    ("b3", 0.15774036825249207, "flux_noise"): {
+        T1Mode.MULTILEVEL_SIGNAL: (FitError, "no least-squares decay time within a factor e^20")},
+    ("a1", 0.24115643339926668, "flux_noise"): {
+        T1Mode.MULTILEVEL_SIGNAL: (FitError, "no least-squares decay time within a factor e^20")},
+    ("a1", 0.2458802923001324, "flux_noise"): {
+        T1Mode.MULTILEVEL_SIGNAL: (FitError, "fitted amplitude")},
+}
+
+
+def selection_stack(models):
+    """(members, rates, p0, weights) of every (model, predict-t1 selection)."""
+    members = [(model, name) for model in models for name in PREDICT_SELECTIONS]
+    return (members,
+            np.stack([model.rates(PREDICT_SELECTIONS[name]) for model, name in members]),
+            np.stack([model.p0 for model, _ in members]),
+            np.stack([model.weights for model, _ in members]))
+
+
+class TestStackedT1:
+    @pytest.mark.parametrize("device", SHIPPED_DEVICES, ids=lambda path: path.stem)
+    def test_each_member_is_its_own_stack_of_one(self, device):
+        # 11 biases in [0, 0.5] plus the device's known failing ones, each of
+        # predict-t1's six selections, both multilevel modes, in one call
+        dev = parse_device_file(str(device))
+        fluxes = [*np.linspace(0.0, 0.5, 11).tolist(),
+                  *(phi for name, phi, _ in KNOWN_FAILURES if name == device.stem)]
+        models = [BiasModel(diagonalize(dev.fluxonium_params(), FluxBias(phi), n_levels=6),
+                            dev.resonator_params(), dev.environment()) for phi in fluxes]
+        failed = np.full((len(models) * len(PREDICT_SELECTIONS), 2), None, dtype=object)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            members, rates, p0, weights = selection_stack(models)
+            stacked = multilevel_t1(rates, p0, weights, STACKED_MODES, failed)
+            for k, (model, name) in enumerate(members):
+                phi = fluxes[k // len(PREDICT_SELECTIONS)]
+                expected = KNOWN_FAILURES.get((device.stem, phi, name), {})
+                for j, mode in enumerate(STACKED_MODES):
+                    try:
+                        alone = model.t1(mode, PREDICT_SELECTIONS[name])
+                    except FluxT1Error as exc:
+                        # the member fails with its own error, alone and stacked
+                        assert type(failed[k, j]) is type(exc)
+                        assert str(failed[k, j]) == str(exc)
+                        assert math.isnan(stacked[k, j])
+                        alone = exc
+                    else:
+                        assert failed[k, j] is None
+                        assert stacked[k, j] == alone  # bit for bit
+                    if mode in expected:
+                        kind, message = expected[mode]
+                        assert isinstance(alone, kind) and str(alone).startswith(message)
+
+    def test_a_complex_member_leaves_real_neighbours_in_real_arithmetic(self, rng):
+        cycle = np.array([[0.0, 100.0, 1.0], [1.0, 0.0, 100.0], [100.0, 1.0, 0.0]])
+        real, _ = random_db_generator(rng, n=3)
+        p0 = np.array([[0.2, 0.7, 0.1], [0.1, 0.8, 0.1]])
+        with pytest.warns(UserWarning, match="complex eigenpair"):
+            times, populations, reached = decays(np.stack([real, cycle]), p0)
+            alone = [decays(rates[None], p[None]) for rates, p in zip((real, cycle), p0)]
+        assert reached.all()
+        for k, (t, pops, _) in enumerate(alone):
+            np.testing.assert_array_equal(times[k], t[0])
+            np.testing.assert_array_equal(populations[k], pops[0])
+
+    def test_a_failing_solve_fails_only_its_member(self):
+        stack = np.stack([np.diag([2.0, 4.0]), np.zeros((2, 2)), np.eye(2)])
+        slots = np.full(3, None, dtype=object)
+        inverse = dynamics._per_member(np.linalg.inv, stack, slots, "singular")
+        assert isinstance(slots[1], NumericalError) and str(slots[1]).startswith("singular: ")
+        assert slots[0] is None and slots[2] is None
+        np.testing.assert_array_equal(inverse[0], np.diag([0.5, 0.25]))
+        np.testing.assert_array_equal(inverse[2], np.eye(2))
+
+    @pytest.mark.parametrize("mode", STACKED_MODES, ids=lambda m: m.value)
+    def test_lockstep_extraction_is_each_record_alone(self, mode):
+        dev = parse_device_file(str(SHIPPED_DEVICES[1]))
+        env, res = dev.environment(epsilon=0.25), dev.resonator_params()
+        provider = CachedSpectrumProvider(dev.fluxonium_params())
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            records = [T1Record(phi_ext=phi, t1=QceffInverter(provider(phi), res, env, mode)
+                                .predict_t1(2.2e5 * rng.lognormal(0.0, 0.35)))
+                       for phi in np.linspace(0.04, 0.5, 8).tolist()]
+            dist = extract_qceff_dataset(T1Dataset.from_records(records), provider, res, env,
+                                         mode)
+            alone = [QceffInverter(provider(r.phi_ext), res, env, mode).invert(r.t1)
+                     for r in records]
+        for entry, q in zip(dist.entries, alone):
+            assert abs(math.log10(entry.qceff) - math.log10(q)) <= ROOT_XTOL
+
+
+class TestRisingRoot:
+    ROOTS = np.array([0.3, -2.0, 7.5, 40.0, -40.0, 0.0, 1.0, 1.0 / 3.0])
+    U0 = np.array([0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 1.0 + 3e-13, 2.0])
+
+    @classmethod
+    def g(cls, u, members):
+        """Rising through zero at ROOTS, as a step for member 7, whose bracket
+        only bisection-like steps shrink; member 2 fails above u = 5."""
+        offset = u - cls.ROOTS[members]
+        value = np.where(members == 7, np.sign(offset), np.sinh(offset))
+        return np.where((members == 2) & (u > 5.0), np.nan, value)
+
+    @staticmethod
+    def traced(g, seen):
+        def wrapped(u, members):
+            for k, v in zip(members.tolist(), u.tolist()):
+                seen.setdefault(k, []).append(v)
+            return g(u, members)
+        return wrapped
+
+    def test_brackets_widen_as_before_and_members_freeze_alone(self):
+        step, lo, hi, xtol = 0.05, -10.0, 10.0, 1e-12
+        seen = {}
+        roots = rising_root(self.traced(self.g, seen), self.U0, step, lo, hi, xtol)
+        for k, u0 in enumerate(self.U0.tolist()):
+            members = np.array([k])
+            g0 = self.g(np.array([u0]), members)[0]
+            # the bracket: u0, then u0 + step 2^j toward the sign change, clipped
+            toward, reach, expected = (1.0 if g0 < 0.0 else -1.0), step, [u0]
+            while g0 != 0.0:
+                outer = min(max(u0 + toward * reach, lo), hi)
+                expected.append(outer)
+                value = self.g(np.array([outer]), members)[0]
+                if not toward * value < 0.0 or outer in (lo, hi):
+                    break
+                reach *= 2.0
+            assert seen[k][:len(expected)] == expected
+            # alone, the member evaluates the same points and finds the same root
+            alone_seen = {}
+            alone = rising_root(self.traced(lambda u, m: self.g(u, members), alone_seen),
+                                u0, step, lo, hi, xtol)
+            assert alone_seen[0] == seen[k]
+            if abs(self.ROOTS[k]) > hi or k == 2:
+                assert alone is None and math.isnan(roots[k])
+            else:
+                assert roots[k] == alone
+                assert abs(alone - self.ROOTS[k]) <= xtol + 4 * np.finfo(float).eps
+
+    def test_a1_sweep_stack_takes_few_gradient_evaluations(self, monkeypatch):
+        # predict_sweep's a1 grid at seed 11: 21 biases x 6 selections x 2 modes
+        dev = parse_device_file(str(SHIPPED_DEVICES[0]))
+        offset, step = 0.12857020276919962, 0.5 / 21
+        fluxes = np.linspace(offset * step, (20 + offset) * step, 21).tolist()
+        models = [BiasModel(diagonalize(dev.fluxonium_params(), FluxBias(phi), n_levels=6),
+                            dev.resonator_params(), dev.environment()) for phi in fluxes]
+        counts, root = [], dynamics.rising_root
+
+        def counting(g, u0, *args):
+            n = np.zeros(np.size(u0), dtype=int)
+
+            def counted(u, members):
+                np.add.at(n, members, 1)
+                return g(u, members)
+
+            u = root(counted, u0, *args)
+            counts.extend(n.tolist())
+            return u
+
+        monkeypatch.setattr(dynamics, "rising_root", counting)
+        failed = np.full((len(models) * len(PREDICT_SELECTIONS), 2), None, dtype=object)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _, rates, p0, weights = selection_stack(models)
+            multilevel_t1(rates, p0, weights, STACKED_MODES, failed)
+        assert len(counts) == 252
+        assert np.mean(counts) <= 9.0
+        assert max(counts) <= 20

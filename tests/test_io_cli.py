@@ -324,6 +324,36 @@ def test_bad_number_in_distribution_is_a_data_error_naming_the_file(
     assert str(bad) in error["message"]
 
 
+@pytest.mark.parametrize("data", [None, 3.5, "entries"], ids=["null", "number", "string"])
+def test_data_that_is_not_an_object_is_a_data_error_naming_the_file(tmp_path, capsys, data):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
+    bad.write_text(json.dumps({"schema": SCHEMA_ID, "command": "extract-qceff",
+                               "config": {}, "data": data}))
+    code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(bad) in error["message"]
+
+
+@pytest.mark.parametrize("epsilon", ["NaN", '"0.25x"', "null"], ids=["nan", "text", "null"])
+def test_bad_epsilon_used_is_a_data_error_naming_the_file(tmp_path, capsys, epsilon):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
+    bad.write_text(dist_envelope("B", [1.5e5, 2.5e5]).replace(
+        '"epsilon_used": 0.25', f'"epsilon_used": {epsilon}'))
+    assert f'"epsilon_used": {epsilon}' in bad.read_text()
+    code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(bad) in error["message"]
+    assert "epsilon_used" in error["message"]
+
+
 @pytest.mark.parametrize("n_entries", [0, 1])
 def test_distribution_with_fewer_than_two_entries_is_a_data_error(tmp_path, capsys,
                                                                   n_entries):
@@ -418,6 +448,47 @@ class TestCli:
         t1 = {r["mechanism"]: r["t1_s"] for r in csv.DictReader(out.splitlines())}
         assert t1["flux_noise"] == "nan"
         assert 0.0 < float(t1["capacitive"]) < math.inf
+
+    def test_predict_t1_failing_member_is_nan_alone(self, capsys):
+        # b1's purcell generator has two zero modes at this bias: its
+        # multilevel rows fail, its stack neighbours and its two-level row do not
+        device = Path(__file__).resolve().parents[1] / "devices" / "b1.json"
+        code, out, _ = run_cli(
+            ["predict-t1", "--device", str(device), "--flux-start", "0.36932908630238703",
+             "--flux-stop", "0.4", "--flux-points", "2", "--mechanisms", "purcell,total",
+             "--modes", "two_level,six_level,signal"], capsys)
+        assert code == 0
+        rows = list(csv.DictReader(out.splitlines()))
+        failed = {(r["phi_ext_phi0"], r["mechanism"], r["mode"])
+                  for r in rows if not math.isfinite(float(r["t1_s"]))}
+        assert failed == {("0.36932908630238703", "purcell", mode)
+                          for mode in ("six_level", "signal")}
+        assert len(rows) == 12
+
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    def test_predict_t1_rows_are_the_bias_models(self, a1_device, capsys):
+        from fluxt1.dynamics import BiasModel, T1Mode
+        from fluxt1.hamiltonian import diagonalize
+        from fluxt1.io import parse_device_file
+        from fluxt1.loss import ANALYSIS_MECHANISMS, Mechanism
+
+        code, out, _ = run_cli(
+            ["predict-t1", "--device", a1_device, "--flux-start", "0.1", "--flux-stop", "0.5",
+             "--flux-points", "3", "--mechanisms", "capacitive,purcell,total",
+             "--modes", "signal,two_level,six_level"], capsys)
+        assert code == 0
+        device = parse_device_file(a1_device)
+        modes = {"two_level": T1Mode.TWO_LEVEL, "six_level": T1Mode.MULTILEVEL_POPULATION,
+                 "signal": T1Mode.MULTILEVEL_SIGNAL}
+        rows = list(csv.DictReader(out.splitlines()))
+        assert len(rows) == 27
+        for r in rows:
+            spec = diagonalize(device.fluxonium_params(), FluxBias(float(r["phi_ext_phi0"])),
+                               n_levels=6)
+            model = BiasModel(spec, device.resonator_params(), device.environment())
+            mechanisms = (ANALYSIS_MECHANISMS if r["mechanism"] == "total"
+                          else (Mechanism(r["mechanism"]),))
+            assert float(r["t1_s"]) == model.t1(modes[r["mode"]], mechanisms)
 
     def test_simulate_decay_outputs(self, tmp_path, result_schema, capsys):
         device = tmp_path / "b2.json"

@@ -28,6 +28,7 @@ from fluxt1.pipeline import (
     extract_flux_noise_amplitude,
     extract_qceff_dataset,
     fit_epsilon_global,
+    invert_stack,
     summarize,
     two_level_qceff_closed_form,
 )
@@ -258,24 +259,27 @@ class TestInversionContract:
             inverter.invert(2.0 * t1_limit)
 
     @staticmethod
-    def _counted_round_trip(mode, phi, params, res):
+    def _counted_round_trip(mode, phi, params, res, monkeypatch):
         """(inverted qc_eff, model evaluations) of one round trip at 2.5e5."""
+        import fluxt1.pipeline as pipeline
+
         spec = diagonalize(params, FluxBias(phi), n_levels=6)
         inverter = QceffInverter(spec, res, environment_of("B1"), mode=mode)
         t1 = inverter.predict_t1(2.5e5)
-        model = inverter.predict_t1
-        calls = []
+        model, calls = pipeline.multilevel_t1, []
 
-        def counted(qc_eff):
-            calls.append(qc_eff)
-            return model(qc_eff)
+        def counted(rates, *args, **kwargs):
+            calls.extend(rates)  # one model evaluation per member of the stack
+            return model(rates, *args, **kwargs)
 
-        inverter.predict_t1 = counted
+        monkeypatch.setattr(pipeline, "multilevel_t1", counted)
         return inverter.invert(t1), len(calls)
 
     @pytest.mark.parametrize("phi", (0.27, 0.5))
-    def test_two_level_round_trip_evaluates_no_model(self, phi, b1_params, b1_resonator):
-        q, n_calls = self._counted_round_trip(T1Mode.TWO_LEVEL, phi, b1_params, b1_resonator)
+    def test_two_level_round_trip_evaluates_no_model(self, phi, b1_params, b1_resonator,
+                                                     monkeypatch):
+        q, n_calls = self._counted_round_trip(T1Mode.TWO_LEVEL, phi, b1_params, b1_resonator,
+                                              monkeypatch)
         assert q == pytest.approx(2.5e5, rel=1e-12)
         assert n_calls == 0
 
@@ -283,8 +287,8 @@ class TestInversionContract:
                              ids=lambda m: m.value)
     @pytest.mark.parametrize("phi", (0.27, 0.5))
     def test_multilevel_round_trip_takes_at_most_20_model_evaluations(
-            self, mode, phi, b1_params, b1_resonator):
-        q, n_calls = self._counted_round_trip(mode, phi, b1_params, b1_resonator)
+            self, mode, phi, b1_params, b1_resonator, monkeypatch):
+        q, n_calls = self._counted_round_trip(mode, phi, b1_params, b1_resonator, monkeypatch)
         assert q == pytest.approx(2.5e5, rel=1e-3)
         assert 1 <= n_calls <= 20
 
@@ -317,6 +321,26 @@ class TestInversionContract:
             for q in (2.2e5, 3.0e5))
         for q_true in (1.4e5, 2.2e5, 3.7e5):
             assert inverter.invert(source.predict_t1(q_true)) == pytest.approx(q_true, rel=1e-11)
+
+
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    def test_stack_of_models_retaining_different_level_counts(self, b1_params, b1_resonator):
+        env = environment_of("B1")
+        models = [QceffInverter(diagonalize(b1_params, FluxBias(phi), n_levels=n),
+                                b1_resonator, env)
+                  for phi, n in ((0.2, 6), (0.3, 5), (0.4, 6))]
+        t1 = [model.predict_t1(2.5e5) for model in models]
+        stacked = invert_stack(models, t1, T1Mode.MULTILEVEL_SIGNAL)
+        assert stacked.tolist() == [model.invert(t) for model, t in zip(models, t1)]
+
+    def test_first_failing_member_raises(self, b1_half_flux_spectrum, b1_resonator):
+        env = environment_of("B1")
+        model = QceffInverter(b1_half_flux_spectrum, b1_resonator, env)
+        limit = 1.0 / two_level_total_rate(b1_half_flux_spectrum, b1_resonator, env,
+                                           BACKGROUND_MECHANISMS)
+        good = model.predict_t1(2.5e5)
+        with pytest.raises(FitError, match=f"reproduces t1 = {2.0 * limit:.3e} s"):
+            invert_stack([model] * 4, [good, 2.0 * limit, 3.0 * limit, good])
 
 
 class TestPipelineDeterminism:
