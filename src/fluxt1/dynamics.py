@@ -256,9 +256,10 @@ def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> Po
         raise ValueError("times must be nonnegative")
     slots = _slots(errors, shape)
 
-    c = rm.mode_coefficients(p0)
-    modes = np.exp(times[..., :, None] * rm.eigenvalues[..., None, :])  # (..., T, N)
-    pops = (modes * c[..., None, :]) @ np.swapaxes(rm.eigenvectors, -1, -2)
+    modes = times[..., :, None] * rm.eigenvalues[..., None, :]  # (..., T, N)
+    np.exp(modes, out=modes)
+    modes *= rm.mode_coefficients(p0)[..., None, :]
+    pops = modes @ np.swapaxes(rm.eigenvectors, -1, -2)
     if np.iscomplexobj(pops):
         leak = np.abs(pops.imag).max(axis=(-2, -1)).reshape(-1)
         for k in np.flatnonzero(leak > 1e-9):
@@ -372,6 +373,27 @@ def rising_root(g, u0, step: float, lo, hi, xtol: float):
     return root.reshape(shape)
 
 
+def _log_linear_decay_time(t: np.ndarray, y: np.ndarray, y_range: np.ndarray) -> np.ndarray:
+    """Each trace's decay-time estimate from a least-squares line through
+    log |y - y_end| where it stands clear of the end value; a third of the
+    time span where fewer than two samples do or the line does not fall."""
+    resid = np.abs(y - y[:, -1:])
+    ends = np.abs(y[:, 0] - y[:, -1])
+    mask = resid > np.maximum(1e-3 * np.where(ends != 0.0, ends, y_range), 1e-300)[:, None]
+    span = t[:, -1] - t[:, 0]
+    tau0 = np.where(span > 0.0, span / 3.0, 1.0)
+    lined = np.flatnonzero(mask.sum(axis=1) >= 2)
+    if lined.size:
+        m = mask[lined]
+        tl = np.where(m, t[lined], 0.0)
+        ll = np.where(m, np.log(np.where(m, resid[lined], 1.0)), 0.0)
+        dt = np.where(m, tl - (tl.sum(axis=1) / m.sum(axis=1))[:, None], 0.0)
+        slope = np.vecdot(dt, ll) / np.vecdot(dt, dt)
+        falling = slope < 0.0
+        tau0[lined[falling]] = -1.0 / slope[falling]
+    return tau0
+
+
 def fit_exponential(times, signal, errors=None) -> DecayFit:
     """Least-squares fit of A exp(-t/T1) + C by variable projection, for each
     trace of a stack (times and signal (..., T), broadcast together).
@@ -402,25 +424,7 @@ def fit_exponential(times, signal, errors=None) -> DecayFit:
         slots[k] = FitError("signal is constant; decay time undefined")
     live = _live(slots)
     t, y, y_range = t[live], y[live], y_range[live]
-
-    # the log-linear estimate: a least-squares line through log |y - y_end|
-    # where it stands clear of the end value
-    resid = np.abs(y - y[:, -1:])
-    ends = np.abs(y[:, 0] - y[:, -1])
-    mask = resid > np.maximum(1e-3 * np.where(ends != 0.0, ends, y_range), 1e-300)[:, None]
-    span = t[:, -1] - t[:, 0]
-    tau0 = np.where(span > 0.0, span / 3.0, 1.0)
-    lined = np.flatnonzero(mask.sum(axis=1) >= 2)
-    if lined.size:
-        m = mask[lined]
-        count = m.sum(axis=1)
-        tl = np.where(m, t[lined], 0.0)
-        ll = np.where(m, np.log(np.where(m, resid[lined], 1.0)), 0.0)
-        dt = np.where(m, tl - (tl.sum(axis=1) / count)[:, None], 0.0)
-        slope = np.vecdot(dt, ll) / np.vecdot(dt, dt)
-        falling = slope < 0.0
-        tau0[lined[falling]] = -1.0 / slope[falling]
-
+    tau0 = _log_linear_decay_time(t, y, y_range)
     y_mean = y.sum(axis=1) / n_t
     dy = y - y_mean[:, None]
 
@@ -667,11 +671,14 @@ def multilevel_t1(rates: np.ndarray, p0: np.ndarray, weights: np.ndarray | None,
             slots[k][np.equal(slots[k], None)] = err
     t1[wanted[~reached]] = math.inf
 
-    traces = [populations[:, :, 1] if mode is T1Mode.MULTILEVEL_POPULATION else
-              np.abs(np.vecdot(populations, weights[wanted][:, None, :])) for mode in modes]
     member, column = np.nonzero(np.equal(slots[wanted], None) & reached[:, None])
+    traces = np.stack([
+        populations[:, :, 1] if mode is T1Mode.MULTILEVEL_POPULATION else
+        np.abs(np.vecdot(populations, weights[wanted][:, None, :])) for mode in modes],
+        axis=1)[member, column]
+    del populations  # the fit reads only the traces; free the (R, T, N) array first
     fitted = np.full(member.size, None, dtype=object)
-    fit = fit_exponential(times[member], np.stack(traces, axis=1)[member, column], fitted)
+    fit = fit_exponential(times[member], traces, fitted)
     gated = (np.abs(fit.amplitude) > 0.0) & (
         fit.residual_rms > FIT_RESIDUAL_GATE * np.abs(fit.amplitude))
     for _ in range(np.count_nonzero(gated)):
