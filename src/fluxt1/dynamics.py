@@ -45,6 +45,7 @@ from .errors import DominantModeTieError, FitError, NumericalError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from .loss import (
     ANALYSIS_MECHANISMS,
+    ChannelPairs,
     Environment,
     Mechanism,
     MechanismRateTable,
@@ -737,10 +738,14 @@ class BiasModel:
         return self._memoized(mechanism, lambda: build_mechanism_table(
             self.spec, self.res, self.env, mechanism))
 
+    def pairs(self, mechanism: Mechanism) -> ChannelPairs:
+        """One channel's exponent-free level pairs, as first built for the bias."""
+        return self._table(mechanism).pairs
+
     def _pair(self, mechanism: Mechanism) -> float:
         """One channel's 0<->1 pair rate at env.qc_eff and env.epsilon."""
         if mechanism == Mechanism.CAPACITIVE:
-            return self._table(mechanism).pairs.pair_sum(self.env)
+            return self.pairs(mechanism).pair_sum(self.env)
         return self._memoized((mechanism, "pair"),
                               lambda: self._table(mechanism).pair_sum(0, 1))
 

@@ -123,8 +123,10 @@ def _phase_basis(dim: int):
     return lam, d2_x, d_x, parity_x
 
 
-def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: int):
-    """Diagonalize at a fixed oscillator-basis truncation ``dim``."""
+def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: int,
+                 energies_only: bool = False):
+    """Diagonalize at a fixed oscillator-basis truncation ``dim``; with
+    ``energies_only``, return the retained energies alone."""
     phi_zpf = (2.0 * params.ec / params.el) ** 0.25
     n_zpf = 0.5 / phi_zpf
     theta = 2.0 * np.pi * phi_ext
@@ -134,6 +136,8 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
     h_mat = -4.0 * params.ec * n_zpf**2 * d2_x
     idx = np.arange(dim)
     h_mat[idx, idx] += -params.ej * np.cos(phi_grid + theta) + 0.5 * params.el * phi_grid**2
+    if energies_only:
+        return eigh(h_mat, subset_by_index=[0, n_levels - 1], eigvals_only=True)
     energies, v = eigh(h_mat, subset_by_index=[0, n_levels - 1])
 
     phi_centered = (v.T * phi_grid) @ v
@@ -163,14 +167,15 @@ def diagonalize(
     The truncation starts at ``basis_dim`` (60 by default) and grows in steps
     of 20 until the retained energies move by less than ``convergence_rtol``
     (relative to the spectrum scale) under one further growth step. Each step
-    solves for the lowest ``n_levels`` eigenpairs only. Raises
+    solves for the lowest ``n_levels`` eigenpairs only, and the starting
+    truncation, which is only compared against, for their energies. Raises
     :class:`ConvergenceError` carrying the last delta if the cap is reached.
     """
     if n_levels < 2:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
     dim = max(int(basis_dim), n_levels + 10)
 
-    prev_energies, *_ = _solve_basis(params, bias.phi_ext, n_levels, dim)
+    prev_energies = _solve_basis(params, bias.phi_ext, n_levels, dim, energies_only=True)
     delta = np.inf
     while dim + BASIS_GROWTH <= MAX_BASIS_DIM:
         dim += BASIS_GROWTH

@@ -122,7 +122,30 @@ def q_of_frequency(env: Environment, f):
     # the array method skips np.all's dispatch, a few us of every evaluation
     if not (np.asarray(f) > 0.0).all():
         raise ValueError(f"frequency must be > 0, got {f!r}")
-    return env.qc_eff * (Q_REFERENCE_FREQUENCY / f) ** env.epsilon
+    return _quality_factor(env.qc_eff, env.epsilon, f)
+
+
+def _quality_factor(qc_eff, epsilon: float, f):
+    """Q'(f) = qc_eff * (6 GHz / f)^epsilon at one exponent, unchecked."""
+    return qc_eff * (Q_REFERENCE_FREQUENCY / f) ** epsilon
+
+
+def capacitive_pair_rates(strength, f, down, up, qc_eff, epsilon) -> np.ndarray:
+    """Symmetrized rates strength / Q'(f) * (up + down) of capacitive level
+    pairs, each given by its exponent-free parts (``ChannelPairs`` fields)
+    and its qc_eff, at every frequency exponent of ``epsilon``: the pair
+    arguments are 1-D over P pairs (qc_eff may be a scalar), epsilon is 1-D
+    over E exponents, and the result is P x E.
+
+    Q' is taken one exponent at a time, with a scalar exponent as
+    ``q_of_frequency`` takes it: numpy's ``**`` rounds a scalar exponent of
+    -1, 0.5 or 2 exactly (as 1/x, sqrt(x), x*x), which an array of exponents
+    does not, so each column is bit for bit the rate of one pair at its
+    exponent.
+    """
+    inverse_q = 1.0 / np.array([_quality_factor(qc_eff, e, f) for e in epsilon]).T
+    total = strength[:, None] * inverse_q
+    return total * up[:, None] + total * down[:, None]
 
 
 def purcell_resistance(res: ResonatorParams, f):
@@ -183,30 +206,30 @@ class ChannelPairs:
     down: np.ndarray
     up: np.ndarray
 
-    def rates(self, env: Environment, first: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(downward, upward) rates in env of the first ``first`` split pairs
-        (all by default): one array expression for a table and a pair alike."""
-        k = slice(first)
-        total = self.strength[k]
-        if self.mechanism is Mechanism.CAPACITIVE:
-            total = total * (1.0 / q_of_frequency(env, self.f[k]))
-        return total * self.down[k], total * self.up[k]
-
     def table(self, env: Environment) -> MechanismRateTable:
         """The channel's N x N rate table in env."""
-        down, up = self.rates(env)
+        total = self.strength
+        if self.mechanism is Mechanism.CAPACITIVE:
+            total = total * (1.0 / q_of_frequency(env, self.f))
+        down, up = total * self.down, total * self.up
         rates = np.zeros((self.n, self.n))
         rates[self.j, self.i] = down
         rates[self.i, self.j] = up
         rates.setflags(write=False)
         return MechanismRateTable(mechanism=self.mechanism, rates=rates, pairs=self)
 
+    def pair_01(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(strength, f, down, up) of the 0<->1 pair, as one-element arrays;
+        a degenerate 0<->1 pair, which carries no rate, reads strength 0."""
+        if self.j.size and self.j[0] == 1:
+            return self.strength[:1], self.f[:1], self.down[:1], self.up[:1]
+        zero = np.zeros(1)
+        return zero, np.full(1, Q_REFERENCE_FREQUENCY), zero, zero
+
     def pair_sum(self, env: Environment) -> float:
-        """``table(env).pair_sum(0, 1)`` from the 0<->1 entry alone."""
-        if not (self.j.size and self.j[0] == 1):
-            return 0.0  # a degenerate 0<->1 pair, which carries no rate
-        down, up = self.rates(env, 1)
-        return float(up[0] + down[0])
+        """The capacitive ``table(env).pair_sum(0, 1)`` from the 0<->1 entry
+        alone, through ``capacitive_pair_rates``."""
+        return float(capacitive_pair_rates(*self.pair_01(), env.qc_eff, (env.epsilon,))[0, 0])
 
 
 def build_mechanism_table(

@@ -29,6 +29,7 @@ from .loss import (
     Environment,
     Mechanism,
     build_mechanism_table,
+    capacitive_pair_rates,
 )
 from .resonator import ResonatorParams
 
@@ -197,47 +198,86 @@ def invert_stack(models, t1_measured, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL) -
     """The qc_eff in [10**LOG10_QCEFF_MIN, 10**LOG10_QCEFF_MAX] whose model t1
     is the measured one, for each (model, t1) pair, all inverted in lockstep.
 
-    In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so each inversion is the
-    closed form q = qc_eff * K / (1/t1 - Gamma_bg). The multilevel modes
+    In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so the answer is
+    ``two_level_qceff`` at each model's own exponent. The multilevel modes
     solve log t1_model(10**u) = log t1_measured over u = log10(qc_eff) with
-    ``rising_root``, every member from log10(q) when 1e2 < q < 1e9, else from
-    FALLBACK_QCEFF; each round evaluates the trial qc_eff of every member
-    still searching as one ``multilevel_t1`` stack, whose capacitive rates
-    are the model's memoized table rescaled. Raises the first member's
-    FitError, in stack order, when no qc_eff within the bounds reproduces its
-    t1 (for instance a t1 longer than the non-capacitive channels alone
-    allow), or a model evaluation of it fails.
+    ``rising_root``, every member from log10 of that closed form when it lies
+    in (1e2, 1e9), else from FALLBACK_QCEFF; each round evaluates the trial
+    qc_eff of every member still searching as one ``multilevel_t1`` stack,
+    whose capacitive rates are the model's memoized table rescaled. Raises
+    the first member's FitError, in stack order, when no qc_eff within the
+    bounds reproduces its t1 (for instance a t1 longer than the
+    non-capacitive channels alone allow), or a model evaluation of it fails.
     """
     mode = T1Mode(mode)
     t1_measured = np.asarray(t1_measured, dtype=float)
+    if not models:
+        return np.empty(0)
+    epsilon, column = np.unique([model.env.epsilon for model in models], return_inverse=True)
+    q = two_level_qceff(models, t1_measured, epsilon)[np.arange(len(models)), column]
+    if mode is T1Mode.TWO_LEVEL:
+        _raise_unmatched(q[:, None], models, t1_measured)
+        return q
+    u0 = np.array([math.log10(v) if 1e2 < v < 1e9 else math.log10(FALLBACK_QCEFF)
+                   for v in q.tolist()])
     failures = np.full(len(models), None, dtype=object)
-    q, u0 = np.empty(len(models)), np.empty(len(models))
-    for k, (model, t1) in enumerate(zip(models, t1_measured.tolist())):
-        background = model.pair_rate(BACKGROUND_MECHANISMS)
-        residual = 1.0 / t1 - background
-        q[k] = (model.env.qc_eff * model.pair_rate((Mechanism.CAPACITIVE,)) / residual
-                if residual > 0.0 else 0.0)
-        if mode is not T1Mode.TWO_LEVEL:
-            u0[k] = math.log10(q[k]) if 1e2 < q[k] < 1e9 else math.log10(FALLBACK_QCEFF)
-        elif not 10.0 ** LOG10_QCEFF_MIN <= q[k] <= 10.0 ** LOG10_QCEFF_MAX:
-            failures[k] = _unmatched(t1, f"the closed form gives qc_eff = {q[k]:.3e}"
-                                     if residual > 0.0 else "the non-capacitive channels "
-                                     f"alone give t1 = {1.0 / background:.3e} s")
-    if mode is not T1Mode.TWO_LEVEL:
-        # one stack per number of retained levels
-        sizes = np.array([model.spec.n_levels for model in models])
-        for size in np.unique(sizes).tolist():
-            group = np.flatnonzero(sizes == size)
-            failed = failures[group]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                q[group] = 10.0 ** _lockstep_root([models[k] for k in group.tolist()],
-                                                  t1_measured[group], u0[group], mode, failed)
-            failures[group] = failed
+    # one stack per number of retained levels
+    sizes = np.array([model.spec.n_levels for model in models])
+    for size in np.unique(sizes).tolist():
+        group = np.flatnonzero(sizes == size)
+        failed = failures[group]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            q[group] = 10.0 ** _lockstep_root([models[k] for k in group.tolist()],
+                                              t1_measured[group], u0[group], mode, failed)
+        failures[group] = failed
     for err in failures:
         if err is not None:
             raise err
     return q
+
+
+def two_level_qceff(models, t1_measured, epsilon) -> np.ndarray:
+    """The two-level closed form q = qc_eff * K(eps) / (1/t1 - Gamma_bg) of
+    every record (models[r], t1_measured[r]) at every exponent of the 1-D
+    ``epsilon``, as one array expression: an R x E array, nan where the
+    residual 1/t1 - Gamma_bg is not positive.
+
+    Each record's exponent-free inputs are read once, from the rate data its
+    model shares: the background pair rate Gamma_bg, and the capacitive
+    0<->1 pair (``ChannelPairs.pair_01``), whose rate at the model's qc_eff
+    is K (``capacitive_pair_rates``). So a cell is bit for bit the closed
+    form of one model at that exponent, and no model is built per exponent.
+    """
+    background = np.array([model.pair_rate(BACKGROUND_MECHANISMS) for model in models])
+    qc_eff = np.array([model.env.qc_eff for model in models])
+    strength, f, down, up = map(np.concatenate, zip(
+        *(model.pairs(Mechanism.CAPACITIVE).pair_01() for model in models)))
+    k = capacitive_pair_rates(strength, f, down, up, qc_eff, epsilon)
+    return _closed_form(qc_eff[:, None], k, np.asarray(t1_measured, dtype=float)[:, None],
+                        background[:, None])
+
+
+def _closed_form(qc_eff, pair, t1_measured, background):
+    """qc_eff * pair / (1/t1 - background), elementwise; nan where the
+    residual is not positive."""
+    residual = 1.0 / t1_measured - background
+    return qc_eff * pair / np.where(residual > 0.0, residual, np.nan)
+
+
+def _raise_unmatched(q, models, t1_measured) -> None:
+    """Raise the FitError of the first cell of an R x E closed form, exponent
+    by exponent and record by record within one, that lies outside the
+    bounds; a record whose residual is not positive fails at every exponent."""
+    outside = ~((q >= 10.0 ** LOG10_QCEFF_MIN) & (q <= 10.0 ** LOG10_QCEFF_MAX))
+    if not outside.any():
+        return
+    e, r = np.argwhere(outside.T)[0].tolist()
+    t1 = float(t1_measured[r])
+    background = models[r].pair_rate(BACKGROUND_MECHANISMS)
+    raise _unmatched(t1, f"the closed form gives qc_eff = {q[r, e]:.3e}"
+                     if 1.0 / t1 - background > 0.0 else "the non-capacitive channels "
+                     f"alone give t1 = {1.0 / background:.3e} s")
 
 
 def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
@@ -283,20 +323,20 @@ def two_level_qceff_closed_form(
     """Algebraic two-level inversion: solve 1/t1 = Gamma_bg + K/qc_eff.
 
     The capacitive pair rate at fixed epsilon is exactly proportional to
-    1/qc_eff, so the inversion is one division. Builds its tables through
-    ``two_level_total_rate`` and ``build_mechanism_table``, apart from any
-    ``BiasModel``, as the reference for ``QceffInverter.invert`` in two_level
-    mode, which does the same arithmetic.
+    1/qc_eff, so the inversion is one division. Reads both rates from
+    tables it builds through ``two_level_total_rate`` and
+    ``build_mechanism_table``, apart from any ``BiasModel``, as the reference
+    for ``two_level_qceff``, whose division it shares.
     """
     bg = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
-    residual = 1.0 / t1_measured - bg
-    if residual <= 0.0:
+    cap_ref = build_mechanism_table(spec, res, env, Mechanism.CAPACITIVE).pair_sum(0, 1)
+    q = float(_closed_form(env.qc_eff, cap_ref, t1_measured, bg))
+    if math.isnan(q):
         raise FitError(
             "measured rate is below the background (non-capacitive) prediction; "
             "no positive qc_eff reproduces it"
         )
-    cap_ref = build_mechanism_table(spec, res, env, Mechanism.CAPACITIVE).pair_sum(0, 1)
-    return env.qc_eff * cap_ref / residual
+    return q
 
 
 @dataclass(frozen=True)
@@ -403,12 +443,16 @@ def fit_epsilon_global(
 ) -> EpsilonFitResult:
     """Frequency exponent minimizing the pooled variance of centered log Q.
 
-    For each trial exponent, every qubit's records are re-inverted, all in
-    one ``invert_stack``; each qubit's log10 quality factors are centered on
-    the log of that qubit's mean, pooled, and the exponent with the smallest
-    pooled variance wins. The exponent enters only the capacitive pairs'
-    factor, so a model at any exponent shares the tables its spectrum already
-    holds and builds none.
+    At each trial exponent every qubit's records are re-inverted; each
+    qubit's log10 quality factors are centered on the log of that qubit's
+    mean, pooled, and the exponent with the smallest pooled variance wins.
+    In two_level mode every record at every exponent is one cell of a single
+    ``two_level_qceff`` array, from one model per record, and the first cell
+    that fails, exponent by exponent and record by record within one, raises
+    its FitError. The multilevel modes re-invert all qubits' records at one
+    exponent at a time, in one ``invert_stack``. The exponent enters only the
+    capacitive pairs' factor, so no model at any exponent builds a table its
+    spectrum does not already hold.
     """
     if not qubit_inputs:
         raise ValueError("need at least one qubit dataset")
@@ -421,21 +465,34 @@ def fit_epsilon_global(
 
     spectra = [qi.spec_provider(r.phi_ext) for qi in qubit_inputs for r in qi.dataset.records]
     t1 = [r.t1 for qi in qubit_inputs for r in qi.dataset.records]
-    qubit = np.repeat(np.arange(len(qubit_inputs)),
-                      [len(qi.dataset.records) for qi in qubit_inputs])
+    qubit = [j for j, qi in enumerate(qubit_inputs) for _ in qi.dataset.records]
+    if mode is T1Mode.TWO_LEVEL:
+        models = [BiasModel(spec, qubit_inputs[j].res, qubit_inputs[j].env)
+                  for spec, j in zip(spectra, qubit)]
+        q = two_level_qceff(models, t1, grid)
+        _raise_unmatched(q, models, t1)
+        columns = np.ascontiguousarray(q.T)
+    else:
+        columns = _reinverted(qubit_inputs, spectra, qubit, t1, grid, mode)
+    # each qubit's records, as contiguous slices of one exponent's values
+    bounds = np.cumsum([len(qi.dataset.records) for qi in qubit_inputs])[:-1]
     variances = np.empty(grid.size)
-    for k, eps in enumerate(grid.tolist()):
-        envs = [replace(qi.env, epsilon=eps) for qi in qubit_inputs]
-        values = invert_stack([BiasModel(spec, qubit_inputs[j].res, envs[j])
-                               for spec, j in zip(spectra, qubit.tolist())], t1, mode)
-        pooled = []
-        for j in range(len(qubit_inputs)):
-            mine = values[qubit == j]
-            pooled.extend(np.log10(mine) - math.log10(float(np.mean(mine))))
-        variances[k] = float(np.var(pooled))
+    for k, values in enumerate(columns):
+        pooled = [np.log10(mine) - math.log10(float(np.mean(mine)))
+                  for mine in np.split(values, bounds)]
+        variances[k] = float(np.var(np.concatenate(pooled)))
     best = int(np.argmin(variances))
     variances.setflags(write=False)
     return EpsilonFitResult(epsilon=float(grid[best]), grid=grid, pooled_variance=variances)
+
+
+def _reinverted(qubit_inputs, spectra, qubit, t1, grid, mode):
+    """Every record's qc_eff at each exponent of the grid in turn, from one
+    ``invert_stack`` per exponent."""
+    for eps in grid.tolist():
+        envs = [replace(qi.env, epsilon=eps) for qi in qubit_inputs]
+        yield invert_stack([BiasModel(spec, qubit_inputs[j].res, envs[j])
+                            for spec, j in zip(spectra, qubit)], t1, mode)
 
 
 @dataclass(frozen=True)

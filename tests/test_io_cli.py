@@ -899,6 +899,36 @@ class TestOneModelPerBias:
         assert {m for *_, m in built} == set(ANALYSIS_MECHANISMS)
 
 
+SHIPPED_DEVICES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3")
+GOLDEN = Path(__file__).resolve().parent / "golden" / "extract_qceff_two_level"
+
+
+def fixed_t1_csv(index: int) -> str:
+    """Measured-T1 rows for the pinned outputs: 15 biases from 0.06 to 0.46,
+    T1 spread over 20-300 us in golden-ratio steps, shifted per device."""
+    lines = ["phi_ext,t1_s"]
+    for k in range(15):
+        t1 = 20e-6 + 280e-6 * ((k + 5 * index) * 0.6180339887498949 % 1.0)
+        lines.append(f"{0.06 + 0.4 * k / 14!r},{t1!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
+    def test_extract_qceff_two_level_is_byte_identical(self, index, name, tmp_path,
+                                                       monkeypatch, capsys):
+        # tests/golden holds what the per-record closed form printed before
+        # one records x exponents array took its place: not a digit may move
+        device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
+        (tmp_path / device.name).write_bytes(device.read_bytes())
+        (tmp_path / "t1.csv").write_text(fixed_t1_csv(index))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["extract-qceff", "--device", device.name, "--t1-csv", "t1.csv",
+                                "--mode", "two_level"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 class TestOptionsChangeOutput:
     """Each command takes only the options that can change what it computes."""
 

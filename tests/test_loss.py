@@ -88,6 +88,29 @@ class TestQOfFrequency:
             q_of_frequency(Environment(), 0.0)
 
 
+class TestCapacitivePairRates:
+    def test_each_column_is_the_scalar_exponent_path_bit_for_bit(self):
+        # -1, 0.5 and 2 are where numpy's ** with a scalar exponent rounds
+        # exactly (1/x, sqrt, x*x) and a broadcast power does not
+        f = np.linspace(0.05e9, 9e9, 301)
+        strength = np.linspace(1e3, 5e3, 301)
+        down, up = 1.0 + 1.0 / f, 1.0 / f
+        grid = (-1.0, 0.5, 2.0, 0.25, 0.0, 1.0)
+        rates = loss.capacitive_pair_rates(strength, f, down, up, 2.5e5, grid)
+        assert rates.shape == (f.size, len(grid))
+        for k, eps in enumerate(grid):
+            total = strength * (1.0 / q_of_frequency(Environment(qc_eff=2.5e5, epsilon=eps), f))
+            assert np.array_equal(rates[:, k], total * up + total * down)
+
+    def test_pair_sum_is_the_table_entry_bit_for_bit(self, b1_environment):
+        for phi in (0.1, 0.27, 0.5):
+            spec = diagonalize(params_of("B1"), FluxBias(phi), n_levels=6)
+            for eps in (-1.0, 0.25, 0.5):
+                env = replace(b1_environment, epsilon=eps)
+                table = build_mechanism_table(spec, None, env, Mechanism.CAPACITIVE)
+                assert table.pairs.pair_sum(env) == table.pair_sum(0, 1)
+
+
 class TestRateCapacitive:
     def test_parity_forbidden_pair_is_zero(self, b1_half_flux_spectrum, b1_environment):
         # 0->2 charge element vanishes at half flux up to eigensolver roundoff,
@@ -512,6 +535,19 @@ class TestDegenerateTransitions:
                      lambda: live.pair_rate(capacitive)):
             with pytest.raises(ZeroTransitionError, match=r"\(1, 2\)"):
                 read()
+
+    def test_degenerate_zero_one_pair_carries_no_capacitive_rate(self):
+        from fluxt1.dynamics import BiasModel
+
+        spec = replace(self._degenerate_spectrum(dead_pair=(0, 1)),
+                       energies=np.array([0.0, 0.0, 1.0e9, 5.0e9]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eps in (-1.0, 0.25, 2.0):
+                model = BiasModel(spec, None, Environment(epsilon=eps))
+                assert model.pair_rate((Mechanism.CAPACITIVE,)) == 0.0
+            pairs = model.pairs(Mechanism.CAPACITIVE)
+            assert not loss.capacitive_pair_rates(*pairs.pair_01(), 3e5, (-1.0, 0.25)).any()
 
     @pytest.mark.parametrize("mechanism, off", [
         (Mechanism.FLUX_NOISE, dict(a_phi=0.0)),

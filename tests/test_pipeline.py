@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxt1.dynamics import T1Mode, predicted_t1, two_level_total_rate
+from fluxt1.dynamics import BiasModel, T1Mode, predicted_t1, two_level_total_rate
 from fluxt1.errors import DataError, FitError
 from fluxt1.hamiltonian import FluxBias, diagonalize, flux_dispersion
 from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
@@ -30,6 +30,7 @@ from fluxt1.pipeline import (
     fit_epsilon_global,
     invert_stack,
     summarize,
+    two_level_qceff,
     two_level_qceff_closed_form,
 )
 
@@ -214,6 +215,15 @@ class TestQceffExtraction:
         assert [e.freq for e in dist.entries] == [r.omega01 for r in records]
         for e in dist.entries:
             assert e.qceff == pytest.approx(2.2e5, rel=1e-3)
+
+
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    def test_empty_dataset_gives_empty_distribution(self, mode, b1_params, b1_resonator):
+        # what extract-qceff inverts when the exclusion filter keeps nothing
+        dist = extract_qceff_dataset(T1Dataset(records=(), qubit_id="B1"),
+                                     CachedSpectrumProvider(b1_params), b1_resonator,
+                                     environment_of("B1"), mode=mode)
+        assert dist.entries == ()
 
 
 class TestOneModelPath:
@@ -415,16 +425,37 @@ class TestEpsilonFit:
             with pytest.raises(DataError, match=r"\['A1'\]"):
                 fit_epsilon_global(inputs, grid=np.array([0.0, 0.25]))
 
+    @staticmethod
+    def _count_builds(monkeypatch):
+        """(exponents of the Environments built, BiasModels built in the pipeline)."""
+        import fluxt1.pipeline as pipeline
+
+        envs, models = [], []
+        check, model = Environment.__post_init__, pipeline.BiasModel
+        monkeypatch.setattr(Environment, "__post_init__",
+                            lambda env: envs.append(env.epsilon) or check(env))
+        monkeypatch.setattr(pipeline, "BiasModel",
+                            lambda *args: models.append(args) or model(*args))
+        return envs, models
+
     def test_one_environment_per_qubit_and_exponent(self, monkeypatch):
         inputs = self._synthetic_inputs(epsilon=0.25)
-        built = []
-        check = Environment.__post_init__
-        monkeypatch.setattr(Environment, "__post_init__",
-                            lambda env: built.append(env.epsilon) or check(env))
-        grid = np.linspace(0.0, 0.5, 5)
-        fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
+        envs, models = self._count_builds(monkeypatch)
+        grid = np.linspace(0.0, 0.5, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # decay-fit residual gate
+            fit_epsilon_global(inputs, mode=T1Mode.MULTILEVEL_POPULATION, grid=grid)
         # one per exponent for each qubit; the inverters read the qubit's own
-        assert len(built) == len(inputs) * grid.size
+        assert len(envs) == len(inputs) * grid.size
+        assert len(models) == sum(len(qi.dataset) for qi in inputs) * grid.size
+
+    def test_two_level_builds_no_environment_or_model_per_exponent(self, monkeypatch):
+        inputs = self._synthetic_inputs(epsilon=0.25)
+        envs, models = self._count_builds(monkeypatch)
+        fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=np.linspace(0.0, 0.5, 5))
+        # one model per record serves every exponent
+        assert envs == []
+        assert len(models) == sum(len(qi.dataset) for qi in inputs)
 
     def test_variance_curve_matches_fresh_extraction_per_exponent(self):
         inputs = self._synthetic_inputs(epsilon=0.25)[:2]
@@ -438,6 +469,65 @@ class TestEpsilonFit:
                                                mode=T1Mode.MULTILEVEL_POPULATION).values()
                 pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
             assert variance == float(np.var(pooled))
+
+
+    def test_two_level_variance_curve_matches_fresh_extraction_per_exponent(self):
+        inputs = self._synthetic_inputs(epsilon=0.25)
+        # exact -1 and 0.5, where numpy's ** takes its exact shortcuts
+        grid = np.linspace(-1.0, 1.0, 9)
+        result = fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
+        records = [(qi, r) for qi in inputs for r in qi.dataset.records]
+        q = two_level_qceff([BiasModel(qi.spec_provider(r.phi_ext), qi.res, qi.env)
+                             for qi, r in records], [r.t1 for _, r in records], grid)
+        for k, (eps, variance) in enumerate(zip(grid.tolist(), result.pooled_variance)):
+            for cell, (qi, r) in zip(q[:, k].tolist(), records):
+                assert cell == two_level_qceff_closed_form(
+                    r.t1, qi.spec_provider(r.phi_ext), qi.res, replace(qi.env, epsilon=eps))
+            pooled = []
+            for qi in inputs:
+                env = replace(qi.env, epsilon=eps)
+                values = extract_qceff_dataset(qi.dataset, qi.spec_provider, qi.res, env,
+                                               mode=T1Mode.TWO_LEVEL).values()
+                pooled.extend(np.log10(values) - math.log10(float(np.mean(values))))
+            assert variance == float(np.var(pooled))
+
+    def test_two_level_raises_first_failing_cell_exponent_by_exponent(self):
+        inputs = self._synthetic_inputs(epsilon=0.25)
+        grid = np.array([-0.5, 0.25, 0.75])
+        # stack position 9 (A1's last record, Phi = 0.5, f01 ~ 0.36 GHz) gets
+        # the t1 whose closed form is 0.5 at the last exponent, and above 1 at
+        # the others; stack position 10 (B1's first record) a t1 beyond its
+        # background-only limit, so it fails at every exponent
+        a1, b1 = inputs[0], inputs[1]
+        late = a1.dataset.records[-1]
+        spec = a1.spec_provider(late.phi_ext)
+        env = replace(a1.env, epsilon=0.75)
+        background = two_level_total_rate(spec, a1.res, env, BACKGROUND_MECHANISMS)
+        q0 = two_level_qceff_closed_form(late.t1, spec, a1.res, env)
+        late = replace(late, t1=1.0 / (background + q0 * (1.0 / late.t1 - background) / 0.5))
+        for eps in grid[:-1].tolist():
+            assert two_level_qceff_closed_form(late.t1, spec, a1.res,
+                                               replace(a1.env, epsilon=eps)) > 1.0
+        early = b1.dataset.records[0]
+        limit = 1.0 / two_level_total_rate(b1.spec_provider(early.phi_ext), b1.res, b1.env,
+                                           BACKGROUND_MECHANISMS)
+        early = replace(early, t1=2.0 * limit)
+        inputs[0] = replace(a1, dataset=replace(a1.dataset,
+                                                records=a1.dataset.records[:-1] + (late,)))
+        inputs[1] = replace(b1, dataset=replace(b1.dataset,
+                                                records=(early,) + b1.dataset.records[1:]))
+        # the first exponent fails first, at the later record
+        with pytest.raises(FitError) as raised:
+            fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
+        assert str(raised.value) == (
+            f"no qc_eff in [1e0, 1e12] reproduces t1 = {early.t1:.3e} s "
+            f"(the non-capacitive channels alone give t1 = {limit:.3e} s)")
+        # without it, the earlier record fails at the last exponent
+        inputs[1] = b1
+        with pytest.raises(FitError) as raised:
+            fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
+        assert str(raised.value) == (f"no qc_eff in [1e0, 1e12] reproduces t1 = {late.t1:.3e} s "
+                                     "(the closed form gives qc_eff = 5.000e-01)")
 
 
 class TestFluxNoiseAmplitude:
