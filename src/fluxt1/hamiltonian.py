@@ -16,15 +16,25 @@ the whole basis spectrum.
 All functions here are pure. A ``Spectrum``'s arrays are write-locked; its
 ``memo`` only holds values that downstream layers derive from those arrays,
 so filling it twice gives the same result.
+
+A threaded OpenBLAS splits a matrix product across its threads, and the tiles
+at the split points round differently (``_phase_basis(100)`` moved by up to
+6e-15 relative between one and two threads). ``diagonalize`` therefore runs
+on one BLAS thread of numpy's and of scipy.linalg's OpenBLAS, and restores
+their thread counts afterwards, so a spectrum has the same bits under any
+``OPENBLAS_NUM_THREADS``. Other BLAS builds are left as they are.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import cython_lapack, eigh, eigh_tridiagonal
 
 from .constants import E_CHARGE, H
 from .errors import ConvergenceError, check_fields
@@ -95,6 +105,51 @@ class Spectrum:
         return float(self.energies[j] - self.energies[i])
 
 
+# (get, set) thread-count symbols of the OpenBLAS builds numpy and scipy ship
+# (suffixed), then of a plain system OpenBLAS
+_OPENBLAS_THREAD_API = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas_thread_controls() -> tuple:
+    """(get, set) pairs of the OpenBLAS behind numpy (matmul and numpy.linalg
+    share one) and behind scipy.linalg."""
+    controls = []
+    for module in (np.linalg._umath_linalg, cython_lapack):
+        lib = ctypes.CDLL(module.__file__)  # lookups also search the libraries it links
+        for get, set_ in _OPENBLAS_THREAD_API:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                controls.append((getattr(lib, get), getattr(lib, set_)))
+                break
+    return tuple(controls)
+
+
+_BLAS_THREADS_LOCK = threading.Lock()
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the thread counts.
+
+    The counts are process-wide, so one body runs at a time.
+    """
+    controls = _openblas_thread_controls()
+    with _BLAS_THREADS_LOCK:
+        saved = [get() for get, _ in controls]
+        for _, set_ in controls:
+            set_(1)
+        try:
+            yield
+        finally:
+            for (_, set_), n in zip(controls, saved):
+                set_(n)
+
+
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -109,7 +164,8 @@ def _phase_basis(dim: int):
     parity diag((-1)^n) (x -> -x) rotated into that eigenbasis. Everything
     here is parameter-free, so one decomposition per truncation serves all
     circuits; in the x eigenbasis the potential is diagonal and only the
-    kinetic term stays dense.
+    kinetic term stays dense. ``diagonalize`` calls it on one BLAS thread, so
+    the cached products have the same bits under any thread count.
     """
     ladder = np.sqrt(np.arange(1.0, dim))
     lam, u = eigh_tridiagonal(np.zeros(dim), ladder)
@@ -175,28 +231,29 @@ def diagonalize(
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
     dim = max(int(basis_dim), n_levels + 10)
 
-    prev_energies = _solve_basis(params, bias.phi_ext, n_levels, dim, energies_only=True)
-    delta = np.inf
-    while dim + BASIS_GROWTH <= MAX_BASIS_DIM:
-        dim += BASIS_GROWTH
-        energies, n_elem, phi_elem, sin_half_elem, phi_diag = _solve_basis(
-            params, bias.phi_ext, n_levels, dim
-        )
-        scale = max(float(np.max(np.abs(energies))), 1.0)
-        delta = float(np.max(np.abs(energies - prev_energies))) / scale
-        if delta < convergence_rtol:
-            return Spectrum(
-                params=params,
-                bias=bias,
-                energies=_lock(energies),
-                n_elem=_lock(n_elem),
-                phi_elem=_lock(phi_elem),
-                sin_half_elem=_lock(sin_half_elem),
-                basis_dim=dim,
-                n_levels=n_levels,
-                _phi_centered_diag=_lock(phi_diag),
+    with _one_blas_thread():
+        prev_energies = _solve_basis(params, bias.phi_ext, n_levels, dim, energies_only=True)
+        delta = np.inf
+        while dim + BASIS_GROWTH <= MAX_BASIS_DIM:
+            dim += BASIS_GROWTH
+            energies, n_elem, phi_elem, sin_half_elem, phi_diag = _solve_basis(
+                params, bias.phi_ext, n_levels, dim
             )
-        prev_energies = energies
+            scale = max(float(np.max(np.abs(energies))), 1.0)
+            delta = float(np.max(np.abs(energies - prev_energies))) / scale
+            if delta < convergence_rtol:
+                return Spectrum(
+                    params=params,
+                    bias=bias,
+                    energies=_lock(energies),
+                    n_elem=_lock(n_elem),
+                    phi_elem=_lock(phi_elem),
+                    sin_half_elem=_lock(sin_half_elem),
+                    basis_dim=dim,
+                    n_levels=n_levels,
+                    _phi_centered_diag=_lock(phi_diag),
+                )
+            prev_energies = energies
     raise ConvergenceError(
         f"spectrum not converged at basis_dim={dim} "
         f"(last relative change {delta:.3e} >= {convergence_rtol:.1e})",

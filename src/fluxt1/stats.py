@@ -5,6 +5,14 @@ identity and through adaptive quadrature of the t density; the two routes
 must agree to 1e-9 or the test refuses to answer. The t density uses an
 explicit Lanczos log-gamma so the special-function path is reproducible from
 the coefficients in this file alone.
+
+The scipy modules only this module needs (``scipy.integrate``,
+``scipy.optimize``, ``scipy.special``) load on first use, in the public entry
+points ``two_sided_p_value`` and ``critical_t``. Importing them takes about as
+long as the whole rest of ``import fluxt1.cli``, and only ``compare`` runs a
+Welch test, so every other command starts without them. The beta route takes
+the loaded ``betainc`` as an argument, so no import statement runs inside the
+root finder's loop.
 """
 
 from __future__ import annotations
@@ -13,9 +21,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
-from scipy.special import betainc
 
 from .errors import DegenerateSampleError, NumericalError
 
@@ -62,22 +67,21 @@ def t_pdf(t: float, nu: float) -> float:
     return math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
 
 
-def _two_sided_p_beta(t0: float, nu: float) -> float:
+def _two_sided_p_beta(betainc, t0: float, nu: float) -> float:
     """p = I_x(nu/2, 1/2) with x = nu / (nu + t0^2)."""
     if t0 == 0.0:
         return 1.0
     return float(betainc(nu / 2.0, 0.5, nu / (nu + t0 * t0)))
 
 
-def _two_sided_p_quad(t0: float, nu: float) -> float:
-    tail, _ = quad(t_pdf, abs(t0), math.inf, args=(nu,), epsabs=1e-13, epsrel=1e-12)
-    return 2.0 * tail
-
-
 def two_sided_p_value(t0: float, nu: float) -> float:
     """Two-sided tail probability of |T| >= |t0|, dual-route checked."""
-    p_beta = _two_sided_p_beta(t0, nu)
-    p_quad = _two_sided_p_quad(t0, nu)
+    from scipy.integrate import quad
+    from scipy.special import betainc
+
+    p_beta = _two_sided_p_beta(betainc, t0, nu)
+    tail, _ = quad(t_pdf, abs(t0), math.inf, args=(nu,), epsabs=1e-13, epsrel=1e-12)
+    p_quad = 2.0 * tail
     if abs(p_beta - p_quad) > _ROUTE_AGREEMENT:
         raise NumericalError(
             f"p-value routes disagree: beta={p_beta!r} vs quadrature={p_quad!r}"
@@ -93,7 +97,10 @@ def critical_t(alpha: float, nu: float) -> float:
         raise ValueError(f"nu must be > 0, got {nu!r}")
     if alpha == 1.0:
         return 0.0
-    f = lambda t: _two_sided_p_beta(t, nu) - alpha  # noqa: E731
+    from scipy.optimize import brentq
+    from scipy.special import betainc
+
+    f = lambda t: _two_sided_p_beta(betainc, t, nu) - alpha  # noqa: E731
     hi = 1.0
     while f(hi) > 0.0:
         hi *= 2.0

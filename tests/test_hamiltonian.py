@@ -167,6 +167,57 @@ class TestDiagonalize:
         with pytest.raises(ValueError):
             b1_half_flux_spectrum.energies[0] = 0.0
 
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_spectrum_bits_do_not_depend_on_blas_threads(self, threads):
+        # a threaded product rounds its split tiles differently; at dim 100
+        # that moved A5's matrix elements by up to 6e-15 relative
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = ("import sys\n"
+                "from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize\n"
+                "s = diagonalize(FluxoniumParams(ej=7.11e9, ec=0.95e9, el=0.53e9), FluxBias(0.3))\n"
+                "sys.stdout.write(repr((s.basis_dim, s.energies.tobytes(), s.n_elem.tobytes(), "
+                "s.phi_elem.tobytes(), s.sin_half_elem.tobytes())))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        spec = diagonalize(params_of("A5"), FluxBias(0.3))
+        assert spec.basis_dim == 100
+        assert proc.stdout == repr((spec.basis_dim, spec.energies.tobytes(),
+                                    spec.n_elem.tobytes(), spec.phi_elem.tobytes(),
+                                    spec.sin_half_elem.tobytes()))
+
+    def test_concurrent_solves_keep_bits_and_restore_blas_threads(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from fluxt1 import hamiltonian
+
+        controls = hamiltonian._openblas_thread_controls()
+        before = [get() for get, _ in controls]
+        params = params_of("A5")
+        phis = [0.1 + 0.01 * k for k in range(24)]
+
+        def solve(phi):
+            return diagonalize(params, FluxBias(phi)).n_elem.tobytes()
+
+        serial = [solve(phi) for phi in phis]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                threaded = list(pool.map(solve, phis, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        assert [get() for get, _ in controls] == before
+
 
 class TestTransitionFrequency:
     def test_zero_on_diagonal(self, b1_half_flux_spectrum):

@@ -918,7 +918,9 @@ class TestPinnedOutputs:
     def test_extract_qceff_two_level_is_byte_identical(self, index, name, tmp_path,
                                                        monkeypatch, capsys):
         # tests/golden holds what the per-record closed form printed before
-        # one records x exponents array took its place: not a digit may move
+        # one records x exponents array took its place: not a digit may move.
+        # a4 and a5 were written again once the spectrum stopped depending on
+        # the BLAS thread count; their dim-100 biases read the one-thread bits
         device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
         (tmp_path / device.name).write_bytes(device.read_bytes())
         (tmp_path / "t1.csv").write_text(fixed_t1_csv(index))
