@@ -7,7 +7,7 @@ dynamics and decay-signal synthesis (dynamics), measured-T1 analysis
 """
 
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
-from .loss import Environment, Mechanism, MechanismRateTable, build_mechanism_table
+from .loss import Environment, Mechanism, build_mechanism_table
 from .resonator import DressedResponse, ResonatorParams
 from .dynamics import RateMatrix, T1Mode, build_rate_matrix, predicted_t1
 from .pipeline import QceffDistribution, T1Dataset, T1Record
@@ -19,7 +19,6 @@ __all__ = [
     "FluxBias",
     "FluxoniumParams",
     "Mechanism",
-    "MechanismRateTable",
     "QceffDistribution",
     "RateMatrix",
     "ResonatorParams",

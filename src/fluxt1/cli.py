@@ -320,7 +320,10 @@ def _cmd_fit_epsilon(args) -> int:
         # qc_eff cancels in every inversion, and no analysis channel reads x_qp
         env = device.environment(epsilon=0.0)
         inputs.append(_ingest(device, csv_path, env, args)[0])
+    # arange's half-step margin can overshoot the stop; a point past it by
+    # more than rounding is dropped, the rest keep arange's values
     grid = np.arange(start, stop + step / 2, step)
+    grid = grid[grid <= stop + 1e-9 * step]
     result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
     config = dict(qubits=[list(pair) for pair in args.qubit], levels=args.levels,
                   mode=args.mode, bin_width_hz=args.bin_width_hz,

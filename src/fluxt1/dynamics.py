@@ -48,7 +48,6 @@ from .loss import (
     ChannelPairs,
     Environment,
     Mechanism,
-    MechanismRateTable,
     build_mechanism_table,
 )
 from .resonator import ResonatorParams, dressed_response
@@ -585,13 +584,14 @@ def two_level_total_rate(
     env: Environment,
     mechanisms=ANALYSIS_MECHANISMS,
 ) -> float:
-    """Sum over mechanisms of the symmetrized 0<->1 rate, from freshly built
-    tables: the reference route that ``BiasModel.pair_rate`` must match bit
-    for bit, for ``two_level_qceff_closed_form`` and the tests."""
+    """Sum over mechanisms of the symmetrized 0<->1 rate, from the entries of
+    freshly built tables: the reference route that ``BiasModel.pair_rate``
+    must match bit for bit, for ``two_level_qceff_closed_form`` and the
+    tests."""
     total = 0.0
     for m in mechanisms:
-        table = build_mechanism_table(spec, res, env, m)
-        total += table.pair_sum(0, 1)
+        rates = build_mechanism_table(spec, res, env, m).table(env)
+        total += rates[0, 1] + rates[1, 0]
     return total
 
 
@@ -709,15 +709,17 @@ class BiasModel:
     Every model built on one spectrum with one resonator and bath (every
     ``Environment`` field but qc_eff and epsilon) shares its rate data in
     ``spec.memo``, whatever its qc_eff or frequency exponent: each channel's
-    table, built once with its exponent-free ``ChannelPairs``, the
-    non-capacitive 0<->1 pair rates, the computationally inverted thermal
-    state ``p0`` and the readout ``weights`` (each state's rotated S21 at the
-    ground-state dressed probe, real part). The exponent enters only the
-    capacitive channel, as the factor 1/Q'(f_ij) on its split pairs, which
-    the model evaluates from the shared pairs, so a model at another
-    exponent builds no table. At a fixed exponent the capacitive rates scale
-    exactly as 1/qc_eff, so a trial qc_eff rescales them by
-    env.qc_eff / qc_eff.
+    exponent-free ``ChannelPairs``, the non-capacitive 0<->1 pair rates and
+    N x N tables, the computationally inverted thermal state ``p0`` and the
+    readout ``weights`` (each state's rotated S21 at the ground-state dressed
+    probe, real part). The exponent enters only the capacitive channel, as
+    the factor 1/Q'(f_ij) on its split pairs, which the model evaluates from
+    the shared pairs, so a model at another exponent builds no pairs. Only
+    ``rates``, the multilevel model's input, builds N x N tables: each
+    non-capacitive one once per bias, the capacitive one once per qc_eff and
+    exponent; the two-level reads take the 0<->1 pair alone. At a fixed
+    exponent the capacitive rates scale exactly as 1/qc_eff, so a trial
+    qc_eff rescales them by env.qc_eff / qc_eff.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams | None, env: Environment):
@@ -733,29 +735,23 @@ class BiasModel:
             value = self._memo[key] = make()
         return value
 
-    def _table(self, mechanism: Mechanism) -> MechanismRateTable:
-        """The channel's table as first built for the bias."""
-        return self._memoized(mechanism, lambda: build_mechanism_table(
-            self.spec, self.res, self.env, mechanism))
-
     def pairs(self, mechanism: Mechanism) -> ChannelPairs:
         """One channel's exponent-free level pairs, as first built for the bias."""
-        return self._table(mechanism).pairs
+        return self._memoized(mechanism, lambda: build_mechanism_table(
+            self.spec, self.res, self.env, mechanism))
 
     def _pair(self, mechanism: Mechanism) -> float:
         """One channel's 0<->1 pair rate at env.qc_eff and env.epsilon."""
         if mechanism == Mechanism.CAPACITIVE:
             return self.pairs(mechanism).pair_sum(self.env)
         return self._memoized((mechanism, "pair"),
-                              lambda: self._table(mechanism).pair_sum(0, 1))
+                              lambda: self.pairs(mechanism).pair_sum(self.env))
 
     def _rates(self, mechanism: Mechanism) -> np.ndarray:
         """One channel's rate table at env.qc_eff and env.epsilon."""
-        table = self._table(mechanism)
-        if mechanism != Mechanism.CAPACITIVE:
-            return table.rates
-        return self._memoized((mechanism, self.env.qc_eff, self.env.epsilon),
-                              lambda: table.pairs.table(self.env).rates)
+        key = ((mechanism, self.env.qc_eff, self.env.epsilon)
+               if mechanism == Mechanism.CAPACITIVE else (mechanism, "table"))
+        return self._memoized(key, lambda: self.pairs(mechanism).table(self.env))
 
     @property
     def p0(self) -> np.ndarray:

@@ -101,22 +101,6 @@ class Environment:
                      c_drive=">= 0", m_drive=">= 0", qc_eff="> 0")
 
 
-@dataclass(frozen=True)
-class MechanismRateTable:
-    """N x N directional rates for one mechanism; rates[i, j] = Gamma_{i->j}.
-
-    ``pairs`` is the exponent-free part the rates were evaluated from.
-    """
-
-    mechanism: Mechanism
-    rates: np.ndarray
-    pairs: ChannelPairs
-
-    def pair_sum(self, i: int = 0, j: int = 1) -> float:
-        """Gamma_{i->j} + Gamma_{j->i}, the symmetrized two-level rate."""
-        return float(self.rates[i, j] + self.rates[j, i])
-
-
 def q_of_frequency(env: Environment, f):
     """Capacitive quality factor at transition frequency f (Hz, scalar or array)."""
     # the array method skips np.all's dispatch, a few us of every evaluation
@@ -206,8 +190,9 @@ class ChannelPairs:
     down: np.ndarray
     up: np.ndarray
 
-    def table(self, env: Environment) -> MechanismRateTable:
-        """The channel's N x N rate table in env."""
+    def table(self, env: Environment) -> np.ndarray:
+        """The channel's N x N directional rates in env, rates[i, j] =
+        Gamma_{i->j}, write-locked."""
         total = self.strength
         if self.mechanism is Mechanism.CAPACITIVE:
             total = total * (1.0 / q_of_frequency(env, self.f))
@@ -216,7 +201,7 @@ class ChannelPairs:
         rates[self.j, self.i] = down
         rates[self.i, self.j] = up
         rates.setflags(write=False)
-        return MechanismRateTable(mechanism=self.mechanism, rates=rates, pairs=self)
+        return rates
 
     def pair_01(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(strength, f, down, up) of the 0<->1 pair, as one-element arrays;
@@ -227,9 +212,15 @@ class ChannelPairs:
         return zero, np.full(1, Q_REFERENCE_FREQUENCY), zero, zero
 
     def pair_sum(self, env: Environment) -> float:
-        """The capacitive ``table(env).pair_sum(0, 1)`` from the 0<->1 entry
-        alone, through ``capacitive_pair_rates``."""
-        return float(capacitive_pair_rates(*self.pair_01(), env.qc_eff, (env.epsilon,))[0, 0])
+        """Gamma_{0->1} + Gamma_{1->0} in env, the symmetrized two-level rate,
+        bit for bit the sum of the two entries of ``table(env)``: the
+        capacitive pair through ``capacitive_pair_rates``, any other as
+        total * up + total * down."""
+        strength, f, down, up = self.pair_01()
+        if self.mechanism is Mechanism.CAPACITIVE:
+            return float(capacitive_pair_rates(strength, f, down, up, env.qc_eff,
+                                               (env.epsilon,))[0, 0])
+        return float(strength[0] * up[0] + strength[0] * down[0])
 
 
 def build_mechanism_table(
@@ -237,14 +228,14 @@ def build_mechanism_table(
     res: ResonatorParams | None,
     env: Environment,
     mechanism: Mechanism,
-) -> MechanismRateTable:
-    """Fill the full directional rate table for one mechanism: the table of
-    its freshly built ``ChannelPairs`` in env.
+) -> ChannelPairs:
+    """One mechanism's freshly built ``ChannelPairs`` at the spectrum's bias:
+    everything of its rates but the capacitive quality factor.
 
     ``res`` is only consulted by the Purcell channel and may be None for the
     others. A degenerate pair (f_ij = 0) with a nonzero matrix element and a
     switched-on channel raises ZeroTransitionError naming the pair. The
-    quasiparticle channels warn once per table when live pairs lie above
+    quasiparticle channels warn once per build when live pairs lie above
     GAP/10, where their low-energy spectral density is inaccurate.
     """
     mechanism = Mechanism(mechanism)
@@ -262,8 +253,8 @@ def build_mechanism_table(
     # function on the split pairs, and bath
     bath, temperature = "thermal", env.t_qubit
     if mechanism is Mechanism.CAPACITIVE:
-        # S = 1 / Q'(f) carries qc_eff and the exponent: ChannelPairs.rates
-        # applies it
+        # S = 1 / Q'(f) carries qc_eff and the exponent: ChannelPairs.table
+        # and pair_sum apply it
         op, coupling = spec.n_elem, 16.0 * H * p.ec / HBAR
         spectral = None
     elif mechanism is Mechanism.FLUX_NOISE:
@@ -336,4 +327,4 @@ def build_mechanism_table(
         down, up = 1.0 + absorption, absorption
 
     return ChannelPairs(mechanism=mechanism, n=spec.n_levels, i=i[split], j=j[split], f=fs,
-                        strength=strength, down=down, up=up).table(env)
+                        strength=strength, down=down, up=up)

@@ -28,7 +28,6 @@ from .loss import (
     BACKGROUND_MECHANISMS,
     Environment,
     Mechanism,
-    build_mechanism_table,
     capacitive_pair_rates,
 )
 from .resonator import ResonatorParams
@@ -323,13 +322,13 @@ def two_level_qceff_closed_form(
     """Algebraic two-level inversion: solve 1/t1 = Gamma_bg + K/qc_eff.
 
     The capacitive pair rate at fixed epsilon is exactly proportional to
-    1/qc_eff, so the inversion is one division. Reads both rates from
-    tables it builds through ``two_level_total_rate`` and
-    ``build_mechanism_table``, apart from any ``BiasModel``, as the reference
-    for ``two_level_qceff``, whose division it shares.
+    1/qc_eff, so the inversion is one division. Reads both rates from the
+    entries of tables it builds through ``two_level_total_rate``, apart from
+    any ``BiasModel``, as the reference for ``two_level_qceff``, whose
+    division it shares.
     """
     bg = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
-    cap_ref = build_mechanism_table(spec, res, env, Mechanism.CAPACITIVE).pair_sum(0, 1)
+    cap_ref = two_level_total_rate(spec, res, env, (Mechanism.CAPACITIVE,))
     q = float(_closed_form(env.qc_eff, cap_ref, t1_measured, bg))
     if math.isnan(q):
         raise FitError(
@@ -511,10 +510,11 @@ class DephasingDataset:
     qubit_id: str = ""
 
     def fit_records(self) -> tuple[DephasingRecord, ...]:
-        """The records the flux-noise fit uses: those away from the half-flux
-        sweet spot, where dephasing carries no slope information."""
+        """The records the flux-noise fit uses: those away from the sweet
+        spots at integer and half-integer flux, where the 0->1 dispersion
+        vanishes by symmetry and dephasing carries no slope information."""
         return tuple(r for r in self.records
-                     if abs(r.phi_ext % 1.0 - 0.5) >= SWEET_SPOT_TOL)
+                     if min(r.phi_ext % 0.5, 0.5 - r.phi_ext % 0.5) >= SWEET_SPOT_TOL)
 
 
 def extract_flux_noise_amplitude(ds: DephasingDataset, params: FluxoniumParams) -> float:
@@ -522,6 +522,8 @@ def extract_flux_noise_amplitude(ds: DephasingDataset, params: FluxoniumParams) 
 
     Fits gamma_phi = |domega01/dPhi| * sqrt(A_phi ln 2) through the origin
     (dephasing must vanish where the slope does) over ``ds.fit_records()``.
+    Raises ValueError when fewer than 2 records lie away from the sweet
+    spots, or when every kept slope is zero.
     """
     xs, ys = [], []
     for r in ds.fit_records():
@@ -530,9 +532,10 @@ def extract_flux_noise_amplitude(ds: DephasingDataset, params: FluxoniumParams) 
             slope = flux_dispersion(params, FluxBias(r.phi_ext))
         xs.append(abs(slope))
         ys.append(r.gamma_phi_e)
-    if len(xs) < 2:
-        raise ValueError("need at least 2 records away from the half-flux sweet spot")
     xs = np.asarray(xs)
     ys = np.asarray(ys)
+    if xs.size < 2 or not xs.any():
+        raise ValueError("need at least 2 records away from the flux sweet spots, "
+                         "with a nonzero slope")
     fitted = float(xs @ ys / (xs @ xs))  # least squares through the origin
     return fitted / math.sqrt(math.log(2.0))

@@ -647,15 +647,16 @@ class TestBiasModel:
             BiasModel(spec, res, env).generator(capacitive)
             for eps in exponents:
                 moved = replace(env, epsilon=eps)
-                fresh = build_mechanism_table(spec, res, moved, Mechanism.CAPACITIVE)
+                fresh = build_mechanism_table(spec, res, moved,
+                                              Mechanism.CAPACITIVE).table(moved)
                 other = BiasModel(spec, res, moved)
-                assert other.pair_rate(capacitive) == fresh.pair_sum(0, 1)
+                assert other.pair_rate(capacitive) == fresh[0, 1] + fresh[1, 0]
                 assert np.array_equal(other.generator(capacitive).b,
-                                      build_rate_matrix(fresh.rates).b)
+                                      build_rate_matrix(fresh).b)
             if phi == 0.5:
                 # the six parity-forbidden pairs, whose rates are rounding
                 # residue here, were compared too
-                off = fresh.rates[~np.eye(spec.n_levels, dtype=bool)]
+                off = fresh[~np.eye(spec.n_levels, dtype=bool)]
                 assert np.count_nonzero(off < 1e-12 * off.max()) >= 12
 
 @settings(max_examples=20, deadline=None)

@@ -838,7 +838,6 @@ class TestOneModelPerBias:
     @pytest.fixture()
     def built(self, monkeypatch):
         import fluxt1.dynamics
-        import fluxt1.pipeline
         from fluxt1.loss import build_mechanism_table
 
         tables = []
@@ -847,8 +846,7 @@ class TestOneModelPerBias:
             tables.append((spec.params, spec.bias.phi_ext, mechanism))
             return build_mechanism_table(spec, res, env, mechanism)
 
-        for module in (fluxt1.dynamics, fluxt1.pipeline):
-            monkeypatch.setattr(module, "build_mechanism_table", counting)
+        monkeypatch.setattr(fluxt1.dynamics, "build_mechanism_table", counting)
         return tables
 
     @staticmethod
@@ -897,6 +895,47 @@ class TestOneModelPerBias:
         assert json.loads(out)["data"]["n_kept"] > 0
         assert len(built) == len(set(built))
         assert {m for *_, m in built} == set(ANALYSIS_MECHANISMS)
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        """The ``ChannelPairs`` of every N x N table built from here on."""
+        from fluxt1.loss import ChannelPairs
+
+        built = []
+        table = ChannelPairs.table
+
+        def counting(pairs, env):
+            built.append(pairs)
+            return table(pairs, env)
+
+        monkeypatch.setattr(ChannelPairs, "table", counting)
+        return built
+
+    @pytest.mark.parametrize("command", ["fit-epsilon", "extract-qceff"])
+    def test_two_level_mode_builds_no_table(self, tmp_path, built, tables, capsys, command):
+        # two-level reads take the 0<->1 pair alone, in the exclusion filter
+        # and in the closed form
+        qubits = self._qubit_args(tmp_path)
+        argv = (["fit-epsilon", *qubits] if command == "fit-epsilon"
+                else ["extract-qceff", "--device", qubits[1], "--t1-csv", qubits[2]])
+        code, _, _ = run_cli([*argv, "--mode", "two_level"], capsys)
+        assert code == 0
+        assert built and tables == []
+
+    def test_multilevel_mode_builds_each_table_once_per_bias(self, tmp_path, built, tables,
+                                                               capsys):
+        from fluxt1.loss import Mechanism
+
+        _, device_path, t1_path = self._qubit_args(tmp_path, names=("a1",))
+        code, out, _ = run_cli(["extract-qceff", "--device", device_path, "--t1-csv", t1_path,
+                                "--mode", "multilevel_population"], capsys)
+        assert code == 0
+        n_kept = json.loads(out)["data"]["n_kept"]
+        background = [p for p in tables if p.mechanism is not Mechanism.CAPACITIVE]
+        # one table per kept bias and channel: a trial qc_eff rescales the
+        # capacitive table of the model's own qc_eff and exponent
+        assert len({id(p) for p in background}) == len(background) == 4 * n_kept
+        assert len(tables) == 5 * n_kept > 0
 
 
 SHIPPED_DEVICES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3")
@@ -1073,6 +1112,39 @@ def test_fit_epsilon_qubit_without_records_is_a_data_error(a1_device, tmp_path, 
     assert ("B1" in error["message"]) != kept_b1
 
 
+@pytest.mark.parametrize("grid, expected", [
+    (["--grid-start", "0", "--grid-stop", "0.16", "--grid-step", "0.1"], [0.0, 0.1]),
+    # the default grid keeps arange's values, up to its last 1.0000000000000018
+    ([], np.arange(-1.0, 1.0 + 0.05 / 2, 0.05).tolist()),
+], ids=["stop between points", "default"])
+def test_fit_epsilon_grid_ends_at_the_stop(tmp_path, capsys, grid, expected):
+    qubits = TestOneModelPerBias._qubit_args(tmp_path, names=("a1",))
+    code, out, _ = run_cli(["fit-epsilon", *qubits, "--mode", "two_level", *grid], capsys)
+    assert code == 0
+    assert [p["epsilon"] for p in json.loads(out)["data"]["variance_curve"]] == expected
+
+
+@pytest.mark.parametrize("rows", [
+    ["0.0,1e3", "1.0,1e3", "0.5,1e3"],
+    ["0.2,1e3,0", "0.3,1e3,0", "0.4,1e3,0"],
+], ids=["sweet spots only", "zero slopes"])
+def test_fit_flux_noise_without_slope_data_is_a_numerical_error(tmp_path, capsys, rows):
+    device_path, echo_path = tmp_path / "b1.json", tmp_path / "echo.csv"
+    device_path.write_text(json.dumps(B1_ROW))
+    header = "phi_ext,gamma_phi_e_per_s" + (",slope_rad_per_s_per_phi0"
+                                           if rows[0].count(",") == 2 else "")
+    echo_path.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(["fit-flux-noise", "--device", str(device_path),
+                                  "--dephasing-csv", str(echo_path)], capsys)
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValueError"
+    assert "sweet spots" in error["message"]
+
+
 def test_benchmark_workloads_pass_at_selftest_sizes(tmp_path, monkeypatch):
     # one prepare -> run -> check pass of each benchmark workload, so that a
     # CLI change that breaks the benchmark's invocations fails here
@@ -1102,6 +1174,24 @@ def test_benchmark_workloads_pass_at_selftest_sizes(tmp_path, monkeypatch):
         codes = workload.run()
         assert codes == [0] * len(codes), (name, codes)
         assert workload.check(codes).problems == [], name
+
+
+def test_benchmark_span_names_resolve():
+    # the benchmark tracer wraps these names; a rename would break only its
+    # traced pass, which no other test runs
+    import importlib
+    import importlib.util
+
+    from fluxt1.pipeline import QceffInverter
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    for module, attr in spans.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+    for attr in spans.METHODS:
+        assert attr in QceffInverter.__dict__, attr
 
 
 def test_synthetic_process_compare_script_runs(tmp_path):

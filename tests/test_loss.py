@@ -4,6 +4,8 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fluxt1.constants import E_CHARGE, H, HBAR, K_B, PHI0
 from fluxt1.dynamics import two_level_total_rate
 from fluxt1.errors import QuasiparticleEnergyWarning, ZeroTransitionError
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
+from fluxt1.io import parse_device_file
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
     GAP,
@@ -29,6 +32,17 @@ from fluxt1.resonator import RESONATOR_Z0, ResonatorParams, coupling_capacitance
 
 from conftest import environment_of, params_of, resonator_of
 
+DEVICES = Path(__file__).resolve().parents[1] / "devices"
+SHIPPED_DEVICES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3")
+
+
+@lru_cache(maxsize=None)
+def shipped_spectrum(name: str, phi: float) -> Spectrum:
+    """The six-level spectrum of a shipped device at one bias."""
+    device = parse_device_file(str(DEVICES / f"{name}.json"))
+    return diagonalize(device.fluxonium_params(), FluxBias(phi), n_levels=6)
+
+
 # level pairs checked against the closed forms, each in both directions
 PAIRS = [(0, 1), (1, 2), (0, 3), (2, 4)]
 DIRECTED = PAIRS + [(j, i) for i, j in PAIRS]
@@ -39,7 +53,7 @@ def coth(x):
 
 
 def rates(spec, env, mechanism, res=None):
-    return build_mechanism_table(spec, res, env, mechanism).rates
+    return build_mechanism_table(spec, res, env, mechanism).table(env)
 
 
 def input_impedance(res, f):
@@ -102,13 +116,21 @@ class TestCapacitivePairRates:
             total = strength * (1.0 / q_of_frequency(Environment(qc_eff=2.5e5, epsilon=eps), f))
             assert np.array_equal(rates[:, k], total * up + total * down)
 
-    def test_pair_sum_is_the_table_entry_bit_for_bit(self, b1_environment):
+    @pytest.mark.parametrize("name", SHIPPED_DEVICES)
+    @pytest.mark.parametrize("mechanism", list(Mechanism), ids=lambda m: m.value)
+    def test_pair_sum_is_the_table_entry_bit_for_bit(self, mechanism, name):
+        device = parse_device_file(str(DEVICES / f"{name}.json"))
+        res = device.resonator_params()
         for phi in (0.1, 0.27, 0.5):
-            spec = diagonalize(params_of("B1"), FluxBias(phi), n_levels=6)
+            spec = shipped_spectrum(name, phi)
             for eps in (-1.0, 0.25, 0.5):
-                env = replace(b1_environment, epsilon=eps)
-                table = build_mechanism_table(spec, None, env, Mechanism.CAPACITIVE)
-                assert table.pairs.pair_sum(env) == table.pair_sum(0, 1)
+                # x_qp switches the quasiparticle channels on
+                env = device.environment(epsilon=eps, x_qp=1e-9)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+                    pairs = build_mechanism_table(spec, res, env, mechanism)
+                table = pairs.table(env)
+                assert pairs.pair_sum(env) == table[0, 1] + table[1, 0]
 
 
 class TestRateCapacitive:
@@ -150,7 +172,7 @@ class TestRateCapacitive:
         for t in (0.020, 0.040, 0.080, 0.160):
             env = environment_of("B1", t_qubit=t)
             sums.append(build_mechanism_table(spec, None, env,
-                                              Mechanism.CAPACITIVE).pair_sum(0, 1))
+                                              Mechanism.CAPACITIVE).pair_sum(env))
         assert all(a < b for a, b in zip(sums, sums[1:]))
 
 
@@ -406,8 +428,7 @@ class TestRatePurcell:
         totals = []
         for phi in fluxes:
             spec = diagonalize(b1_params, FluxBias(phi), n_levels=6)
-            table = build_mechanism_table(spec, b1_resonator, env, Mechanism.PURCELL)
-            totals.append(table.rates.sum())
+            totals.append(rates(spec, env, Mechanism.PURCELL, b1_resonator).sum())
         totals = np.array(totals)
         interior = np.argmax(totals)
         assert 0 < interior < len(totals) - 1
@@ -417,10 +438,9 @@ class TestBuildMechanismTable:
     def test_two_level_table_has_two_entries(self, b1_params, b1_resonator,
                                              b1_environment):
         spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
-        table = build_mechanism_table(spec, b1_resonator, b1_environment,
-                                      Mechanism.CAPACITIVE)
-        assert np.count_nonzero(table.rates) == 2
-        assert table.rates[0, 0] == 0.0 and table.rates[1, 1] == 0.0
+        table = rates(spec, b1_environment, Mechanism.CAPACITIVE, b1_resonator)
+        assert np.count_nonzero(table) == 2
+        assert table[0, 0] == 0.0 and table[1, 1] == 0.0
 
     @pytest.mark.parametrize("mechanism", [
         Mechanism.CAPACITIVE, Mechanism.CHARGE_LINE, Mechanism.FLUX_LINE,
@@ -433,10 +453,10 @@ class TestBuildMechanismTable:
         temp = env.t_res if mechanism is Mechanism.PURCELL else env.t_qubit
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
-            table = build_mechanism_table(spec, b1_resonator, env, mechanism)
+            table = rates(spec, env, mechanism, b1_resonator)
         for i in range(spec.n_levels):
             for j in range(i + 1, spec.n_levels):
-                down, up = table.rates[j, i], table.rates[i, j]
+                down, up = table[j, i], table[i, j]
                 if down == 0.0 or up == 0.0:
                     continue
                 f = spec.energies[j] - spec.energies[i]
@@ -445,18 +465,17 @@ class TestBuildMechanismTable:
 
     def test_flux_noise_table_symmetric(self, b1_half_flux_spectrum, b1_resonator,
                                         b1_environment):
-        table = build_mechanism_table(b1_half_flux_spectrum, b1_resonator,
-                                      b1_environment, Mechanism.FLUX_NOISE)
-        np.testing.assert_array_equal(table.rates, table.rates.T)
+        table = rates(b1_half_flux_spectrum, b1_environment, Mechanism.FLUX_NOISE,
+                      b1_resonator)
+        np.testing.assert_array_equal(table, table.T)
 
     def test_all_rates_nonnegative(self, b1_half_flux_spectrum, b1_resonator):
         env = Environment(a_phi=1e-11, x_qp=1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
             for mechanism in Mechanism:
-                table = build_mechanism_table(b1_half_flux_spectrum, b1_resonator,
-                                              env, mechanism)
-                assert (table.rates >= 0.0).all()
+                assert (rates(b1_half_flux_spectrum, env, mechanism, b1_resonator)
+                        >= 0.0).all()
 
     def test_mechanism_sum_equals_two_level_addition_of_rates(
             self, b1_half_flux_spectrum, b1_resonator):

@@ -165,7 +165,7 @@ class TestExclusionFilter:
             for phi in np.linspace(0.05, 0.5, 20):
                 spec = provider(phi)
                 cap = build_mechanism_table(spec, res, env,
-                                            Mechanism.CAPACITIVE).pair_sum(0, 1)
+                                            Mechanism.CAPACITIVE).pair_sum(env)
                 records.append(T1Record(phi_ext=phi, t1=1.0 / cap,
                                         omega01=spec.transition_frequency(0, 1)))
             ds = T1Dataset(records=tuple(records), qubit_id=qubit)
@@ -561,11 +561,28 @@ class TestFluxNoiseAmplitude:
         assert extract_flux_noise_amplitude(ds, b1_params) == pytest.approx(
             sqrt_a, rel=0.05)
 
-    def test_sweet_spot_only_rejected(self, b1_params):
-        records = tuple(DephasingRecord(phi_ext=0.5, gamma_phi_e=100.0)
-                        for _ in range(4))
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("records", [
+        tuple(DephasingRecord(phi_ext=0.5, gamma_phi_e=100.0) for _ in range(4)),
+        # integer flux is a sweet spot too: its computed slope is rounding residue
+        tuple(DephasingRecord(phi_ext=phi, gamma_phi_e=100.0) for phi in (0.0, 1.0, 0.5)),
+        # a slope column of zeros leaves nothing to fit through the origin
+        tuple(DephasingRecord(phi_ext=phi, gamma_phi_e=100.0, slope=0.0)
+              for phi in (0.2, 0.3, 0.4)),
+    ], ids=["half_flux", "integer_and_half_flux", "zero_slopes"])
+    def test_sweet_spot_only_rejected(self, b1_params, records):
+        with pytest.raises(ValueError, match="sweet spots"):
             extract_flux_noise_amplitude(DephasingDataset(records=records), b1_params)
+
+    def test_integer_flux_is_skipped(self, b1_params):
+        sqrt_a = 3.0e-6
+        records = [DephasingRecord(phi_ext=phi, gamma_phi_e=1e3) for phi in (0.0, 1.0, -1e-9)]
+        for phi in (0.1, 0.2, 0.44):
+            slope = flux_dispersion(b1_params, FluxBias(phi))
+            records.append(DephasingRecord(
+                phi_ext=phi, gamma_phi_e=abs(slope) * sqrt_a * math.sqrt(math.log(2))))
+        ds = DephasingDataset(records=tuple(records))
+        assert [r.phi_ext for r in ds.fit_records()] == [0.1, 0.2, 0.44]
+        assert extract_flux_noise_amplitude(ds, b1_params) == pytest.approx(sqrt_a, rel=1e-6)
 
     def test_slope_recomputed_when_absent(self, b1_params):
         sqrt_a = 3.0e-6
