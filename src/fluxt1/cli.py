@@ -105,7 +105,8 @@ def _add_flux_args(p: argparse.ArgumentParser) -> None:
 # The model and ingest options, each defined once; a command takes only those
 # that can change its output.
 _OPTIONS = {
-    "--levels": dict(type=_within(1, np.inf, int), default=6, help="retained circuit levels"),
+    "--levels": dict(type=_within(1, np.inf, int), default=6,
+                     help="retained circuit levels (a run in two_level mode alone solves 2)"),
     "--qceff": dict(type=float, default=Environment.qc_eff,
                     help="effective capacitive quality factor at 6 GHz"),
     "--epsilon": dict(type=float, default=Environment.epsilon,
@@ -182,6 +183,13 @@ def _selection(text: str, kind: str, choices: list[str]) -> list[str]:
     return tokens
 
 
+def _solved_levels(args, modes) -> int:
+    """Levels to solve per bias: the two-level model reads only the 0<->1
+    pair, so a run whose every mode is two-level solves 2; any other run
+    solves --levels."""
+    return 2 if all(mode is T1Mode.TWO_LEVEL for mode in modes) else args.levels
+
+
 def _cmd_predict_t1(args) -> int:
     device, env = _device_env(args, qc_eff=args.qceff, x_qp=args.xqp)
     params, res = device.fluxonium_params(), device.resonator_params()
@@ -194,8 +202,9 @@ def _cmd_predict_t1(args) -> int:
                   for tok in mech_tokens]
     modes = [mode_map[tok] for tok in mode_tokens]
     grid = _flux_grid(args)
+    n_levels = _solved_levels(args, modes)
     # one solve and one model per bias; every row reads the model
-    models = [BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=args.levels),
+    models = [BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=n_levels),
                         res, env) for phi in grid]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -280,7 +289,8 @@ def _ingest(device, csv_path: str, env, args) -> tuple[QubitAnalysisInput, int, 
     and exclude; returns the kept records with the provider that served them
     (so no later stage solves a bias again) and the parsed and binned counts."""
     parsed = parse_t1_csv(csv_path, qubit_id=device.qubit_id)
-    provider = CachedSpectrumProvider(device.fluxonium_params(), n_levels=args.levels)
+    provider = CachedSpectrumProvider(device.fluxonium_params(),
+                                      n_levels=_solved_levels(args, [T1Mode(args.mode)]))
     filled = tuple(
         r if r.omega01 is not None
         else replace(r, omega01=provider(r.phi_ext).transition_frequency(0, 1))
@@ -300,7 +310,7 @@ def _cmd_extract_qceff(args) -> int:
     qi, n_raw, n_binned = _ingest(device, args.t1_csv, env, args)
     dist = extract_qceff_dataset(qi.dataset, qi.spec_provider, qi.res, env,
                                  mode=T1Mode(args.mode))
-    config = dict(device=args.device, t1_csv=args.t1_csv, levels=args.levels,
+    config = dict(device=args.device, t1_csv=args.t1_csv, levels=qi.spec_provider.n_levels,
                   epsilon=env.epsilon, bin_width_hz=args.bin_width_hz,
                   exclusion_threshold=args.exclusion_threshold, mode=args.mode,
                   qubit_temp_k=env.t_qubit, res_temp_k=env.t_res)
@@ -325,7 +335,8 @@ def _cmd_fit_epsilon(args) -> int:
     grid = np.arange(start, stop + step / 2, step)
     grid = grid[grid <= stop + 1e-9 * step]
     result = fit_epsilon_global(inputs, mode=T1Mode(args.mode), grid=grid)
-    config = dict(qubits=[list(pair) for pair in args.qubit], levels=args.levels,
+    config = dict(qubits=[list(pair) for pair in args.qubit],
+                  levels=inputs[0].spec_provider.n_levels,
                   mode=args.mode, bin_width_hz=args.bin_width_hz,
                   exclusion_threshold=args.exclusion_threshold,
                   grid_start=args.grid_start, grid_stop=args.grid_stop,

@@ -59,12 +59,22 @@ def lgamma(x: float) -> float:
     return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
 
 
-def t_pdf(t: float, nu: float) -> float:
-    """Student t probability density with nu (real, > 0) degrees of freedom."""
+def _t_log_norm(nu: float) -> float:
+    """log of the t density's normalization, Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(pi nu))."""
     if not nu > 0.0:
         raise ValueError(f"nu must be > 0, got {nu!r}")
-    log_norm = lgamma((nu + 1.0) / 2.0) - lgamma(nu / 2.0) - 0.5 * math.log(math.pi * nu)
+    return lgamma((nu + 1.0) / 2.0) - lgamma(nu / 2.0) - 0.5 * math.log(math.pi * nu)
+
+
+def _t_density(t: float, nu: float, log_norm: float) -> float:
+    """The t density at a precomputed ``_t_log_norm(nu)``. It is the
+    quadrature integrand, so no integrand point evaluates a log-gamma."""
     return math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
+
+
+def t_pdf(t: float, nu: float) -> float:
+    """Student t probability density with nu (real, > 0) degrees of freedom."""
+    return _t_density(t, nu, _t_log_norm(nu))
 
 
 def _two_sided_p_beta(betainc, t0: float, nu: float) -> float:
@@ -80,7 +90,8 @@ def two_sided_p_value(t0: float, nu: float) -> float:
     from scipy.special import betainc
 
     p_beta = _two_sided_p_beta(betainc, t0, nu)
-    tail, _ = quad(t_pdf, abs(t0), math.inf, args=(nu,), epsabs=1e-13, epsrel=1e-12)
+    tail, _ = quad(_t_density, abs(t0), math.inf, args=(nu, _t_log_norm(nu)),
+                   epsabs=1e-13, epsrel=1e-12)
     p_quad = 2.0 * tail
     if abs(p_beta - p_quad) > _ROUTE_AGREEMENT:
         raise NumericalError(

@@ -767,6 +767,7 @@ class TestOneSolvePerBias:
 
     @pytest.fixture()
     def solved(self, monkeypatch):
+        """(flux, n_levels) of every spectrum solved from here on."""
         import fluxt1.cli
         import fluxt1.dynamics
         import fluxt1.hamiltonian
@@ -774,9 +775,9 @@ class TestOneSolvePerBias:
 
         biases = []
 
-        def counting(params, bias, *args, **kwargs):
-            biases.append(bias.phi_ext)
-            return fluxt1.hamiltonian.diagonalize(params, bias, *args, **kwargs)
+        def counting(params, bias, n_levels=6, **kwargs):
+            biases.append((bias.phi_ext, n_levels))
+            return fluxt1.hamiltonian.diagonalize(params, bias, n_levels=n_levels, **kwargs)
 
         for module in (fluxt1.cli, fluxt1.dynamics, fluxt1.pipeline):
             monkeypatch.setattr(module, "diagonalize", counting)
@@ -790,7 +791,8 @@ class TestOneSolvePerBias:
             capsys)
         assert code == 0
         assert len(list(csv.DictReader(out.splitlines()))) == 5 * 2 * 3
-        assert solved == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5], abs=1e-15)
+        assert [phi for phi, _ in solved] == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5],
+                                                            abs=1e-15)
 
     def test_predict_t1_builds_each_table_once_per_flux_point(self, a1_device, monkeypatch,
                                                                capsys):
@@ -827,8 +829,56 @@ class TestOneSolvePerBias:
              "--grid-step", "0.1"], capsys)
         assert code == 0
         assert len(json.loads(out)["data"]["variance_curve"]) == 3
-        assert sorted(solved) == sorted(set(solved))
-        assert set(solved) == set(fluxes)
+        phis = [phi for phi, _ in solved]
+        assert sorted(phis) == sorted(set(phis))
+        assert set(phis) == set(fluxes)
+
+    @staticmethod
+    def _runs(tmp_path):
+        """argv of each command, less its mode options, on a1 data."""
+        _, device_path, t1_path = TestOneModelPerBias._qubit_args(tmp_path, names=("a1",))
+        return {
+            "extract-qceff": ["extract-qceff", "--device", device_path, "--t1-csv", t1_path],
+            "fit-epsilon": ["fit-epsilon", "--qubit", device_path, t1_path,
+                            "--grid-start", "0.0", "--grid-stop", "0.1", "--grid-step", "0.05"],
+            "predict-t1": ["predict-t1", "--device", device_path, "--flux-start", "0.1",
+                           "--flux-stop", "0.4", "--flux-points", "4",
+                           "--mechanisms", "capacitive,total"],
+        }
+
+    @pytest.mark.parametrize("command, mode_args", [
+        ("extract-qceff", ["--mode", "two_level"]),
+        ("fit-epsilon", ["--mode", "two_level"]),
+        ("predict-t1", ["--modes", "two_level"]),
+    ])
+    @pytest.mark.parametrize("levels", [[], ["--levels", "7"]])
+    def test_two_level_runs_solve_two_levels(self, tmp_path, solved, capsys, command,
+                                             mode_args, levels):
+        argv = self._runs(tmp_path)[command]
+        solved.clear()
+        code, out, _ = run_cli([*argv, *mode_args, *levels], capsys)
+        assert code == 0
+        assert solved and {n for _, n in solved} == {2}
+        if command != "predict-t1":
+            assert json.loads(out)["config"]["levels"] == 2
+
+    @pytest.mark.parametrize("command, mode_args", [
+        ("extract-qceff", ["--mode", "multilevel_population"]),
+        ("extract-qceff", ["--mode", "multilevel_signal"]),
+        ("fit-epsilon", ["--mode", "multilevel_population"]),
+        ("predict-t1", ["--modes", "two_level,six_level"]),
+        ("predict-t1", ["--modes", "signal"]),
+    ])
+    @pytest.mark.parametrize("levels", [6, 5])
+    def test_other_runs_solve_the_levels_option(self, tmp_path, solved, capsys, command,
+                                                mode_args, levels):
+        argv = self._runs(tmp_path)[command]
+        solved.clear()
+        code, out, _ = run_cli([*argv, *mode_args, "--levels", str(levels)], capsys)
+        assert code == 0
+        assert solved and {n for _, n in solved} == {levels}
+        if command != "predict-t1":
+            assert json.loads(out)["config"]["levels"] == levels
 
 
 class TestOneModelPerBias:
@@ -956,10 +1006,10 @@ class TestPinnedOutputs:
     @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
     def test_extract_qceff_two_level_is_byte_identical(self, index, name, tmp_path,
                                                        monkeypatch, capsys):
-        # tests/golden holds what the per-record closed form printed before
-        # one records x exponents array took its place: not a digit may move.
-        # a4 and a5 were written again once the spectrum stopped depending on
-        # the BLAS thread count; their dim-100 biases read the one-thread bits
+        # tests/golden holds what a two-level run prints, byte for byte: a
+        # move of any digit rewrites the files, and CHANGES.md records
+        # tests/golden_diff.py's report of what moved. The next test bounds
+        # how far the 2-level spectra these runs solve may sit from 6-level ones
         device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
         (tmp_path / device.name).write_bytes(device.read_bytes())
         (tmp_path / "t1.csv").write_text(fixed_t1_csv(index))
@@ -968,6 +1018,42 @@ class TestPinnedOutputs:
                                 "--mode", "two_level"], capsys)
         assert code == 0
         assert out == (GOLDEN / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
+    def test_extract_qceff_two_level_agrees_with_six_level_closed_form(
+            self, index, name, tmp_path, capsys):
+        # the 2-level run against the closed form on 6-level spectra, fed the
+        # records that binning and exclusion keep on those spectra
+        from fluxt1.pipeline import (
+            CachedSpectrumProvider,
+            bin_average,
+            exclusion_filter,
+            two_level_qceff_closed_form,
+        )
+
+        device_path = str(Path(__file__).resolve().parents[1] / "devices" / f"{name}.json")
+        t1_path = tmp_path / "t1.csv"
+        t1_path.write_text(fixed_t1_csv(index))
+        code, out, _ = run_cli(["extract-qceff", "--device", device_path,
+                                "--t1-csv", str(t1_path), "--mode", "two_level"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        device = parse_device_file(device_path)
+        env = device.environment(epsilon=payload["config"]["epsilon"])
+        res = device.resonator_params()
+        six_level = CachedSpectrumProvider(device.fluxonium_params(), n_levels=6)
+        parsed = parse_t1_csv(str(t1_path), qubit_id=device.qubit_id)
+        filled = replace(parsed, records=tuple(
+            replace(r, omega01=six_level(r.phi_ext).transition_frequency(0, 1))
+            for r in parsed.records))
+        kept, _ = exclusion_filter(bin_average(filled), six_level, env, res)
+        entries = payload["data"]["entries"]
+        assert len(entries) == len(kept) > 0
+        for entry, record in zip(entries, kept.records):
+            assert entry["n_binned"] == record.n_binned
+            assert entry["freq_hz"] == pytest.approx(record.omega01, rel=1e-11, abs=0)
+            q = two_level_qceff_closed_form(record.t1, six_level(record.phi_ext), res, env)
+            assert entry["qceff"] == pytest.approx(q, rel=1e-10, abs=0)
 
 
 class TestOptionsChangeOutput:
@@ -1122,6 +1208,40 @@ def test_fit_epsilon_grid_ends_at_the_stop(tmp_path, capsys, grid, expected):
     code, out, _ = run_cli(["fit-epsilon", *qubits, "--mode", "two_level", *grid], capsys)
     assert code == 0
     assert [p["epsilon"] for p in json.loads(out)["data"]["variance_curve"]] == expected
+
+
+@pytest.mark.parametrize("target", [-0.5, 0.25, 0.85])
+def test_fit_epsilon_two_level_recovers_the_planted_grid_point(tmp_path, capsys, target):
+    # noise-free two-level T1s from 6-level spectra, one quality factor per
+    # qubit, as the benchmark's epsilon_two_level builds them: the 2-level
+    # run must return the planted point of the default grid exactly
+    from fluxt1.dynamics import T1Mode
+    from fluxt1.pipeline import CachedSpectrumProvider, QceffInverter
+
+    grid = np.arange(-1.0, 1.0 + 0.05 / 2, 0.05)
+    epsilon = float(grid[np.argmin(np.abs(grid - target))])
+    qubits = []
+    for name, scale in zip(("a1", "a2", "a3", "b1", "b2", "b3"),
+                           (0.8, 1.3, 1.0, 1.6, 0.7, 1.1)):
+        device_path = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
+        device = parse_device_file(str(device_path))
+        q = 2.2e5 * scale
+        env = device.environment(qc_eff=q, epsilon=epsilon)
+        res = device.resonator_params()
+        provider = CachedSpectrumProvider(device.fluxonium_params(), n_levels=6)
+        lines = ["phi_ext,t1_s,omega01_hz"]
+        for phi in np.linspace(0.05, 0.4, 6).tolist():
+            spec = provider(phi)
+            t1 = QceffInverter(spec, res, env, mode=T1Mode.TWO_LEVEL).predict_t1(q)
+            lines.append(f"{phi!r},{t1!r},{spec.transition_frequency(0, 1)!r}")
+        t1_path = tmp_path / f"{name}.csv"
+        t1_path.write_text("\n".join(lines) + "\n")
+        qubits += ["--qubit", str(device_path), str(t1_path)]
+    code, out, _ = run_cli(["fit-epsilon", *qubits, "--mode", "two_level"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["levels"] == 2
+    assert payload["data"]["epsilon"] == epsilon
 
 
 @pytest.mark.parametrize("rows", [

@@ -11,6 +11,8 @@ from scipy.integrate import quad
 
 from fluxt1.errors import DegenerateSampleError
 from fluxt1.stats import (
+    _t_density,
+    _t_log_norm,
     ci_of_mean_difference,
     critical_t,
     lgamma,
@@ -50,6 +52,25 @@ class TestTPdf:
     def test_normalized(self):
         total, _ = quad(t_pdf, -math.inf, math.inf, args=(6.0,))
         assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.3, 0.8, 0.999, 1.0, 2.5, 7.2, 41.0, 1e5])
+    def test_quadrature_integrand_is_t_pdf_bit_for_bit(self, nu):
+        # nu < 1 puts lgamma(nu / 2) on its reflection branch
+        log_norm = _t_log_norm(nu)
+        for t in (0.0, 0.3, -1.3, 2.0, 4.2, 37.5, 1e4):
+            # the density as written before the normalization was hoisted
+            inline = math.exp(lgamma((nu + 1.0) / 2.0) - lgamma(nu / 2.0)
+                              - 0.5 * math.log(math.pi * nu)
+                              - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
+            assert _t_density(t, nu, log_norm) == t_pdf(t, nu) == inline
+        tail = quad(t_pdf, 1.3, math.inf, args=(nu,), epsabs=1e-13, epsrel=1e-12)
+        assert quad(_t_density, 1.3, math.inf, args=(nu, log_norm),
+                    epsabs=1e-13, epsrel=1e-12) == tail
+
+    @pytest.mark.parametrize("nu", [0.0, -1.5, math.nan])
+    def test_rejects_nu_that_is_not_positive(self, nu):
+        with pytest.raises(ValueError, match="nu must be > 0"):
+            t_pdf(1.0, nu)
 
 
 class TestCriticalT:
