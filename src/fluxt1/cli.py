@@ -9,6 +9,7 @@ failure; failures also print a machine-readable error JSON on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import warnings
@@ -407,7 +408,10 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args keeps no state between calls, and the
+    # append options start from a fresh list each time
     parser = _Parser(prog="fluxt1", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

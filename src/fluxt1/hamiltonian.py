@@ -6,12 +6,17 @@ The circuit Hamiltonian is
 
 with all energies handled as linear frequencies (Hz, i.e. E/h). Angular
 frequencies appear only inside downstream rate formulas. Diagonalization
-uses the harmonic-oscillator basis of the linear LC sub-circuit, shifted so
-the quadratic well is centered (the external flux then lives inside the
-cosine). The truncation starts at 60 oscillator states and grows until the
-retained energies are stable to one part in 1e9, so results do not depend on
-the starting truncation; each solve computes only the retained levels, not
-the whole basis spectrum.
+uses a harmonic-oscillator basis centered on the quadratic well (the
+external flux then lives inside the cosine). Its length is the geometric
+mean of the LC length (2 E_C/E_L)^(1/4) and the length of the full curvature
+E_L + E_J at the inductive minimum, (2 E_C/(E_L + E_J))^(1/4): the LC length
+alone is too wide to resolve the cosine wells, the curvature length alone
+too narrow to reach the outer wells, and as E_J -> 0 the mean tends to the
+LC basis (Light & Carrington, Adv. Chem. Phys. 114, 263 (2000), on fitting
+a grid to the potential). The truncation starts at 40 oscillator states and
+grows until the retained energies are stable to one part in 1e9, so results
+do not depend on the starting truncation; each solve computes only the
+retained levels, not the whole basis spectrum.
 
 All functions here are pure. A ``Spectrum``'s arrays are write-locked; its
 ``memo`` only holds values that downstream layers derive from those arrays,
@@ -39,7 +44,7 @@ from scipy.linalg import cython_lapack, eigh, eigh_tridiagonal
 from .constants import E_CHARGE, H
 from .errors import ConvergenceError, check_fields
 
-DEFAULT_BASIS_DIM = 60
+DEFAULT_BASIS_DIM = 40
 BASIS_GROWTH = 20
 MAX_BASIS_DIM = 600
 CONVERGENCE_RTOL = 1e-9
@@ -183,7 +188,9 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
                  energies_only: bool = False):
     """Diagonalize at a fixed oscillator-basis truncation ``dim``; with
     ``energies_only``, return the retained energies alone."""
-    phi_zpf = (2.0 * params.ec / params.el) ** 0.25
+    # geometric mean of the LC length and the full-curvature length (module doc)
+    phi_zpf = (2.0 * params.ec / params.el) ** 0.25 \
+        * (params.el / (params.el + params.ej)) ** 0.125
     n_zpf = 0.5 / phi_zpf
     theta = 2.0 * np.pi * phi_ext
 
@@ -220,7 +227,7 @@ def diagonalize(
 ) -> Spectrum:
     """Diagonalize the circuit and return a converged ``Spectrum``.
 
-    The truncation starts at ``basis_dim`` (60 by default) and grows in steps
+    The truncation starts at ``basis_dim`` (40 by default) and grows in steps
     of 20 until the retained energies move by less than ``convergence_rtol``
     (relative to the spectrum scale) under one further growth step. Each step
     solves for the lowest ``n_levels`` eigenpairs only, and the starting

@@ -1,6 +1,8 @@
 """Spectrum solver: regression values, symmetries, and independent oracles."""
 
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,6 +25,39 @@ from conftest import environment_of, params_of, resonator_of
 
 def f01(spec):
     return spec.energies[1] - spec.energies[0]
+
+
+@lru_cache(maxsize=1)
+def _ladder_phase_basis(dim):
+    ladder = np.sqrt(np.arange(1.0, dim))
+    a = np.diag(ladder, 1)
+    lam, u = np.linalg.eigh(a + a.T)
+    return a.T - a, lam, u
+
+
+def lc_basis_reference(params, phi_ext, n_levels, dim=300):
+    """Energies and operator elements in the oscillator basis of the LC circuit
+    alone, length (2 E_C/E_L)^(1/4), built from ladder operators and one dense
+    eigh: independent of the length ``diagonalize`` scales its basis to."""
+    phi_zpf = (2 * params.ec / params.el) ** 0.25
+    n_zpf = 0.5 / phi_zpf
+    theta = 2 * math.pi * phi_ext
+    d, lam, u = _ladder_phase_basis(dim)
+    x = phi_zpf * lam
+
+    def function_of_phi(values):
+        return (u * values) @ u.T
+
+    h = -4 * params.ec * n_zpf**2 * (d @ d) + function_of_phi(
+        -params.ej * np.cos(x + theta) + 0.5 * params.el * x**2)
+    energies, vecs = np.linalg.eigh(h)
+    v = vecs[:, :n_levels]
+    elements = {
+        "n_elem": n_zpf * (v.T @ d @ v),
+        "phi_elem": v.T @ function_of_phi(x) @ v + theta * np.eye(n_levels),
+        "sin_half_elem": v.T @ function_of_phi(np.sin(0.5 * (x + theta))) @ v,
+    }
+    return energies[:n_levels], elements
 
 
 class TestDiagonalize:
@@ -89,27 +124,13 @@ class TestDiagonalize:
         assert diagonalize(params, FluxBias(0.49), n_levels=6).sin_half_elem[0, 1] != 0.0
 
     def test_sin_half_matrix_function_reconstruction(self, b1_params):
-        # independent in-basis route: build phi in the oscillator basis from
-        # ladder operators, eigendecompose it here, apply the half-angle sine,
-        # and project onto eigenstates recomputed from an explicit Hamiltonian
+        # independent in-basis route: phi in the LC oscillator basis from
+        # ladder operators, the half-angle sine applied to its eigenvalues,
+        # projected onto eigenstates of an explicit dense Hamiltonian
         spec = diagonalize(b1_params, FluxBias(0.31), n_levels=4)
-        dim = spec.basis_dim
-        theta = 2 * math.pi * 0.31
-        phi_zpf = (2 * b1_params.ec / b1_params.el) ** 0.25
-        n_zpf = 0.5 / phi_zpf
-        ladder = np.sqrt(np.arange(1.0, dim))
-        a = np.diag(ladder, 1)
-        phi_op = phi_zpf * (a + a.T)
-        lam, u = np.linalg.eigh(phi_op)
-        sin_half = (u * np.sin(0.5 * (lam + theta))) @ u.T
-        cos_op = (u * np.cos(lam + theta)) @ u.T
-        n_sq = -(n_zpf**2) * np.linalg.matrix_power(a.T - a, 2)
-        h_op = 4 * b1_params.ec * n_sq - b1_params.ej * cos_op \
-            + 0.5 * b1_params.el * phi_op @ phi_op
-        _, vecs = np.linalg.eigh(h_op)
-        v = vecs[:, :4]
-        ref = np.abs(v.T @ sin_half @ v)
-        np.testing.assert_allclose(np.abs(spec.sin_half_elem), ref, atol=1e-9)
+        _, elements = lc_basis_reference(b1_params, 0.31, 4)
+        np.testing.assert_allclose(np.abs(spec.sin_half_elem),
+                                   np.abs(elements["sin_half_elem"]), atol=1e-9)
 
     def test_sin_half_real_space_grid_oracle(self, b1_params):
         # coarser but fully independent discretization of the same operator
@@ -170,7 +191,9 @@ class TestDiagonalize:
     @pytest.mark.parametrize("threads", ["1", "3"])
     def test_spectrum_bits_do_not_depend_on_blas_threads(self, threads):
         # a threaded product rounds its split tiles differently; at dim 100
-        # that moved A5's matrix elements by up to 6e-15 relative
+        # that moved A5's matrix elements by up to 6e-15 relative. A5 at 0.3
+        # converges from the default start at 80, so both solves start at 80
+        # to end at 100, a size where the threads split the products
         import os
         import subprocess
         import sys
@@ -178,7 +201,8 @@ class TestDiagonalize:
 
         code = ("import sys\n"
                 "from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize\n"
-                "s = diagonalize(FluxoniumParams(ej=7.11e9, ec=0.95e9, el=0.53e9), FluxBias(0.3))\n"
+                "s = diagonalize(FluxoniumParams(ej=7.11e9, ec=0.95e9, el=0.53e9), FluxBias(0.3),"
+                " basis_dim=80)\n"
                 "sys.stdout.write(repr((s.basis_dim, s.energies.tobytes(), s.n_elem.tobytes(), "
                 "s.phi_elem.tobytes(), s.sin_half_elem.tobytes())))\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -187,7 +211,7 @@ class TestDiagonalize:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        spec = diagonalize(params_of("A5"), FluxBias(0.3))
+        spec = diagonalize(params_of("A5"), FluxBias(0.3), basis_dim=80)
         assert spec.basis_dim == 100
         assert proc.stdout == repr((spec.basis_dim, spec.energies.tobytes(),
                                     spec.n_elem.tobytes(), spec.phi_elem.tobytes(),
@@ -217,6 +241,63 @@ class TestDiagonalize:
             sys.setswitchinterval(interval)
         assert threaded == serial
         assert [get() for get, _ in controls] == before
+
+
+# E_L, E_J, E_C in GHz: light to heavy inductances, shallow to deep wells
+CONVERGENCE_GRID = list(itertools.product((0.1, 0.53, 1.0), (0.5, 4.0, 12.0), (0.5, 2.0)))
+GRID_FLUXES = (0.0, 0.2, 0.35, 0.5)
+# retained levels closer than this fraction of the spectrum scale form one
+# near-degenerate cluster
+DEGENERATE_GAP = 1e-5
+# the grid points with such clusters, all in deep double wells; their
+# smallest gaps over the scale are 2e-14 and 1e-13 on (0.1, 12, 0.5) at flux 0
+# and 0.5, 7e-7 and 5e-6 on (0.1, 12, 2), and 1e-7 on (0.53, 12, 0.5) at 0.
+# Inside a cluster the eigenvectors, and so single elements, are set by
+# rounding (at the 1e-13 gap, up to 17% apart between ``diagonalize`` and
+# ``lc_basis_reference``), so there |elements|^2 are compared summed over
+# each cluster, which any rotation inside it leaves unchanged
+NEAR_DEGENERATE = {
+    (0.1, 12.0, 0.5, 0.0),
+    (0.1, 12.0, 0.5, 0.5),
+    (0.1, 12.0, 2.0, 0.0),
+    (0.1, 12.0, 2.0, 0.5),
+    (0.53, 12.0, 0.5, 0.0),
+}
+
+
+class TestBasisConvergence:
+    @pytest.mark.parametrize("el, ej, ec", CONVERGENCE_GRID)
+    def test_grid_converges_against_lc_basis_reference(self, el, ej, ec):
+        params = FluxoniumParams(ej=ej * 1e9, ec=ec * 1e9, el=el * 1e9)
+        for phi in GRID_FLUXES:
+            spec = diagonalize(params, FluxBias(phi), n_levels=6)
+            energies, elements = lc_basis_reference(params, phi, 6)
+            scale = np.max(np.abs(energies))
+            assert np.max(np.abs(spec.energies - energies)) / scale < 1e-9
+            gaps = np.diff(energies) / scale
+            point = (el, ej, ec, phi)
+            assert (gaps.min() < DEGENERATE_GAP) == (point in NEAR_DEGENERATE), point
+            cluster = np.concatenate([[0], np.cumsum(gaps >= DEGENERATE_GAP)])
+            member = np.zeros((cluster[-1] + 1, 6))
+            member[cluster, np.arange(6)] = 1.0
+            for name, ref in elements.items():
+                got = member @ np.abs(getattr(spec, name)) ** 2 @ member.T
+                want = member @ np.abs(ref) ** 2 @ member.T
+                kept = want > 1e-6 * want.max()
+                np.testing.assert_allclose(got[kept], want[kept], rtol=1e-8,
+                                           err_msg=f"{name} at {point}")
+
+    @pytest.mark.parametrize("qubit", ["A1", "A2", "A3", "A4", "A5", "B1", "B2", "B3"])
+    def test_shipped_devices_converge_at_60_or_80(self, qubit):
+        # the basis length fits the wells, so one growth step past the
+        # default start suffices everywhere but on A5, the deepest wells,
+        # which needs two at Phi = 0.19 and 0.26-0.31
+        params = params_of(qubit)
+        dims = {diagonalize(params, FluxBias(phi), n_levels=levels).basis_dim
+                for phi in np.linspace(0.0, 0.5, 51) for levels in (2, 6)}
+        assert max(dims) <= 80
+        if qubit != "A5":
+            assert dims == {60}
 
 
 class TestTransitionFrequency:

@@ -378,6 +378,48 @@ def test_report_is_not_a_command(tmp_path, capsys):
     assert json.loads(err)["error"]["type"] == "UsageError"
 
 
+def test_consecutive_calls_share_only_the_parser(a1_device, tmp_path, capsys):
+    # one parser serves every in-process call: the append options --dist and
+    # --qubit start empty in each call, and a usage error in between leaves
+    # the next call as correct as the first
+    from fluxt1.cli import _build_parser
+
+    dists = []
+    for name, q in (("A", 1e5), ("B", 2e5), ("C", 3e5)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dist_envelope(name, [q, 1.1 * q, 1.2 * q]))
+        dists.append(str(path))
+    t1_path = tmp_path / "t1.csv"
+    t1_path.write_text("phi_ext,t1_s\n0.2,1.1e-4\n0.35,1.6e-4\n")
+    grid = ["--grid-start", "0.0", "--grid-stop", "0.1", "--grid-step", "0.1"]
+
+    def compare(*paths):
+        code, out, _ = run_cli(["compare", *(arg for p in paths for arg in ("--dist", p))],
+                               capsys)
+        assert code == 0
+        return json.loads(out)["config"]["dists"]
+
+    def fit_epsilon(n_qubits):
+        code, out, _ = run_cli(["fit-epsilon", *["--qubit", a1_device, str(t1_path)] * n_qubits,
+                                "--mode", "two_level", *grid], capsys)
+        assert code == 0
+        return json.loads(out)["config"]["qubits"]
+
+    parser = _build_parser()
+    assert compare(dists[0], dists[1]) == dists[:2]
+    assert compare(dists[2]) == dists[2:]
+    assert fit_epsilon(2) == [[a1_device, str(t1_path)]] * 2
+    assert fit_epsilon(1) == [[a1_device, str(t1_path)]]
+    for bad in (["compare", "--dist", dists[0], "--alpha", "x"],
+                ["fit-epsilon", "--qubit", a1_device, str(t1_path), "--mode", "no_such_mode"]):
+        code, out, err = run_cli(bad, capsys)
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"]["type"] == "UsageError"
+    assert compare(dists[1], dists[2]) == dists[1:]
+    assert fit_epsilon(1) == [[a1_device, str(t1_path)]]
+    assert _build_parser() is parser
+
+
 def run_cli(args, capsys):
     code = cli(args)
     captured = capsys.readouterr()
