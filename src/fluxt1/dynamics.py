@@ -64,6 +64,11 @@ FIT_XTOL = 1e-14
 # largest |A| / ptp(signal) of a resolved decay; ordinary model traces stay
 # below ~40, while a decay the grid misses needs an amplitude ~1e6 the range
 FIT_AMPLITUDE_LIMIT = 1e3
+# how the warnings of one model trace begin: a complex generator eigenpair,
+# renormalized populations, a decay fit above the residual gate; a caller that
+# evaluates many trial models may silence these, and these alone
+TRACE_WARNINGS = ("generator has a complex eigenpair", "probability drifted by",
+                  "decay fit residual exceeds")
 # relative part of rising_root's tolerance, as in brentq: four ulps of the root
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 
@@ -294,22 +299,22 @@ class DecayFit:
     residual_rms: float | np.ndarray
 
 
-def rising_root(g, u0, step: float, lo, hi, xtol: float):
+def rising_root(g, u0, step, lo, hi, xtol: float):
     """Roots of a stack of functions that rise through zero, each searched
     outward from its own u0, all in lockstep.
 
     ``g(u, members)`` returns the values at the points u of the functions of
     ``members`` (flat indices into the stack), nan for a member whose
-    evaluation failed. A member's bracket reaches ``step`` from u0 toward its
-    sign change and doubles its reach until g changes sign, clipped to its
-    [lo, hi]. Chandrupatla's step then shrinks the bracket: a secant first,
-    inverse quadratic interpolation where the last three points allow it,
-    bisection otherwise, and never closer than the tolerance to an end. A
-    member stops once its bracket is narrower than xtol + 4 eps |u|, at the
-    secant root of that last bracket, or at a point where g vanishes. Each
-    round evaluates g once, at one point of every member still searching. A
-    member whose g keeps its sign up to the bound, or fails, has no root:
-    nan in a stack, None for a scalar u0.
+    evaluation failed. A member's bracket reaches ``step`` (one for all, or
+    one per member) from u0 toward its sign change and doubles its reach
+    until g changes sign, clipped to its [lo, hi]. Chandrupatla's step then
+    shrinks the bracket: a secant first, inverse quadratic interpolation
+    where the last three points allow it, bisection otherwise, and never
+    closer than the tolerance to an end. A member stops once its bracket is
+    narrower than xtol + 4 eps |u|, at the secant root of that last bracket,
+    or at a point where g vanishes. Each round evaluates g once, at one point
+    of every member still searching. A member whose g keeps its sign up to
+    the bound, or fails, has no root: nan in a stack, None for a scalar u0.
     """
     u0 = np.asarray(u0, dtype=float)
     shape = u0.shape
@@ -325,7 +330,7 @@ def rising_root(g, u0, step: float, lo, hi, xtol: float):
     nan = np.full(start.size, np.nan)
     x1, f1, x2, f2, x3, f3, frac = start, f0, nan, nan, nan, nan, nan
     toward = np.where(f0 < 0.0, 1.0, -1.0)  # g rises: the root lies above when g(u0) < 0
-    reach = np.full(start.size, float(step))
+    reach = np.asarray(step, dtype=float) + np.zeros(start.size)
     keep = np.isfinite(f0) & (f0 != 0.0)
     while True:
         if not keep.all():
@@ -697,6 +702,16 @@ def multilevel_t1(rates: np.ndarray, p0: np.ndarray, weights: np.ndarray | None,
     return t1
 
 
+def summed_rates(tables, mechanisms, scale=1.0) -> np.ndarray:
+    """The channels' rate tables summed in the order of ``mechanisms``, the
+    capacitive one times ``scale``: one (N, N) table per channel with a float
+    scale, or (R, N, N) stacks with an (R, 1, 1) scale, alike bit for bit."""
+    total = np.zeros(np.shape(tables[0]))
+    for m, rates in zip(mechanisms, tables):
+        total = total + (rates * scale if m == Mechanism.CAPACITIVE else rates)
+    return total
+
+
 # every Environment field but the two of the capacitive quality factor: with
 # the resonator they key the rate data a spectrum's models share, so a field
 # added later joins the key and can never make two environments share wrongly
@@ -715,9 +730,10 @@ class BiasModel:
     probe, real part). The exponent enters only the capacitive channel, as
     the factor 1/Q'(f_ij) on its split pairs, which the model evaluates from
     the shared pairs, so a model at another exponent builds no pairs. Only
-    ``rates``, the multilevel model's input, builds N x N tables: each
-    non-capacitive one once per bias, the capacitive one once per qc_eff and
-    exponent; the two-level reads take the 0<->1 pair alone. At a fixed
+    ``channel_rates``, which ``rates`` (the multilevel model's input) sums,
+    builds N x N tables: each non-capacitive one once per bias, the
+    capacitive one once per qc_eff and exponent; the two-level reads take
+    the 0<->1 pair alone. At a fixed
     exponent the capacitive rates scale exactly as 1/qc_eff, so a trial
     qc_eff rescales them by env.qc_eff / qc_eff.
     """
@@ -747,7 +763,7 @@ class BiasModel:
         return self._memoized((mechanism, "pair"),
                               lambda: self.pairs(mechanism).pair_sum(self.env))
 
-    def _rates(self, mechanism: Mechanism) -> np.ndarray:
+    def channel_rates(self, mechanism: Mechanism) -> np.ndarray:
         """One channel's rate table at env.qc_eff and env.epsilon."""
         key = ((mechanism, self.env.qc_eff, self.env.epsilon)
                if mechanism == Mechanism.CAPACITIVE else (mechanism, "table"))
@@ -778,11 +794,7 @@ class BiasModel:
         if not mechanisms:
             raise ValueError("need at least one mechanism")
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
-        total = np.zeros((self.spec.n_levels,) * 2)
-        for m in mechanisms:
-            rates = self._rates(m)
-            total = total + (rates * scale if m == Mechanism.CAPACITIVE else rates)
-        return total
+        return summed_rates([self.channel_rates(m) for m in mechanisms], mechanisms, scale)
 
     def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
         """The selected channels summed into one rate matrix, at qc_eff if given."""

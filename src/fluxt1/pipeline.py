@@ -4,9 +4,11 @@ The chain runs: ingest measured relaxation times -> 8 MHz binned average (to
 de-weight oversampled defect features) -> drop points dominated by flux noise
 or radiative loss -> invert the remaining points into an effective capacitive
 quality factor per frequency bin: in closed form in the two-level model, by a
-bracketed root find through the multilevel decay model otherwise. The root
-finds of many records run in lockstep (``invert_stack``): each round
-evaluates every record still searching as one stack of models. A global
+bracketed root find through the multilevel decay model otherwise, started one
+Newton step off the closed form on its two-level slope. The root finds of
+many records run in lockstep (``invert_stack``): each round evaluates every
+record still searching as one stack of models, whose summed rates are one
+array expression over channel tables stacked once. A global
 frequency exponent is chosen by minimizing the pooled variance of the
 log-centered quality factors across qubits.
 """
@@ -20,7 +22,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import BiasModel, T1Mode, multilevel_t1, rising_root, two_level_total_rate
+from .dynamics import (
+    TRACE_WARNINGS,
+    BiasModel,
+    T1Mode,
+    multilevel_t1,
+    rising_root,
+    summed_rates,
+    two_level_total_rate,
+)
 from .errors import DataError, FitError, check_fields, check_number
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
 from .loss import (
@@ -42,9 +52,14 @@ FALLBACK_QCEFF = Environment.qc_eff
 # the inversion returns a qc_eff with log10(qc_eff) within these bounds
 LOG10_QCEFF_MIN = 0.0
 LOG10_QCEFF_MAX = 12.0
-# first half-width of the bracket around the start, in decades; doubles
-# until the bracket holds a sign change
-BRACKET_STEP = 0.02
+# the multilevel search starts one Newton step off the closed form, on the
+# two-level slope of log t1 in log10(qc_eff), ln10 (1 - Gamma_bg t1), taken
+# no flatter than NEWTON_SLOPE_MIN ln10; its first bracket then reaches
+# NEWTON_REACH of that step's length, and at least NEWTON_REACH_FLOOR
+# decades, toward the sign change, doubling until it holds one
+NEWTON_SLOPE_MIN = 0.05
+NEWTON_REACH = 0.1
+NEWTON_REACH_FLOOR = 1e-6
 # root tolerance in decades of qc_eff (~2e-12 relative): just above the
 # rounding floor of the multilevel model t1 (~1e-13), below which the worst
 # error over a dataset is set by that floor's scatter instead of the tolerance
@@ -199,14 +214,22 @@ def invert_stack(models, t1_measured, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL) -
 
     In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so the answer is
     ``two_level_qceff`` at each model's own exponent. The multilevel modes
-    solve log t1_model(10**u) = log t1_measured over u = log10(qc_eff) with
-    ``rising_root``, every member from log10 of that closed form when it lies
-    in (1e2, 1e9), else from FALLBACK_QCEFF; each round evaluates the trial
+    solve g(u) = log t1_model(10**u) - log t1_measured = 0 over
+    u = log10(qc_eff). Each member reads g at u0, log10 of that closed form
+    when it lies in (1e2, 1e9), else of FALLBACK_QCEFF, and steps to
+    u1 = u0 - g(u0) / s on the two-level slope s = ln10 (1 - Gamma_bg t1),
+    clipped below at NEWTON_SLOPE_MIN ln10, with u1 kept within the bounds;
+    ``rising_root`` then searches from u1 with a first reach of NEWTON_REACH
+    |u1 - u0|, at least NEWTON_REACH_FLOOR. Each round evaluates the trial
     qc_eff of every member still searching as one ``multilevel_t1`` stack,
-    whose capacitive rates are the model's memoized table rescaled. Raises
-    the first member's FitError, in stack order, when no qc_eff within the
-    bounds reproduces its t1 (for instance a t1 longer than the
-    non-capacitive channels alone allow), or a model evaluation of it fails.
+    whose rates ``summed_rates`` forms from the channel tables of all members
+    stacked once, the capacitive one rescaled by env.qc_eff / qc_eff as
+    ``BiasModel.rates`` does, bit for bit. The per-trace model warnings
+    (``TRACE_WARNINGS``) of these trial models are silenced; any other
+    warning propagates. Raises the first member's FitError, in stack order,
+    when no qc_eff within the bounds reproduces its t1 (for instance a t1
+    longer than the non-capacitive channels alone allow), or a model
+    evaluation of it fails.
     """
     mode = T1Mode(mode)
     t1_measured = np.asarray(t1_measured, dtype=float)
@@ -226,7 +249,8 @@ def invert_stack(models, t1_measured, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL) -
         group = np.flatnonzero(sizes == size)
         failed = failures[group]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            for message in TRACE_WARNINGS:
+                warnings.filterwarnings("ignore", message, UserWarning)
             q[group] = 10.0 ** _lockstep_root([models[k] for k in group.tolist()],
                                               t1_measured[group], u0[group], mode, failed)
         failures[group] = failed
@@ -281,16 +305,21 @@ def _raise_unmatched(q, models, t1_measured) -> None:
 
 def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
     """``invert_stack``'s multilevel root in log10(qc_eff) of every member,
-    from u0; a member that fails stores its FitError in ``failures``."""
+    searched from one Newton step off u0; a member that fails stores its
+    FitError in ``failures``."""
     log_t1 = np.log(t1_measured)
     p0 = np.stack([model.p0 for model in models])
     weights = (np.stack([model.weights for model in models])
                if mode is T1Mode.MULTILEVEL_SIGNAL else None)
+    tables = [np.stack([model.channel_rates(m) for model in models])
+              for m in ANALYSIS_MECHANISMS]
+    qc_eff = [model.env.qc_eff for model in models]
     last = np.full(len(models), np.nan)  # each member's latest value of g
 
     def g(u, members):
-        rates = np.stack([models[k].rates(ANALYSIS_MECHANISMS, 10.0 ** v)
-                          for k, v in zip(members.tolist(), u.tolist())])
+        scale = np.array([qc_eff[k] / 10.0 ** v for k, v in zip(members.tolist(), u.tolist())])
+        rates = summed_rates([table[members] for table in tables], ANALYSIS_MECHANISMS,
+                             scale[:, None, None])
         failed = np.full((members.size, 1), None, dtype=object)
         t1 = multilevel_t1(rates, p0[members], None if weights is None else weights[members],
                            (mode,), failed)[:, 0]
@@ -298,7 +327,15 @@ def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
         last[members] = np.log(t1) - log_t1[members]
         return last[members]
 
-    u = rising_root(g, u0, BRACKET_STEP, LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
+    background = np.array([model.pair_rate(BACKGROUND_MECHANISMS) for model in models])
+    slope = math.log(10.0) * np.clip(1.0 - background * t1_measured, NEWTON_SLOPE_MIN, 1.0)
+    g0 = g(u0, np.arange(len(models)))
+    live = np.flatnonzero(np.isfinite(g0))
+    u1 = np.clip(u0[live] - g0[live] / slope[live], LOG10_QCEFF_MIN, LOG10_QCEFF_MAX)
+    reach = np.maximum(NEWTON_REACH * np.abs(u1 - u0[live]), NEWTON_REACH_FLOOR)
+    u = np.full(len(models), np.nan)
+    u[live] = rising_root(lambda v, members: g(v, live[members]), u1, reach,
+                          LOG10_QCEFF_MIN, LOG10_QCEFF_MAX, ROOT_XTOL)
     for k in np.flatnonzero(np.isnan(u)):
         if failures[k] is None:
             # the search stopped at the bound, so g was last read there

@@ -824,6 +824,18 @@ class TestRisingRoot:
                 assert roots[k] == alone
                 assert abs(alone - self.ROOTS[k]) <= xtol + 4 * np.finfo(float).eps
 
+    def test_a_step_per_member_is_each_member_alone_with_its_own_step(self):
+        steps = np.array([0.05, 1e-6, 0.3, 2.0, 0.01, 0.7, 1e-13, 0.2])
+        lo, hi, xtol = -10.0, 10.0, 1e-12
+        seen = {}
+        roots = rising_root(self.traced(self.g, seen), self.U0, steps, lo, hi, xtol)
+        for k, (u0, step) in enumerate(zip(self.U0.tolist(), steps.tolist())):
+            members, alone_seen = np.array([k]), {}
+            alone = rising_root(self.traced(lambda u, m: self.g(u, members), alone_seen),
+                                u0, step, lo, hi, xtol)
+            assert alone_seen[0] == seen[k]
+            assert (alone is None and math.isnan(roots[k])) or roots[k] == alone
+
     def test_a1_sweep_stack_takes_few_gradient_evaluations(self, monkeypatch):
         # predict_sweep's a1 grid at seed 11: 21 biases x 6 selections x 2 modes
         dev = parse_device_file(str(SHIPPED_DEVICES[0]))

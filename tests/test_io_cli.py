@@ -1031,7 +1031,7 @@ class TestOneModelPerBias:
 
 
 SHIPPED_DEVICES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3")
-GOLDEN = Path(__file__).resolve().parent / "golden" / "extract_qceff_two_level"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def fixed_t1_csv(index: int) -> str:
@@ -1045,6 +1045,18 @@ def fixed_t1_csv(index: int) -> str:
 
 
 class TestPinnedOutputs:
+    @staticmethod
+    def _extract_qceff(index, name, mode, tmp_path, monkeypatch, capsys) -> str:
+        """What extract-qceff prints for a shipped device on its fixed T1s."""
+        device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
+        (tmp_path / device.name).write_bytes(device.read_bytes())
+        (tmp_path / "t1.csv").write_text(fixed_t1_csv(index))
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["extract-qceff", "--device", device.name, "--t1-csv", "t1.csv",
+                                "--mode", mode], capsys)
+        assert code == 0
+        return out
+
     @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
     def test_extract_qceff_two_level_is_byte_identical(self, index, name, tmp_path,
                                                        monkeypatch, capsys):
@@ -1052,14 +1064,41 @@ class TestPinnedOutputs:
         # move of any digit rewrites the files, and CHANGES.md records
         # tests/golden_diff.py's report of what moved. The next test bounds
         # how far the 2-level spectra these runs solve may sit from 6-level ones
-        device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
-        (tmp_path / device.name).write_bytes(device.read_bytes())
-        (tmp_path / "t1.csv").write_text(fixed_t1_csv(index))
-        monkeypatch.chdir(tmp_path)
-        code, out, _ = run_cli(["extract-qceff", "--device", device.name, "--t1-csv", "t1.csv",
-                                "--mode", "two_level"], capsys)
-        assert code == 0
-        assert out == (GOLDEN / f"{name}.json").read_text()
+        out = self._extract_qceff(index, name, "two_level", tmp_path, monkeypatch, capsys)
+        assert out == (GOLDEN / "extract_qceff_two_level" / f"{name}.json").read_text()
+
+    @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
+    def test_extract_qceff_multilevel_signal_matches_golden(self, index, name, tmp_path,
+                                                            monkeypatch, capsys):
+        # every field exactly but qceff, which the multilevel root finds to
+        # ROOT_XTOL decades (~2.3e-12 relative): a change of the search may
+        # move it within that, not beyond 1e-10
+        payload = json.loads(self._extract_qceff(index, name, "multilevel_signal", tmp_path,
+                                                 monkeypatch, capsys))
+        golden = json.loads((GOLDEN / "extract_qceff_multilevel_signal" / f"{name}.json")
+                            .read_text())
+        qceff, golden_qceff = ([entry.pop("qceff") for entry in p["data"]["entries"]]
+                               for p in (payload, golden))
+        assert payload == golden
+        assert qceff == pytest.approx(golden_qceff, rel=1e-10, abs=0)
+
+    def test_multilevel_dataset_takes_few_lockstep_rounds(self, tmp_path, monkeypatch, capsys):
+        # b3's 10 kept records invert in one stack: one multilevel_t1 call per
+        # round, 7 rounds (9 when the search widened its bracket from the
+        # closed form instead of starting one Newton step off it)
+        import fluxt1.pipeline as pipeline
+
+        model, calls = pipeline.multilevel_t1, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "multilevel_t1", counted)
+        out = self._extract_qceff(SHIPPED_DEVICES.index("b3"), "b3", "multilevel_signal",
+                                  tmp_path, monkeypatch, capsys)
+        assert json.loads(out)["data"]["n_kept"] == 10 == calls[0]
+        assert len(calls) <= 7
 
     @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
     def test_extract_qceff_two_level_agrees_with_six_level_closed_form(

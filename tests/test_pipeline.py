@@ -343,6 +343,43 @@ class TestInversionContract:
         stacked = invert_stack(models, t1, T1Mode.MULTILEVEL_SIGNAL)
         assert stacked.tolist() == [model.invert(t) for model, t in zip(models, t1)]
 
+    @staticmethod
+    def _warning_round_trip(category, message, spec, res, monkeypatch):
+        """One signal-mode round trip at 2.5e5 whose every model evaluation
+        first warns ``message``."""
+        import fluxt1.pipeline as pipeline
+
+        inverter = QceffInverter(spec, res, environment_of("B1"))
+        t1 = inverter.predict_t1(2.5e5)
+        model = pipeline.multilevel_t1
+
+        def warning(*args, **kwargs):
+            warnings.warn(message, category)
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "multilevel_t1", warning)
+        return inverter.invert(t1)
+
+    def test_other_warnings_of_a_model_evaluation_propagate(
+            self, b1_half_flux_spectrum, b1_resonator, monkeypatch):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in a trial model"):
+            self._warning_round_trip(RuntimeWarning, "overflow encountered in a trial model",
+                                     b1_half_flux_spectrum, b1_resonator, monkeypatch)
+
+    @pytest.mark.parametrize("message", [
+        "decay fit residual exceeds the model-signal gate (0.001 of amplitude)",
+        "generator has a complex eigenpair (mixed-temperature baths can drive steady-state "
+        "cycles); keeping complex arithmetic",
+        "probability drifted by up to 2.000e-09; renormalizing rows",
+    ])
+    def test_trace_warnings_of_trial_models_are_silenced(
+            self, message, b1_half_flux_spectrum, b1_resonator, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = self._warning_round_trip(UserWarning, message, b1_half_flux_spectrum,
+                                         b1_resonator, monkeypatch)
+        assert q == pytest.approx(2.5e5, rel=1e-11)
+
     def test_first_failing_member_raises(self, b1_half_flux_spectrum, b1_resonator):
         env = environment_of("B1")
         model = QceffInverter(b1_half_flux_spectrum, b1_resonator, env)
