@@ -1083,9 +1083,9 @@ class TestPinnedOutputs:
         assert qceff == pytest.approx(golden_qceff, rel=1e-10, abs=0)
 
     def test_multilevel_dataset_takes_few_lockstep_rounds(self, tmp_path, monkeypatch, capsys):
-        # b3's 10 kept records invert in one stack: one multilevel_t1 call per
-        # round, 7 rounds (9 when the search widened its bracket from the
-        # closed form instead of starting one Newton step off it)
+        # b3's 10 kept records invert in one stack, one multilevel_t1 call per
+        # round: the closed form, its Newton step, one widening trial that
+        # brackets each root, and the end-game
         import fluxt1.pipeline as pipeline
 
         model, calls = pipeline.multilevel_t1, []
