@@ -1082,6 +1082,39 @@ class TestPinnedOutputs:
         assert payload == golden
         assert qceff == pytest.approx(golden_qceff, rel=1e-10, abs=0)
 
+    @staticmethod
+    def _fit_epsilon(names, mode, grid, tmp_path, monkeypatch, capsys) -> str:
+        """What fit-epsilon prints for shipped devices, each on its fixed T1s."""
+        qubits = []
+        for name in names:
+            device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
+            (tmp_path / device.name).write_bytes(device.read_bytes())
+            (tmp_path / f"{name}_t1.csv").write_text(fixed_t1_csv(SHIPPED_DEVICES.index(name)))
+            qubits += ["--qubit", device.name, f"{name}_t1.csv"]
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["fit-epsilon", *qubits, "--mode", mode, *grid], capsys)
+        assert code == 0
+        return out
+
+    def test_fit_epsilon_two_level_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # all 8 devices in one run, on the default 41-point grid
+        out = self._fit_epsilon(SHIPPED_DEVICES, "two_level", [], tmp_path, monkeypatch, capsys)
+        assert out == (GOLDEN / "fit_epsilon" / "two_level.json").read_text()
+
+    @pytest.mark.parametrize("mode", ["multilevel_population", "multilevel_signal"])
+    def test_fit_epsilon_multilevel_matches_golden(self, mode, tmp_path, monkeypatch, capsys):
+        # every field exactly but the pooled variances, read from qc_eff the
+        # multilevel root finds to ROOT_XTOL decades, as extract-qceff's above
+        grid = ["--grid-start", "0", "--grid-stop", "0.5", "--grid-step", "0.25"]
+        payload = json.loads(self._fit_epsilon(("a1", "b1"), mode, grid, tmp_path,
+                                               monkeypatch, capsys))
+        golden = json.loads((GOLDEN / "fit_epsilon" / f"{mode}.json").read_text())
+        variance, golden_variance = ([point.pop("pooled_variance")
+                                      for point in p["data"]["variance_curve"]]
+                                     for p in (payload, golden))
+        assert payload == golden
+        assert variance == pytest.approx(golden_variance, rel=1e-10, abs=0)
+
     def test_multilevel_dataset_takes_few_lockstep_rounds(self, tmp_path, monkeypatch, capsys):
         # b3's 10 kept records invert in one stack, one multilevel_t1 call per
         # round: the closed form, its Newton step, one widening trial that
