@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from fluxt1.cli import cli
-from fluxt1.dynamics import T1Mode
+from fluxt1.dynamics import TRACE_WARNINGS, T1Mode
 from fluxt1.io import parse_device_file, read_distribution, write_t1_csv
 from fluxt1.pipeline import CachedSpectrumProvider, QceffInverter, T1Dataset, T1Record
 from fluxt1.stats import ci_of_mean_difference, welch_t_test
@@ -43,7 +43,8 @@ def synthesize_dataset(device_path: Path, qc_eff: float, n_points: int,
     for phi in np.linspace(0.04, 0.5, n_points):
         spec = provider(float(phi))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            for message in TRACE_WARNINGS:
+                warnings.filterwarnings("ignore", message, UserWarning)
             inverter = QceffInverter(spec, res, env, mode=T1Mode.MULTILEVEL_SIGNAL)
             # scatter the underlying quality factor, not the readout, mimicking
             # defect-dominated variation between bias points

@@ -583,23 +583,6 @@ def heralded_misassignment_error(times, populations, fit_p1: DecayFit) -> tuple[
     return 0.0, float((fit_p1.t1 - fit_lumped.t1) / fit_p1.t1)
 
 
-def two_level_total_rate(
-    spec: Spectrum,
-    res: ResonatorParams | None,
-    env: Environment,
-    mechanisms=ANALYSIS_MECHANISMS,
-) -> float:
-    """Sum over mechanisms of the symmetrized 0<->1 rate, from the entries of
-    freshly built tables: the reference route that ``BiasModel.pair_rate``
-    must match bit for bit, for ``two_level_qceff_closed_form`` and the
-    tests."""
-    total = 0.0
-    for m in mechanisms:
-        rates = build_mechanism_table(spec, res, env, m).table(env)
-        total += rates[0, 1] + rates[1, 0]
-    return total
-
-
 def _arithmetic_groups(rm: RateMatrix, rates: np.ndarray, members: np.ndarray) -> list:
     """(members, generators) of the members of a flat stack that evolve alike.
     That is all of them, unless the stack is complex and some members are
@@ -780,8 +763,9 @@ class BiasModel:
             self.spec, self.res).rotated_points().real)
 
     def pair_rate(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> float:
-        """Sum over mechanisms of the symmetrized 0<->1 rate, in
-        two_level_total_rate's order, so at env.qc_eff both agree bit for bit."""
+        """Sum over mechanisms of the symmetrized 0<->1 rate, in the order of
+        the reference route in tests/reference.py, which builds its own
+        tables: at env.qc_eff both agree bit for bit."""
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         total = 0.0
         for m in mechanisms:
@@ -840,5 +824,7 @@ def predicted_t1(
     n_levels: int = 6,
 ) -> float:
     """Model T1 (s) at one flux bias: ``BiasModel.t1`` on its n_levels
-    spectrum, which the two-level mode reads through its 0<->1 rates."""
+    spectrum, which the two-level mode reads through its 0<->1 rates. No
+    package code calls it; it stays because the benchmark's tracer
+    (``perfbench/spans.py``) wraps it by name."""
     return BiasModel(diagonalize(params, bias, n_levels=n_levels), res, env).t1(mode, mechanisms)

@@ -5,12 +5,14 @@ de-weight oversampled defect features) -> drop points dominated by flux noise
 or radiative loss -> invert the remaining points into an effective capacitive
 quality factor per frequency bin: in closed form in the two-level model, by a
 bracketed root find through the multilevel decay model otherwise, started one
-Newton step off the closed form on its two-level slope. The root finds of
-many records run in lockstep (``invert_stack``): each round evaluates every
-record still searching as one stack of models, whose summed rates are one
-array expression over channel tables stacked once. A global
-frequency exponent is chosen by minimizing the pooled variance of the
-log-centered quality factors across qubits.
+Newton step off the closed form on its two-level slope. ``invert_stack`` is
+the one inversion call, in every mode: it inverts many records at every
+exponent of a grid, and its root finds run in lockstep, one exponent at a
+time: each round evaluates every record still searching as one stack of
+models, whose summed rates are one array expression over channel tables
+stacked once. A global frequency exponent is chosen by minimizing the
+pooled variance of the log-centered quality factors across qubits, from one
+such call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .dynamics import (
     multilevel_t1,
     rising_root,
     summed_rates,
-    two_level_total_rate,
 )
 from .errors import DataError, FitError, check_fields, check_number
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
@@ -187,11 +188,14 @@ def exclusion_filter(
 class QceffInverter(BiasModel):
     """Measured t1 -> qc_eff at one flux bias, through the bias's model.
 
-    ``invert`` is ``invert_stack`` as a stack of one; ``predict_t1`` reads
-    the model t1 at a trial qc_eff. The frequency exponent enters only the
-    capacitive pairs, as the factor (f_ij / 6 GHz)^epsilon: inverters on one
-    spectrum, at any exponent, share its tables and build none after the
-    first.
+    ``invert`` is ``invert_stack`` as a stack of one, at the inverter's own
+    exponent; ``predict_t1`` reads the model t1 at a trial qc_eff. The
+    frequency exponent enters only the capacitive pairs, as the factor
+    (f_ij / 6 GHz)^epsilon: inverters on one spectrum, at any exponent,
+    share its tables and build none after the first. No package code calls
+    it; it stays because the benchmark's tracer (``perfbench/spans.py``)
+    wraps both methods and its input synthesis (``perfbench/workloads.py``)
+    and ``scripts/synthetic_process_compare.py`` read ``predict_t1``.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams, env: Environment,
@@ -205,58 +209,63 @@ class QceffInverter(BiasModel):
     def invert(self, t1_measured: float) -> float:
         """The qc_eff in [10**LOG10_QCEFF_MIN, 10**LOG10_QCEFF_MAX] whose
         model t1 is ``t1_measured``; see ``invert_stack``."""
-        return float(invert_stack([self], [t1_measured], self.mode)[0])
+        return float(invert_stack([self], [t1_measured], [self.env.epsilon], self.mode)[0, 0])
 
 
-def invert_stack(models, t1_measured, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL) -> np.ndarray:
+def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL
+                 ) -> np.ndarray:
     """The qc_eff in [10**LOG10_QCEFF_MIN, 10**LOG10_QCEFF_MAX] whose model t1
-    is the measured one, for each (model, t1) pair, all inverted in lockstep.
+    is the measured one, for each (model, t1) pair at each exponent of the
+    1-D ``epsilon``: an R x E array, all records inverted in lockstep. The
+    models' own exponent is not read.
 
     In two_level mode 1/t1 = Gamma_bg + K/qc_eff, so the answer is
-    ``two_level_qceff`` at each model's own exponent. The multilevel modes
-    solve g(u) = log t1_model(10**u) - log t1_measured = 0 over
-    u = log10(qc_eff). Each member reads g at u0, log10 of that closed form
-    when it lies in (1e2, 1e9), else of FALLBACK_QCEFF, and steps to
-    u1 = u0 - g(u0) / s on the two-level slope s = ln10 (1 - Gamma_bg t1),
-    clipped below at NEWTON_SLOPE_MIN ln10, with u1 kept within the bounds;
-    ``rising_root`` then searches from u1 with a first reach of NEWTON_REACH
-    |u1 - u0|, at least NEWTON_REACH_FLOOR. Each round evaluates the trial
-    qc_eff of every member still searching as one ``multilevel_t1`` stack,
-    whose rates ``summed_rates`` forms from the channel tables of all members
-    stacked once, the capacitive one rescaled by env.qc_eff / qc_eff as
-    ``BiasModel.rates`` does, bit for bit. The per-trace model warnings
+    ``two_level_qceff``. The multilevel modes solve, one exponent at a time
+    in grid order, g(u) = log t1_model(10**u) - log t1_measured = 0 over
+    u = log10(qc_eff), each record on a model built at that exponent (one
+    environment per distinct environment of the stack). Each member reads g
+    at u0, log10 of the closed form when it lies in (1e2, 1e9), else of
+    FALLBACK_QCEFF, and steps to u1 = u0 - g(u0) / s on the two-level slope
+    s = ln10 (1 - Gamma_bg t1), clipped below at NEWTON_SLOPE_MIN ln10, with
+    u1 kept within the bounds; ``rising_root`` then searches from u1 with a
+    first reach of NEWTON_REACH |u1 - u0|, at least NEWTON_REACH_FLOOR. Each
+    round evaluates the trial qc_eff of every member still searching as one
+    ``multilevel_t1`` stack, whose rates ``summed_rates`` forms from the
+    channel tables of all members stacked once, the capacitive one rescaled
+    by env.qc_eff / qc_eff as ``BiasModel.rates`` does, bit for bit; so the
+    models must retain one number of levels. The per-trace model warnings
     (``TRACE_WARNINGS``) of these trial models are silenced; any other
-    warning propagates. Raises the first member's FitError, in stack order,
-    when no qc_eff within the bounds reproduces its t1 (for instance a t1
-    longer than the non-capacitive channels alone allow), or a model
-    evaluation of it fails.
+    warning propagates. Raises the FitError of the first failing cell,
+    exponent by exponent and record by record within one, when no qc_eff
+    within the bounds reproduces its t1 (for instance a t1 longer than the
+    non-capacitive channels alone allow), or a model evaluation of it fails.
     """
     mode = T1Mode(mode)
     t1_measured = np.asarray(t1_measured, dtype=float)
+    epsilon = np.asarray(epsilon, dtype=float)
     if not models:
-        return np.empty(0)
-    epsilon, column = np.unique([model.env.epsilon for model in models], return_inverse=True)
-    q = two_level_qceff(models, t1_measured, epsilon)[np.arange(len(models)), column]
+        return np.empty((0, epsilon.size))
+    q = two_level_qceff(models, t1_measured, epsilon)
     if mode is T1Mode.TWO_LEVEL:
-        _raise_unmatched(q[:, None], models, t1_measured)
+        _raise_unmatched(q, models, t1_measured)
         return q
-    u0 = np.array([math.log10(v) if 1e2 < v < 1e9 else math.log10(FALLBACK_QCEFF)
-                   for v in q.tolist()])
-    failures = np.full(len(models), None, dtype=object)
-    # one stack per number of retained levels
-    sizes = np.array([model.spec.n_levels for model in models])
-    for size in np.unique(sizes).tolist():
-        group = np.flatnonzero(sizes == size)
-        failed = failures[group]
-        with warnings.catch_warnings():
-            for message in TRACE_WARNINGS:
-                warnings.filterwarnings("ignore", message, UserWarning)
-            q[group] = 10.0 ** _lockstep_root([models[k] for k in group.tolist()],
-                                              t1_measured[group], u0[group], mode, failed)
-        failures[group] = failed
-    for err in failures:
-        if err is not None:
-            raise err
+    if len({model.spec.n_levels for model in models}) > 1:
+        raise ValueError("the models of a multilevel stack must retain one number of levels")
+    environments = dict.fromkeys(model.env for model in models)
+    with warnings.catch_warnings():
+        for message in TRACE_WARNINGS:
+            warnings.filterwarnings("ignore", message, UserWarning)
+        for e, eps in enumerate(epsilon.tolist()):
+            u0 = np.array([math.log10(v) if 1e2 < v < 1e9 else math.log10(FALLBACK_QCEFF)
+                           for v in q[:, e].tolist()])
+            envs = {env: replace(env, epsilon=eps) for env in environments}
+            failures = np.full(len(models), None, dtype=object)
+            q[:, e] = 10.0 ** _lockstep_root(
+                [BiasModel(model.spec, model.res, envs[model.env]) for model in models],
+                t1_measured, u0, mode, failures)
+            for err in failures:
+                if err is not None:
+                    raise err
     return q
 
 
@@ -270,22 +279,16 @@ def two_level_qceff(models, t1_measured, epsilon) -> np.ndarray:
     model shares: the background pair rate Gamma_bg, and the capacitive
     0<->1 pair (``ChannelPairs.pair_01``), whose rate at the model's qc_eff
     is K (``capacitive_pair_rates``). So a cell is bit for bit the closed
-    form of one model at that exponent, and no model is built per exponent.
+    form of one model at that exponent, whatever exponent the model carries,
+    and no model is built per exponent.
     """
     background = np.array([model.pair_rate(BACKGROUND_MECHANISMS) for model in models])
     qc_eff = np.array([model.env.qc_eff for model in models])
     strength, f, down, up = map(np.concatenate, zip(
         *(model.pairs(Mechanism.CAPACITIVE).pair_01() for model in models)))
     k = capacitive_pair_rates(strength, f, down, up, qc_eff, epsilon)
-    return _closed_form(qc_eff[:, None], k, np.asarray(t1_measured, dtype=float)[:, None],
-                        background[:, None])
-
-
-def _closed_form(qc_eff, pair, t1_measured, background):
-    """qc_eff * pair / (1/t1 - background), elementwise; nan where the
-    residual is not positive."""
-    residual = 1.0 / t1_measured - background
-    return qc_eff * pair / np.where(residual > 0.0, residual, np.nan)
+    residual = 1.0 / np.asarray(t1_measured, dtype=float) - background
+    return qc_eff[:, None] * k / np.where(residual > 0.0, residual, np.nan)[:, None]
 
 
 def _raise_unmatched(q, models, t1_measured) -> None:
@@ -350,31 +353,6 @@ def _unmatched(t1_measured: float, detail: str) -> FitError:
                     f"reproduces t1 = {t1_measured:.3e} s ({detail})")
 
 
-def two_level_qceff_closed_form(
-    t1_measured: float,
-    spec: Spectrum,
-    res: ResonatorParams,
-    env: Environment,
-) -> float:
-    """Algebraic two-level inversion: solve 1/t1 = Gamma_bg + K/qc_eff.
-
-    The capacitive pair rate at fixed epsilon is exactly proportional to
-    1/qc_eff, so the inversion is one division. Reads both rates from the
-    entries of tables it builds through ``two_level_total_rate``, apart from
-    any ``BiasModel``, as the reference for ``two_level_qceff``, whose
-    division it shares.
-    """
-    bg = two_level_total_rate(spec, res, env, BACKGROUND_MECHANISMS)
-    cap_ref = two_level_total_rate(spec, res, env, (Mechanism.CAPACITIVE,))
-    q = float(_closed_form(env.qc_eff, cap_ref, t1_measured, bg))
-    if math.isnan(q):
-        raise FitError(
-            "measured rate is below the background (non-capacitive) prediction; "
-            "no positive qc_eff reproduces it"
-        )
-    return q
-
-
 @dataclass(frozen=True)
 class QceffEntry:
     freq: float
@@ -414,7 +392,7 @@ def extract_qceff_dataset(
     the spectrum ``spec_provider`` serves for its bias."""
     specs = [spec_provider(record.phi_ext) for record in ds.records]
     q = invert_stack([BiasModel(spec, res, env) for spec in specs],
-                     [record.t1 for record in ds.records], mode)
+                     [record.t1 for record in ds.records], [env.epsilon], mode)[:, 0]
     entries = tuple(
         QceffEntry(freq=float(spec.transition_frequency(0, 1) if record.omega01 is None
                               else record.omega01),
@@ -482,13 +460,11 @@ def fit_epsilon_global(
     At each trial exponent every qubit's records are re-inverted; each
     qubit's log10 quality factors are centered on the log of that qubit's
     mean, pooled, and the exponent with the smallest pooled variance wins.
-    In two_level mode every record at every exponent is one cell of a single
-    ``two_level_qceff`` array, from one model per record, and the first cell
-    that fails, exponent by exponent and record by record within one, raises
-    its FitError. The multilevel modes re-invert all qubits' records at one
-    exponent at a time, in one ``invert_stack``. The exponent enters only the
-    capacitive pairs' factor, so no model at any exponent builds a table its
-    spectrum does not already hold.
+    All qubits' records at every exponent are one ``invert_stack`` call, in
+    any mode, on one model per record; the first cell that fails, exponent
+    by exponent and record by record within one, raises its FitError. The
+    exponent enters only the capacitive pairs' factor, so no model at any
+    exponent builds a table its spectrum does not already hold.
     """
     if not qubit_inputs:
         raise ValueError("need at least one qubit dataset")
@@ -499,17 +475,10 @@ def fit_epsilon_global(
     if empty:
         raise DataError(f"no records left to fit for qubits {empty}")
 
-    spectra = [qi.spec_provider(r.phi_ext) for qi in qubit_inputs for r in qi.dataset.records]
+    models = [BiasModel(qi.spec_provider(r.phi_ext), qi.res, qi.env)
+              for qi in qubit_inputs for r in qi.dataset.records]
     t1 = [r.t1 for qi in qubit_inputs for r in qi.dataset.records]
-    qubit = [j for j, qi in enumerate(qubit_inputs) for _ in qi.dataset.records]
-    if mode is T1Mode.TWO_LEVEL:
-        models = [BiasModel(spec, qubit_inputs[j].res, qubit_inputs[j].env)
-                  for spec, j in zip(spectra, qubit)]
-        q = two_level_qceff(models, t1, grid)
-        _raise_unmatched(q, models, t1)
-        columns = np.ascontiguousarray(q.T)
-    else:
-        columns = _reinverted(qubit_inputs, spectra, qubit, t1, grid, mode)
+    columns = np.ascontiguousarray(invert_stack(models, t1, grid, mode).T)
     # each qubit's records, as contiguous slices of one exponent's values
     bounds = np.cumsum([len(qi.dataset.records) for qi in qubit_inputs])[:-1]
     variances = np.empty(grid.size)
@@ -520,15 +489,6 @@ def fit_epsilon_global(
     best = int(np.argmin(variances))
     variances.setflags(write=False)
     return EpsilonFitResult(epsilon=float(grid[best]), grid=grid, pooled_variance=variances)
-
-
-def _reinverted(qubit_inputs, spectra, qubit, t1, grid, mode):
-    """Every record's qc_eff at each exponent of the grid in turn, from one
-    ``invert_stack`` per exponent."""
-    for eps in grid.tolist():
-        envs = [replace(qi.env, epsilon=eps) for qi in qubit_inputs]
-        yield invert_stack([BiasModel(spec, qubit_inputs[j].res, envs[j])
-                            for spec, j in zip(spectra, qubit)], t1, mode)
 
 
 @dataclass(frozen=True)

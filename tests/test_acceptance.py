@@ -29,7 +29,6 @@ from fluxt1.dynamics import (
     heralded_misassignment_error,
     invert_computational,
     predicted_t1,
-    two_level_total_rate,
 )
 from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.io import SCHEMA_ID
@@ -46,6 +45,7 @@ from fluxt1.resonator import dispersive_shift
 from fluxt1.stats import t_pdf, welch_t_test
 
 from conftest import DEVICE_TABLE, environment_of, params_of, resonator_of
+from reference import two_level_total_rate
 
 QUBITS = list(DEVICE_TABLE)
 

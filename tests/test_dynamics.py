@@ -30,7 +30,6 @@ from fluxt1.dynamics import (
     predicted_t1,
     rising_root,
     thermal_population,
-    two_level_total_rate,
 )
 from fluxt1.errors import FitError, FluxT1Error, NumericalError
 from fluxt1.hamiltonian import FluxBias, diagonalize
@@ -52,6 +51,7 @@ from fluxt1.pipeline import (
 )
 
 from conftest import environment_of, params_of, resonator_of
+from reference import two_level_total_rate
 
 SHIPPED_DEVICES = sorted((Path(__file__).resolve().parents[1] / "devices").glob("*.json"))
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import eigh_tridiagonal
 
-from fluxt1.dynamics import two_level_total_rate
 from fluxt1.hamiltonian import (
     FluxBias,
     FluxoniumParams,
@@ -21,6 +20,7 @@ from fluxt1.loss import Mechanism
 from fluxt1.pipeline import CachedSpectrumProvider
 
 from conftest import environment_of, params_of, resonator_of
+from reference import two_level_total_rate
 
 
 def f01(spec):

@@ -532,6 +532,25 @@ class TestCli:
                           else (Mechanism(r["mechanism"]),))
             assert float(r["t1_s"]) == model.t1(modes[r["mode"]], mechanisms)
 
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    def test_predict_t1_other_warnings_of_a_model_evaluation_propagate(
+            self, a1_device, monkeypatch, capsys):
+        # predict-t1 silences the per-trace warnings and the quasiparticle
+        # one, no other
+        import fluxt1.cli as cli_module
+
+        model = cli_module.multilevel_t1
+
+        def warning(*args, **kwargs):
+            warnings.warn("overflow encountered in a model evaluation", RuntimeWarning)
+            return model(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "multilevel_t1", warning)
+        with pytest.warns(RuntimeWarning, match="overflow encountered in a model evaluation"):
+            code, _, _ = run_cli(["predict-t1", "--device", a1_device, "--flux", "0.3",
+                                  "--modes", "six_level"], capsys)
+        assert code == 0
+
     def test_simulate_decay_outputs(self, tmp_path, result_schema, capsys):
         device = tmp_path / "b2.json"
         device.write_text(json.dumps(dict(
@@ -1142,8 +1161,8 @@ class TestPinnedOutputs:
             CachedSpectrumProvider,
             bin_average,
             exclusion_filter,
-            two_level_qceff_closed_form,
         )
+        from reference import two_level_qceff_closed_form
 
         device_path = str(Path(__file__).resolve().parents[1] / "devices" / f"{name}.json")
         t1_path = tmp_path / "t1.csv"

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from fluxt1 import loss
 from fluxt1.constants import E_CHARGE, H, HBAR, K_B, PHI0
-from fluxt1.dynamics import two_level_total_rate
 from fluxt1.errors import QuasiparticleEnergyWarning, ZeroTransitionError
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from fluxt1.io import parse_device_file
@@ -31,6 +30,7 @@ from fluxt1.loss import (
 from fluxt1.resonator import RESONATOR_Z0, ResonatorParams, coupling_capacitance
 
 from conftest import environment_of, params_of, resonator_of
+from reference import two_level_total_rate
 
 DEVICES = Path(__file__).resolve().parents[1] / "devices"
 SHIPPED_DEVICES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxt1.dynamics import BiasModel, T1Mode, predicted_t1, two_level_total_rate
+from fluxt1.dynamics import BiasModel, T1Mode, predicted_t1
 from fluxt1.errors import DataError, FitError
 from fluxt1.hamiltonian import FluxBias, diagonalize, flux_dispersion
 from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
@@ -31,10 +31,10 @@ from fluxt1.pipeline import (
     invert_stack,
     summarize,
     two_level_qceff,
-    two_level_qceff_closed_form,
 )
 
 from conftest import environment_of, params_of, resonator_of
+from reference import two_level_qceff_closed_form, two_level_total_rate
 
 
 def records_from(pairs):
@@ -335,13 +335,38 @@ class TestInversionContract:
 
     @pytest.mark.filterwarnings("ignore:decay fit residual")
     def test_stack_of_models_retaining_different_level_counts(self, b1_params, b1_resonator):
+        # a multilevel stack sums one N x N table per member, so its members
+        # retain one number of levels; each member alone still inverts
         env = environment_of("B1")
         models = [QceffInverter(diagonalize(b1_params, FluxBias(phi), n_levels=n),
                                 b1_resonator, env)
                   for phi, n in ((0.2, 6), (0.3, 5), (0.4, 6))]
         t1 = [model.predict_t1(2.5e5) for model in models]
-        stacked = invert_stack(models, t1, T1Mode.MULTILEVEL_SIGNAL)
-        assert stacked.tolist() == [model.invert(t) for model, t in zip(models, t1)]
+        with pytest.raises(ValueError, match="one number of levels"):
+            invert_stack(models, t1, [env.epsilon], T1Mode.MULTILEVEL_SIGNAL)
+        for model, t in zip(models, t1):
+            assert model.invert(t) == pytest.approx(2.5e5, rel=1e-11)
+
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    @pytest.mark.parametrize("mode", list(T1Mode), ids=lambda m: m.value)
+    def test_each_exponent_is_a_one_exponent_stack_bit_for_bit(self, mode, b1_params,
+                                                               b1_resonator):
+        # the models' own exponent is not read: the column of each grid point
+        # is the inversion of models built at that point, exactly
+        provider = CachedSpectrumProvider(b1_params, n_levels=6)
+        carried = environment_of("B1", epsilon=0.6)
+        biases = (0.1, 0.27, 0.5)
+        t1 = [BiasModel(provider(phi), b1_resonator, carried).t1(mode, qc_eff=2.5e5)
+              for phi in biases]
+        grid = np.array([-0.5, 0.0, 0.25])
+        stacked = invert_stack([BiasModel(provider(phi), b1_resonator, carried)
+                                for phi in biases], t1, grid, mode)
+        assert stacked.shape == (len(biases), grid.size)
+        for e, eps in enumerate(grid.tolist()):
+            env = replace(carried, epsilon=eps)
+            alone = invert_stack([BiasModel(provider(phi), b1_resonator, env)
+                                  for phi in biases], t1, [eps], mode)
+            assert stacked[:, e].tolist() == alone[:, 0].tolist()
 
     @staticmethod
     def _warning_round_trip(category, message, spec, res, monkeypatch):
@@ -387,7 +412,7 @@ class TestInversionContract:
                                            BACKGROUND_MECHANISMS)
         good = model.predict_t1(2.5e5)
         with pytest.raises(FitError, match=f"reproduces t1 = {2.0 * limit:.3e} s"):
-            invert_stack([model] * 4, [good, 2.0 * limit, 3.0 * limit, good])
+            invert_stack([model] * 4, [good, 2.0 * limit, 3.0 * limit, good], [env.epsilon])
 
 
 class TestPipelineDeterminism:
@@ -484,7 +509,11 @@ class TestEpsilonFit:
             fit_epsilon_global(inputs, mode=T1Mode.MULTILEVEL_POPULATION, grid=grid)
         # one per exponent for each qubit; the inverters read the qubit's own
         assert len(envs) == len(inputs) * grid.size
-        assert len(models) == sum(len(qi.dataset) for qi in inputs) * grid.size
+        # one exponent-free model per record reads the closed-form starts at
+        # every exponent; the root finds of each exponent read one model per
+        # record built at that exponent
+        n_records = sum(len(qi.dataset) for qi in inputs)
+        assert len(models) == n_records + n_records * grid.size
 
     def test_two_level_builds_no_environment_or_model_per_exponent(self, monkeypatch):
         inputs = self._synthetic_inputs(epsilon=0.25)
@@ -565,6 +594,52 @@ class TestEpsilonFit:
             fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
         assert str(raised.value) == (f"no qc_eff in [1e0, 1e12] reproduces t1 = {late.t1:.3e} s "
                                      "(the closed form gives qc_eff = 5.000e-01)")
+
+    @pytest.mark.filterwarnings("ignore:decay fit residual")
+    def test_multilevel_raises_first_failing_cell_exponent_by_exponent(self):
+        # population mode: in signal mode B1's record at Phi = 0.25, where
+        # level 1 has no readout contrast, fails the decay fit at every
+        # exponent and would fail first
+        mode = T1Mode.MULTILEVEL_POPULATION
+        inputs = self._synthetic_inputs(epsilon=0.25)[:2]
+        grid = np.array([-0.5, 0.25, 0.75])
+        # as in the two-level test above: stack position 9 gets a t1 whose
+        # closed form is 0.5 at the last exponent (its multilevel root lies
+        # below 1 there, near 2 at 0.25), stack position 10 one beyond its
+        # background-only limit, so it fails at every exponent; the search
+        # stops at the bound it passed, and the error reports the model t1
+        # there
+        a1, b1 = inputs
+        late = a1.dataset.records[-1]
+        spec = a1.spec_provider(late.phi_ext)
+        env = replace(a1.env, epsilon=0.75)
+        background = two_level_total_rate(spec, a1.res, env, BACKGROUND_MECHANISMS)
+        q0 = two_level_qceff_closed_form(late.t1, spec, a1.res, env)
+        late = replace(late, t1=1.0 / (background + q0 * (1.0 / late.t1 - background) / 0.5))
+        early = b1.dataset.records[0]
+        early_spec = b1.spec_provider(early.phi_ext)
+        limit = 1.0 / two_level_total_rate(early_spec, b1.res, b1.env, BACKGROUND_MECHANISMS)
+        early = replace(early, t1=2.0 * limit)
+        inputs[0] = replace(a1, dataset=replace(a1.dataset,
+                                                records=a1.dataset.records[:-1] + (late,)))
+        inputs[1] = replace(b1, dataset=replace(b1.dataset,
+                                                records=(early,) + b1.dataset.records[1:]))
+        # the first exponent fails first, at the later record
+        at_top = BiasModel(early_spec, b1.res, replace(b1.env, epsilon=-0.5)).t1(
+            mode, qc_eff=1e12)
+        with pytest.raises(FitError) as raised:
+            fit_epsilon_global(inputs, mode=mode, grid=grid)
+        assert str(raised.value) == (
+            f"no qc_eff in [1e0, 1e12] reproduces t1 = {early.t1:.3e} s "
+            f"(model t1 at the bound is {at_top:.3e} s)")
+        # without it, the earlier record fails at the last exponent
+        inputs[1] = b1
+        at_bottom = BiasModel(spec, a1.res, env).t1(mode, qc_eff=1.0)
+        with pytest.raises(FitError) as raised:
+            fit_epsilon_global(inputs, mode=mode, grid=grid)
+        assert str(raised.value) == (
+            f"no qc_eff in [1e0, 1e12] reproduces t1 = {late.t1:.3e} s "
+            f"(model t1 at the bound is {at_bottom:.3e} s)")
 
 
 class TestFluxNoiseAmplitude:
