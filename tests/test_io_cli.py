@@ -25,7 +25,7 @@ from fluxt1.io import (
     write_t1_csv,
 )
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams
-from fluxt1.loss import Environment
+from fluxt1.loss import Environment, Mechanism
 from fluxt1.pipeline import DephasingRecord, T1Dataset, T1Record
 from fluxt1.resonator import ResonatorParams
 
@@ -1133,6 +1133,37 @@ class TestPinnedOutputs:
                                      for p in (payload, golden))
         assert payload == golden
         assert variance == pytest.approx(golden_variance, rel=1e-10, abs=0)
+
+    @staticmethod
+    def _device_cwd(name, tmp_path, monkeypatch) -> str:
+        """A shipped device file copied into tmp_path, the working directory."""
+        device = Path(__file__).resolve().parents[1] / "devices" / f"{name}.json"
+        (tmp_path / device.name).write_bytes(device.read_bytes())
+        monkeypatch.chdir(tmp_path)
+        return device.name
+
+    def test_predict_t1_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # every channel and the analysis total in every mode over a 21-point
+        # sweep: each multilevel row rests on the time grid the dominant mode
+        # sets, and the 2 nan rows are signal fits the grid does not resolve
+        device = self._device_cwd("b1", tmp_path, monkeypatch)
+        code, out, _ = run_cli([
+            "predict-t1", "--device", device, "--flux-start", "0.0119", "--flux-stop",
+            "0.4881", "--flux-points", "21", "--mechanisms",
+            ",".join([m.value for m in Mechanism] + ["total"]),
+            "--modes", "two_level,six_level,signal", "--xqp", "1e-9"], capsys)
+        assert code == 0
+        # csv rows end in \r\n, which read_text would translate
+        assert out == (GOLDEN / "predict_t1" / "b1.csv").read_bytes().decode()
+
+    def test_simulate_decay_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        device = self._device_cwd("a3", tmp_path, monkeypatch)
+        code, out, _ = run_cli(["simulate-decay", "--device", device, "--flux", "0.244",
+                                "--trace-out", "trace.csv"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "simulate_decay" / "a3.json").read_text()
+        assert (tmp_path / "trace.csv").read_bytes() == (
+            GOLDEN / "simulate_decay" / "a3_trace.csv").read_bytes()
 
     def test_multilevel_dataset_takes_few_lockstep_rounds(self, tmp_path, monkeypatch, capsys):
         # b3's 10 kept records invert in one stack, one multilevel_t1 call per
