@@ -252,6 +252,32 @@ class TestEvolve:
             evolve(rm, np.full(6, 0.3), np.array([0.0]))
 
 
+class TestDefaultTimeGrid:
+    # levels 1 and 2 decay only to 0, at 300/s and 100/s
+    FAN = np.array([[0.0, 0.0, 0.0], [300.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
+    # a driven 3-cycle: eigenvalues 0 and -151.5 +- 85.7i
+    CYCLE = np.array([[0.0, 100.0, 1.0], [1.0, 0.0, 100.0], [100.0, 1.0, 0.0]])
+    # (rates, p0, the decay rate that sets the grid)
+    CASES = [
+        # both decay modes overlap (0, 1/2, 1/2) equally: the slower one
+        (FAN, [0.0, 0.5, 0.5], 100.0),
+        # a real state overlaps the two modes of a conjugate pair equally
+        (CYCLE, [1.0, 0.0, 0.0], 151.5),
+        # the stationary state overlaps no decay mode: the first one, at 300/s
+        (FAN, [1.0, 0.0, 0.0], 300.0),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:generator has a complex eigenpair")
+    def test_a_tie_ends_the_grid_at_8_over_the_slowest_tied_rate(self):
+        stack = build_rate_matrix(np.stack([rates for rates, _, _ in self.CASES]))
+        grids = default_time_grid(stack, np.array([p0 for _, p0, _ in self.CASES]))
+        for k, (rates, p0, rate) in enumerate(self.CASES):
+            alone = default_time_grid(build_rate_matrix(rates), np.array(p0))
+            for grid in (alone, grids[k]):
+                assert grid[-1] == pytest.approx(8.0 / rate, rel=1e-12)
+                assert grid[0] == pytest.approx(1.0 / (50.0 * rate), rel=1e-12)
+
+
 class TestFitExponential:
     def test_exact_exponential_recovered(self):
         t = np.logspace(-6, -3, 40)
