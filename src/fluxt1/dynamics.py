@@ -7,17 +7,19 @@ multi-mode solution (population of level 1, or the synthesized readout signal
 including higher-state resonator pulls), never by picking a single eigenvalue:
 the measured protocol fits a decay trace, so the model does too.
 
-Every step takes a stack: ``build_rate_matrix``, ``dominant_mode``,
-``default_time_grid``, ``evolve`` and ``fit_exponential`` accept leading batch
-axes, gufunc-style, and an unstacked call is the zero-axis case. A member
-that fails stores its exception in the call's ``errors``, an object array of
-the batch shape, and reads nan; without ``errors`` the first failing member's
-exception is raised, so an unstacked call raises as it always has.
+Every step takes a stack: ``build_rate_matrix``, ``default_time_grid``,
+``evolve`` and ``fit_exponential`` accept leading batch axes, gufunc-style,
+and an unstacked call is the zero-axis case. A member that fails stores its
+exception in the call's ``errors``, an object array of the batch shape, and
+reads nan; without ``errors`` the first failing member's exception is raised,
+so an unstacked call raises as it always has.
 ``multilevel_t1`` runs the multilevel model over a stack of summed rate
 tables: each member relaxes once for every mode, and all of the stack's
 traces are fitted in one call. ``BiasModel`` holds the model at one flux
 bias; its ``decay`` and ``t1`` are stacks of one, and its two-level mode reads
-the 0<->1 ``pair_rate`` instead.
+the 0<->1 ``pair_rate`` instead. The one mode-level fact the model reads is
+the dominant decay rate, which sets each trace's time grid
+(``default_time_grid``).
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
@@ -41,7 +43,7 @@ from operator import attrgetter
 import numpy as np
 
 from .constants import H, K_B
-from .errors import DominantModeTieError, FitError, NumericalError
+from .errors import FitError, NumericalError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from .loss import (
     ANALYSIS_MECHANISMS,
@@ -139,17 +141,6 @@ class RateMatrix:
         if errors is None:
             _raise_first(slots)
         return near.argmax(axis=1).reshape(shape)
-
-    @property
-    def stationary_index(self) -> int:
-        """Index of the unique (near-)zero eigenvalue of one generator."""
-        return int(self.stationary_indices())
-
-    def stationary_distribution(self) -> np.ndarray:
-        """Zero-mode eigenvectors normalized to unit 1-norm (probability vectors)."""
-        s = self.stationary_indices()[..., None, None]
-        v0 = np.real(np.take_along_axis(self.eigenvectors, s, axis=-1))[..., 0]
-        return v0 / v0.sum(axis=-1, keepdims=True)
 
     def mode_coefficients(self, p0: np.ndarray) -> np.ndarray:
         """Expansion coefficients c with p0 = V c, per member."""
@@ -484,79 +475,27 @@ def fit_exponential(times, signal, errors=None) -> DecayFit:
     return DecayFit(*(v.reshape(shape) for v in out))
 
 
-@dataclass(frozen=True)
-class ExponentialnessReport:
-    """How far the initial state lies outside the stationary + dominant modes.
-
-    m is the Euclidean norm of that residual; zero means the decay is exactly
-    single exponential (always the case for two levels).
-    """
-
-    m: float
-    dominant_index: int
-
-
-def dominant_mode(rm: RateMatrix, p0: np.ndarray, errors=None) -> tuple[np.ndarray, np.ndarray]:
-    """(index, coefficients) of each member's non-stationary mode with
-    greatest |c|^2.
-
-    Exact ties are an error (DominantModeTieError): they indicate degenerate
-    dynamics the caller should inspect rather than silently break.
-    """
-    shape = rm.eigenvalues.shape[:-1]
-    slots = _slots(errors, shape)
-    c = rm.mode_coefficients(p0)
-    stationary = rm.stationary_indices(slots.reshape(shape)).reshape(-1)
-    overlaps = (np.abs(c) ** 2).reshape(-1, rm.n)
-    overlaps[np.arange(overlaps.shape[0]), stationary] = -1.0  # never a candidate
-    order = np.argsort(-overlaps, axis=1, kind="stable")
-    k_max = order[:, 0]
-    if rm.n > 2:
-        top = np.take_along_axis(overlaps, order[:, :2], axis=1)
-        tie = (top[:, 0] > 0.0) & (top[:, 0] - top[:, 1] <= 1e-12 * top[:, 0])
-        for k in np.flatnonzero(tie & np.equal(slots, None)):
-            tied = [int(j) for j in order[k]
-                    if abs(overlaps[k, j] - top[k, 0]) <= 1e-12 * top[k, 0]]
-            slots[k] = DominantModeTieError(
-                f"dominant decay mode is degenerate between indices {tied}",
-                tied_indices=tied,
-            )
-    if errors is None:
-        _raise_first(slots)
-    return (int(k_max[0]) if shape == () else k_max.reshape(shape)), c
-
-
-def exponentialness(rm: RateMatrix, p0: np.ndarray) -> ExponentialnessReport:
-    """Residual of p0 outside the stationary and dominant decay modes."""
-    p0 = np.asarray(p0, dtype=float)
-    k_max, c = dominant_mode(rm, p0)
-    s_idx = rm.stationary_index
-    v = rm.eigenvectors
-    delta = p0 - c[s_idx] * v[:, s_idx] - c[k_max] * v[:, k_max]
-    # p0 is real; only a complex dominant mode leaves an imaginary part
-    return ExponentialnessReport(m=float(np.linalg.norm(delta.real)), dominant_index=int(k_max))
-
-
 def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51,
                       errors=None) -> np.ndarray:
-    """Log-spaced grids spanning [T/50, 8T], T from each member's dominant
-    decay mode: an (..., n_points) array.
+    """Log-spaced grids spanning [T/50, 8T], an (..., n_points) array: 1/T
+    is the decay rate -Re(lambda) of each member's dominant mode, the
+    non-stationary mode whose coefficient c (p0 = V c) has the greatest
+    |c|^2.
 
-    A dominant-mode tie (degenerate eigenvalue pair) is harmless here: the
-    grid only needs a decay rate, so the slowest tied rate brackets the trace
-    safely.
+    Modes whose |c|^2 lies within 1e-12 relative of the greatest tie (a
+    degenerate pair, or the two modes of a complex pair), and the slowest of
+    them sets the grid, which brackets the trace all the same. Where p0
+    overlaps no decay mode at all, the first one in eigenvalue order does.
     """
     shape = rm.eigenvalues.shape[:-1]
     slots = _slots(errors, shape)
-    ties = np.full(shape, None, dtype=object)
-    k_max, _ = dominant_mode(rm, p0, ties)
-    decay_rates = -np.real(rm.eigenvalues).reshape(-1, rm.n)
-    rate = np.take_along_axis(decay_rates, np.reshape(k_max, (-1, 1)), axis=1)[:, 0]
-    for k, err in enumerate(ties.reshape(-1)):
-        if isinstance(err, DominantModeTieError):
-            rate[k] = min(decay_rates[k, j] for j in err.tied_indices)
-        elif err is not None:
-            slots[k] = err
+    stationary = rm.stationary_indices(slots.reshape(shape)).reshape(-1)
+    overlaps = (np.abs(rm.mode_coefficients(p0)) ** 2).reshape(-1, rm.n)
+    overlaps[np.arange(overlaps.shape[0]), stationary] = -1.0  # never a candidate
+    top = overlaps.max(axis=1, keepdims=True)
+    first = np.arange(rm.n) == overlaps.argmax(axis=1)[:, None]
+    tied = ((top - overlaps <= 1e-12 * top) & (top > 0.0)) | first
+    rate = np.where(tied, -np.real(rm.eigenvalues).reshape(-1, rm.n), np.inf).min(axis=1)
     for k in _live(slots):
         if rate[k] <= 0.0:
             slots[k] = NumericalError("dominant mode does not decay; cannot scale a time grid")
@@ -779,10 +718,6 @@ class BiasModel:
             raise ValueError("need at least one mechanism")
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         return summed_rates([self.channel_rates(m) for m in mechanisms], mechanisms, scale)
-
-    def generator(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> RateMatrix:
-        """The selected channels summed into one rate matrix, at qc_eff if given."""
-        return build_rate_matrix(self.rates(mechanisms, qc_eff))
 
     def decay(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None,
               n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:

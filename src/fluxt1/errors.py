@@ -56,15 +56,6 @@ class ZeroTransitionError(FluxT1Error):
     with a nonzero matrix element in a switched-on channel."""
 
 
-class DominantModeTieError(FluxT1Error):
-    """Two decay modes overlap the initial state equally well; carries the
-    tied mode indices in ``tied_indices``."""
-
-    def __init__(self, message, tied_indices=()):
-        super().__init__(message)
-        self.tied_indices = tuple(tied_indices)
-
-
 class FitError(FluxT1Error):
     """Curve fit or quality-factor inversion failed to converge, found no
     solution, or produced an unphysical result."""

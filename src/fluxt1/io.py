@@ -283,6 +283,9 @@ def dump_json(obj: dict) -> str:
 
 
 def write_result(path: str, command: str, config: dict, data: dict) -> None:
+    """Write one result envelope to ``path`` atomically. No package code
+    calls it; it stays only because the benchmark's tracer
+    (``perfbench/spans.py``) wraps it by name."""
     atomic_write_text(path, dump_json(result_envelope(command, config, data)))
 
 

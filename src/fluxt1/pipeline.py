@@ -32,7 +32,7 @@ from .dynamics import (
     rising_root,
     summed_rates,
 )
-from .errors import DataError, FitError, check_fields, check_number
+from .errors import DataError, FitError, FluxT1Error, check_fields, check_number
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
 from .loss import (
     ANALYSIS_MECHANISMS,
@@ -238,7 +238,9 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
     warning propagates. Raises the FitError of the first failing cell,
     exponent by exponent and record by record within one, when no qc_eff
     within the bounds reproduces its t1 (for instance a t1 longer than the
-    non-capacitive channels alone allow), or a model evaluation of it fails.
+    non-capacitive channels alone allow), or the error of a failed model
+    evaluation of it. Either message begins with the record's phi_ext, and
+    with its exponent too when ``epsilon`` holds more than one.
     """
     mode = T1Mode(mode)
     t1_measured = np.asarray(t1_measured, dtype=float)
@@ -247,7 +249,7 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
         return np.empty((0, epsilon.size))
     q = two_level_qceff(models, t1_measured, epsilon)
     if mode is T1Mode.TWO_LEVEL:
-        _raise_unmatched(q, models, t1_measured)
+        _raise_unmatched(q, models, t1_measured, epsilon)
         return q
     if len({model.spec.n_levels for model in models}) > 1:
         raise ValueError("the models of a multilevel stack must retain one number of levels")
@@ -263,9 +265,9 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
             q[:, e] = 10.0 ** _lockstep_root(
                 [BiasModel(model.spec, model.res, envs[model.env]) for model in models],
                 t1_measured, u0, mode, failures)
-            for err in failures:
+            for r, err in enumerate(failures):
                 if err is not None:
-                    raise err
+                    raise _located(err, models[r], epsilon, e)
     return q
 
 
@@ -291,7 +293,7 @@ def two_level_qceff(models, t1_measured, epsilon) -> np.ndarray:
     return qc_eff[:, None] * k / np.where(residual > 0.0, residual, np.nan)[:, None]
 
 
-def _raise_unmatched(q, models, t1_measured) -> None:
+def _raise_unmatched(q, models, t1_measured, epsilon) -> None:
     """Raise the FitError of the first cell of an R x E closed form, exponent
     by exponent and record by record within one, that lies outside the
     bounds; a record whose residual is not positive fails at every exponent."""
@@ -301,9 +303,9 @@ def _raise_unmatched(q, models, t1_measured) -> None:
     e, r = np.argwhere(outside.T)[0].tolist()
     t1 = float(t1_measured[r])
     background = models[r].pair_rate(BACKGROUND_MECHANISMS)
-    raise _unmatched(t1, f"the closed form gives qc_eff = {q[r, e]:.3e}"
-                     if 1.0 / t1 - background > 0.0 else "the non-capacitive channels "
-                     f"alone give t1 = {1.0 / background:.3e} s")
+    detail = (f"the closed form gives qc_eff = {q[r, e]:.3e}" if 1.0 / t1 - background > 0.0
+              else f"the non-capacitive channels alone give t1 = {1.0 / background:.3e} s")
+    raise _located(_unmatched(t1, detail), models[r], epsilon, e)
 
 
 def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
@@ -345,6 +347,15 @@ def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
             failures[k] = _unmatched(float(t1_measured[k]), "model t1 at the bound is "
                                      f"{math.exp(last[k] + log_t1[k]):.3e} s")
     return u
+
+
+def _located(err: FluxT1Error, model: BiasModel, epsilon, e: int) -> FluxT1Error:
+    """``err`` again, of its own class, its message led by the flux bias of
+    its record's model, and by exponent ``epsilon[e]`` when there are more."""
+    where = f"record at phi_ext = {float(model.spec.bias.phi_ext)!r}"
+    if epsilon.size > 1:
+        where += f", epsilon = {float(epsilon[e])!r}"
+    return type(err)(f"{where}: {err}")
 
 
 def _unmatched(t1_measured: float, detail: str) -> FitError:

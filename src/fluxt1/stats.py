@@ -72,11 +72,6 @@ def _t_density(t: float, nu: float, log_norm: float) -> float:
     return math.exp(log_norm - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
 
 
-def t_pdf(t: float, nu: float) -> float:
-    """Student t probability density with nu (real, > 0) degrees of freedom."""
-    return _t_density(t, nu, _t_log_norm(nu))
-
-
 def _two_sided_p_beta(betainc, t0: float, nu: float) -> float:
     """p = I_x(nu/2, 1/2) with x = nu / (nu + t0^2)."""
     if t0 == 0.0:

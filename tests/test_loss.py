@@ -531,7 +531,7 @@ class TestDegenerateTransitions:
     def test_capacitive_factor_touches_only_split_pairs(self):
         # at epsilon = -1 the factor (f / 6 GHz)^-1 of a degenerate pair would
         # be 1/0, and 0 * inf is nan: the dead pair stays exactly 0, silently
-        from fluxt1.dynamics import BiasModel
+        from fluxt1.dynamics import BiasModel, build_rate_matrix
 
         env = Environment(epsilon=-1.0)
         capacitive = (Mechanism.CAPACITIVE,)
@@ -542,10 +542,10 @@ class TestDegenerateTransitions:
             # the spectrum's capacitive pairs are first read at the default
             # exponent, then evaluated at -1
             spec = self._degenerate_spectrum(dead_pair=(1, 2))
-            BiasModel(spec, None, Environment()).generator(capacitive)
+            build_rate_matrix(BiasModel(spec, None, Environment()).rates(capacitive))
             model = BiasModel(spec, None, env)
             assert model.pair_rate(capacitive) == table[0, 1] + table[1, 0] > 0.0
-            moved = model.generator(capacitive).b
+            moved = build_rate_matrix(model.rates(capacitive)).b
         assert table[1, 2] == 0.0 and table[2, 1] == 0.0
         assert moved[1, 2] == 0.0 and moved[2, 1] == 0.0
         assert np.array_equal(moved[~np.eye(4, dtype=bool)], table.T[~np.eye(4, dtype=bool)])

@@ -411,7 +411,9 @@ class TestInversionContract:
         limit = 1.0 / two_level_total_rate(b1_half_flux_spectrum, b1_resonator, env,
                                            BACKGROUND_MECHANISMS)
         good = model.predict_t1(2.5e5)
-        with pytest.raises(FitError, match=f"reproduces t1 = {2.0 * limit:.3e} s"):
+        # one exponent: the message names the record's bias alone
+        with pytest.raises(FitError, match=fr"^record at phi_ext = 0\.5: no qc_eff .* "
+                                           f"reproduces t1 = {2.0 * limit:.3e} s"):
             invert_stack([model] * 4, [good, 2.0 * limit, 3.0 * limit, good], [env.epsilon])
 
 
@@ -586,14 +588,17 @@ class TestEpsilonFit:
         with pytest.raises(FitError) as raised:
             fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
         assert str(raised.value) == (
+            f"record at phi_ext = {float(early.phi_ext)!r}, epsilon = -0.5: "
             f"no qc_eff in [1e0, 1e12] reproduces t1 = {early.t1:.3e} s "
             f"(the non-capacitive channels alone give t1 = {limit:.3e} s)")
         # without it, the earlier record fails at the last exponent
         inputs[1] = b1
         with pytest.raises(FitError) as raised:
             fit_epsilon_global(inputs, mode=T1Mode.TWO_LEVEL, grid=grid)
-        assert str(raised.value) == (f"no qc_eff in [1e0, 1e12] reproduces t1 = {late.t1:.3e} s "
-                                     "(the closed form gives qc_eff = 5.000e-01)")
+        assert str(raised.value) == (
+            f"record at phi_ext = {float(late.phi_ext)!r}, epsilon = 0.75: "
+            f"no qc_eff in [1e0, 1e12] reproduces t1 = {late.t1:.3e} s "
+            "(the closed form gives qc_eff = 5.000e-01)")
 
     @pytest.mark.filterwarnings("ignore:decay fit residual")
     def test_multilevel_raises_first_failing_cell_exponent_by_exponent(self):
@@ -630,6 +635,7 @@ class TestEpsilonFit:
         with pytest.raises(FitError) as raised:
             fit_epsilon_global(inputs, mode=mode, grid=grid)
         assert str(raised.value) == (
+            f"record at phi_ext = {float(early.phi_ext)!r}, epsilon = -0.5: "
             f"no qc_eff in [1e0, 1e12] reproduces t1 = {early.t1:.3e} s "
             f"(model t1 at the bound is {at_top:.3e} s)")
         # without it, the earlier record fails at the last exponent
@@ -638,6 +644,7 @@ class TestEpsilonFit:
         with pytest.raises(FitError) as raised:
             fit_epsilon_global(inputs, mode=mode, grid=grid)
         assert str(raised.value) == (
+            f"record at phi_ext = {float(late.phi_ext)!r}, epsilon = 0.75: "
             f"no qc_eff in [1e0, 1e12] reproduces t1 = {late.t1:.3e} s "
             f"(model t1 at the bound is {at_bottom:.3e} s)")
 

@@ -16,7 +16,6 @@ from fluxt1.stats import (
     ci_of_mean_difference,
     critical_t,
     lgamma,
-    t_pdf,
     welch_t_test,
 )
 
@@ -38,39 +37,42 @@ class TestTPdf:
         for nu in (1.0, 3.5, 10.0, 250.0):
             expected = math.gamma((nu + 1) / 2) / (math.sqrt(math.pi * nu)
                                                    * math.gamma(nu / 2))
-            assert t_pdf(0.0, nu) == pytest.approx(expected, rel=1e-12)
+            assert _t_density(0.0, nu, _t_log_norm(nu)) == pytest.approx(expected, rel=1e-12)
 
     def test_symmetry(self):
         for t in (0.3, 1.7, 4.2):
-            assert t_pdf(t, 7.3) == t_pdf(-t, 7.3)
+            assert _t_density(t, 7.3, _t_log_norm(7.3)) == _t_density(-t, 7.3, _t_log_norm(7.3))
 
     def test_cauchy_special_case(self):
         for t in np.linspace(-5, 5, 21):
-            assert t_pdf(float(t), 1.0) == pytest.approx(
+            assert _t_density(float(t), 1.0, _t_log_norm(1.0)) == pytest.approx(
                 1.0 / (math.pi * (1.0 + t * t)), rel=1e-12)
 
     def test_normalized(self):
-        total, _ = quad(t_pdf, -math.inf, math.inf, args=(6.0,))
+        total, _ = quad(_t_density, -math.inf, math.inf, args=(6.0, _t_log_norm(6.0)))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize("nu", [0.3, 0.8, 0.999, 1.0, 2.5, 7.2, 41.0, 1e5])
-    def test_quadrature_integrand_is_t_pdf_bit_for_bit(self, nu):
+    def test_quadrature_integrand_is_the_inline_density_bit_for_bit(self, nu):
         # nu < 1 puts lgamma(nu / 2) on its reflection branch
         log_norm = _t_log_norm(nu)
-        for t in (0.0, 0.3, -1.3, 2.0, 4.2, 37.5, 1e4):
+
+        def inline(t, nu):
             # the density as written before the normalization was hoisted
-            inline = math.exp(lgamma((nu + 1.0) / 2.0) - lgamma(nu / 2.0)
-                              - 0.5 * math.log(math.pi * nu)
-                              - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
-            assert _t_density(t, nu, log_norm) == t_pdf(t, nu) == inline
-        tail = quad(t_pdf, 1.3, math.inf, args=(nu,), epsabs=1e-13, epsrel=1e-12)
+            return math.exp(lgamma((nu + 1.0) / 2.0) - lgamma(nu / 2.0)
+                            - 0.5 * math.log(math.pi * nu)
+                            - 0.5 * (nu + 1.0) * math.log1p(t * t / nu))
+
+        for t in (0.0, 0.3, -1.3, 2.0, 4.2, 37.5, 1e4):
+            assert _t_density(t, nu, log_norm) == inline(t, nu)
+        tail = quad(inline, 1.3, math.inf, args=(nu,), epsabs=1e-13, epsrel=1e-12)
         assert quad(_t_density, 1.3, math.inf, args=(nu, log_norm),
                     epsabs=1e-13, epsrel=1e-12) == tail
 
     @pytest.mark.parametrize("nu", [0.0, -1.5, math.nan])
     def test_rejects_nu_that_is_not_positive(self, nu):
         with pytest.raises(ValueError, match="nu must be > 0"):
-            t_pdf(1.0, nu)
+            _t_density(1.0, nu, _t_log_norm(nu))
 
 
 class TestCriticalT:
@@ -83,7 +85,7 @@ class TestCriticalT:
     def test_nu_ten_reference_value(self):
         # quadrature oracle: integrate the density to the 2.5% tail
         target = critical_t(0.05, 10.0)
-        tail, _ = quad(t_pdf, target, math.inf, args=(10.0,))
+        tail, _ = quad(_t_density, target, math.inf, args=(10.0, _t_log_norm(10.0)))
         assert tail == pytest.approx(0.025, abs=1e-9)
         assert target == pytest.approx(2.2281, abs=1e-3)
 
@@ -109,7 +111,8 @@ class TestWelch:
         nu_hand = se2**2 / ((0.5**2) / 4 + (0.5**2) / 4)
         assert result.t0 == pytest.approx(t0_hand, rel=1e-12)
         assert result.nu == pytest.approx(nu_hand, rel=1e-12)
-        tail, _ = quad(t_pdf, abs(t0_hand), math.inf, args=(nu_hand,),
+        tail, _ = quad(_t_density, abs(t0_hand), math.inf,
+                       args=(nu_hand, _t_log_norm(nu_hand)),
                        epsabs=1e-14, epsrel=1e-13)
         assert result.p_value == pytest.approx(2 * tail, abs=1e-6)
 
