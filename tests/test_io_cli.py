@@ -1086,20 +1086,43 @@ class TestPinnedOutputs:
         out = self._extract_qceff(index, name, "two_level", tmp_path, monkeypatch, capsys)
         assert out == (GOLDEN / "extract_qceff_two_level" / f"{name}.json").read_text()
 
-    @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
-    def test_extract_qceff_multilevel_signal_matches_golden(self, index, name, tmp_path,
-                                                            monkeypatch, capsys):
-        # every field exactly but qceff, which the multilevel root finds to
-        # ROOT_XTOL decades (~2.3e-12 relative): a change of the search may
-        # move it within that, not beyond 1e-10
-        payload = json.loads(self._extract_qceff(index, name, "multilevel_signal", tmp_path,
-                                                 monkeypatch, capsys))
-        golden = json.loads((GOLDEN / "extract_qceff_multilevel_signal" / f"{name}.json")
-                            .read_text())
+    @classmethod
+    def _assert_multilevel_golden(cls, index, name, mode, tmp_path, monkeypatch, capsys):
+        """Every field exactly but qceff, which the multilevel root finds to
+        ROOT_XTOL decades (~2.3e-12 relative): a change of the search may
+        move it within that, not beyond 1e-10."""
+        payload = json.loads(cls._extract_qceff(index, name, mode, tmp_path, monkeypatch,
+                                                capsys))
+        golden = json.loads((GOLDEN / f"extract_qceff_{mode}" / f"{name}.json").read_text())
         qceff, golden_qceff = ([entry.pop("qceff") for entry in p["data"]["entries"]]
                                for p in (payload, golden))
         assert payload == golden
         assert qceff == pytest.approx(golden_qceff, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
+    def test_extract_qceff_multilevel_signal_matches_golden(self, index, name, tmp_path,
+                                                            monkeypatch, capsys):
+        self._assert_multilevel_golden(index, name, "multilevel_signal", tmp_path,
+                                       monkeypatch, capsys)
+
+    @pytest.mark.parametrize("index, name", enumerate(SHIPPED_DEVICES))
+    def test_extract_qceff_multilevel_population_matches_golden(self, index, name, tmp_path,
+                                                                monkeypatch, capsys):
+        self._assert_multilevel_golden(index, name, "multilevel_population", tmp_path,
+                                       monkeypatch, capsys)
+
+    def test_compare_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # compare reads the pinned population distributions themselves, so its
+        # statistics and input hashes are pinned whatever the root find does
+        dists = []
+        for name in SHIPPED_DEVICES:
+            (tmp_path / f"{name}.json").write_bytes(
+                (GOLDEN / "extract_qceff_multilevel_population" / f"{name}.json").read_bytes())
+            dists += ["--dist", f"{name}.json"]
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["compare", *dists], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "compare" / "multilevel_population.json").read_text()
 
     @staticmethod
     def _fit_epsilon(names, mode, grid, tmp_path, monkeypatch, capsys) -> str:
@@ -1164,6 +1187,29 @@ class TestPinnedOutputs:
         assert out == (GOLDEN / "simulate_decay" / "a3.json").read_text()
         assert (tmp_path / "trace.csv").read_bytes() == (
             GOLDEN / "simulate_decay" / "a3_trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", SHIPPED_DEVICES)
+    def test_spectrum_is_byte_identical(self, name, tmp_path, monkeypatch, capsys):
+        # an 11-point sweep over [0, 0.5] of the default 6 levels
+        device = self._device_cwd(name, tmp_path, monkeypatch)
+        code, out, _ = run_cli(["spectrum", "--device", device, "--flux-points", "11"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "spectrum" / f"{name}.csv").read_bytes().decode()
+
+    def test_fit_flux_noise_is_byte_identical(self, tmp_path, monkeypatch, capsys):
+        # b1_echo.csv is synthetic: at phi = k/24 (k = 0..12), gamma_phi =
+        # |domega01/dPhi| sqrt(A ln 2) (1 + 0.05 sin 7k) with sqrt(A) = 4.3
+        # uPhi0, and 1e3 /s at the two sweet spots, which the fit skips
+        device = self._device_cwd("b1", tmp_path, monkeypatch)
+        (tmp_path / "b1_echo.csv").write_bytes((GOLDEN / "fit_flux_noise" / "b1_echo.csv")
+                                               .read_bytes())
+        code, out, _ = run_cli(["fit-flux-noise", "--device", device,
+                                "--dephasing-csv", "b1_echo.csv"], capsys)
+        assert code == 0
+        assert out == (GOLDEN / "fit_flux_noise" / "b1.json").read_text()
+        data = json.loads(out)["data"]
+        assert data["n_records_used"] == 11
+        assert data["sqrt_a_phi_uphi0"] == pytest.approx(4.3, rel=0.01)
 
     def test_multilevel_dataset_takes_few_lockstep_rounds(self, tmp_path, monkeypatch, capsys):
         # b3's 10 kept records invert in one stack, one multilevel_t1 call per
