@@ -22,9 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from fluxt1.cli import cli
-from fluxt1.dynamics import TRACE_WARNINGS, T1Mode
+from fluxt1.dynamics import BiasModel, T1Mode
+from fluxt1.errors import ModelTraceWarning
 from fluxt1.io import parse_device_file, read_distribution, write_t1_csv
-from fluxt1.pipeline import CachedSpectrumProvider, QceffInverter, T1Dataset, T1Record
+from fluxt1.pipeline import CachedSpectrumProvider, T1Dataset, T1Record
 from fluxt1.stats import ci_of_mean_difference, welch_t_test
 
 PROCESS_A = ("a1", "a2", "a3")
@@ -42,14 +43,12 @@ def synthesize_dataset(device_path: Path, qc_eff: float, n_points: int,
     records = []
     for phi in np.linspace(0.04, 0.5, n_points):
         spec = provider(float(phi))
+        # scatter the underlying quality factor, not the readout, mimicking
+        # defect-dominated variation between bias points
+        q_local = qc_eff * rng.lognormal(0.0, 0.35)
         with warnings.catch_warnings():
-            for message in TRACE_WARNINGS:
-                warnings.filterwarnings("ignore", message, UserWarning)
-            inverter = QceffInverter(spec, res, env, mode=T1Mode.MULTILEVEL_SIGNAL)
-            # scatter the underlying quality factor, not the readout, mimicking
-            # defect-dominated variation between bias points
-            q_local = qc_eff * rng.lognormal(0.0, 0.35)
-            t1 = inverter.predict_t1(q_local)
+            warnings.simplefilter("ignore", ModelTraceWarning)
+            t1 = BiasModel(spec, res, env).t1(T1Mode.MULTILEVEL_SIGNAL, qc_eff=q_local)
         records.append(T1Record(phi_ext=float(phi), t1=t1,
                                 omega01=spec.transition_frequency(0, 1)))
     write_t1_csv(str(out_csv), T1Dataset(records=tuple(records)))

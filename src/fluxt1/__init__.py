@@ -8,13 +8,12 @@ dynamics and decay-signal synthesis (dynamics), measured-T1 analysis
 
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from .loss import Environment, Mechanism, build_mechanism_table
-from .resonator import DressedResponse, ResonatorParams
+from .resonator import ResonatorParams
 from .dynamics import RateMatrix, T1Mode, build_rate_matrix, predicted_t1
 from .pipeline import QceffDistribution, T1Dataset, T1Record
 from .stats import WelchResult, welch_t_test
 
 __all__ = [
-    "DressedResponse",
     "Environment",
     "FluxBias",
     "FluxoniumParams",

@@ -19,14 +19,13 @@ from itertools import combinations
 import numpy as np
 
 from .dynamics import (
-    TRACE_WARNINGS,
     BiasModel,
     T1Mode,
     fit_exponential,
     heralded_misassignment_error,
     multilevel_t1,
 )
-from .errors import DataError, FluxT1Error, QuasiparticleEnergyWarning
+from .errors import DataError, FluxT1Error, ModelTraceWarning, QuasiparticleEnergyWarning
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
     atomic_write_text,
@@ -209,8 +208,7 @@ def _cmd_predict_t1(args) -> int:
     models = [BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=n_levels),
                         res, env) for phi in grid]
     with warnings.catch_warnings():
-        for message in TRACE_WARNINGS:
-            warnings.filterwarnings("ignore", message, UserWarning)
+        warnings.simplefilter("ignore", ModelTraceWarning)
         warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
         multilevel = _multilevel_t1_rows(models, selections, modes)
         rows = []

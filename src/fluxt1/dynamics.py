@@ -19,7 +19,10 @@ traces are fitted in one call. ``BiasModel`` holds the model at one flux
 bias; its ``decay`` and ``t1`` are stacks of one, and its two-level mode reads
 the 0<->1 ``pair_rate`` instead. The one mode-level fact the model reads is
 the dominant decay rate, which sets each trace's time grid
-(``default_time_grid``).
+(``default_time_grid``). A trace the model keeps but doubts, for a complex
+generator eigenpair, renormalized populations or a decay fit above
+FIT_RESIDUAL_GATE, warns with ``ModelTraceWarning``: a caller that evaluates
+many trial models silences that type, and no other warning.
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
@@ -43,7 +46,7 @@ from operator import attrgetter
 import numpy as np
 
 from .constants import H, K_B
-from .errors import FitError, NumericalError
+from .errors import FitError, ModelTraceWarning, NumericalError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from .loss import (
     ANALYSIS_MECHANISMS,
@@ -66,11 +69,6 @@ FIT_XTOL = 1e-14
 # largest |A| / ptp(signal) of a resolved decay; ordinary model traces stay
 # below ~40, while a decay the grid misses needs an amplitude ~1e6 the range
 FIT_AMPLITUDE_LIMIT = 1e3
-# how the warnings of one model trace begin: a complex generator eigenpair,
-# renormalized populations, a decay fit above the residual gate; a caller that
-# evaluates many trial models may silence these, and these alone
-TRACE_WARNINGS = ("generator has a complex eigenpair", "probability drifted by",
-                  "decay fit residual exceeds")
 # relative part of rising_root's tolerance, as in brentq: four ulps of the root
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 
@@ -195,7 +193,7 @@ def build_rate_matrix(rates: np.ndarray, errors=None) -> RateMatrix:
         warnings.warn(
             "generator has a complex eigenpair (mixed-temperature baths can "
             "drive steady-state cycles); keeping complex arithmetic",
-            stacklevel=2,
+            ModelTraceWarning, stacklevel=2,
         )
     vinv = _per_member(np.linalg.inv, v, slots, "eigenvector matrix is singular")
     for arr in (b, w, v, vinv):
@@ -224,19 +222,15 @@ def invert_computational(p: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class PopulationTrace:
-    populations: np.ndarray  # shape (..., T, N), rows are probability vectors
-    renormalized: bool | np.ndarray = False  # per member
-
-
-def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> PopulationTrace:
+def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> np.ndarray:
     """Propagate p(tau) = V exp(S tau) V^-1 p0 on each member's time grid.
 
-    p0 is (..., N) and times (..., T) over the generators' batch axes. A
-    member whose rows drift from unit sum by more than 1e-9, which signals
-    an ill-conditioned eigenbasis, warns and has its rows renormalized (and
-    flagged); one whose trace keeps an imaginary part above 1e-9 fails.
+    p0 is (..., N) and times (..., T) over the generators' batch axes; the
+    populations come back write-locked, (..., T, N), each row a probability
+    vector. A member whose rows drift from unit sum by more than 1e-9, which
+    signals an ill-conditioned eigenbasis, warns (``ModelTraceWarning``) and
+    has its rows renormalized; one whose trace keeps an imaginary part above
+    1e-9 fails.
     """
     shape = rm.eigenvalues.shape[:-1]
     p0 = np.asarray(p0, dtype=float)
@@ -264,20 +258,17 @@ def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> Po
 
     rows = pops.reshape(-1, *pops.shape[-2:])
     drift = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
-    renormalized = np.zeros(rows.shape[0], dtype=bool)
     for k in _live(slots):
         if drift[k] > _PROB_DRIFT_TOL:
             warnings.warn(
                 f"probability drifted by up to {drift[k]:.3e}; renormalizing rows",
-                stacklevel=2,
+                ModelTraceWarning, stacklevel=2,
             )
             rows[k] = rows[k] / rows[k].sum(axis=1, keepdims=True)
-            renormalized[k] = True
     pops.setflags(write=False)
     if errors is None:
         _raise_first(slots)
-    return PopulationTrace(populations=pops, renormalized=(
-        bool(renormalized[0]) if shape == () else renormalized.reshape(shape)))
+    return pops
 
 
 @dataclass(frozen=True)
@@ -290,9 +281,9 @@ class DecayFit:
     residual_rms: float | np.ndarray
 
 
-def rising_root(g, u0, step, lo, hi, xtol: float):
+def rising_root(g, u0, step, lo, hi, xtol: float) -> np.ndarray:
     """Roots of a stack of functions that rise through zero, each searched
-    outward from its own u0, all in lockstep.
+    outward from its own entry of the 1-D array u0, all in lockstep.
 
     ``g(u, members)`` returns the values at the points u of the functions of
     ``members`` (flat indices into the stack), nan for a member whose
@@ -305,11 +296,9 @@ def rising_root(g, u0, step, lo, hi, xtol: float):
     narrower than xtol + 4 eps |u|, at the secant root of that last bracket,
     or at a point where g vanishes. Each round evaluates g once, at one point
     of every member still searching. A member whose g keeps its sign up to
-    the bound, or fails, has no root: nan in a stack, None for a scalar u0.
+    the bound, or fails, has no root: nan.
     """
-    u0 = np.asarray(u0, dtype=float)
-    shape = u0.shape
-    start = u0.reshape(-1)
+    start = np.asarray(u0, dtype=float)
     who = np.arange(start.size)
     lo = np.asarray(lo, dtype=float) + np.zeros(start.size)
     hi = np.asarray(hi, dtype=float) + np.zeros(start.size)
@@ -364,9 +353,7 @@ def rising_root(g, u0, step, lo, hi, xtol: float):
                         + (a3 - a1) / (a2 - a1) * b1 / (b3 - b1) * b2 / (b3 - b2))
         frac = np.minimum(np.maximum(step_frac, tol), 1.0 - tol)
         keep = ok & ~done & ~at_bound
-    if shape == ():
-        return None if math.isnan(root[0]) else float(root[0])
-    return root.reshape(shape)
+    return root
 
 
 def _log_linear_decay_time(t: np.ndarray, y: np.ndarray, y_range: np.ndarray) -> np.ndarray:
@@ -560,11 +547,10 @@ def decays(rates: np.ndarray, p0: np.ndarray, n_points: int = 51, errors=None):
         grid = default_time_grid(group, p0[members], n_points, failed)
         ok = _live(failed)
         evolved = np.full(ok.size, None, dtype=object)
-        trace = evolve(group[ok], p0[members[ok]], grid[ok], evolved)
+        populations[members[ok]] = evolve(group[ok], p0[members[ok]], grid[ok], evolved)
         failed[ok] = evolved
         slots[members] = failed
         times[members[ok]] = grid[ok]
-        populations[members[ok]] = trace.populations
     lost = np.not_equal(slots, None)
     times[lost] = populations[lost] = np.nan
     populations.setflags(write=False)
@@ -614,7 +600,7 @@ def multilevel_t1(rates: np.ndarray, p0: np.ndarray, weights: np.ndarray | None,
         warnings.warn(
             "decay fit residual exceeds the model-signal gate "
             f"({FIT_RESIDUAL_GATE:g} of amplitude)",
-            stacklevel=2,
+            ModelTraceWarning, stacklevel=2,
         )
     t1[wanted[member], column] = fit.t1
     slots[wanted[member], column] = fitted
@@ -698,8 +684,7 @@ class BiasModel:
 
     @property
     def weights(self) -> np.ndarray:
-        return self._memoized("weights", lambda: dressed_response(
-            self.spec, self.res).rotated_points().real)
+        return self._memoized("weights", lambda: dressed_response(self.spec, self.res))
 
     def pair_rate(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> float:
         """Sum over mechanisms of the symmetrized 0<->1 rate, in the order of

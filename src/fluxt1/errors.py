@@ -74,6 +74,13 @@ class DataError(FluxT1Error):
     """Malformed or inconsistent input file content."""
 
 
+class ModelTraceWarning(UserWarning):
+    """One model trace is suspect but kept: its generator has a complex
+    eigenpair, its populations were renormalized, or its decay fit exceeds
+    the residual gate. A caller that evaluates many trial models may
+    silence this type, and this type alone."""
+
+
 class QuasiparticleEnergyWarning(UserWarning):
     """Transition energy is no longer small compared to the superconducting
     gap; the quasiparticle spectral-density approximation degrades."""

@@ -24,15 +24,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    TRACE_WARNINGS,
-    BiasModel,
-    T1Mode,
-    multilevel_t1,
-    rising_root,
-    summed_rates,
+from .dynamics import BiasModel, T1Mode, multilevel_t1, rising_root, summed_rates
+from .errors import (
+    DataError,
+    FitError,
+    FluxT1Error,
+    ModelTraceWarning,
+    check_fields,
+    check_number,
 )
-from .errors import DataError, FitError, FluxT1Error, check_fields, check_number
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize, flux_dispersion
 from .loss import (
     ANALYSIS_MECHANISMS,
@@ -192,10 +192,10 @@ class QceffInverter(BiasModel):
     exponent; ``predict_t1`` reads the model t1 at a trial qc_eff. The
     frequency exponent enters only the capacitive pairs, as the factor
     (f_ij / 6 GHz)^epsilon: inverters on one spectrum, at any exponent,
-    share its tables and build none after the first. No package code calls
-    it; it stays because the benchmark's tracer (``perfbench/spans.py``)
-    wraps both methods and its input synthesis (``perfbench/workloads.py``)
-    and ``scripts/synthetic_process_compare.py`` read ``predict_t1``.
+    share its tables and build none after the first. No package code or
+    script calls it; it stays because the benchmark reads it: its tracer
+    (``perfbench/spans.py``) wraps both methods, and its input synthesis
+    (``perfbench/workloads.py``) reads ``predict_t1``.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams, env: Environment,
@@ -234,7 +234,7 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
     channel tables of all members stacked once, the capacitive one rescaled
     by env.qc_eff / qc_eff as ``BiasModel.rates`` does, bit for bit; so the
     models must retain one number of levels. The per-trace model warnings
-    (``TRACE_WARNINGS``) of these trial models are silenced; any other
+    (``ModelTraceWarning``) of these trial models are silenced; any other
     warning propagates. Raises the FitError of the first failing cell,
     exponent by exponent and record by record within one, when no qc_eff
     within the bounds reproduces its t1 (for instance a t1 longer than the
@@ -255,8 +255,7 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
         raise ValueError("the models of a multilevel stack must retain one number of levels")
     environments = dict.fromkeys(model.env for model in models)
     with warnings.catch_warnings():
-        for message in TRACE_WARNINGS:
-            warnings.filterwarnings("ignore", message, UserWarning)
+        warnings.simplefilter("ignore", ModelTraceWarning)
         for e, eps in enumerate(epsilon.tolist()):
             u0 = np.array([math.log10(v) if 1e2 < v < 1e9 else math.log10(FALLBACK_QCEFF)
                            for v in q[:, e].tolist()])

@@ -3,6 +3,8 @@
 The capacitively coupled resonator pulls by chi_i when the circuit occupies
 state i; probing at the ground-state dressed frequency and rotating the IQ
 plane for maximal 0-1 contrast reproduces the measured readout signal chain.
+``dressed_response`` reduces that chain to what the signal model reads: one
+real readout weight per state, the real part of its rotated S21.
 Everything here works in linear frequencies (Hz); the dispersive-shift sum is
 homogeneous, so no angular conversion is needed.
 """
@@ -38,23 +40,6 @@ class ResonatorParams:
     def q_res(self) -> float:
         """Loaded quality factor omega_res/kappa."""
         return self.omega_res / self.kappa
-
-
-@dataclass(frozen=True)
-class DressedResponse:
-    """Per-state dispersive shifts and S21 points at the probe tone
-    omega_res + chi_0, the ground-state dressed frequency.
-
-    ``s21_points`` are unrotated; ``rotation_angle`` is the global phase that
-    maximizes the 0-1 readout contrast.
-    """
-
-    chi: np.ndarray
-    s21_points: np.ndarray
-    rotation_angle: float
-
-    def rotated_points(self) -> np.ndarray:
-        return self.s21_points * np.exp(1j * self.rotation_angle)
 
 
 def dispersive_shift(spec: Spectrum, res: ResonatorParams, state: int) -> float:
@@ -111,18 +96,17 @@ def rotate_for_contrast(points) -> tuple[float, np.ndarray]:
     return angle, pts * np.exp(1j * angle)
 
 
-def dressed_response(spec: Spectrum, res: ResonatorParams) -> DressedResponse:
-    """Dispersive shifts and S21 for every retained state, probed at the
-    ground-state dressed frequency omega_res + chi_0, where the readout tone
-    is parked in practice.
+def dressed_response(spec: Spectrum, res: ResonatorParams) -> np.ndarray:
+    """The readout weight of every retained state, write-locked: the real
+    part of its S21, probed at the ground-state dressed frequency
+    omega_res + chi_0 where the readout tone is parked in practice, after
+    the global IQ rotation that maximizes the 0-1 contrast.
     """
     chi = np.array([dispersive_shift(spec, res, i) for i in range(spec.n_levels)])
     probe = res.omega_res + chi[0]
-    points = np.array([s21(res, c, probe) for c in chi])
-    angle, _ = rotate_for_contrast(points)
-    chi.setflags(write=False)
-    points.setflags(write=False)
-    return DressedResponse(chi=chi, s21_points=points, rotation_angle=angle)
+    weights = rotate_for_contrast([s21(res, c, probe) for c in chi])[1].real
+    weights.setflags(write=False)
+    return weights
 
 
 def coupling_capacitance(res: ResonatorParams, c_sigma: float) -> float:

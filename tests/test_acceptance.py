@@ -127,10 +127,10 @@ def test_criterion_03_rate_matrix_correctness(rng):
                          np.abs(stationary_distribution(rm) - boltzmann).max())
         p0 = invert_computational(boltzmann)
         times = default_time_grid(rm, p0)
-        trace = evolve(rm, p0, times)
+        populations = evolve(rm, p0, times)
         sol = solve_ivp(lambda t, y: rm.b @ y, (0.0, times[-1]), p0, t_eval=times,
                         method="DOP853", rtol=1e-11, atol=1e-13)
-        worst_ode = max(worst_ode, float(np.abs(trace.populations - sol.y.T).max()))
+        worst_ode = max(worst_ode, float(np.abs(populations - sol.y.T).max()))
     passed = worst_col <= 1e-12 and worst_stat <= 1e-6 and worst_ode <= 1e-8
     verdict(3, passed,
             f"100 random generators: column sums {worst_col:.1e} (<=1e-12 of max "

@@ -30,7 +30,7 @@ from fluxt1.dynamics import (
     rising_root,
     thermal_population,
 )
-from fluxt1.errors import FitError, FluxT1Error, NumericalError
+from fluxt1.errors import FitError, FluxT1Error, ModelTraceWarning, NumericalError
 from fluxt1.hamiltonian import FluxBias, diagonalize
 from fluxt1.io import parse_device_file
 from fluxt1.loss import (
@@ -126,19 +126,20 @@ class TestBuildRateMatrix:
     def test_cycle_keeps_complex_pair_and_evolves_exactly(self):
         # a driven 3-cycle: eigenvalues 0 and -151.5 +- 85.7i
         rates = np.array([[0.0, 100.0, 1.0], [1.0, 0.0, 100.0], [100.0, 1.0, 0.0]])
-        with pytest.warns(UserWarning, match="complex eigenpair") as record:
+        with pytest.warns(ModelTraceWarning, match="complex eigenpair") as record:
             rm = build_rate_matrix(rates)
         assert len(record) == 1
         assert rm.eigenvalues.dtype == rm.eigenvectors.dtype == np.complex128
         assert np.abs(rm.eigenvalues.imag).max() == pytest.approx(85.7365, rel=1e-5)
         p0 = np.array([1.0, 0.0, 0.0])
         times = np.linspace(0.0, 0.05, 40)
-        trace = evolve(rm, p0, times)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelTraceWarning)  # not renormalized
+            populations = evolve(rm, p0, times)
         sol = solve_ivp(lambda t, y: rm.b @ y, (0.0, times[-1]), p0,
                         t_eval=times, method="DOP853", rtol=1e-11, atol=1e-13)
-        assert np.max(np.abs(trace.populations - sol.y.T)) < 1e-8
-        np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0, atol=1e-12)
-        assert not trace.renormalized
+        assert np.max(np.abs(populations - sol.y.T)) < 1e-8
+        np.testing.assert_allclose(populations.sum(axis=1), 1.0, atol=1e-12)
 
     def test_reducible_generator_stays_complex_silently_and_has_no_decay(self):
         # A1 at half flux, junction quasiparticles alone: parity splits the
@@ -214,8 +215,8 @@ class TestEvolve:
         rates, _ = random_db_generator(rng)
         rm = build_rate_matrix(rates)
         p0 = invert_computational(stationary_distribution(rm))
-        trace = evolve(rm, p0, np.array([0.0]))
-        np.testing.assert_allclose(trace.populations[0], p0, atol=1e-12)
+        populations = evolve(rm, p0, np.array([0.0]))
+        np.testing.assert_allclose(populations[0], p0, atol=1e-12)
 
     def test_long_time_reaches_stationary(self, rng):
         rates, boltzmann = random_db_generator(rng)
@@ -223,8 +224,8 @@ class TestEvolve:
         p0 = np.zeros(6)
         p0[3] = 1.0
         slowest = 1.0 / min(-rm.eigenvalues[np.abs(rm.eigenvalues) > 1e-6])
-        trace = evolve(rm, p0, np.array([60.0 * slowest]))
-        np.testing.assert_allclose(trace.populations[-1], boltzmann, atol=1e-9)
+        populations = evolve(rm, p0, np.array([60.0 * slowest]))
+        np.testing.assert_allclose(populations[-1], boltzmann, atol=1e-9)
 
     def test_matches_adaptive_ode_integration(self, rng):
         for _ in range(5):
@@ -232,18 +233,31 @@ class TestEvolve:
             rm = build_rate_matrix(rates)
             p0 = invert_computational(stationary_distribution(rm))
             times = default_time_grid(rm, p0)
-            trace = evolve(rm, p0, times)
+            populations = evolve(rm, p0, times)
             sol = solve_ivp(lambda t, y: rm.b @ y, (0.0, times[-1]), p0,
                             t_eval=times, method="DOP853", rtol=1e-11, atol=1e-13)
-            assert np.max(np.abs(trace.populations - sol.y.T)) < 1e-8
+            assert np.max(np.abs(populations - sol.y.T)) < 1e-8
 
     def test_rows_are_probability_vectors(self, rng):
         rates, _ = random_db_generator(rng)
         rm = build_rate_matrix(rates)
         p0 = invert_computational(stationary_distribution(rm))
-        trace = evolve(rm, p0, np.logspace(-7, -1, 40))
-        np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0, atol=1e-9)
-        assert not trace.renormalized
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ModelTraceWarning)  # not renormalized
+            populations = evolve(rm, p0, np.logspace(-7, -1, 40))
+        np.testing.assert_allclose(populations.sum(axis=1), 1.0, atol=1e-9)
+        assert not populations.flags.writeable
+
+    def test_drifting_rows_warn_and_are_renormalized(self, rng):
+        # an eigenvector inverse off by 1e-6 drifts every row's sum that far
+        rates, _ = random_db_generator(rng)
+        rm = build_rate_matrix(rates)
+        skewed = replace(rm, _vinv=rm._vinv * (1.0 + 1e-6))
+        p0 = invert_computational(stationary_distribution(rm))
+        with pytest.warns(ModelTraceWarning, match="probability drifted by"):
+            populations = evolve(skewed, p0, np.logspace(-7, -1, 40))
+        np.testing.assert_allclose(populations.sum(axis=1), 1.0, atol=1e-12)
+        assert np.abs(populations - evolve(rm, p0, np.logspace(-7, -1, 40))).max() < 1e-9
 
     def test_rejects_bad_initial_state(self, rng):
         rates, _ = random_db_generator(rng)
@@ -370,10 +384,10 @@ class TestSimulateSignal:
                                                     b1_environment, b1_resonator):
         model = BiasModel(b1_half_flux_spectrum, b1_resonator, b1_environment)
         rm = build_rate_matrix(model.rates())
-        trace = evolve(rm, model.p0, np.logspace(-6, -2, 30))
-        signal = np.abs(trace.populations @ model.weights)
+        populations = evolve(rm, model.p0, np.logspace(-6, -2, 30))
+        signal = np.abs(populations @ model.weights)
         # replaying the trace with equal weights collapses the signal
-        flat = np.abs(trace.populations @ np.full(rm.n, 0.5))
+        flat = np.abs(populations @ np.full(rm.n, 0.5))
         np.testing.assert_allclose(flat, 0.5, atol=1e-9)
         assert np.ptp(signal) > 0  # the real weights resolve the decay
 
@@ -693,8 +707,8 @@ def test_probability_conservation_property(seed):
     assert max(rm.eigenvalues.real) == pytest.approx(0.0, abs=1e-9 * np.abs(rm.b).max())
     assert all(ev.real <= 1e-9 * np.abs(rm.b).max() for ev in np.atleast_1d(rm.eigenvalues))
     p0 = rng.dirichlet(np.ones(6))
-    trace = evolve(rm, p0, np.logspace(-8, 0, 25))
-    np.testing.assert_allclose(trace.populations.sum(axis=1), 1.0, atol=1e-9)
+    populations = evolve(rm, p0, np.logspace(-8, 0, 25))
+    np.testing.assert_allclose(populations.sum(axis=1), 1.0, atol=1e-9)
 
 
 # the mechanism selections of predict-t1's rows, and its multilevel modes
@@ -765,7 +779,7 @@ class TestStackedT1:
         cycle = np.array([[0.0, 100.0, 1.0], [1.0, 0.0, 100.0], [100.0, 1.0, 0.0]])
         real, _ = random_db_generator(rng, n=3)
         p0 = np.array([[0.2, 0.7, 0.1], [0.1, 0.8, 0.1]])
-        with pytest.warns(UserWarning, match="complex eigenpair"):
+        with pytest.warns(ModelTraceWarning, match="complex eigenpair"):
             times, populations, reached = decays(np.stack([real, cycle]), p0)
             alone = [decays(rates[None], p[None]) for rates, p in zip((real, cycle), p0)]
         assert reached.all()
@@ -840,11 +854,11 @@ class TestRisingRoot:
             assert seen[k][:len(expected)] == expected
             # alone, the member evaluates the same points and finds the same root
             alone_seen = {}
-            alone = rising_root(self.traced(lambda u, m: self.g(u, members), alone_seen),
-                                u0, step, lo, hi, xtol)
+            (alone,) = rising_root(self.traced(lambda u, m: self.g(u, members), alone_seen),
+                                   np.array([u0]), step, lo, hi, xtol)
             assert alone_seen[0] == seen[k]
             if abs(self.ROOTS[k]) > hi or k == 2:
-                assert alone is None and math.isnan(roots[k])
+                assert math.isnan(alone) and math.isnan(roots[k])
             else:
                 assert roots[k] == alone
                 assert abs(alone - self.ROOTS[k]) <= xtol + 4 * np.finfo(float).eps
@@ -856,10 +870,10 @@ class TestRisingRoot:
         roots = rising_root(self.traced(self.g, seen), self.U0, steps, lo, hi, xtol)
         for k, (u0, step) in enumerate(zip(self.U0.tolist(), steps.tolist())):
             members, alone_seen = np.array([k]), {}
-            alone = rising_root(self.traced(lambda u, m: self.g(u, members), alone_seen),
-                                u0, step, lo, hi, xtol)
+            (alone,) = rising_root(self.traced(lambda u, m: self.g(u, members), alone_seen),
+                                   np.array([u0]), step, lo, hi, xtol)
             assert alone_seen[0] == seen[k]
-            assert (alone is None and math.isnan(roots[k])) or roots[k] == alone
+            assert (math.isnan(alone) and math.isnan(roots[k])) or roots[k] == alone
 
     def test_a1_sweep_stack_takes_few_gradient_evaluations(self, monkeypatch):
         # predict_sweep's a1 grid at seed 11: 21 biases x 6 selections x 2 modes

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fluxt1.dynamics import BiasModel, T1Mode, predicted_t1
-from fluxt1.errors import DataError, FitError
+from fluxt1.errors import DataError, FitError, ModelTraceWarning
 from fluxt1.hamiltonian import FluxBias, diagonalize, flux_dispersion
 from fluxt1.loss import BACKGROUND_MECHANISMS, Environment
 from fluxt1.pipeline import (
@@ -391,18 +391,29 @@ class TestInversionContract:
             self._warning_round_trip(RuntimeWarning, "overflow encountered in a trial model",
                                      b1_half_flux_spectrum, b1_resonator, monkeypatch)
 
-    @pytest.mark.parametrize("message", [
+    TRACE_MESSAGES = [
         "decay fit residual exceeds the model-signal gate (0.001 of amplitude)",
         "generator has a complex eigenpair (mixed-temperature baths can drive steady-state "
         "cycles); keeping complex arithmetic",
         "probability drifted by up to 2.000e-09; renormalizing rows",
-    ])
+    ]
+
+    @pytest.mark.parametrize("message", TRACE_MESSAGES)
     def test_trace_warnings_of_trial_models_are_silenced(
             self, message, b1_half_flux_spectrum, b1_resonator, monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            q = self._warning_round_trip(UserWarning, message, b1_half_flux_spectrum,
+            q = self._warning_round_trip(ModelTraceWarning, message, b1_half_flux_spectrum,
                                          b1_resonator, monkeypatch)
+        assert q == pytest.approx(2.5e5, rel=1e-11)
+
+    def test_a_plain_user_warning_with_a_trace_message_propagates(
+            self, b1_half_flux_spectrum, b1_resonator, monkeypatch):
+        # the trial models' warnings are silenced by their type, not their wording
+        with pytest.warns(UserWarning, match="decay fit residual exceeds") as record:
+            q = self._warning_round_trip(UserWarning, self.TRACE_MESSAGES[0],
+                                         b1_half_flux_spectrum, b1_resonator, monkeypatch)
+        assert {type(w.message) for w in record} == {UserWarning}
         assert q == pytest.approx(2.5e5, rel=1e-11)
 
     def test_first_failing_member_raises(self, b1_half_flux_spectrum, b1_resonator):

@@ -142,20 +142,33 @@ class TestRotateForContrast:
 
 
 class TestDressedResponse:
+    @staticmethod
+    def _probed_points(spec, res) -> np.ndarray:
+        """Each state's unrotated S21 at the ground-state dressed probe."""
+        chi = np.array([dispersive_shift(spec, res, i) for i in range(spec.n_levels)])
+        return np.array([s21(res, c, res.omega_res + chi[0]) for c in chi])
+
     def test_ground_dressed_probe_nulls_the_ground_response(self, b1_half_flux_spectrum,
                                                             b1_resonator):
-        resp = dressed_response(b1_half_flux_spectrum, b1_resonator)
         # probing on the ground dressed line nulls the ground-state response
-        assert abs(resp.s21_points[0]) == pytest.approx(0.0, abs=1e-12)
+        chi0 = dispersive_shift(b1_half_flux_spectrum, b1_resonator, 0)
+        assert s21(b1_resonator, chi0, b1_resonator.omega_res + chi0) == 0.0
 
     def test_rotation_maximizes_computational_contrast(self, b1_half_flux_spectrum,
                                                        b1_resonator):
-        resp = dressed_response(b1_half_flux_spectrum, b1_resonator)
-        rotated = resp.rotated_points()
-        contrast = abs(rotated[0].real - rotated[1].real)
+        weights = dressed_response(b1_half_flux_spectrum, b1_resonator)
+        points = self._probed_points(b1_half_flux_spectrum, b1_resonator)
+        contrast = abs(weights[0] - weights[1])
         for theta in np.linspace(0, math.pi, 1000):
-            trial = resp.s21_points * cmath.exp(1j * theta)
+            trial = points * cmath.exp(1j * theta)
             assert contrast >= abs(trial[0].real - trial[1].real) - 1e-9
+
+    def test_weights_are_the_rotated_points_real_part(self, b1_half_flux_spectrum,
+                                                      b1_resonator):
+        weights = dressed_response(b1_half_flux_spectrum, b1_resonator)
+        points = self._probed_points(b1_half_flux_spectrum, b1_resonator)
+        assert weights.tolist() == rotate_for_contrast(points)[1].real.tolist()
+        assert not weights.flags.writeable
 
 
 class TestCouplingCapacitance:
