@@ -637,13 +637,13 @@ class BiasModel:
     readout ``weights`` (each state's rotated S21 at the ground-state dressed
     probe, real part). The exponent enters only the capacitive channel, as
     the factor 1/Q'(f_ij) on its split pairs, which the model evaluates from
-    the shared pairs, so a model at another exponent builds no pairs. Only
-    ``channel_rates``, which ``rates`` (the multilevel model's input) sums,
-    builds N x N tables: each non-capacitive one once per bias, the
-    capacitive one once per qc_eff and exponent; the two-level reads take
-    the 0<->1 pair alone. At a fixed
-    exponent the capacitive rates scale exactly as 1/qc_eff, so a trial
-    qc_eff rescales them by env.qc_eff / qc_eff.
+    the shared pairs, so a model at another exponent builds no pairs.
+    ``channel_rates`` builds each channel's N x N table once per bias, the
+    capacitive one once per qc_eff and exponent; ``rates`` (the multilevel
+    model's input) sums the tables and ``pair_rate`` (the two-level one)
+    their 0<->1 entries. At a fixed exponent the capacitive rates scale
+    exactly as 1/qc_eff, so a trial qc_eff rescales them by
+    env.qc_eff / qc_eff.
     """
 
     def __init__(self, spec: Spectrum, res: ResonatorParams | None, env: Environment):
@@ -664,13 +664,6 @@ class BiasModel:
         return self._memoized(mechanism, lambda: build_mechanism_table(
             self.spec, self.res, self.env, mechanism))
 
-    def _pair(self, mechanism: Mechanism) -> float:
-        """One channel's 0<->1 pair rate at env.qc_eff and env.epsilon."""
-        if mechanism == Mechanism.CAPACITIVE:
-            return self.pairs(mechanism).pair_sum(self.env)
-        return self._memoized((mechanism, "pair"),
-                              lambda: self.pairs(mechanism).pair_sum(self.env))
-
     def channel_rates(self, mechanism: Mechanism) -> np.ndarray:
         """One channel's rate table at env.qc_eff and env.epsilon."""
         key = ((mechanism, self.env.qc_eff, self.env.epsilon)
@@ -687,13 +680,15 @@ class BiasModel:
         return self._memoized("weights", lambda: dressed_response(self.spec, self.res))
 
     def pair_rate(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None) -> float:
-        """Sum over mechanisms of the symmetrized 0<->1 rate, in the order of
-        the reference route in tests/reference.py, which builds its own
-        tables: at env.qc_eff both agree bit for bit."""
+        """Sum over mechanisms, in their order, of the symmetrized 0<->1 rate
+        rates[0, 1] + rates[1, 0] of each channel's table, the capacitive one
+        times env.qc_eff / qc_eff: at env.qc_eff bit for bit the reference
+        route in tests/reference.py, which builds its own tables."""
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         total = 0.0
         for m in mechanisms:
-            pair = self._pair(m)
+            rates = self.channel_rates(m)
+            pair = float(rates[0, 1] + rates[1, 0])
             total += pair * scale if m == Mechanism.CAPACITIVE else pair
         return total
 

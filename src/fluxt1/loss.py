@@ -211,17 +211,6 @@ class ChannelPairs:
         zero = np.zeros(1)
         return zero, np.full(1, Q_REFERENCE_FREQUENCY), zero, zero
 
-    def pair_sum(self, env: Environment) -> float:
-        """Gamma_{0->1} + Gamma_{1->0} in env, the symmetrized two-level rate,
-        bit for bit the sum of the two entries of ``table(env)``: the
-        capacitive pair through ``capacitive_pair_rates``, any other as
-        total * up + total * down."""
-        strength, f, down, up = self.pair_01()
-        if self.mechanism is Mechanism.CAPACITIVE:
-            return float(capacitive_pair_rates(strength, f, down, up, env.qc_eff,
-                                               (env.epsilon,))[0, 0])
-        return float(strength[0] * up[0] + strength[0] * down[0])
-
 
 def build_mechanism_table(
     spec: Spectrum,
@@ -254,7 +243,7 @@ def build_mechanism_table(
     bath, temperature = "thermal", env.t_qubit
     if mechanism is Mechanism.CAPACITIVE:
         # S = 1 / Q'(f) carries qc_eff and the exponent: ChannelPairs.table
-        # and pair_sum apply it
+        # and capacitive_pair_rates apply it
         op, coupling = spec.n_elem, 16.0 * H * p.ec / HBAR
         spectral = None
     elif mechanism is Mechanism.FLUX_NOISE:

@@ -2,9 +2,8 @@
 
 The p-value is computed twice, through the regularized incomplete beta
 identity and through adaptive quadrature of the t density; the two routes
-must agree to 1e-9 or the test refuses to answer. The t density uses an
-explicit Lanczos log-gamma so the special-function path is reproducible from
-the coefficients in this file alone.
+must agree to 1e-9 or the test refuses to answer. The t density's
+normalization reads the standard library's ``math.lgamma``.
 
 The scipy modules only this module needs (``scipy.integrate``,
 ``scipy.optimize``, ``scipy.special``) load on first use, in the public entry
@@ -24,46 +23,16 @@ import numpy as np
 
 from .errors import DegenerateSampleError, NumericalError
 
-# Lanczos approximation, g = 7, n = 9 (Godfrey's coefficient set); relative
-# error below 1e-13 on the positive real axis.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 _ROUTE_AGREEMENT = 1e-9
 
 DEFAULT_ALPHA = 0.05  # significance level: 95% intervals
-
-
-def lgamma(x: float) -> float:
-    """log Gamma(x) for x > 0 via the Lanczos series (reflection below 1/2)."""
-    if x <= 0.0:
-        raise ValueError(f"lgamma requires x > 0, got {x!r}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.log(math.pi / math.sin(math.pi * x)) - lgamma(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
 
 
 def _t_log_norm(nu: float) -> float:
     """log of the t density's normalization, Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(pi nu))."""
     if not nu > 0.0:
         raise ValueError(f"nu must be > 0, got {nu!r}")
-    return lgamma((nu + 1.0) / 2.0) - lgamma(nu / 2.0) - 0.5 * math.log(math.pi * nu)
+    return math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0) - 0.5 * math.log(math.pi * nu)
 
 
 def _t_density(t: float, nu: float, log_norm: float) -> float:

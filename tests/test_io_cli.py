@@ -1023,30 +1023,39 @@ class TestOneModelPerBias:
         return built
 
     @pytest.mark.parametrize("command", ["fit-epsilon", "extract-qceff"])
-    def test_two_level_mode_builds_no_table(self, tmp_path, built, tables, capsys, command):
-        # two-level reads take the 0<->1 pair alone, in the exclusion filter
-        # and in the closed form
+    def test_two_level_mode_builds_no_capacitive_table(self, tmp_path, built, tables, capsys,
+                                                       command):
+        # the exclusion filter and the closed form read the background 0<->1
+        # rates from 2 x 2 tables, and the capacitive 0<->1 pair alone
+        from fluxt1.loss import Mechanism
+
         qubits = self._qubit_args(tmp_path)
         argv = (["fit-epsilon", *qubits] if command == "fit-epsilon"
                 else ["extract-qceff", "--device", qubits[1], "--t1-csv", qubits[2]])
+        built.clear()
+        tables.clear()
         code, _, _ = run_cli([*argv, "--mode", "two_level"], capsys)
         assert code == 0
-        assert built and tables == []
+        background = [b for b in built if b[-1] is not Mechanism.CAPACITIVE]
+        assert len({id(p) for p in tables}) == len(tables) == len(background) > 0
+        assert all(p.mechanism is not Mechanism.CAPACITIVE and p.n == 2 for p in tables)
 
     def test_multilevel_mode_builds_each_table_once_per_bias(self, tmp_path, built, tables,
                                                                capsys):
         from fluxt1.loss import Mechanism
 
         _, device_path, t1_path = self._qubit_args(tmp_path, names=("a1",))
+        tables.clear()
         code, out, _ = run_cli(["extract-qceff", "--device", device_path, "--t1-csv", t1_path,
                                 "--mode", "multilevel_population"], capsys)
         assert code == 0
-        n_kept = json.loads(out)["data"]["n_kept"]
+        data = json.loads(out)["data"]
         background = [p for p in tables if p.mechanism is not Mechanism.CAPACITIVE]
-        # one table per kept bias and channel: a trial qc_eff rescales the
-        # capacitive table of the model's own qc_eff and exponent
-        assert len({id(p) for p in background}) == len(background) == 4 * n_kept
-        assert len(tables) == 5 * n_kept > 0
+        # one background table per binned bias and channel, which the
+        # exclusion filter reads, and one capacitive table per kept bias: a
+        # trial qc_eff rescales the table of the model's own qc_eff and exponent
+        assert len({id(p) for p in background}) == len(background) == 4 * data["n_binned"]
+        assert len(tables) - len(background) == data["n_kept"] > 0
 
 
 SHIPPED_DEVICES = ("a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3")

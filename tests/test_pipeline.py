@@ -154,7 +154,7 @@ class TestExclusionFilter:
         # identical noise parameters and capacitive-limited synthetic data:
         # circuits whose transitions run close to their resonator (and whose
         # splittings collapse at half flux) shed more points
-        from fluxt1.loss import Mechanism, build_mechanism_table
+        from fluxt1.loss import Mechanism
 
         env = Environment(a_phi=(5.0e-6) ** 2, qc_eff=2.5e5, epsilon=0.25)
         kept_counts = {}
@@ -164,8 +164,7 @@ class TestExclusionFilter:
             records = []
             for phi in np.linspace(0.05, 0.5, 20):
                 spec = provider(phi)
-                cap = build_mechanism_table(spec, res, env,
-                                            Mechanism.CAPACITIVE).pair_sum(env)
+                cap = BiasModel(spec, res, env).pair_rate((Mechanism.CAPACITIVE,))
                 records.append(T1Record(phi_ext=phi, t1=1.0 / cap,
                                         omega01=spec.transition_frequency(0, 1)))
             ds = T1Dataset(records=tuple(records), qubit_id=qubit)
