@@ -95,6 +95,17 @@ def _key_location(text: str, key: str, occurrence: int = 1) -> str:
     return "unknown location"
 
 
+def _number(value, where: str) -> float:
+    """A JSON number as a float; anything else, a bool included, is a
+    DataError naming ``where``. An integer beyond the float range reads inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def parse_device_file(path: str) -> DeviceFile:
     """Parse and validate a device JSON file.
 
@@ -106,7 +117,7 @@ def parse_device_file(path: str) -> DeviceFile:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read device file {path}: {exc}") from exc
 
     duplicates: list[str] = []
@@ -143,14 +154,7 @@ def parse_device_file(path: str) -> DeviceFile:
         raise DataError(f"{path}: unknown keys: {where}")
 
     def number(key):
-        value = raw[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise DataError(f"{path}: key {key} must be a number, got {value!r} "
-                            f"({_key_location(text, key)})")
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            return math.inf
+        return _number(raw[key], f"{path}: key {key} ({_key_location(text, key)})")
 
     for key in ("ej_ghz", "ec_ghz", "el_ghz"):
         value = number(key)
@@ -206,7 +210,7 @@ def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:
                     }))
                 except (TypeError, ValueError) as exc:
                     raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not records:
         raise DataError(f"{path}: no data rows")
@@ -305,10 +309,11 @@ def read_result(path: str) -> tuple[bytes, dict]:
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
-    except OSError as exc:
+        text = blob.decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read result file {path}: {exc}") from exc
     try:
-        raw = json.loads(blob.decode("utf-8"))
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
@@ -319,27 +324,32 @@ def read_result(path: str) -> tuple[bytes, dict]:
 
 
 def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
-    """The quality-factor distribution in an extract-qceff result envelope."""
+    """The quality-factor distribution in an extract-qceff result envelope:
+    its numbers must be JSON numbers, and n_binned a JSON integer."""
     payload = raw.get("data", {})
     if not isinstance(payload, dict):
         raise DataError(f"{path}: data must be a JSON object, got {type(payload).__name__}")
     if "entries" not in payload:
         raise DataError(f"{path}: no distribution entries found")
+
+    def entry(k, e):
+        where = f"{path}: entry {k} key"
+        freq = _number(e["freq_hz"], f"{where} freq_hz")
+        qceff = _number(e["qceff"], f"{where} qceff")
+        n_binned = e.get("n_binned", 1)
+        if isinstance(n_binned, bool) or not isinstance(n_binned, int):
+            raise DataError(f"{where} n_binned must be an integer, got {n_binned!r}")
+        return QceffEntry(freq=freq, qceff=qceff, n_binned=n_binned)
+
     try:
-        entries = tuple(
-            QceffEntry(freq=float(e["freq_hz"]), qceff=float(e["qceff"]),
-                       n_binned=int(e.get("n_binned", 1)))
-            for e in payload["entries"]
-        )
+        entries = tuple(entry(k, e) for k, e in enumerate(payload["entries"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed distribution entry: {exc}") from exc
+    epsilon_used = _number(payload.get("epsilon_used", 0.0), f"{path}: key epsilon_used")
     try:
-        return QceffDistribution(
-            entries=entries,
-            epsilon_used=float(payload.get("epsilon_used", 0.0)),
-            qubit_id=str(payload.get("qubit_id", "")),
-        )
-    except (TypeError, ValueError) as exc:
+        return QceffDistribution(entries=entries, epsilon_used=epsilon_used,
+                                 qubit_id=str(payload.get("qubit_id", "")))
+    except ValueError as exc:
         raise DataError(f"{path}: malformed epsilon_used: {exc}") from exc
 
 

@@ -116,10 +116,12 @@ def _quality_factor(qc_eff, epsilon: float, f):
 
 def capacitive_pair_rates(strength, f, down, up, qc_eff, epsilon) -> np.ndarray:
     """Symmetrized rates strength / Q'(f) * (up + down) of capacitive level
-    pairs, each given by its exponent-free parts (``ChannelPairs`` fields)
-    and its qc_eff, at every frequency exponent of ``epsilon``: the pair
-    arguments are 1-D over P pairs (qc_eff may be a scalar), epsilon is 1-D
-    over E exponents, and the result is P x E.
+    pairs, each given by its exponent-free parts (``ChannelPairs`` fields,
+    such as the 0<->1 pair the two-level inversion reads) and its qc_eff, at
+    every frequency exponent of ``epsilon``: the pair arguments are 1-D over
+    P pairs (qc_eff may be a scalar), epsilon is 1-D over E exponents, and
+    the result is P x E, each entry bit for bit the sum of the pair's two
+    entries of ``ChannelPairs.table`` at that exponent, without the table.
 
     Q' is taken one exponent at a time, with a scalar exponent as
     ``q_of_frequency`` takes it: numpy's ``**`` rounds a scalar exponent of

@@ -2,9 +2,9 @@
 diagnostics only tests read.
 
 Each two-level route builds its own tables through ``build_mechanism_table``
-and reads their entries, apart from any ``BiasModel`` and its shared pair
+and reads their entries, apart from any ``BiasModel`` and its shared rate
 data, so a test that finds the package's answer equal to one of these checks
-the package's pair reader as well as its arithmetic.
+the package's memoized tables as well as its arithmetic.
 """
 
 import math
@@ -31,8 +31,8 @@ def two_level_total_rate(
     mechanisms=ANALYSIS_MECHANISMS,
 ) -> float:
     """Sum over mechanisms of the symmetrized 0<->1 rate, from the entries of
-    freshly built tables: the reference route that ``BiasModel.pair_rate``
-    must match bit for bit."""
+    freshly built tables: ``BiasModel.pair_rate`` repeats this arithmetic on
+    the tables its spectrum memoizes and must match it bit for bit."""
     total = 0.0
     for m in mechanisms:
         rates = build_mechanism_table(spec, res, env, m).table(env)

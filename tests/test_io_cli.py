@@ -369,6 +369,51 @@ def test_distribution_with_fewer_than_two_entries_is_a_data_error(tmp_path, caps
         f"{short}: a distribution needs at least 2 entries, got {n_entries}"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("qceff", True), ("freq_hz", "6e9"), ("epsilon_used", "0.25"), ("n_binned", 2.9),
+], ids=["qceff_bool", "freq_hz_text", "epsilon_used_text", "n_binned_fraction"])
+def test_result_value_outside_its_json_type_is_a_data_error_naming_the_key(
+        tmp_path, capsys, key, value):
+    # result.schema.json declares each of these a JSON number (n_binned an integer)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
+    envelope = json.loads(dist_envelope("B", [1.5e5, 2.5e5]))
+    data = envelope["data"]
+    (data if key == "epsilon_used" else data["entries"][1])[key] = value
+    bad.write_text(json.dumps(envelope))
+    code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(bad) in error["message"] and key in error["message"]
+
+
+@pytest.mark.parametrize("command", ["compare", "extract-qceff", "spectrum"])
+def test_file_that_is_not_utf8_is_a_data_error_naming_it(a1_device, tmp_path, capsys,
+                                                         command):
+    # one reader each: a result file, a T1 CSV and a device file
+    bad = tmp_path / "bad"
+    good = tmp_path / "good.json"
+    good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
+    text, argv = {
+        "compare": (dist_envelope("B", [1.5e5, 2.5e5]).replace('"B"', '"B\xff"'),
+                    ["--dist", str(good), "--dist", str(bad)]),
+        "extract-qceff": ("phi_ext,t1_s\n0.2,1e-4\n0.3,1e-4\xff\n",
+                          ["--device", a1_device, "--t1-csv", str(bad)]),
+        "spectrum": (json.dumps(dict(A1_ROW, qubit_id="A1\xff"), ensure_ascii=False),
+                     ["--device", str(bad)]),
+    }[command]
+    bad.write_bytes(text.encode("latin-1"))
+    assert b"\xff" in bad.read_bytes()
+    code, out, err = run_cli([command, *argv], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(bad) in error["message"]
+
+
 def test_report_is_not_a_command(tmp_path, capsys):
     path = tmp_path / "dist.json"
     path.write_text(dist_envelope("X", [1e5, 2e5, 3e5]))
