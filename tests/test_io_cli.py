@@ -338,7 +338,8 @@ def test_data_that_is_not_an_object_is_a_data_error_naming_the_file(tmp_path, ca
     assert str(bad) in error["message"]
 
 
-@pytest.mark.parametrize("epsilon", ["NaN", '"0.25x"', "null"], ids=["nan", "text", "null"])
+@pytest.mark.parametrize("epsilon", ["NaN", '"0.25x"', "null", '"0.25"'],
+                         ids=["nan", "text", "null", "numeric_text"])
 def test_bad_epsilon_used_is_a_data_error_naming_the_file(tmp_path, capsys, epsilon):
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
@@ -369,17 +370,15 @@ def test_distribution_with_fewer_than_two_entries_is_a_data_error(tmp_path, caps
         f"{short}: a distribution needs at least 2 entries, got {n_entries}"
 
 
-@pytest.mark.parametrize("key, value", [
-    ("qceff", True), ("freq_hz", "6e9"), ("epsilon_used", "0.25"), ("n_binned", 2.9),
-], ids=["qceff_bool", "freq_hz_text", "epsilon_used_text", "n_binned_fraction"])
-def test_result_value_outside_its_json_type_is_a_data_error_naming_the_key(
+@pytest.mark.parametrize("key, value", [("qceff", True), ("freq_hz", "6e9"), ("n_binned", 2.9)],
+                         ids=["qceff_bool", "freq_hz_text", "n_binned_fraction"])
+def test_entry_value_outside_its_json_type_is_a_data_error_naming_the_key(
         tmp_path, capsys, key, value):
     # result.schema.json declares each of these a JSON number (n_binned an integer)
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
     envelope = json.loads(dist_envelope("B", [1.5e5, 2.5e5]))
-    data = envelope["data"]
-    (data if key == "epsilon_used" else data["entries"][1])[key] = value
+    envelope["data"]["entries"][1][key] = value
     bad.write_text(json.dumps(envelope))
     code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)], capsys)
     assert code == 2
