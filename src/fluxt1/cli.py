@@ -356,7 +356,7 @@ def _cmd_fit_epsilon(args) -> int:
 
 def _cmd_fit_flux_noise(args) -> int:
     device = parse_device_file(args.device)
-    ds = parse_dephasing_csv(args.dephasing_csv, qubit_id=device.qubit_id)
+    ds = parse_dephasing_csv(args.dephasing_csv)
     sqrt_a = extract_flux_noise_amplitude(ds, device.fluxonium_params())
     config = dict(device=args.device, dephasing_csv=args.dephasing_csv)
     data = dict(

@@ -699,14 +699,12 @@ class BiasModel:
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         return summed_rates([self.channel_rates(m) for m in mechanisms], mechanisms, scale)
 
-    def decay(self, mechanisms=ANALYSIS_MECHANISMS, qc_eff: float | None = None,
-              n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:
-        """(times, populations) of p0 relaxing under the selected channels, on
+    def decay(self, n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:
+        """(times, populations) of p0 relaxing under the analysis channels, on
         the n_points grid the dominant mode sets: ``decays`` as a stack of
         one. None when no path of nonzero rates leads from level 1 to level 0
         (every rate zero, or a parity split)."""
-        times, populations, reached = decays(self.rates(mechanisms, qc_eff)[None],
-                                             self.p0[None], n_points)
+        times, populations, reached = decays(self.rates()[None], self.p0[None], n_points)
         return (times[0], populations[0]) if reached[0] else None
 
     def t1(self, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL, mechanisms=ANALYSIS_MECHANISMS,

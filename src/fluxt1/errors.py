@@ -30,25 +30,13 @@ class FluxT1Error(Exception):
 
 
 class ConvergenceError(FluxT1Error):
-    """Basis growth exhausted before the spectrum convergence target was met.
-
-    Carries the last observed relative energy change in ``last_delta``.
-    """
-
-    def __init__(self, message, last_delta=None):
-        super().__init__(message)
-        self.last_delta = last_delta
+    """Basis growth exhausted before the spectrum convergence target was met;
+    the message names the last relative energy change."""
 
 
 class ResonanceCollisionError(FluxT1Error):
-    """A qubit transition sits inside the guard band around the resonator.
-
-    ``transition`` is the offending (i, j) level pair.
-    """
-
-    def __init__(self, message, transition=None):
-        super().__init__(message)
-        self.transition = transition
+    """A qubit transition sits inside the guard band around the resonator;
+    the message names the offending (i, j) level pair."""
 
 
 class ZeroTransitionError(FluxT1Error):

@@ -232,7 +232,7 @@ def diagonalize(
     (relative to the spectrum scale) under one further growth step. Each step
     solves for the lowest ``n_levels`` eigenpairs only, and the starting
     truncation, which is only compared against, for their energies. Raises
-    :class:`ConvergenceError` carrying the last delta if the cap is reached.
+    :class:`ConvergenceError` naming the last delta if the cap is reached.
     """
     if n_levels < 2:
         raise ValueError(f"n_levels must be >= 2, got {n_levels}")
@@ -263,8 +263,7 @@ def diagonalize(
             prev_energies = energies
     raise ConvergenceError(
         f"spectrum not converged at basis_dim={dim} "
-        f"(last relative change {delta:.3e} >= {convergence_rtol:.1e})",
-        last_delta=delta,
+        f"(last relative change {delta:.3e} >= {convergence_rtol:.1e})"
     )
 
 

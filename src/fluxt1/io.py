@@ -65,7 +65,6 @@ class DeviceFile:
     """A device file's identity and its validated model objects, in SI."""
 
     qubit_id: str
-    process_label: str
     params: FluxoniumParams
     res: ResonatorParams
     env: Environment  # at Environment's default qc_eff, epsilon and x_qp
@@ -172,7 +171,6 @@ def parse_device_file(path: str) -> DeviceFile:
         sqrt_a_phi = number("sqrt_a_phi_uphi0") * 1e-6  # Phi0 / sqrt(Hz)
         return DeviceFile(
             qubit_id=str(raw["qubit_id"]),
-            process_label=str(raw["process_label"]),
             params=FluxoniumParams(ej=number("ej_ghz") * 1e9, ec=number("ec_ghz") * 1e9,
                                    el=number("el_ghz") * 1e9),
             res=ResonatorParams(omega_res=number("omega_res_ghz") * 1e9,
@@ -250,7 +248,7 @@ def write_t1_csv(path: str, ds: T1Dataset) -> None:
         ([r.phi_ext, r.t1, r.omega01, r.t1_err] for r in ds.records)))
 
 
-def parse_dephasing_csv(path: str, qubit_id: str = "") -> DephasingDataset:
+def parse_dephasing_csv(path: str) -> DephasingDataset:
     """Read echo-dephasing records
     (phi_ext,gamma_phi_e_per_s[,slope_rad_per_s_per_phi0])."""
     records = _read_csv(
@@ -259,7 +257,7 @@ def parse_dephasing_csv(path: str, qubit_id: str = "") -> DephasingDataset:
                                       gamma_phi_e=cells["gamma_phi_e_per_s"],
                                       slope=cells.get("slope_rad_per_s_per_phi0")),
     )
-    return DephasingDataset(records=tuple(records), qubit_id=qubit_id)
+    return DephasingDataset(records=tuple(records))
 
 
 def atomic_write_text(path: str, content: str) -> None:

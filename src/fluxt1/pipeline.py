@@ -17,7 +17,6 @@ such call.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -42,8 +41,6 @@ from .loss import (
     capacitive_pair_rates,
 )
 from .resonator import ResonatorParams
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_BIN_WIDTH = 8e6  # Hz
 DEFAULT_EXCLUSION_THRESHOLD = 0.1
@@ -87,8 +84,7 @@ class T1Dataset:
     """Measured T1 records for one qubit, with the ingest filter applied.
 
     Records whose fit uncertainty exceeds twice the value indicate a failed
-    calibration and are dropped at construction; the drop count is kept and
-    logged.
+    calibration and are dropped at construction; the drop count is kept.
     """
 
     records: tuple[T1Record, ...]
@@ -103,8 +99,6 @@ class T1Dataset:
                 dropped += 1
             else:
                 kept.append(r)
-        if dropped:
-            logger.info("%s: dropped %d records with t1_err > 2*t1 at ingest", qubit_id, dropped)
         return cls(records=tuple(kept), qubit_id=qubit_id, n_ingest_dropped=dropped)
 
     def __len__(self) -> int:
@@ -514,7 +508,6 @@ class DephasingRecord:
 @dataclass(frozen=True)
 class DephasingDataset:
     records: tuple[DephasingRecord, ...]
-    qubit_id: str = ""
 
     def fit_records(self) -> tuple[DephasingRecord, ...]:
         """The records the flux-noise fit uses: those away from the sweet

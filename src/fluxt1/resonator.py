@@ -63,8 +63,7 @@ def dispersive_shift(spec: Spectrum, res: ResonatorParams, state: int) -> float:
         if abs(abs(w_ij) - res.omega_res) < GUARD_BAND:
             raise ResonanceCollisionError(
                 f"transition ({state}, {j}) at {w_ij:.6e} Hz lies within "
-                f"{GUARD_BAND:.0e} Hz of the resonator at {res.omega_res:.6e} Hz",
-                transition=(state, j),
+                f"{GUARD_BAND:.0e} Hz of the resonator at {res.omega_res:.6e} Hz"
             )
         elem2 = abs(spec.n_elem[state, j]) ** 2
         chi += 2.0 * res.g**2 * elem2 * w_ij / (w_ij**2 - res.omega_res**2)

@@ -93,17 +93,14 @@ class WelchResult:
     p_value: float
     ci_low: float
     ci_high: float
-    alpha: float
     mean1: float
     mean2: float
-    n1: int
-    n2: int
 
     def swapped(self) -> WelchResult:
         """The same test with the samples in the other order, as
         ``welch_t_test(sample2, sample1)`` computes it bit for bit."""
         return replace(self, t0=-self.t0, ci_low=-self.ci_high, ci_high=-self.ci_low,
-                       mean1=self.mean2, mean2=self.mean1, n1=self.n2, n2=self.n1)
+                       mean1=self.mean2, mean2=self.mean1)
 
 
 def welch_t_test(sample1, sample2, alpha: float = DEFAULT_ALPHA) -> WelchResult:
@@ -129,11 +126,8 @@ def welch_t_test(sample1, sample2, alpha: float = DEFAULT_ALPHA) -> WelchResult:
     p = two_sided_p_value(t0, nu)
     half = critical_t(alpha, nu) * math.sqrt(se2)
     diff = m1 - m2
-    return WelchResult(
-        t0=t0, nu=nu, p_value=p,
-        ci_low=diff - half, ci_high=diff + half, alpha=alpha,
-        mean1=m1, mean2=m2, n1=n1, n2=n2,
-    )
+    return WelchResult(t0=t0, nu=nu, p_value=p, ci_low=diff - half, ci_high=diff + half,
+                       mean1=m1, mean2=m2)
 
 
 def ci_of_mean_difference(result: WelchResult, as_percent_of: float) -> tuple[float, float]:

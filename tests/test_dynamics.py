@@ -156,7 +156,7 @@ class TestBuildRateMatrix:
         assert np.abs(rm.eigenvalues.imag).max() <= 1e-9 * np.abs(rm.eigenvalues.real).max()
         with pytest.raises(NumericalError, match="found 2"):
             int(rm.stationary_indices())
-        assert model.decay((Mechanism.QP_JUNCTION,)) is None
+        assert not decays(model.rates((Mechanism.QP_JUNCTION,))[None], model.p0[None])[2][0]
         for mode in T1Mode:
             assert model.t1(mode, (Mechanism.QP_JUNCTION,)) == math.inf
 
