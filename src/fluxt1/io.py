@@ -110,8 +110,9 @@ def parse_device_file(path: str) -> DeviceFile:
 
     Missing required keys, unknown keys, and duplicate keys are hard errors
     with locations, as is any value that is not a finite number or that the
-    model objects reject; energies outside the plausible (0.1, 100) GHz
-    window only warn, since unusual devices are legitimate.
+    model objects reject, or a qubit_id or process_label that is not text;
+    energies outside the plausible (0.1, 100) GHz window only warn, since
+    unusual devices are legitimate.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -155,6 +156,11 @@ def parse_device_file(path: str) -> DeviceFile:
     def number(key):
         return _number(raw[key], f"{path}: key {key} ({_key_location(text, key)})")
 
+    for key in ("qubit_id", "process_label"):  # no model reads process_label
+        if not isinstance(raw[key], str):
+            raise DataError(f"{path}: key {key} ({_key_location(text, key)}) must be text, "
+                            f"got {raw[key]!r}")
+
     for key in ("ej_ghz", "ec_ghz", "el_ghz"):
         value = number(key)
         if not 0.1 < value < 100.0:
@@ -170,7 +176,7 @@ def parse_device_file(path: str) -> DeviceFile:
         check_number("sqrt_a_phi_uphi0", number("sqrt_a_phi_uphi0"), ">= 0")  # before squaring
         sqrt_a_phi = number("sqrt_a_phi_uphi0") * 1e-6  # Phi0 / sqrt(Hz)
         return DeviceFile(
-            qubit_id=str(raw["qubit_id"]),
+            qubit_id=raw["qubit_id"],
             params=FluxoniumParams(ej=number("ej_ghz") * 1e9, ec=number("ec_ghz") * 1e9,
                                    el=number("el_ghz") * 1e9),
             res=ResonatorParams(omega_res=number("omega_res_ghz") * 1e9,
@@ -217,7 +223,7 @@ def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:
 
 def parse_t1_csv(path: str, qubit_id: str = "") -> T1Dataset:
     """Read measured T1 records (phi_ext,t1_s[,omega01_hz][,t1_err_s]);
-    applies the ingest drop rule (err > 2*t1)."""
+    applies the ingest drop rule (err > 2*t1) and logs both counts."""
     records = _read_csv(
         path, ("phi_ext", "t1_s"), ("omega01_hz", "t1_err_s"),
         lambda cells: T1Record(phi_ext=cells["phi_ext"], t1=cells["t1_s"],
@@ -323,18 +329,21 @@ def read_result(path: str) -> tuple[bytes, dict]:
 
 def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
     """The quality-factor distribution in an extract-qceff result envelope:
-    its numbers must be JSON numbers, and n_binned a JSON integer."""
+    it must hold every key the schema requires, each of its JSON type."""
     payload = raw.get("data", {})
     if not isinstance(payload, dict):
         raise DataError(f"{path}: data must be a JSON object, got {type(payload).__name__}")
-    if "entries" not in payload:
-        raise DataError(f"{path}: no distribution entries found")
+    missing = [key for key in ("qubit_id", "epsilon_used", "entries") if key not in payload]
+    if missing:
+        raise DataError(f"{path}: data misses required keys {missing}")
+    if not isinstance(payload["qubit_id"], str):
+        raise DataError(f"{path}: key qubit_id must be text, got {payload['qubit_id']!r}")
 
     def entry(k, e):
         where = f"{path}: entry {k} key"
         freq = _number(e["freq_hz"], f"{where} freq_hz")
         qceff = _number(e["qceff"], f"{where} qceff")
-        n_binned = e.get("n_binned", 1)
+        n_binned = e["n_binned"]
         if isinstance(n_binned, bool) or not isinstance(n_binned, int):
             raise DataError(f"{where} n_binned must be an integer, got {n_binned!r}")
         return QceffEntry(freq=freq, qceff=qceff, n_binned=n_binned)
@@ -343,10 +352,10 @@ def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
         entries = tuple(entry(k, e) for k, e in enumerate(payload["entries"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed distribution entry: {exc}") from exc
-    epsilon_used = _number(payload.get("epsilon_used", 0.0), f"{path}: key epsilon_used")
+    epsilon_used = _number(payload["epsilon_used"], f"{path}: key epsilon_used")
     try:
         return QceffDistribution(entries=entries, epsilon_used=epsilon_used,
-                                 qubit_id=str(payload.get("qubit_id", "")))
+                                 qubit_id=payload["qubit_id"])
     except ValueError as exc:
         raise DataError(f"{path}: malformed epsilon_used: {exc}") from exc
 

@@ -233,8 +233,10 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
     exponent by exponent and record by record within one, when no qc_eff
     within the bounds reproduces its t1 (for instance a t1 longer than the
     non-capacitive channels alone allow), or the error of a failed model
-    evaluation of it. Either message begins with the record's phi_ext, and
-    with its exponent too when ``epsilon`` holds more than one.
+    evaluation of it; a failed read of a record's rate data, p0 or readout
+    weights raises first, at the exponent that read it. Each message begins
+    with the record's phi_ext, and with its exponent too when ``epsilon``
+    holds more than one.
     """
     mode = T1Mode(mode)
     t1_measured = np.asarray(t1_measured, dtype=float)
@@ -257,7 +259,7 @@ def invert_stack(models, t1_measured, epsilon, mode: T1Mode = T1Mode.MULTILEVEL_
             failures = np.full(len(models), None, dtype=object)
             q[:, e] = 10.0 ** _lockstep_root(
                 [BiasModel(model.spec, model.res, envs[model.env]) for model in models],
-                t1_measured, u0, mode, failures)
+                t1_measured, u0, mode, failures, epsilon, e)
             for r, err in enumerate(failures):
                 if err is not None:
                     raise _located(err, models[r], epsilon, e)
@@ -275,12 +277,13 @@ def two_level_qceff(models, t1_measured, epsilon) -> np.ndarray:
     0<->1 pair (``ChannelPairs.pair_01``), whose rate at the model's qc_eff
     is K (``capacitive_pair_rates``). So a cell is bit for bit the closed
     form of one model at that exponent, whatever exponent the model carries,
-    and no model is built per exponent.
+    and no model is built per exponent. A failed read names its record.
     """
-    background = np.array([model.pair_rate(BACKGROUND_MECHANISMS) for model in models])
+    background = np.array(_read_each(
+        models, lambda model: model.pair_rate(BACKGROUND_MECHANISMS), epsilon))
     qc_eff = np.array([model.env.qc_eff for model in models])
-    strength, f, down, up = map(np.concatenate, zip(
-        *(model.pairs(Mechanism.CAPACITIVE).pair_01() for model in models)))
+    strength, f, down, up = map(np.concatenate, zip(*_read_each(
+        models, lambda model: model.pairs(Mechanism.CAPACITIVE).pair_01(), epsilon)))
     k = capacitive_pair_rates(strength, f, down, up, qc_eff, epsilon)
     residual = 1.0 / np.asarray(t1_measured, dtype=float) - background
     return qc_eff[:, None] * k / np.where(residual > 0.0, residual, np.nan)[:, None]
@@ -301,15 +304,15 @@ def _raise_unmatched(q, models, t1_measured, epsilon) -> None:
     raise _located(_unmatched(t1, detail), models[r], epsilon, e)
 
 
-def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
-    """``invert_stack``'s multilevel root in log10(qc_eff) of every member,
-    searched from one Newton step off u0; a member that fails stores its
-    FitError in ``failures``."""
+def _lockstep_root(models, t1_measured, u0, mode, failures, epsilon, e) -> np.ndarray:
+    """``invert_stack``'s multilevel root in log10(qc_eff) of every member at
+    exponent ``epsilon[e]``, searched from one Newton step off u0; a member
+    that fails stores its FitError in ``failures``."""
     log_t1 = np.log(t1_measured)
-    p0 = np.stack([model.p0 for model in models])
-    weights = (np.stack([model.weights for model in models])
+    p0 = np.stack(_read_each(models, lambda model: model.p0, epsilon, e))
+    weights = (np.stack(_read_each(models, lambda model: model.weights, epsilon, e))
                if mode is T1Mode.MULTILEVEL_SIGNAL else None)
-    tables = [np.stack([model.channel_rates(m) for model in models])
+    tables = [np.stack(_read_each(models, lambda model: model.channel_rates(m), epsilon, e))
               for m in ANALYSIS_MECHANISMS]
     qc_eff = [model.env.qc_eff for model in models]
     last = np.full(len(models), np.nan)  # each member's latest value of g
@@ -342,11 +345,23 @@ def _lockstep_root(models, t1_measured, u0, mode, failures) -> np.ndarray:
     return u
 
 
+def _read_each(models, read, epsilon, e: int = 0) -> list:
+    """``read(model)`` of every model in turn; a failed read raises its error
+    again, led by its record at exponent ``epsilon[e]`` (``_located``)."""
+    values = []
+    for model in models:
+        try:
+            values.append(read(model))
+        except FluxT1Error as err:
+            raise _located(err, model, epsilon, e) from err
+    return values
+
+
 def _located(err: FluxT1Error, model: BiasModel, epsilon, e: int) -> FluxT1Error:
     """``err`` again, of its own class, its message led by the flux bias of
     its record's model, and by exponent ``epsilon[e]`` when there are more."""
     where = f"record at phi_ext = {float(model.spec.bias.phi_ext)!r}"
-    if epsilon.size > 1:
+    if len(epsilon) > 1:
         where += f", epsilon = {float(epsilon[e])!r}"
     return type(err)(f"{where}: {err}")
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import logging
 import math
 import warnings
 from dataclasses import fields, replace
@@ -24,7 +25,7 @@ from fluxt1.io import (
     read_distribution,
     write_t1_csv,
 )
-from fluxt1.hamiltonian import FluxBias, FluxoniumParams
+from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize
 from fluxt1.loss import Environment, Mechanism
 from fluxt1.pipeline import DephasingRecord, T1Dataset, T1Record
 from fluxt1.resonator import ResonatorParams
@@ -171,6 +172,21 @@ def test_bad_device_value_is_a_data_error_naming_the_file(tmp_path, capsys, key,
     assert str(path) in payload["error"]["message"]
 
 
+@pytest.mark.parametrize("key, value", [("qubit_id", 7), ("qubit_id", None),
+                                        ("process_label", ["A"])],
+                         ids=["qubit_id_number", "qubit_id_null", "process_label_list"])
+def test_identity_key_that_is_not_text_is_a_data_error_naming_the_key(tmp_path, capsys,
+                                                                    key, value):
+    path = tmp_path / "bad_device.json"
+    path.write_text(json.dumps(dict(A1_ROW, **{key: value})))
+    code, out, err = run_cli(["spectrum", "--device", str(path), "--flux", "0.2"], capsys)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(path) in error["message"] and f"key {key} " in error["message"]
+
+
 class TestT1Csv:
     def test_error_bar_rule_applied_on_ingest(self, tmp_path):
         path = tmp_path / "t1.csv"
@@ -182,6 +198,14 @@ class TestT1Csv:
         ds = parse_t1_csv(str(path))
         assert len(ds) == 1
         assert ds.n_ingest_dropped == 1
+
+    def test_ingest_logs_one_line_naming_the_file_and_counts(self, tmp_path, caplog):
+        path = tmp_path / "t1.csv"
+        path.write_text("phi_ext,t1_s,t1_err_s\n0.5,1e-4,2e-5\n0.4,1e-4,3.1e-4\n0.3,2e-4,\n")
+        with caplog.at_level(logging.INFO, logger="fluxt1"):
+            parse_t1_csv(str(path))
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+            (logging.INFO, f"{path}: ingested 2 records (1 dropped by the error-bar rule)")]
 
     def test_missing_optional_columns_ok(self, tmp_path):
         path = tmp_path / "t1.csv"
@@ -338,14 +362,20 @@ def test_data_that_is_not_an_object_is_a_data_error_naming_the_file(tmp_path, ca
     assert str(bad) in error["message"]
 
 
-@pytest.mark.parametrize("epsilon", ["NaN", '"0.25x"', "null", '"0.25"'],
-                         ids=["nan", "text", "null", "numeric_text"])
+@pytest.mark.parametrize("epsilon", ["NaN", '"0.25x"', "null", '"0.25"', None],
+                         ids=["nan", "text", "null", "numeric_text", "missing"])
 def test_bad_epsilon_used_is_a_data_error_naming_the_file(tmp_path, capsys, epsilon):
+    # None drops the key, which result.schema.json requires
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
-    bad.write_text(dist_envelope("B", [1.5e5, 2.5e5]).replace(
-        '"epsilon_used": 0.25', f'"epsilon_used": {epsilon}'))
-    assert f'"epsilon_used": {epsilon}' in bad.read_text()
+    text = dist_envelope("B", [1.5e5, 2.5e5])
+    if epsilon is None:
+        text = text.replace('"epsilon_used": 0.25, ', "")
+        assert '"epsilon_used"' not in text
+    else:
+        text = text.replace('"epsilon_used": 0.25', f'"epsilon_used": {epsilon}')
+        assert f'"epsilon_used": {epsilon}' in text
+    bad.write_text(text)
     code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)], capsys)
     assert code == 2
     assert out == ""
@@ -370,15 +400,27 @@ def test_distribution_with_fewer_than_two_entries_is_a_data_error(tmp_path, caps
         f"{short}: a distribution needs at least 2 entries, got {n_entries}"
 
 
-@pytest.mark.parametrize("key, value", [("qceff", True), ("freq_hz", "6e9"), ("n_binned", 2.9)],
-                         ids=["qceff_bool", "freq_hz_text", "n_binned_fraction"])
+MISSING = object()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("qceff", True), ("freq_hz", "6e9"), ("n_binned", 2.9), ("n_binned", MISSING),
+    ("qubit_id", [1, 2]), ("qubit_id", 7), ("qubit_id", MISSING),
+], ids=["qceff_bool", "freq_hz_text", "n_binned_fraction", "n_binned_missing",
+        "qubit_id_list", "qubit_id_number", "qubit_id_missing"])
 def test_entry_value_outside_its_json_type_is_a_data_error_naming_the_key(
         tmp_path, capsys, key, value):
-    # result.schema.json declares each of these a JSON number (n_binned an integer)
+    # result.schema.json requires each of these keys and declares each a JSON
+    # number (n_binned an integer), but qubit_id, the distribution's own key,
+    # a JSON string
     good, bad = tmp_path / "good.json", tmp_path / "bad.json"
     good.write_text(dist_envelope("G", [1e5 * (1 + 0.1 * k) for k in range(8)]))
     envelope = json.loads(dist_envelope("B", [1.5e5, 2.5e5]))
-    envelope["data"]["entries"][1][key] = value
+    holder = envelope["data"] if key == "qubit_id" else envelope["data"]["entries"][1]
+    if value is MISSING:
+        del holder[key]
+    else:
+        holder[key] = value
     bad.write_text(json.dumps(envelope))
     code, out, err = run_cli(["compare", "--dist", str(good), "--dist", str(bad)], capsys)
     assert code == 2
@@ -411,6 +453,29 @@ def test_file_that_is_not_utf8_is_a_data_error_naming_it(a1_device, tmp_path, ca
     error = json.loads(err)["error"]
     assert error["type"] == "DataError"
     assert str(bad) in error["message"]
+
+
+@pytest.mark.parametrize("argv, where", [
+    (["extract-qceff", "--device", "dev.json", "--t1-csv", "t1.csv"], "record at phi_ext = 0.5: "),
+    (["fit-epsilon", "--qubit", "dev.json", "t1.csv", "--grid-start", "0", "--grid-stop",
+      "0.5", "--grid-step", "0.25"], "record at phi_ext = 0.5, epsilon = 0.0: "),
+], ids=["extract-qceff", "fit-epsilon"])
+def test_error_reading_a_records_data_names_the_record(tmp_path, monkeypatch, capsys, argv,
+                                                       where):
+    # the resonator sits on A1's half-flux 0->3 transition, so reading that
+    # record's readout weights (its dispersive shifts) collides
+    spec = diagonalize(FluxoniumParams(ej=3.54e9, ec=1.05e9, el=0.53e9), FluxBias(0.5),
+                       n_levels=6)
+    omega_03 = float(spec.energies[3] - spec.energies[0])
+    (tmp_path / "dev.json").write_text(json.dumps(dict(A1_ROW, omega_res_ghz=omega_03 / 1e9)))
+    (tmp_path / "t1.csv").write_text("phi_ext,t1_s\n0.3,1e-4\n0.5,1e-6\n")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli([*argv, "--mode", "multilevel_signal"], capsys)
+    assert code == 3
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ResonanceCollisionError"
+    assert error["message"].startswith(where + "transition (0, 3) ")
 
 
 def test_report_is_not_a_command(tmp_path, capsys):

@@ -2,10 +2,12 @@
 
 A public top-level function or class, or a public method, of ``src/fluxt1``
 that nothing in ``src/``, ``scripts/`` or ``perfbench/`` names is test-only
-code: a reference route or a diagnostic, which belongs in ``tests/``.
+code: a reference route or a diagnostic, which belongs in ``tests/``. And
+every name the benchmark reads must exist, or each of its runs fails.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,3 +58,26 @@ def test_every_public_name_is_read_outside_the_tests():
     referred = referred_names()
     unread = sorted(qualified for qualified, name in defined_names() if name not in referred)
     assert unread == []
+
+
+def test_every_name_the_benchmark_reads_exists():
+    # read from perfbench/'s source, so no workload runs: the tracer's
+    # (module, attribute) pairs and QceffInverter methods, and every name
+    # any benchmark file imports from the package
+    spans = {target.id: ast.literal_eval(node.value)
+             for node in ast.parse((ROOT / "perfbench" / "spans.py").read_text()).body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name) and target.id in ("FUNCTIONS", "METHODS")}
+    missing = [f"{module}.{attr}" for module, attr in spans["FUNCTIONS"]
+               if not hasattr(importlib.import_module(module), attr)]
+    inverter = importlib.import_module("fluxt1.pipeline").QceffInverter
+    missing += [f"QceffInverter.{name}" for name in spans["METHODS"]
+                if name not in inverter.__dict__]
+    for tree in _trees("perfbench"):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fluxt1"):
+                module = importlib.import_module(node.module)
+                missing += [f"{node.module}.{alias.name}" for alias in node.names
+                            if not hasattr(module, alias.name)]
+    assert len(spans["FUNCTIONS"]) > 0 and len(spans["METHODS"]) == 2
+    assert missing == []
