@@ -496,17 +496,10 @@ def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51,
     return times.reshape(shape + (n_points,))
 
 
-def heralded_misassignment_error(times, populations, fit_p1: DecayFit) -> tuple[float, float]:
-    """Relative T1 error from misassigning higher-level population in a decay
-    trace (``BiasModel.decay``), given ``fit_p1``, the trace's level-1 fit.
-
-    Misassignment to the ground state leaves the level-1 decay untouched, so
-    that error is identically zero. Misassignment to the excited state fits
-    p1 + sum_{i>=2} p_i instead of p1 and reports (T1 - T1') / T1.
-    """
-    lumped = populations[:, 1] + populations[:, 2:].sum(axis=1)
-    fit_lumped = fit_exponential(times, lumped)
-    return 0.0, float((fit_p1.t1 - fit_lumped.t1) / fit_p1.t1)
+def _readout_signal(populations: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The readout signal |p . weights| of each trace: populations (..., T, N)
+    and one weight row (..., N) per trace."""
+    return np.abs(np.vecdot(populations, weights[..., None, :]))
 
 
 def _arithmetic_groups(rm: RateMatrix, rates: np.ndarray, members: np.ndarray) -> list:
@@ -588,7 +581,7 @@ def multilevel_t1(rates: np.ndarray, p0: np.ndarray, weights: np.ndarray | None,
     member, column = np.nonzero(np.equal(slots[wanted], None) & reached[:, None])
     traces = np.stack([
         populations[:, :, 1] if mode is T1Mode.MULTILEVEL_POPULATION else
-        np.abs(np.vecdot(populations, weights[wanted][:, None, :])) for mode in modes],
+        _readout_signal(populations, weights[wanted]) for mode in modes],
         axis=1)[member, column]
     del populations  # the fit reads only the traces; free the (R, T, N) array first
     fitted = np.full(member.size, None, dtype=object)
@@ -699,13 +692,16 @@ class BiasModel:
         scale = 1.0 if qc_eff is None else self.env.qc_eff / qc_eff
         return summed_rates([self.channel_rates(m) for m in mechanisms], mechanisms, scale)
 
-    def decay(self, n_points: int = 51) -> tuple[np.ndarray, np.ndarray] | None:
-        """(times, populations) of p0 relaxing under the analysis channels, on
-        the n_points grid the dominant mode sets: ``decays`` as a stack of
-        one. None when no path of nonzero rates leads from level 1 to level 0
-        (every rate zero, or a parity split)."""
+    def decay(self, n_points: int = 51) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """(times, populations, signal) of p0 relaxing under the analysis
+        channels, on the n_points grid the dominant mode sets: ``decays`` as
+        a stack of one, with the readout signal |p . weights| that signal
+        mode fits. None when no path of nonzero rates leads from level 1 to
+        level 0 (every rate zero, or a parity split)."""
         times, populations, reached = decays(self.rates()[None], self.p0[None], n_points)
-        return (times[0], populations[0]) if reached[0] else None
+        if not reached[0]:
+            return None
+        return times[0], populations[0], _readout_signal(populations, self.weights[None])[0]
 
     def t1(self, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL, mechanisms=ANALYSIS_MECHANISMS,
            qc_eff: float | None = None) -> float:

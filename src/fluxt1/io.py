@@ -340,6 +340,9 @@ def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
         raise DataError(f"{path}: key qubit_id must be text, got {payload['qubit_id']!r}")
 
     def entry(k, e):
+        missing = [key for key in ("freq_hz", "qceff", "n_binned") if key not in e]
+        if missing:
+            raise DataError(f"{path}: entry {k} misses required keys {missing}")
         where = f"{path}: entry {k} key"
         freq = _number(e["freq_hz"], f"{where} freq_hz")
         qceff = _number(e["qceff"], f"{where} qceff")
@@ -350,7 +353,7 @@ def distribution_from_result(path: str, raw: dict) -> QceffDistribution:
 
     try:
         entries = tuple(entry(k, e) for k, e in enumerate(payload["entries"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed distribution entry: {exc}") from exc
     epsilon_used = _number(payload["epsilon_used"], f"{path}: key epsilon_used")
     try:

@@ -96,14 +96,14 @@ def rotate_for_contrast(points) -> tuple[float, np.ndarray]:
 
 
 def dressed_response(spec: Spectrum, res: ResonatorParams) -> np.ndarray:
-    """The readout weight of every retained state, write-locked: the real
-    part of its S21, probed at the ground-state dressed frequency
-    omega_res + chi_0 where the readout tone is parked in practice, after
-    the global IQ rotation that maximizes the 0-1 contrast.
+    """The readout weight of every retained state, contiguous and
+    write-locked: the real part of its S21, probed at the ground-state
+    dressed frequency omega_res + chi_0 where the readout tone is parked in
+    practice, after the global IQ rotation that maximizes the 0-1 contrast.
     """
     chi = np.array([dispersive_shift(spec, res, i) for i in range(spec.n_levels)])
     probe = res.omega_res + chi[0]
-    weights = rotate_for_contrast([s21(res, c, probe) for c in chi])[1].real
+    weights = rotate_for_contrast([s21(res, c, probe) for c in chi])[1].real.copy()
     weights.setflags(write=False)
     return weights
 

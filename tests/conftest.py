@@ -1,8 +1,14 @@
 """Shared fixtures: measured device parameters and cached spectra."""
 
+import contextlib
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fluxt1.cli import cli
 from fluxt1.hamiltonian import FluxBias, FluxoniumParams, diagonalize
 from fluxt1.loss import Environment
 from fluxt1.resonator import ResonatorParams
@@ -53,6 +59,21 @@ def environment_of(qubit: str, **overrides) -> Environment:
                     qc_eff=MEAN_QCEFF[qubit], epsilon=0.25)
     defaults.update(overrides)
     return Environment(**defaults)
+
+
+SHIPPED_DEVICE_DIR = Path(__file__).resolve().parents[1] / "devices"
+
+
+def simulate_decay(qubit: str, phi: float, levels: int = 6) -> dict:
+    """The data simulate-decay prints for a shipped device at phi and its
+    mean qc_eff: the model of params_of, resonator_of and environment_of."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(["simulate-decay", "--device", str(SHIPPED_DEVICE_DIR / f"{qubit.lower()}.json"),
+                    "--flux", repr(float(phi)), "--levels", str(levels),
+                    "--qceff", repr(MEAN_QCEFF[qubit])])
+    assert code == 0, err.getvalue()
+    return json.loads(out.getvalue())["data"]
 
 
 @pytest.fixture(scope="session")

@@ -24,7 +24,6 @@ from fluxt1.dynamics import (
     default_time_grid,
     evolve,
     fit_exponential,
-    heralded_misassignment_error,
     invert_computational,
     predicted_t1,
 )
@@ -42,7 +41,7 @@ from fluxt1.pipeline import (
 from fluxt1.resonator import dispersive_shift
 from fluxt1.stats import _t_density, _t_log_norm, welch_t_test
 
-from conftest import DEVICE_TABLE, environment_of, params_of, resonator_of
+from conftest import DEVICE_TABLE, environment_of, params_of, resonator_of, simulate_decay
 from reference import exponentialness, stationary_distribution, two_level_total_rate
 
 QUBITS = list(DEVICE_TABLE)
@@ -267,24 +266,17 @@ def test_criterion_07_epsilon_recovery():
 
 
 def test_criterion_08_signal_model_error_bands():
-    params = params_of("B2")
-    res = resonator_of("B2")
-    env = environment_of("B2")
+    # simulate-decay's errors of the readout-signal fit and of the lumped
+    # p1 + sum_{i>=2} p_i fit, each against the level-1 fit
     fluxes = np.linspace(0.0, 0.5, 101)
     signal_err = np.full(fluxes.size, np.nan)
     herald_err = np.full(fluxes.size, np.nan)
     for k, phi in enumerate(fluxes):
-        spec = diagonalize(params, FluxBias(float(phi)), n_levels=6)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = BiasModel(spec, res, env)
-            times, populations = model.decay()
-            fit_p1 = fit_exponential(times, populations[:, 1])
-            signal = np.abs(populations @ model.weights)
-            fit_s = fit_exponential(times, signal)
-            signal_err[k] = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
-            _, to_excited = heralded_misassignment_error(times, populations, fit_p1)
-            herald_err[k] = abs(to_excited)
+            data = simulate_decay("B2", phi)
+        signal_err[k] = abs(data["signal_relative_error"])
+        herald_err[k] = abs(data["misassignment_to_excited_relative_error"])
     k_sig = int(np.nanargmax(signal_err))
     k_her = int(np.nanargmax(herald_err))
     sig_ok = 0.10 <= signal_err[k_sig] <= 0.20 and 0.0 <= fluxes[k_sig] <= 0.2
@@ -326,7 +318,7 @@ def test_criterion_09_exponentialness():
                 continue  # degenerate mode pair: the metric is undefined here
             if m > best_m:
                 best_m, best = m, model
-        times, populations = best.decay()
+        times, populations, _ = best.decay()
         fit = fit_exponential(times, populations[:, 1])
         worst_resid = max(worst_resid, fit.residual_rms / abs(fit.amplitude))
     passed = two_level_zero and worst_resid < 0.01

@@ -23,7 +23,6 @@ from fluxt1.dynamics import (
     default_time_grid,
     evolve,
     fit_exponential,
-    heralded_misassignment_error,
     invert_computational,
     multilevel_t1,
     predicted_t1,
@@ -48,8 +47,9 @@ from fluxt1.pipeline import (
     T1Record,
     extract_qceff_dataset,
 )
+from fluxt1.resonator import dispersive_shift, rotate_for_contrast, s21
 
-from conftest import environment_of, params_of, resonator_of
+from conftest import environment_of, params_of, resonator_of, simulate_decay
 from reference import exponentialness, stationary_distribution, two_level_total_rate
 
 SHIPPED_DEVICES = sorted((Path(__file__).resolve().parents[1] / "devices").glob("*.json"))
@@ -80,10 +80,8 @@ def b1_model_trace(kind):
     """B1 at Phi = 0.3, all analysis channels: the p1 decay or the readout signal."""
     spec = diagonalize(params_of("B1"), FluxBias(0.3), n_levels=6)
     model = BiasModel(spec, resonator_of("B1"), environment_of("B1"))
-    times, populations = model.decay()
-    if kind == "population":
-        return times, populations[:, 1]
-    return times, np.abs(populations @ model.weights)
+    times, populations, signal = model.decay()
+    return times, populations[:, 1] if kind == "population" else signal
 
 
 class TestBuildRateMatrix:
@@ -383,11 +381,9 @@ class TestSimulateSignal:
     def test_identical_weights_give_constant_signal(self, b1_half_flux_spectrum,
                                                     b1_environment, b1_resonator):
         model = BiasModel(b1_half_flux_spectrum, b1_resonator, b1_environment)
-        rm = build_rate_matrix(model.rates())
-        populations = evolve(rm, model.p0, np.logspace(-6, -2, 30))
-        signal = np.abs(populations @ model.weights)
+        _, populations, signal = model.decay()
         # replaying the trace with equal weights collapses the signal
-        flat = np.abs(populations @ np.full(rm.n, 0.5))
+        flat = np.abs(populations @ np.full(model.spec.n_levels, 0.5))
         np.testing.assert_allclose(flat, 0.5, atol=1e-9)
         assert np.ptp(signal) > 0  # the real weights resolve the decay
 
@@ -395,8 +391,8 @@ class TestSimulateSignal:
         env = environment_of("B1")
         spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
         model = BiasModel(spec, b1_resonator, env)
-        times, populations = model.decay()
-        fit = fit_exponential(times, np.abs(populations @ model.weights))
+        times, _, signal = model.decay()
+        fit = fit_exponential(times, signal)
         gamma = two_level_total_rate(spec, b1_resonator, env)
         assert fit.t1 == pytest.approx(1.0 / gamma, rel=1e-9)
         assert fit.residual_rms < 1e-12
@@ -435,11 +431,8 @@ class TestSignalModelDistortion:
         env = environment_of("B2")
         spec = diagonalize(params, FluxBias(0.185), n_levels=6)
         model = BiasModel(spec, res, env)
-        times, populations = model.decay()
+        times, populations, signal = model.decay()
         fit_p1 = fit_exponential(times, populations[:, 1])
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            signal = np.abs(populations @ model.weights)
         fit_s = fit_exponential(times, signal)
         deviation = abs(fit_p1.t1 - fit_s.t1) / fit_p1.t1
         assert 0.10 <= deviation <= 0.20
@@ -476,7 +469,7 @@ class TestExponentialness:
             spec = diagonalize(params, FluxBias(phi), n_levels=6)
             model = BiasModel(spec, res, env)
             ms.append(exponentialness(build_rate_matrix(model.rates()), model.p0)[0])
-            times, populations = model.decay()
+            times, populations, _ = model.decay()
             fit = fit_exponential(times, populations[:, 1])
             residuals.append(fit.residual_rms / abs(fit.amplitude))
         peak = int(np.argmax(ms))
@@ -484,40 +477,23 @@ class TestExponentialness:
         assert residuals[peak] < 0.01  # still effectively exponential
 
 
-def _heralded(model):
-    times, populations = model.decay()
-    return heralded_misassignment_error(times, populations,
-                                        fit_exponential(times, populations[:, 1]))
-
-
 class TestHeraldedMisassignment:
-    def test_two_levels_vanish(self, b1_params, b1_resonator):
-        env = environment_of("B1")
-        spec = diagonalize(b1_params, FluxBias(0.5), n_levels=2)
-        model = BiasModel(spec, b1_resonator, env)
-        to_ground, to_excited = _heralded(model)
-        assert to_ground == 0.0
-        assert to_excited == 0.0
+    # simulate-decay's misassignment errors: the lumped p1 + sum_{i>=2} p_i
+    # fit against the level-1 fit
+    def test_two_levels_vanish(self):
+        data = simulate_decay("B1", 0.5, levels=2)
+        assert data["misassignment_to_ground_relative_error"] == 0.0
+        assert data["misassignment_to_excited_relative_error"] == 0.0
 
-    def test_to_ground_exactly_zero_by_construction(self, b1_half_flux_spectrum,
-                                                    b1_environment, b1_resonator):
-        model = BiasModel(b1_half_flux_spectrum, b1_resonator, b1_environment)
-        to_ground, _ = _heralded(model)
-        assert to_ground == 0.0
+    def test_to_ground_exactly_zero_by_construction(self):
+        assert simulate_decay("B1", 0.5)["misassignment_to_ground_relative_error"] == 0.0
 
     def test_b2_sweep_peak_band(self):
         # the lumped-population fit deviates most where higher levels carry
         # weight; magnitude and location must reproduce the reported analysis
-        params = params_of("B2")
-        res = resonator_of("B2")
-        env = environment_of("B2")
-        errs = []
         fluxes = np.linspace(0.0, 0.5, 51)
-        for phi in fluxes:
-            spec = diagonalize(params, FluxBias(phi), n_levels=6)
-            model = BiasModel(spec, res, env)
-            _, to_excited = _heralded(model)
-            errs.append(abs(to_excited))
+        errs = [abs(simulate_decay("B2", phi)["misassignment_to_excited_relative_error"])
+                for phi in fluxes]
         peak = int(np.argmax(errs))
         assert 0.08 <= errs[peak] <= 0.18
         assert 0.0 <= fluxes[peak] <= 0.3
@@ -650,6 +626,19 @@ class TestBiasModel:
         assert sorted(built) == sorted(ANALYSIS_MECHANISMS)
         assert all(model.p0 is models[0].p0 for model in models)
         assert all(model.weights is models[0].weights for model in models)
+
+    @pytest.mark.parametrize("device", SHIPPED_DEVICES, ids=lambda path: path.stem)
+    def test_weights_are_contiguous_real_parts_of_the_rotated_points(self, device):
+        # every reader of the weights sums the same contiguous row, so the
+        # signal's last bit cannot depend on who copied them
+        dev = parse_device_file(str(device))
+        res = dev.resonator_params()
+        spec = diagonalize(dev.fluxonium_params(), FluxBias(0.3), n_levels=6)
+        weights = BiasModel(spec, res, dev.environment()).weights
+        chi = [dispersive_shift(spec, res, i) for i in range(spec.n_levels)]
+        points = [s21(res, c, res.omega_res + chi[0]) for c in chi]
+        assert weights.flags.c_contiguous and not weights.flags.writeable
+        assert weights.tolist() == rotate_for_contrast(points)[1].real.tolist()
 
     @pytest.mark.parametrize("changed", ["resonator", *(
         f.name for f in fields(Environment) if f.name not in ("qc_eff", "epsilon"))])

@@ -405,8 +405,10 @@ MISSING = object()
 
 @pytest.mark.parametrize("key, value", [
     ("qceff", True), ("freq_hz", "6e9"), ("n_binned", 2.9), ("n_binned", MISSING),
+    ("freq_hz", MISSING), ("qceff", MISSING),
     ("qubit_id", [1, 2]), ("qubit_id", 7), ("qubit_id", MISSING),
 ], ids=["qceff_bool", "freq_hz_text", "n_binned_fraction", "n_binned_missing",
+        "freq_hz_missing", "qceff_missing",
         "qubit_id_list", "qubit_id_number", "qubit_id_missing"])
 def test_entry_value_outside_its_json_type_is_a_data_error_naming_the_key(
         tmp_path, capsys, key, value):
@@ -428,6 +430,8 @@ def test_entry_value_outside_its_json_type_is_a_data_error_naming_the_key(
     error = json.loads(err)["error"]
     assert error["type"] == "DataError"
     assert str(bad) in error["message"] and key in error["message"]
+    if key != "qubit_id":
+        assert "entry 1" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["compare", "extract-qceff", "spectrum"])
@@ -714,8 +718,9 @@ class TestCli:
         code, _, _ = run_cli(["simulate-decay", "--device", a1_device, "--flux", "0.3"],
                              capsys)
         assert code == 0
-        # level-1 population, readout signal, lumped excited population
-        assert len(calls) == 3
+        # one stacked call: level-1 population, readout signal, lumped
+        # excited population
+        assert [np.shape(signal) for signal in calls] == [(3, 51)]
 
     def test_compare_identical_distributions_p_one(self, tmp_path, result_schema,
                                                    capsys):
@@ -1305,6 +1310,36 @@ class TestPinnedOutputs:
         assert out == (GOLDEN / "simulate_decay" / "a3.json").read_text()
         assert (tmp_path / "trace.csv").read_bytes() == (
             GOLDEN / "simulate_decay" / "a3_trace.csv").read_bytes()
+
+    def test_simulate_decay_prints_the_t1s_predict_t1_prints(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # both commands fit the model's one readout signal and level-1
+        # population: over 11 biases of every shipped device, simulate-decay's
+        # T1s equal predict-t1's analysis total bit for bit wherever both
+        # determine them
+        compared, differ = 0, []
+        for name in SHIPPED_DEVICES:
+            device = self._device_cwd(name, tmp_path, monkeypatch)
+            code, out, _ = run_cli(["predict-t1", "--device", device, "--flux-points", "11",
+                                    "--mechanisms", "total", "--modes", "six_level,signal"],
+                                   capsys)
+            assert code == 0
+            predicted = {}
+            for row in csv.DictReader(out.splitlines()):
+                predicted.setdefault(row["phi_ext_phi0"], {})[row["mode"]] = float(row["t1_s"])
+            for phi, t1 in predicted.items():
+                code, out, _ = run_cli(["simulate-decay", "--device", device, "--flux", phi],
+                                       capsys)
+                assert code in (0, 3)
+                if code or math.isnan(t1["six_level"]) or math.isnan(t1["signal"]):
+                    continue
+                data = json.loads(out)["data"]
+                compared += 1
+                if (data["t1_population_s"], data["t1_signal_s"]) != (
+                        t1["six_level"], t1["signal"]):
+                    differ.append((name, phi))
+        assert compared > 80
+        assert differ == []
 
     @pytest.mark.parametrize("name", SHIPPED_DEVICES)
     def test_spectrum_is_byte_identical(self, name, tmp_path, monkeypatch, capsys):
