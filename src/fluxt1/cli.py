@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import BiasModel, T1Mode, fit_exponential, multilevel_t1
+from .dynamics import BiasModel, T1Mode, fit_exponential, model_t1
 from .errors import DataError, FluxT1Error, ModelTraceWarning, QuasiparticleEnergyWarning
 from .hamiltonian import FluxBias, diagonalize
 from .io import (
@@ -89,17 +89,15 @@ def _flux_grid(args) -> np.ndarray:
     return np.linspace(args.flux_start, args.flux_stop, args.flux_points)
 
 
-def _add_flux_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--flux", type=_within(), default=None,
-                   help="single flux bias in Phi0 units (overrides the grid)")
-    p.add_argument("--flux-start", type=_within(), default=0.0)
-    p.add_argument("--flux-stop", type=_within(), default=0.5)
-    p.add_argument("--flux-points", type=_within(0, np.inf, int), default=51)
-
-
-# The model and ingest options, each defined once; a command takes only those
-# that can change its output.
+# Each option defined once: every option that several commands take sits here,
+# and one that a single command takes sits here or in its entry of _COMMANDS.
 _OPTIONS = {
+    "--device": dict(required=True),
+    "--flux": dict(type=_within(), default=None,
+                   help="single flux bias in Phi0 units (overrides the grid)"),
+    "--flux-start": dict(type=_within(), default=0.0),
+    "--flux-stop": dict(type=_within(), default=0.5),
+    "--flux-points": dict(type=_within(0, np.inf, int), default=51),
     "--levels": dict(type=_within(1, np.inf, int), default=6,
                      help="retained circuit levels (a run in two_level mode alone solves 2)"),
     "--qceff": dict(type=float, default=Environment.qc_eff,
@@ -118,12 +116,10 @@ _OPTIONS = {
     "--dist": dict(action="append", required=True, help="an extract-qceff result file"),
     "--alpha": dict(type=_within(0.0, 1.0), default=DEFAULT_ALPHA,
                     help="significance level of the Welch intervals"),
+    "--out": dict(default=None),
 }
-
-
-def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(name, **_OPTIONS[name])
+_FLUX_GRID = ("--flux", "--flux-start", "--flux-stop", "--flux-points")
+_BATHS = ("--qubit-temp-k", "--res-temp-k")
 
 
 def _device_env(args, **fields):
@@ -201,10 +197,14 @@ def _cmd_predict_t1(args) -> int:
     # one solve and one model per bias; every row reads the model
     models = [BiasModel(diagonalize(params, FluxBias(float(phi)), n_levels=n_levels),
                         res, env) for phi in grid]
+    members = [(model, mechanisms) for model in models for mechanisms in selections]
+    # an entry the model cannot determine (its member's own error) is nan
+    failed = np.full((len(members), len(modes)), None, dtype=object)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ModelTraceWarning)
         warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
-        t1 = _t1_table(models, selections, modes)
+        t1 = model_t1(members, modes, errors=failed).reshape(
+            len(models), len(selections), len(modes))
     rows = []
     for f, (phi, model) in enumerate(zip(grid, models)):
         omega01 = model.spec.transition_frequency(0, 1)
@@ -214,42 +214,6 @@ def _cmd_predict_t1(args) -> int:
     _emit(csv_text(["mechanism", "mode", "phi_ext_phi0", "omega01_hz", "t1_s"], rows),
           args.out)
     return EXIT_OK
-
-
-def _t1_table(models, selections, modes) -> np.ndarray:
-    """(bias, selection, mode) array of the model T1s. Each (bias, selection)
-    member is read once: its 0<->1 pair rate, whose inverse is the two-level
-    T1 (inf where it vanishes), and, for the multilevel modes, its summed
-    rates, p0 and readout weights, which one stack evaluates once for all
-    modes. An entry the model cannot determine (its member's own error) is
-    nan."""
-    stacked = [mode for mode in dict.fromkeys(modes) if mode is not T1Mode.TWO_LEVEL]
-    members = [(model, mechanisms) for model in models for mechanisms in selections]
-    n = models[0].spec.n_levels
-    pair = np.full(len(members), np.nan)
-    rates, p0, weights = (np.zeros((len(members), n, n)), np.zeros((len(members), n)),
-                          np.zeros((len(members), n)))
-    failed = np.full((len(members), len(stacked)), None, dtype=object)
-    for k, (model, mechanisms) in enumerate(members):
-        try:
-            pair[k] = model.pair_rate(mechanisms)
-            if stacked:
-                rates[k], p0[k] = model.rates(mechanisms), model.p0
-        except FluxT1Error as exc:
-            failed[k] = exc
-            continue
-        if T1Mode.MULTILEVEL_SIGNAL in stacked:
-            try:
-                weights[k] = model.weights
-            except FluxT1Error as exc:
-                failed[k, stacked.index(T1Mode.MULTILEVEL_SIGNAL)] = exc
-    with np.errstate(divide="ignore"):
-        columns = {T1Mode.TWO_LEVEL: 1.0 / pair}
-    if stacked:
-        t1 = multilevel_t1(rates, p0, weights, stacked, failed)
-        columns.update((mode, t1[:, j]) for j, mode in enumerate(stacked))
-    return np.stack([columns[mode] for mode in modes], axis=-1).reshape(
-        len(models), len(selections), len(modes))
 
 
 def _cmd_simulate_decay(args) -> int:
@@ -406,73 +370,56 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+# each command's help, function and options in --help order: an _OPTIONS name,
+# or the (flag, definition) of an option that command alone takes
+_COMMANDS = {
+    "spectrum": ("eigenenergies and matrix elements over flux", _cmd_spectrum,
+                 ("--device", *_FLUX_GRID, "--levels", "--out")),
+    "predict-t1": ("model T1 curves per mechanism and mode", _cmd_predict_t1, (
+        "--device", *_FLUX_GRID, "--levels", "--qceff", "--epsilon", "--xqp", *_BATHS,
+        ("--mechanisms", dict(
+            default="capacitive,flux_noise,charge_line,flux_line,purcell,total",
+            help="comma list of channels; 'total' sums the analysis set "
+                 "(capacitive + flux noise + radiative)")),
+        ("--modes", dict(default="two_level,six_level",
+                         help="comma list from two_level, six_level, signal")),
+        "--out")),
+    "simulate-decay": ("decay signal with resonator pulls", _cmd_simulate_decay, (
+        "--device", ("--flux", dict(type=_within(), required=True)),
+        "--levels", "--qceff", "--epsilon", *_BATHS,
+        ("--points", dict(type=_within(3, np.inf, int), default=51)),
+        ("--trace-out", dict(default=None, help="CSV path for s(tau) and populations")),
+        "--out")),
+    "extract-qceff": ("invert measured T1 into quality factors", _cmd_extract_qceff, (
+        "--device", ("--t1-csv", dict(required=True)), "--levels", "--epsilon", *_BATHS,
+        "--bin-width-hz", "--exclusion-threshold", "--mode", "--out")),
+    "fit-epsilon": ("global frequency exponent over qubits", _cmd_fit_epsilon, (
+        ("--qubit", dict(nargs=2, action="append", required=True,
+                         metavar=("DEVICE_JSON", "T1_CSV"))),
+        "--levels", "--mode", "--bin-width-hz", "--exclusion-threshold",
+        ("--grid-start", dict(type=_within(), default=EPSILON_GRID[0])),
+        ("--grid-stop", dict(type=_within(), default=EPSILON_GRID[1])),
+        ("--grid-step", dict(type=_within(0.0), default=EPSILON_GRID[2])),
+        "--out")),
+    "fit-flux-noise": ("flux-noise amplitude from echo dephasing", _cmd_fit_flux_noise,
+                       ("--device", ("--dephasing-csv", dict(required=True)), "--out")),
+    "compare": ("summary statistics and pairwise Welch tests of one or more distributions",
+                _cmd_compare, ("--dist", "--alpha", "--out")),
+}
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     # built once per process: parse_args keeps no state between calls, and the
     # append options start from a fresh list each time
     parser = _Parser(prog="fluxt1", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spectrum", help="eigenenergies and matrix elements over flux")
-    p.add_argument("--device", required=True)
-    _add_flux_args(p)
-    _add_options(p, "--levels")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_spectrum)
-
-    p = sub.add_parser("predict-t1", help="model T1 curves per mechanism and mode")
-    p.add_argument("--device", required=True)
-    _add_flux_args(p)
-    _add_options(p, "--levels", "--qceff", "--epsilon", "--xqp", "--qubit-temp-k",
-                 "--res-temp-k")
-    p.add_argument("--mechanisms",
-                   default="capacitive,flux_noise,charge_line,flux_line,purcell,total",
-                   help="comma list of channels; 'total' sums the analysis set "
-                        "(capacitive + flux noise + radiative)")
-    p.add_argument("--modes", default="two_level,six_level",
-                   help="comma list from two_level, six_level, signal")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_predict_t1)
-
-    p = sub.add_parser("simulate-decay", help="decay signal with resonator pulls")
-    p.add_argument("--device", required=True)
-    p.add_argument("--flux", type=_within(), required=True)
-    _add_options(p, "--levels", "--qceff", "--epsilon", "--qubit-temp-k", "--res-temp-k")
-    p.add_argument("--points", type=_within(3, np.inf, int), default=51)
-    p.add_argument("--trace-out", default=None, help="CSV path for s(tau) and populations")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_simulate_decay)
-
-    p = sub.add_parser("extract-qceff", help="invert measured T1 into quality factors")
-    p.add_argument("--device", required=True)
-    p.add_argument("--t1-csv", required=True)
-    _add_options(p, "--levels", "--epsilon", "--qubit-temp-k", "--res-temp-k",
-                 "--bin-width-hz", "--exclusion-threshold", "--mode")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_extract_qceff)
-
-    p = sub.add_parser("fit-epsilon", help="global frequency exponent over qubits")
-    p.add_argument("--qubit", nargs=2, action="append", required=True,
-                   metavar=("DEVICE_JSON", "T1_CSV"))
-    _add_options(p, "--levels", "--mode", "--bin-width-hz", "--exclusion-threshold")
-    p.add_argument("--grid-start", type=_within(), default=EPSILON_GRID[0])
-    p.add_argument("--grid-stop", type=_within(), default=EPSILON_GRID[1])
-    p.add_argument("--grid-step", type=_within(0.0), default=EPSILON_GRID[2])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fit_epsilon)
-
-    p = sub.add_parser("fit-flux-noise", help="flux-noise amplitude from echo dephasing")
-    p.add_argument("--device", required=True)
-    p.add_argument("--dephasing-csv", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_fit_flux_noise)
-
-    p = sub.add_parser("compare", help="summary statistics and pairwise Welch tests "
-                                       "of one or more distributions")
-    _add_options(p, "--dist", "--alpha")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_compare)
-
+    for name, (help_text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            flag, definition = option if isinstance(option, tuple) else (option, _OPTIONS[option])
+            p.add_argument(flag, **definition)
+        p.set_defaults(func=func)
     return parser
 
 

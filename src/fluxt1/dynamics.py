@@ -16,8 +16,10 @@ so an unstacked call raises as it always has.
 ``multilevel_t1`` runs the multilevel model over a stack of summed rate
 tables: each member relaxes once for every mode, and all of the stack's
 traces are fitted in one call. ``BiasModel`` holds the model at one flux
-bias; its ``decay`` and ``t1`` are stacks of one, and its two-level mode reads
-the 0<->1 ``pair_rate`` instead. The one mode-level fact the model reads is
+bias; ``model_t1`` reads a stack of (model, mechanisms) members in any modes,
+the two-level one through the 0<->1 ``pair_rate``, the multilevel ones as one
+``multilevel_t1`` stack, and ``BiasModel.decay`` and ``BiasModel.t1`` are
+stacks of one. The one mode-level fact the model reads is
 the dominant decay rate, which sets each trace's time grid
 (``default_time_grid``). A trace the model keeps but doubts, for a complex
 generator eigenpair, renormalized populations or a decay fit above
@@ -46,7 +48,7 @@ from operator import attrgetter
 import numpy as np
 
 from .constants import H, K_B
-from .errors import FitError, ModelTraceWarning, NumericalError
+from .errors import FitError, FluxT1Error, ModelTraceWarning, NumericalError
 from .hamiltonian import FluxBias, FluxoniumParams, Spectrum, diagonalize
 from .loss import (
     ANALYSIS_MECHANISMS,
@@ -705,22 +707,57 @@ class BiasModel:
 
     def t1(self, mode: T1Mode = T1Mode.MULTILEVEL_SIGNAL, mechanisms=ANALYSIS_MECHANISMS,
            qc_eff: float | None = None) -> float:
-        """Model T1 (s) from the selected channels, at qc_eff if given.
+        """Model T1 (s) from the selected channels, at qc_eff if given:
+        ``model_t1`` as a stack of one."""
+        return float(model_t1([(self, mechanisms)], (mode,), qc_eff)[0, 0])
 
-        two_level inverts the sum of 0<->1 rates; the multilevel modes are
-        ``multilevel_t1`` as a stack of one: an exponential fitted to the p1
-        decay or to the readout signal |p . weights| on the grid the dominant
-        mode sets, with a warning when the fit residual exceeds
-        FIT_RESIDUAL_GATE of the amplitude. A zero 0<->1 rate sum, or no path
-        of nonzero rates from level 1 to level 0, gives inf.
-        """
-        mode = T1Mode(mode)
-        if mode is T1Mode.TWO_LEVEL:
-            rate = self.pair_rate(mechanisms, qc_eff)
-            return 1.0 / rate if rate else math.inf
-        weights = self.weights[None] if mode is T1Mode.MULTILEVEL_SIGNAL else None
-        return float(multilevel_t1(self.rates(mechanisms, qc_eff)[None], self.p0[None],
-                                   weights, (mode,))[0, 0])
+
+def model_t1(members, modes, qc_eff: float | None = None, errors=None) -> np.ndarray:
+    """Model T1 (s) of each (BiasModel, mechanisms) member in each mode, at
+    qc_eff if given: an (R, len(modes)) array.
+
+    Each member is read once. Where a mode is two_level it reads the 0<->1
+    ``pair_rate``, whose inverse is that T1 (inf where it vanishes); for the
+    multilevel modes it reads the summed ``rates``, ``p0`` and, in signal
+    mode, the readout ``weights``, which one ``multilevel_t1`` stack evaluates
+    for every mode: an exponential fitted to the p1 decay or to the readout
+    signal |p . weights|, inf where no path of nonzero rates leads from level
+    1 to level 0. A failed pair, rates or p0 read fails every mode of its
+    member, a failed weights read only signal mode.
+    """
+    modes = [T1Mode(m) for m in modes]
+    slots = _slots(errors, (len(members), len(modes))).reshape(-1, len(modes))
+    stacked = [mode for mode in dict.fromkeys(modes) if mode is not T1Mode.TWO_LEVEL]
+    n = members[0][0].spec.n_levels
+    pair = np.full(len(members), np.nan)
+    rates, p0, weights = (np.zeros((len(members), n, n)), np.zeros((len(members), n)),
+                          np.zeros((len(members), n)))
+    failed = np.full((len(members), len(stacked)), None, dtype=object)
+    for k, (model, mechanisms) in enumerate(members):
+        try:
+            if T1Mode.TWO_LEVEL in modes:
+                pair[k] = model.pair_rate(mechanisms, qc_eff)
+            if stacked:
+                rates[k], p0[k] = model.rates(mechanisms, qc_eff), model.p0
+        except FluxT1Error as exc:
+            slots[k] = failed[k] = exc
+            continue
+        if T1Mode.MULTILEVEL_SIGNAL in stacked:
+            try:
+                weights[k] = model.weights
+            except FluxT1Error as exc:
+                failed[k, stacked.index(T1Mode.MULTILEVEL_SIGNAL)] = exc
+    with np.errstate(divide="ignore"):
+        columns = {T1Mode.TWO_LEVEL: 1.0 / pair}
+    if stacked:
+        t1 = multilevel_t1(rates, p0, weights, stacked, failed)
+        columns.update((mode, t1[:, j]) for j, mode in enumerate(stacked))
+        for j, mode in enumerate(modes):
+            if mode is not T1Mode.TWO_LEVEL:
+                slots[:, j] = failed[:, stacked.index(mode)]
+    if errors is None:
+        _raise_first(slots.reshape(-1))
+    return np.stack([columns[mode] for mode in modes], axis=-1)
 
 
 def predicted_t1(

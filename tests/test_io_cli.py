@@ -482,6 +482,38 @@ def test_error_reading_a_records_data_names_the_record(tmp_path, monkeypatch, ca
     assert error["message"].startswith(where + "transition (0, 3) ")
 
 
+@pytest.mark.filterwarnings("ignore:decay fit residual")
+def test_predict_t1_reads_nan_only_in_the_modes_a_failed_read_reaches(tmp_path, capsys):
+    # the resonator sits on A1's half-flux 0->3 transition: the readout
+    # weights collide, so only signal mode fails; the rates and p0 read
+    from fluxt1.dynamics import BiasModel, T1Mode
+    from fluxt1.errors import ResonanceCollisionError
+    from fluxt1.io import parse_device_file
+    from fluxt1.loss import ANALYSIS_MECHANISMS
+
+    spec = diagonalize(FluxoniumParams(ej=3.54e9, ec=1.05e9, el=0.53e9), FluxBias(0.5),
+                       n_levels=6)
+    omega_03 = float(spec.energies[3] - spec.energies[0])
+    path = tmp_path / "dev.json"
+    path.write_text(json.dumps(dict(A1_ROW, omega_res_ghz=omega_03 / 1e9)))
+    code, out, _ = run_cli(["predict-t1", "--device", str(path), "--flux", "0.5",
+                            "--mechanisms", "capacitive,total",
+                            "--modes", "two_level,six_level,signal"], capsys)
+    assert code == 0
+    rows = list(csv.DictReader(out.splitlines()))
+    assert len(rows) == 6
+    assert [r["mode"] for r in rows if math.isnan(float(r["t1_s"]))] == ["signal", "signal"]
+    device = parse_device_file(str(path))
+    model = BiasModel(spec, device.resonator_params(), device.environment())
+    selections = {"capacitive": (Mechanism.CAPACITIVE,), "total": ANALYSIS_MECHANISMS}
+    modes = {"two_level": T1Mode.TWO_LEVEL, "six_level": T1Mode.MULTILEVEL_POPULATION}
+    for r in rows:
+        if r["mode"] in modes:
+            assert float(r["t1_s"]) == model.t1(modes[r["mode"]], selections[r["mechanism"]])
+    with pytest.raises(ResonanceCollisionError):
+        model.t1(T1Mode.MULTILEVEL_SIGNAL)
+
+
 def test_report_is_not_a_command(tmp_path, capsys):
     path = tmp_path / "dist.json"
     path.write_text(dist_envelope("X", [1e5, 2e5, 3e5]))
@@ -531,6 +563,53 @@ def test_consecutive_calls_share_only_the_parser(a1_device, tmp_path, capsys):
     assert compare(dists[1], dists[2]) == dists[1:]
     assert fit_epsilon(1) == [[a1_device, str(t1_path)]]
     assert _build_parser() is parser
+
+
+def test_each_option_is_defined_once_and_used(capsys):
+    # every _OPTIONS entry reaches at least one command, and each command's
+    # option strings, defaults and required flags, in --help order, are these
+    import argparse
+
+    from fluxt1.cli import _OPTIONS, _build_parser
+
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    taken = {name: [(" ".join(a.option_strings), a.default, a.required)
+                    for a in p._actions if a.dest != "help"]
+             for name, p in sub.choices.items()}
+    used = {flag for options in taken.values() for flag, _, _ in options}
+    assert [name for name in _OPTIONS if name not in used] == []
+    flux = [("--flux", None, False), ("--flux-start", 0.0, False),
+            ("--flux-stop", 0.5, False), ("--flux-points", 51, False)]
+    baths = [("--qubit-temp-k", None, False), ("--res-temp-k", None, False)]
+    ingest = [("--bin-width-hz", 8e6, False), ("--exclusion-threshold", 0.1, False)]
+    assert taken == {
+        "spectrum": [("--device", None, True), *flux, ("--levels", 6, False),
+                     ("--out", None, False)],
+        "predict-t1": [
+            ("--device", None, True), *flux, ("--levels", 6, False),
+            ("--qceff", 3e5, False), ("--epsilon", 0.25, False), ("--xqp", 0.0, False),
+            *baths,
+            ("--mechanisms", "capacitive,flux_noise,charge_line,flux_line,purcell,total",
+             False),
+            ("--modes", "two_level,six_level", False), ("--out", None, False)],
+        "simulate-decay": [
+            ("--device", None, True), ("--flux", None, True), ("--levels", 6, False),
+            ("--qceff", 3e5, False), ("--epsilon", 0.25, False), *baths,
+            ("--points", 51, False), ("--trace-out", None, False), ("--out", None, False)],
+        "extract-qceff": [
+            ("--device", None, True), ("--t1-csv", None, True), ("--levels", 6, False),
+            ("--epsilon", 0.25, False), *baths, *ingest,
+            ("--mode", "multilevel_signal", False), ("--out", None, False)],
+        "fit-epsilon": [
+            ("--qubit", None, True), ("--levels", 6, False),
+            ("--mode", "multilevel_signal", False), *ingest,
+            ("--grid-start", -1.0, False), ("--grid-stop", 1.0, False),
+            ("--grid-step", 0.05, False), ("--out", None, False)],
+        "fit-flux-noise": [("--device", None, True), ("--dephasing-csv", None, True),
+                           ("--out", None, False)],
+        "compare": [("--dist", None, True), ("--alpha", 0.05, False), ("--out", None, False)],
+    }
 
 
 def run_cli(args, capsys):
@@ -652,13 +731,13 @@ class TestCli:
         # one, no other
         import fluxt1.cli as cli_module
 
-        model = cli_module.multilevel_t1
+        model = cli_module.model_t1
 
         def warning(*args, **kwargs):
             warnings.warn("overflow encountered in a model evaluation", RuntimeWarning)
             return model(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "multilevel_t1", warning)
+        monkeypatch.setattr(cli_module, "model_t1", warning)
         with pytest.warns(RuntimeWarning, match="overflow encountered in a model evaluation"):
             code, _, _ = run_cli(["predict-t1", "--device", a1_device, "--flux", "0.3",
                                   "--modes", "six_level"], capsys)
