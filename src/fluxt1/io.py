@@ -192,8 +192,9 @@ def parse_device_file(path: str) -> DeviceFile:
 def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:
     """Records of a numeric CSV file, one per row: ``build`` maps each row's
     cells, as floats keyed by header column, to a record. An empty optional
-    cell reads None. Missing required and unknown columns, malformed rows
-    (named by line number) and files without rows are data errors."""
+    cell reads None. Missing required, unknown and duplicate columns,
+    malformed rows and rows with more cells than the header (both named by
+    line number) and files without rows are data errors."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -205,8 +206,13 @@ def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:
             unknown = [c for c in reader.fieldnames if c not in required + optional]
             if unknown:
                 raise DataError(f"{path}: unknown columns {unknown}")
+            duplicate = [c for c in required + optional if reader.fieldnames.count(c) > 1]
+            if duplicate:
+                raise DataError(f"{path}: duplicate columns {duplicate}")
             records = []
             for row_num, row in enumerate(reader, start=2):
+                if None in row:  # DictReader's key of the cells past the header
+                    raise DataError(f"{path}: row {row_num} has more cells than the header")
                 try:
                     records.append(build({
                         c: float(row[c]) if c in required or row[c] else None

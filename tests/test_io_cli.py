@@ -306,6 +306,38 @@ def test_unknown_csv_column_is_a_data_error_naming_it(
     assert column in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("command, text, column", [
+    ("extract-qceff", "phi_ext,t1_s,t1_s\n0.3,1e-4,5e-4\n", "t1_s"),
+    ("fit-flux-noise", "phi_ext,gamma_phi_e_per_s,phi_ext\n0.2,1e4,0.3\n0.3,1e4,0.4\n",
+     "phi_ext"),
+], ids=["t1", "dephasing"])
+def test_duplicated_csv_column_is_a_data_error_naming_it(
+        a1_device, tmp_path, capsys, command, text, column):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    flag = "--t1-csv" if command == "extract-qceff" else "--dephasing-csv"
+    code, out, err = run_cli([command, "--device", a1_device, flag, str(path)], capsys)
+    assert (code, out) == (2, "")
+    message = json.loads(err)["error"]["message"]
+    assert str(path) in message and f"duplicate columns ['{column}']" in message
+
+
+@pytest.mark.parametrize("row", ["0.3,1e-4,999", "0.3,1e-4,"], ids=["number", "empty"])
+def test_csv_row_longer_than_its_header_is_a_data_error_naming_it(
+        a1_device, tmp_path, capsys, row):
+    path = tmp_path / "t1.csv"
+    path.write_text(f"phi_ext,t1_s\n0.2,1e-4\n{row}\n")
+    code, out, err = run_cli(["extract-qceff", "--device", a1_device, "--t1-csv", str(path),
+                              "--mode", "two_level"], capsys)
+    assert (code, out) == (2, "")
+    error = json.loads(err)["error"]
+    assert error["type"] == "DataError"
+    assert str(path) in error["message"] and "row 3 " in error["message"]
+    # a short row still reads its missing optional cell as None
+    path.write_text("phi_ext,t1_s,t1_err_s\n0.3,1e-4\n")
+    assert parse_t1_csv(str(path)).records[0].t1_err is None
+
+
 @pytest.mark.parametrize("text", ["[1, 2]", '{"schema": "other/v0"}', "{not json"],
                          ids=["not_an_object", "wrong_schema", "invalid_json"])
 def test_distribution_file_that_is_not_a_result_is_a_data_error(tmp_path, capsys, text):
