@@ -597,7 +597,7 @@ def test_consecutive_calls_share_only_the_parser(a1_device, tmp_path, capsys):
     assert _build_parser() is parser
 
 
-def test_each_option_is_defined_once_and_used(capsys):
+def test_every_table_option_is_used_and_each_command_takes_these():
     # every _OPTIONS entry reaches at least one command, and each command's
     # option strings, defaults and required flags, in --help order, are these
     import argparse
