@@ -1,7 +1,8 @@
 """Multilevel population dynamics, decay-signal synthesis, and T1 extraction.
 
 The per-mechanism rate tables sum into one generator B whose columns conserve
-probability; populations evolve as p(tau) = V exp(S tau) V^-1 p(0). The
+probability, so p_0 = 1 - sum_{i>=1} p_i and x = p[1:] relaxes under the
+deflated generator as x* + V exp(S tau) V^-1 (x(0) - x*) (``RateMatrix``). The
 relaxation time is always extracted by fitting an exponential to the full
 multi-mode solution (population of level 1, or the synthesized readout signal
 including higher-state resonator pulls), never by picking a single eigenvalue:
@@ -22,9 +23,9 @@ the two-level one through the 0<->1 ``pair_rate``, the multilevel ones as one
 stacks of one. The one mode-level fact the model reads is
 the dominant decay rate, which sets each trace's time grid
 (``default_time_grid``). A trace the model keeps but doubts, for a complex
-generator eigenpair, renormalized populations or a decay fit above
-FIT_RESIDUAL_GATE, warns with ``ModelTraceWarning``: a caller that evaluates
-many trial models silences that type, and no other warning.
+generator eigenpair, an eigenbasis that misses the initial state or a decay
+fit above FIT_RESIDUAL_GATE, warns with ``ModelTraceWarning``: a caller that
+evaluates many trial models silences that type, and no other warning.
 
 The fit of A exp(-t/T1) + C is a variable projection (Golub & Pereyra,
 Inverse Problems 19, R1 (2003)): for a fixed decay rate the model is linear
@@ -60,7 +61,7 @@ from .loss import (
 from .resonator import ResonatorParams, dressed_response
 
 _EIG_IMAG_RTOL = 1e-9
-_PROB_DRIFT_TOL = 1e-9
+_BASIS_MISS_TOL = 1e-9
 FIT_RESIDUAL_GATE = 1e-3  # fraction of fitted amplitude, for model-generated traces
 # the decay fit searches u = ln(1/T1): its first bracket reaches this far from
 # the log-linear estimate and doubles, up to FIT_BRACKET_SPAN either side
@@ -106,52 +107,39 @@ def _live(slots) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RateMatrix:
-    """Generators of the population master equation with cached eigensystems,
-    one per member of a stack (the leading axes of ``b``).
+    """Generators of the population master equation with their decay modes'
+    eigensystems, one per member of a stack (the leading axes of ``b``).
 
     b[..., j, i] holds the rate into j from i; diagonals are minus the column
-    off-diagonal sums, so columns sum to zero and probability is conserved.
+    off-diagonal sums, so columns sum to zero and p_0 = 1 - sum_{i>=1} p_i.
+    x = p[1:] obeys dx/dt = B' x + b[1:, 0], and the N - 1 eigenvalues of the
+    deflated B' = b[1:, 1:] - b[1:, 0] 1^T are exactly the decay eigenvalues
+    of b (W. J. Stewart, Introduction to the Numerical Solution of Markov
+    Chains (1994), ch. 1-2). ``stationary`` is x* = -B'^-1 b[1:, 0]; each
+    eigenvector v is scaled so that the full one, [-sum(v); v], has unit norm.
     """
 
     b: np.ndarray
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    n: int
+    stationary: np.ndarray
     _vinv: np.ndarray = field(repr=False, default=None)
 
     def __getitem__(self, members) -> RateMatrix:
         """The generators of the selected members of a stack."""
-        return RateMatrix(b=self.b[members], eigenvalues=self.eigenvalues[members],
-                          eigenvectors=self.eigenvectors[members], n=self.n,
-                          _vinv=self._vinv[members])
-
-    def stationary_indices(self, errors=None) -> np.ndarray:
-        """Index of each member's unique (near-)zero eigenvalue."""
-        shape = self.eigenvalues.shape[:-1]
-        slots = _slots(errors, shape)
-        mags = np.abs(self.eigenvalues).reshape(-1, self.n)
-        scale = mags.max(axis=1)
-        near = mags <= 1e-9 * scale[:, None]
-        count = near.sum(axis=1)
-        for k in np.flatnonzero((scale == 0.0) | (count != 1)):
-            slots[k] = NumericalError(
-                "all eigenvalues vanish; no unique stationary mode" if scale[k] == 0.0 else
-                f"expected exactly one zero eigenvalue, found {count[k]} "
-                f"within 1e-9 of scale {scale[k]:.3e}")
-        if errors is None:
-            _raise_first(slots)
-        return near.argmax(axis=1).reshape(shape)
+        return RateMatrix(*(getattr(self, f.name)[members] for f in fields(self)))
 
     def mode_coefficients(self, p0: np.ndarray) -> np.ndarray:
-        """Expansion coefficients c with p0 = V c, per member."""
-        p0 = np.asarray(p0, dtype=self._vinv.dtype)
-        return (self._vinv @ p0[..., None])[..., 0]
+        """Expansion coefficients c with p0[1:] - x* = V c, per member."""
+        x0 = np.asarray(p0, dtype=float)[..., 1:] - self.stationary
+        return (self._vinv @ x0[..., None])[..., 0]
 
 
 def _per_member(solve, a: np.ndarray, slots: np.ndarray, failure: str):
-    """``solve`` (eig or inv) over a stack of matrices. If it fails, each
-    member is solved alone: a failing one stores a NumericalError in its slot
-    and is solved as the identity, so its neighbours are unaffected."""
+    """``solve`` (eig, inv, or a linear solve, where a lone member broadcasts
+    against every right-hand side) over a stack of matrices. If it fails,
+    each member is solved alone: a failing one stores a NumericalError in its
+    slot and is solved as the identity, so its neighbours are unaffected."""
     try:
         return solve(a)
     except np.linalg.LinAlgError:
@@ -166,14 +154,23 @@ def _per_member(solve, a: np.ndarray, slots: np.ndarray, failure: str):
     return solve(a)
 
 
+def _reaches_ground(rates: np.ndarray) -> np.ndarray:
+    """Whether a path of nonzero rates[..., i, j] = Gamma_{i->j} leads from
+    each level to level 0: an (..., N) array, read from the pattern alone."""
+    linked = (rates != 0.0) | np.eye(rates.shape[-1], dtype=bool)
+    return np.linalg.matrix_power(linked, rates.shape[-1] - 1)[..., :, 0]
+
+
 def build_rate_matrix(rates: np.ndarray, errors=None) -> RateMatrix:
     """The master-equation generators of a stack of directional rates, decomposed.
 
     ``rates[..., i, j]`` is Gamma_{i->j} with every channel summed; the
     diagonal is ignored. The eigensystems are the ones ``np.linalg.eig``
-    returns for the stack: real, or complex for every member when one member
+    returns for the deflated stack: real, or complex for every member when one
     is; a member with a resolved complex pair (max |Im w| > 1e-9 max |Re w|)
-    warns. A member whose decomposition fails holds the identity's.
+    warns. A member with a level that no path of nonzero rates leads from to
+    level 0 (a reducible chain, told from its rates' pattern) fails and holds
+    the identity's eigensystem, as does one whose decomposition fails.
     """
     rates = np.asarray(rates, dtype=float)
     if rates.ndim < 2 or rates.shape[-1] != rates.shape[-2]:
@@ -182,27 +179,33 @@ def build_rate_matrix(rates: np.ndarray, errors=None) -> RateMatrix:
     n = rates.shape[-1]
     slots = _slots(errors, rates.shape[:-2])
     diag = np.arange(n)
-    # a C-ordered copy: the fills below leave the caller's rates alone, and
-    # b @ y sums each row contiguously (a transposed view rounds differently)
+    # a C-ordered copy, so the fills below leave the caller's rates alone
     b = np.swapaxes(rates, -1, -2).copy()
     b[..., diag, diag] = 0.0
     b[..., diag, diag] = -b.sum(axis=-2)
 
-    w, v = _per_member(np.linalg.eig, b, slots, "generator eigendecomposition failed")
+    deflated = b[..., 1:, 1:] - b[..., 1:, :1]
+    stuck = ~_reaches_ground(rates).reshape(-1, n).all(axis=1)
+    for k in np.flatnonzero(stuck):
+        slots[k] = NumericalError("reducible generator: a level has no path of nonzero "
+                                  "rates to level 0")
+    deflated.reshape(-1, n - 1, n - 1)[stuck] = np.eye(n - 1)
+    w, v = _per_member(np.linalg.eig, deflated, slots, "generator eigendecomposition failed")
     re = np.abs(w.real).max(axis=-1).reshape(-1)
     im = np.abs(w.imag).max(axis=-1).reshape(-1)
-    for k in np.flatnonzero(im > _EIG_IMAG_RTOL * np.where(re > 0.0, re, 1.0)):
-        warnings.warn(
-            "generator has a complex eigenpair (mixed-temperature baths can "
-            "drive steady-state cycles); keeping complex arithmetic",
-            ModelTraceWarning, stacklevel=2,
-        )
+    for _ in np.flatnonzero(im > _EIG_IMAG_RTOL * np.where(re > 0.0, re, 1.0)):
+        warnings.warn("generator has a complex eigenpair (mixed-temperature baths can "
+                      "drive steady-state cycles); keeping complex arithmetic",
+                      ModelTraceWarning, stacklevel=2)
+    v = v / np.sqrt(np.abs(v.sum(axis=-2, keepdims=True)) ** 2 + 1.0)
     vinv = _per_member(np.linalg.inv, v, slots, "eigenvector matrix is singular")
-    for arr in (b, w, v, vinv):
+    x = -_per_member(lambda a: np.linalg.solve(a, b[..., 1:, :1]), deflated, slots,
+                     "deflated generator is singular")[..., 0]
+    for arr in (b, w, v, x, vinv):
         arr.setflags(write=False)
     if errors is None:
         _raise_first(slots)
-    return RateMatrix(b=b, eigenvalues=w, eigenvectors=v, n=n, _vinv=vinv)
+    return RateMatrix(b=b, eigenvalues=w, eigenvectors=v, stationary=x, _vinv=vinv)
 
 
 def thermal_population(spec: Spectrum, temperature: float) -> np.ndarray:
@@ -225,20 +228,20 @@ def invert_computational(p: np.ndarray) -> np.ndarray:
 
 
 def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> np.ndarray:
-    """Propagate p(tau) = V exp(S tau) V^-1 p0 on each member's time grid.
+    """Propagate each member from p0 on its time grid: p = [1 - sum(x), x]
+    with x(tau) = x* + V exp(S tau) c and c = V^-1 (p0[1:] - x*).
 
     p0 is (..., N) and times (..., T) over the generators' batch axes; the
-    populations come back write-locked, (..., T, N), each row a probability
-    vector. A member whose rows drift from unit sum by more than 1e-9, which
-    signals an ill-conditioned eigenbasis, warns (``ModelTraceWarning``) and
-    has its rows renormalized; one whose trace keeps an imaginary part above
-    1e-9 fails.
+    populations come back write-locked, (..., T, N), each row summing to one
+    by construction. A member whose V c misses p0[1:] - x* by more than 1e-9,
+    which signals an ill-conditioned eigenbasis, warns (``ModelTraceWarning``);
+    one whose trace keeps an imaginary part above 1e-9 fails.
     """
     shape = rm.eigenvalues.shape[:-1]
     p0 = np.asarray(p0, dtype=float)
     times = np.asarray(times, dtype=float)
-    if p0.shape != shape + (rm.n,):
-        raise ValueError(f"p0 has shape {p0.shape}, expected {shape + (rm.n,)}")
+    if p0.shape != rm.b.shape[:-1]:
+        raise ValueError(f"p0 has shape {p0.shape}, expected {rm.b.shape[:-1]}")
     if np.any(np.abs(p0.sum(axis=-1) - 1.0) > 1e-9) or np.any(p0 < -1e-12):
         raise ValueError("p0 is not a probability vector")
     if times.ndim == 0:
@@ -248,25 +251,23 @@ def evolve(rm: RateMatrix, p0: np.ndarray, times: np.ndarray, errors=None) -> np
         raise ValueError("times must be nonnegative")
     slots = _slots(errors, shape)
 
-    modes = times[..., :, None] * rm.eigenvalues[..., None, :]  # (..., T, N)
+    c = rm.mode_coefficients(p0)
+    miss = np.abs((rm.eigenvectors @ c[..., None])[..., 0] - (p0[..., 1:] - rm.stationary))
+    miss = miss.max(axis=-1).reshape(-1)
+    modes = times[..., :, None] * rm.eigenvalues[..., None, :]  # (..., T, N - 1)
     np.exp(modes, out=modes)
-    modes *= rm.mode_coefficients(p0)[..., None, :]
-    pops = modes @ np.swapaxes(rm.eigenvectors, -1, -2)
-    if np.iscomplexobj(pops):
-        leak = np.abs(pops.imag).max(axis=(-2, -1)).reshape(-1)
+    modes *= c[..., None, :]
+    x = modes @ np.swapaxes(rm.eigenvectors, -1, -2)
+    if np.iscomplexobj(x):
+        leak = np.abs(x.imag).max(axis=(-2, -1)).reshape(-1)
         for k in np.flatnonzero(leak > 1e-9):
             slots[k] = NumericalError("population trace has a non-negligible imaginary part")
-        pops = np.ascontiguousarray(pops.real)
-
-    rows = pops.reshape(-1, *pops.shape[-2:])
-    drift = np.abs(rows.sum(axis=2) - 1.0).max(axis=1)
+    x = x.real + rm.stationary[..., None, :]
     for k in _live(slots):
-        if drift[k] > _PROB_DRIFT_TOL:
-            warnings.warn(
-                f"probability drifted by up to {drift[k]:.3e}; renormalizing rows",
-                ModelTraceWarning, stacklevel=2,
-            )
-            rows[k] = rows[k] / rows[k].sum(axis=1, keepdims=True)
+        if miss[k] > _BASIS_MISS_TOL:
+            warnings.warn(f"eigenbasis misses the initial state by {miss[k]:.3e} at t = 0",
+                          ModelTraceWarning, stacklevel=2)
+    pops = np.concatenate([1.0 - x.sum(axis=-1, keepdims=True), x], axis=-1)
     pops.setflags(write=False)
     if errors is None:
         _raise_first(slots)
@@ -467,9 +468,8 @@ def fit_exponential(times, signal, errors=None) -> DecayFit:
 def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51,
                       errors=None) -> np.ndarray:
     """Log-spaced grids spanning [T/50, 8T], an (..., n_points) array: 1/T
-    is the decay rate -Re(lambda) of each member's dominant mode, the
-    non-stationary mode whose coefficient c (p0 = V c) has the greatest
-    |c|^2.
+    is the decay rate -Re(lambda) of each member's dominant mode, the decay
+    mode whose coefficient c (p0[1:] - x* = V c) has the greatest |c|^2.
 
     Modes whose |c|^2 lies within 1e-12 relative of the greatest tie (a
     degenerate pair, or the two modes of a complex pair), and the slowest of
@@ -478,13 +478,11 @@ def default_time_grid(rm: RateMatrix, p0: np.ndarray, n_points: int = 51,
     """
     shape = rm.eigenvalues.shape[:-1]
     slots = _slots(errors, shape)
-    stationary = rm.stationary_indices(slots.reshape(shape)).reshape(-1)
-    overlaps = (np.abs(rm.mode_coefficients(p0)) ** 2).reshape(-1, rm.n)
-    overlaps[np.arange(overlaps.shape[0]), stationary] = -1.0  # never a candidate
+    overlaps = (np.abs(rm.mode_coefficients(p0)) ** 2).reshape(-1, rm.eigenvalues.shape[-1])
     top = overlaps.max(axis=1, keepdims=True)
-    first = np.arange(rm.n) == overlaps.argmax(axis=1)[:, None]
+    first = np.arange(overlaps.shape[1]) == overlaps.argmax(axis=1)[:, None]
     tied = ((top - overlaps <= 1e-12 * top) & (top > 0.0)) | first
-    rate = np.where(tied, -np.real(rm.eigenvalues).reshape(-1, rm.n), np.inf).min(axis=1)
+    rate = np.where(tied, -np.real(rm.eigenvalues).reshape(overlaps.shape), np.inf).min(axis=1)
     for k in _live(slots):
         if rate[k] <= 0.0:
             slots[k] = NumericalError("dominant mode does not decay; cannot scale a time grid")
@@ -530,12 +528,13 @@ def decays(rates: np.ndarray, p0: np.ndarray, n_points: int = 51, errors=None):
     a parity split): level 1 then never decays.
     """
     rates = np.asarray(rates, dtype=float)
-    n = rates.shape[-1]
     slots = _slots(errors, rates.shape[:1])
-    rm = build_rate_matrix(rates, slots)
-    reached = np.linalg.matrix_power(rm.b != 0.0, n - 1)[:, 0, 1]
+    reached = _reaches_ground(rates)[:, 1]
+    built = np.full(slots.shape, None, dtype=object)
+    rm = build_rate_matrix(rates, built)
+    slots[reached] = np.where(np.equal(built, None), slots, built)[reached]
     times = np.full((rates.shape[0], n_points), np.nan)
-    populations = np.full((rates.shape[0], n_points, n), np.nan)
+    populations = np.full((rates.shape[0], n_points, rates.shape[-1]), np.nan)
     live = _live(slots)
     for members, group in _arithmetic_groups(rm, rates, live[reached[live]]):
         failed = np.full(members.size, None, dtype=object)

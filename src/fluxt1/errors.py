@@ -54,8 +54,8 @@ class DegenerateSampleError(FluxT1Error):
 
 
 class NumericalError(FluxT1Error):
-    """Two redundant numerical routes disagreed beyond tolerance, or an
-    eigendecomposition failed."""
+    """Two redundant numerical routes disagreed beyond tolerance, a solve or
+    an eigendecomposition failed, or a generator is reducible."""
 
 
 class DataError(FluxT1Error):
@@ -64,8 +64,8 @@ class DataError(FluxT1Error):
 
 class ModelTraceWarning(UserWarning):
     """One model trace is suspect but kept: its generator has a complex
-    eigenpair, its populations were renormalized, or its decay fit exceeds
-    the residual gate. A caller that evaluates many trial models may
+    eigenpair, its eigenbasis misses its initial state, or its decay fit
+    exceeds the residual gate. A caller that evaluates many trial models may
     silence this type, and this type alone."""
 
 

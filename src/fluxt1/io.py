@@ -210,16 +210,17 @@ def _read_csv(path: str, required: tuple, optional: tuple, build) -> list:
             if duplicate:
                 raise DataError(f"{path}: duplicate columns {duplicate}")
             records = []
-            for row_num, row in enumerate(reader, start=2):
+            for row in reader:  # named by line_num: DictReader skips blank lines
                 if None in row:  # DictReader's key of the cells past the header
-                    raise DataError(f"{path}: row {row_num} has more cells than the header")
+                    raise DataError(f"{path}: row {reader.line_num} has more cells than "
+                                    "the header")
                 try:
                     records.append(build({
                         c: float(row[c]) if c in required or row[c] else None
                         for c in reader.fieldnames
                     }))
                 except (TypeError, ValueError) as exc:
-                    raise DataError(f"{path}: malformed row {row_num}: {exc}") from exc
+                    raise DataError(f"{path}: malformed row {reader.line_num}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not records:

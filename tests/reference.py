@@ -66,32 +66,37 @@ def two_level_qceff_closed_form(
 
 
 def stationary_distribution(rm: RateMatrix) -> np.ndarray:
-    """Zero-mode eigenvectors normalized to unit 1-norm (probability vectors)."""
-    s = rm.stationary_indices()[..., None, None]
-    v0 = np.real(np.take_along_axis(rm.eigenvectors, s, axis=-1))[..., 0]
+    """The zero mode of the full generator b, found apart from the package's
+    deflation: the eigenvector of ``np.linalg.eig(rm.b)`` whose eigenvalue
+    has the least |lambda|, normalized to unit 1-norm (a probability vector)."""
+    w, v = np.linalg.eig(rm.b)
+    s = np.abs(w).argmin(axis=-1)[..., None, None]
+    v0 = np.real(np.take_along_axis(v, s, axis=-1))[..., 0]
     return v0 / v0.sum(axis=-1, keepdims=True)
 
 
 def exponentialness(rm: RateMatrix, p0) -> tuple[float, int | None]:
-    """(m, dominant_index) of one generator: m is the Euclidean norm of the
-    residual of p0 outside the stationary mode and the dominant decay mode,
-    the non-stationary one whose coefficient c (p0 = V c) has the greatest
-    |c|^2. Zero means the decay is exactly single exponential (always the
-    case for two levels).
+    """(m, dominant_index) of one generator, from its own ``np.linalg.eig(rm.b)``
+    and apart from the package's deflation: m is the Euclidean norm of the
+    residual of p0 outside the zero mode (the least |lambda|) and the dominant
+    decay mode, the other one whose coefficient c (p0 = V c) has the greatest
+    |c|^2; dominant_index is that mode's index in this eig's order. Zero
+    means the decay is exactly single exponential (always the case for two
+    levels).
 
     Where a second decay mode's |c|^2 lies within 1e-12 relative of the
     greatest, the dynamics are degenerate and no mode dominates: (nan, None).
     """
     p0 = np.asarray(p0, dtype=float)
-    c = rm.mode_coefficients(p0)
-    s_idx = int(rm.stationary_indices())
+    w, v = np.linalg.eig(rm.b)
+    c = np.linalg.inv(v) @ p0.astype(v.dtype)
+    s_idx = int(np.abs(w).argmin())
     overlaps = np.abs(c) ** 2
     overlaps[s_idx] = -1.0  # never a candidate
     k_max = int(np.argmax(overlaps))
     top, second = np.sort(overlaps)[::-1][:2]
     if top > 0.0 and top - second <= 1e-12 * top:
         return math.nan, None
-    v = rm.eigenvectors
     delta = p0 - c[s_idx] * v[:, s_idx] - c[k_max] * v[:, k_max]
     # p0 is real; only a complex dominant mode leaves an imaginary part
     return float(np.linalg.norm(delta.real)), k_max

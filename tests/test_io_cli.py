@@ -219,6 +219,16 @@ class TestT1Csv:
         with pytest.raises(DataError, match="row 3"):
             parse_t1_csv(str(path))
 
+    def test_rows_after_a_blank_line_report_their_line_number(self, tmp_path):
+        # DictReader skips the blank line 3, so counting rows would say row 3
+        path = tmp_path / "t1.csv"
+        path.write_text("phi_ext,t1_s\n0.2,1e-4\n\n0.3,x\n")
+        with pytest.raises(DataError, match="malformed row 4: "):
+            parse_t1_csv(str(path))
+        path.write_text("phi_ext,t1_s\n0.2,1e-4\n\n0.3,1e-4,5\n")
+        with pytest.raises(DataError, match="row 4 has more cells than the header"):
+            parse_t1_csv(str(path))
+
     def test_empty_data_rejected(self, tmp_path):
         path = tmp_path / "t1.csv"
         path.write_text("phi_ext,t1_s\n")
@@ -716,19 +726,19 @@ class TestCli:
         assert 0.0 < float(t1["capacitive"]) < math.inf
 
     def test_predict_t1_failing_member_is_nan_alone(self, capsys):
-        # b1's purcell generator has two zero modes at this bias: its
-        # multilevel rows fail, its stack neighbours and its two-level row do not
-        device = Path(__file__).resolve().parents[1] / "devices" / "b1.json"
+        # a1's flux-noise signal trace has no least-squares decay time on its
+        # grid at this bias: that row fails, its stack neighbours, its
+        # population row and its two-level row do not
+        device = Path(__file__).resolve().parents[1] / "devices" / "a1.json"
         code, out, _ = run_cli(
-            ["predict-t1", "--device", str(device), "--flux-start", "0.36932908630238703",
-             "--flux-stop", "0.4", "--flux-points", "2", "--mechanisms", "purcell,total",
+            ["predict-t1", "--device", str(device), "--flux-start", "0.24115643339926668",
+             "--flux-stop", "0.4", "--flux-points", "2", "--mechanisms", "flux_noise,total",
              "--modes", "two_level,six_level,signal"], capsys)
         assert code == 0
         rows = list(csv.DictReader(out.splitlines()))
         failed = {(r["phi_ext_phi0"], r["mechanism"], r["mode"])
                   for r in rows if not math.isfinite(float(r["t1_s"]))}
-        assert failed == {("0.36932908630238703", "purcell", mode)
-                          for mode in ("six_level", "signal")}
+        assert failed == {("0.24115643339926668", "flux_noise", "signal")}
         assert len(rows) == 12
 
     @pytest.mark.filterwarnings("ignore:decay fit residual")

@@ -394,7 +394,7 @@ class TestInversionContract:
         "decay fit residual exceeds the model-signal gate (0.001 of amplitude)",
         "generator has a complex eigenpair (mixed-temperature baths can drive steady-state "
         "cycles); keeping complex arithmetic",
-        "probability drifted by up to 2.000e-09; renormalizing rows",
+        "eigenbasis misses the initial state by 2.000e-09 at t = 0",
     ]
 
     @pytest.mark.parametrize("message", TRACE_MESSAGES)
