@@ -529,9 +529,11 @@ def decays(rates: np.ndarray, p0: np.ndarray, n_points: int = 51, errors=None):
     """
     rates = np.asarray(rates, dtype=float)
     slots = _slots(errors, rates.shape[:1])
-    reached = _reaches_ground(rates)[:, 1]
     built = np.full(slots.shape, None, dtype=object)
     rm = build_rate_matrix(rates, built)
+    reached = np.equal(built, None)  # a member that builds reaches level 0 from every level
+    if not reached.all():
+        reached[~reached] = _reaches_ground(rates[~reached])[:, 1]
     slots[reached] = np.where(np.equal(built, None), slots, built)[reached]
     times = np.full((rates.shape[0], n_points), np.nan)
     populations = np.full((rates.shape[0], n_points, rates.shape[-1]), np.nan)

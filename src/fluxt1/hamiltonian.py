@@ -16,7 +16,9 @@ LC basis (Light & Carrington, Adv. Chem. Phys. 114, 263 (2000), on fitting
 a grid to the potential). The truncation starts at 40 oscillator states and
 grows until the retained energies are stable to one part in 1e9, so results
 do not depend on the starting truncation; each solve computes only the
-retained levels, not the whole basis spectrum.
+retained levels, not the whole basis spectrum, by LAPACK's dsyevr called
+directly with the arguments and workspace of scipy.linalg.eigh(h,
+subset_by_index=[0, n - 1]): eigh's bits, without its per-call overhead.
 
 All functions here are pure. A ``Spectrum``'s arrays are write-locked; its
 ``memo`` only holds values that downstream layers derive from those arrays,
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cython_lapack, eigh, eigh_tridiagonal
+from scipy.linalg import cython_lapack, eigh_tridiagonal, get_lapack_funcs
 
 from .constants import E_CHARGE, H
 from .errors import ConvergenceError, check_fields
@@ -184,6 +186,16 @@ def _phase_basis(dim: int):
     return lam, d2_x, d_x, parity_x
 
 
+_SYEVR, _SYEVR_LWORK = get_lapack_funcs(("syevr", "syevr_lwork"), dtype=np.float64)
+
+
+@lru_cache(maxsize=8)
+def _syevr_workspace(dim: int) -> dict:
+    """dsyevr's optimal workspace at ``dim``: it sets dsytrd's blocking, so the bits."""
+    work, iwork, _ = _SYEVR_LWORK(dim, lower=1)  # a failed query fails the solve
+    return {"lwork": int(work), "liwork": int(iwork)}
+
+
 def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: int,
                  energies_only: bool = False):
     """Diagonalize at a fixed oscillator-basis truncation ``dim``; with
@@ -191,7 +203,7 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
     # geometric mean of the LC length and the full-curvature length (module doc)
     phi_zpf = (2.0 * params.ec / params.el) ** 0.25 \
         * (params.el / (params.el + params.ej)) ** 0.125
-    n_zpf = 0.5 / phi_zpf
+    n_zpf = 0.5 / phi_zpf if phi_zpf else np.inf  # 0 if the ratio underflows: named below
     theta = 2.0 * np.pi * phi_ext
 
     lam, d2_x, d_x, parity_x = _phase_basis(dim)
@@ -199,9 +211,14 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
     h_mat = -4.0 * params.ec * n_zpf**2 * d2_x
     idx = np.arange(dim)
     h_mat[idx, idx] += -params.ej * np.cos(phi_grid + theta) + 0.5 * params.el * phi_grid**2
+    if not np.isfinite(h_mat).all():
+        raise ValueError(f"Hamiltonian at phi_ext={phi_ext!r} has a non-finite entry")
+    energies, v, _, _, info = _SYEVR(h_mat, compute_v=int(not energies_only), range="I",
+                                     lower=1, il=1, iu=n_levels, **_syevr_workspace(dim))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed at phi_ext={phi_ext!r}: info {info}")
     if energies_only:
-        return eigh(h_mat, subset_by_index=[0, n_levels - 1], eigvals_only=True)
-    energies, v = eigh(h_mat, subset_by_index=[0, n_levels - 1])
+        return energies[:n_levels]
 
     phi_centered = (v.T * phi_grid) @ v
     n_elem = 1j * n_zpf * (v.T @ d_x @ v)
@@ -215,7 +232,7 @@ def _solve_basis(params: FluxoniumParams, phi_ext: float, n_levels: int, dim: in
         sin_half_elem[parity[:, None] != parity] = 0.0
     phi_elem = phi_centered + theta * np.eye(n_levels)
 
-    return energies, n_elem, phi_elem, sin_half_elem, np.diag(phi_centered).copy()
+    return energies[:n_levels], n_elem, phi_elem, sin_half_elem, np.diag(phi_centered).copy()
 
 
 def diagonalize(

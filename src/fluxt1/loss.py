@@ -21,6 +21,9 @@ bath that splits the pair total into a downward (j -> i) and an upward
   imposing a quantum asymmetry on top would double count.
 
 The aluminum gap ``GAP`` and the resonator impedance ``RESONATOR_Z0`` are constants.
+
+A spectrum's channels share, write-locked in its ``memo``, its split pairs
+(f_ij, omega), each operator's |O_ij|^2 and each bath's factors per temperature.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 
 from .constants import E_CHARGE, H, HBAR, K_B, PHI0
 from .errors import QuasiparticleEnergyWarning, ZeroTransitionError, check_fields
-from .hamiltonian import Spectrum
+from .hamiltonian import Spectrum, _lock
 from .resonator import RESONATOR_Z0, ResonatorParams, coupling_capacitance
 
 # Control and readout lines present a matched microwave environment.
@@ -214,14 +217,55 @@ class ChannelPairs:
         return zero, np.full(1, Q_REFERENCE_FREQUENCY), zero, zero
 
 
+def _shared(spec: Spectrum, key, make) -> tuple:
+    """The arrays under ``key`` that every channel of ``spec`` shares, write-locked."""
+    work = spec.memo.setdefault("channel_work", {})
+    if key not in work:
+        work[key] = tuple(map(_lock, make()))
+    return work[key]
+
+
+def _level_pairs(spec: Spectrum) -> tuple:
+    """(i, j) of the pairs i < j, the split mask f_ij != 0, and its i, j, f and omega."""
+    i, j = _upper_pairs(spec.n_levels)
+    # energies ascend, so level j lies above level i in every pair
+    f = spec.energies[j] - spec.energies[i]
+    split = f != 0.0
+    fs = f[split]
+    return i, j, split, i[split], j[split], fs, 2.0 * math.pi * fs
+
+
+def _squared_elements(spec: Spectrum, op: str, i, j, split) -> tuple:
+    """|O_ij|^2 of ``op`` on the split pairs, and the degenerate pairs where it is nonzero."""
+    # one canonical slot keeps up/down exact where the two float entries differ
+    # at roundoff (parity-forbidden pairs); float_power squares through C pow,
+    # bit for bit like Python's float **, as the scalar formula would
+    elem2 = np.float_power(np.abs(getattr(spec, op)[i, j]), 2)
+    return elem2[split], np.flatnonzero((elem2 != 0.0) & ~split)
+
+
+def _bath_factors(fs: np.ndarray, bath: str, temperature: float) -> tuple:
+    """(down, up): the shares of each split pair's total the bath sends down and up."""
+    if bath == "symmetric":
+        return np.ones_like(fs), np.ones_like(fs)
+    if bath == "boltzmann":
+        return np.ones_like(fs), np.exp(-H * fs / (K_B * temperature))
+    # absorption factor 1/(exp(2x) - 1); beyond x = 350 it is exactly 0
+    x = H * fs / (2.0 * K_B * temperature)
+    absorption = np.zeros_like(x)
+    warm = x <= 350.0
+    absorption[warm] = 1.0 / np.expm1(2.0 * x[warm])
+    return 1.0 + absorption, absorption
+
+
 def build_mechanism_table(
     spec: Spectrum,
     res: ResonatorParams | None,
     env: Environment,
     mechanism: Mechanism,
 ) -> ChannelPairs:
-    """One mechanism's freshly built ``ChannelPairs`` at the spectrum's bias:
-    everything of its rates but the capacitive quality factor.
+    """One mechanism's ``ChannelPairs`` at the spectrum's bias: everything of
+    its rates but the capacitive quality factor.
 
     ``res`` is only consulted by the Purcell channel and may be None for the
     others. A degenerate pair (f_ij = 0) with a nonzero matrix element and a
@@ -233,12 +277,7 @@ def build_mechanism_table(
     if mechanism is Mechanism.PURCELL and res is None:
         raise ValueError("Purcell rates require resonator parameters")
     p = spec.params
-    # energies ascend, so level j lies above level i in every pair
-    i, j = _upper_pairs(spec.n_levels)
-    f = spec.energies[j] - spec.energies[i]
-    split = f != 0.0
-    fs = f[split]
-    omega = 2.0 * math.pi * fs
+    i, j, split, i_split, j_split, fs, omega = _shared(spec, "pairs", lambda: _level_pairs(spec))
 
     # operator, coupling prefactor (zero switches the channel off), spectral
     # function on the split pairs, and bath
@@ -246,53 +285,47 @@ def build_mechanism_table(
     if mechanism is Mechanism.CAPACITIVE:
         # S = 1 / Q'(f) carries qc_eff and the exponent: ChannelPairs.table
         # and capacitive_pair_rates apply it
-        op, coupling = spec.n_elem, 16.0 * H * p.ec / HBAR
-        spectral = None
+        op, coupling = "n_elem", 16.0 * H * p.ec / HBAR
+        spectral = 1.0
     elif mechanism is Mechanism.FLUX_NOISE:
         # 1/f noise S_Phi(w) = 2 pi A_phi Phi0^2 / w; a zero A_phi switches
         # the channel off through the prefactor
-        op, bath = spec.phi_elem, "symmetric"
+        op, bath = "phi_elem", "symmetric"
         coupling = 2.0 / HBAR**2 * (2.0 * math.pi * H * p.el / PHI0) ** 2 if env.a_phi else 0.0
         spectral = 2.0 * math.pi * env.a_phi * PHI0**2 / omega
     elif mechanism in (Mechanism.QP_JUNCTION, Mechanism.QP_ARRAY):
         # the array's per-junction phase drop is linearized, so the junction
         # count cancels and the closed form carries 2 E_L and the full phi
         if mechanism is Mechanism.QP_JUNCTION:
-            op, coupling = spec.sin_half_elem, 16.0 * H * p.ej * env.x_qp / (math.pi * HBAR)
+            op, coupling = "sin_half_elem", 16.0 * H * p.ej * env.x_qp / (math.pi * HBAR)
         else:
-            op, coupling = spec.phi_elem, 2.0 * H * p.el * env.x_qp / (math.pi * HBAR)
+            op, coupling = "phi_elem", 2.0 * H * p.el * env.x_qp / (math.pi * HBAR)
         spectral, bath = np.sqrt(2.0 * GAP / fs), "boltzmann"
     elif mechanism is Mechanism.CHARGE_LINE:
         # voltage noise S_V = hbar w Z coth(x) through C_d across n
-        op = spec.n_elem
+        op = "n_elem"
         coupling = 2.0 / HBAR**2 * (2.0 * E_CHARGE * env.c_drive / p.c_sigma) ** 2
         spectral = HBAR * omega * LINE_IMPEDANCE
     elif mechanism is Mechanism.FLUX_LINE:
         # current noise S_I = hbar w coth(x) / Z through M_d across phi
-        op = spec.phi_elem
+        op = "phi_elem"
         coupling = 2.0 / HBAR**2 * (2.0 * math.pi * H * p.el * env.m_drive / PHI0) ** 2
         spectral = HBAR * omega / LINE_IMPEDANCE
     else:
         # (8 e^2 w / hbar) (C_c/C_Sigma)^2 Re[Z_in(w)] coth(x) at t_res
-        op, temperature = spec.n_elem, env.t_res
+        op, temperature = "n_elem", env.t_res
         c_ratio = coupling_capacitance(res, p.c_sigma) / p.c_sigma
         coupling = 8.0 * E_CHARGE**2 / HBAR * c_ratio**2
         spectral = omega * purcell_resistance(res, fs)
 
-    # |M_ij|^2 from the canonical upper slot: the two float entries can differ
-    # at roundoff on parity-forbidden pairs, and one slot keeps up/down exact.
-    # float_power squares through C pow, bit for bit like Python's float **,
-    # so each entry equals the scalar evaluation of its formula
-    elem2 = np.float_power(np.abs(op[i, j]), 2)
-    live = (elem2 != 0.0) & (coupling != 0.0)
-    degenerate = np.flatnonzero(live & ~split)
-    if degenerate.size:
+    elem2, degenerate = _shared(spec, op, lambda: _squared_elements(spec, op, i, j, split))
+    if coupling != 0.0 and degenerate.size:
         k = degenerate[0]
         raise ZeroTransitionError(
             f"degenerate pair ({i[k]}, {j[k]}): {mechanism.value} rate undefined"
         )
     if bath == "boltzmann":
-        n_hot = np.count_nonzero(live & (f > GAP / 10.0))
+        n_hot = np.count_nonzero((elem2 != 0.0) & (fs > GAP / 10.0)) if coupling != 0.0 else 0
         if n_hot:
             warnings.warn(
                 f"{mechanism.value}: {n_hot} level pair(s) lie above gap/10 = "
@@ -302,20 +335,8 @@ def build_mechanism_table(
                 stacklevel=2,
             )
 
-    strength = coupling * elem2[split]
-    if spectral is not None:
-        strength = strength * spectral
-    if bath == "symmetric":
-        down = up = np.ones_like(fs)
-    elif bath == "boltzmann":
-        down, up = np.ones_like(fs), np.exp(-H * fs / (K_B * temperature))
-    else:
-        # absorption factor 1/(exp(2x) - 1); beyond x = 350 it is exactly 0
-        x = H * fs / (2.0 * K_B * temperature)
-        absorption = np.zeros_like(x)
-        warm = x <= 350.0
-        absorption[warm] = 1.0 / np.expm1(2.0 * x[warm])
-        down, up = 1.0 + absorption, absorption
-
-    return ChannelPairs(mechanism=mechanism, n=spec.n_levels, i=i[split], j=j[split], f=fs,
+    strength = coupling * elem2 * spectral
+    down, up = _shared(spec, (bath, temperature),
+                       lambda: _bath_factors(fs, bath, temperature))
+    return ChannelPairs(mechanism=mechanism, n=spec.n_levels, i=i_split, j=j_split, f=fs,
                         strength=strength, down=down, up=up)

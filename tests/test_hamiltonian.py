@@ -4,19 +4,22 @@ import itertools
 import math
 import re
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
+from fluxt1 import hamiltonian
 from fluxt1.hamiltonian import (
     FluxBias,
     FluxoniumParams,
     diagonalize,
     flux_dispersion,
 )
+from fluxt1.io import parse_device_file
 from fluxt1.loss import Mechanism
 from fluxt1.pipeline import CachedSpectrumProvider
 
@@ -300,6 +303,69 @@ class TestBasisConvergence:
         assert max(dims) <= 80
         if qubit != "A5":
             assert dims == {60}
+
+
+DEVICES = Path(__file__).resolve().parents[1] / "devices"
+SOLVE_FLUXES = (0.0, 0.13, 0.25, 0.5)
+
+
+class TestDirectSolve:
+    """Each basis is solved by dsyevr directly, with the arguments and the
+    workspace of scipy.linalg.eigh(h, subset_by_index=[0, n - 1])."""
+
+    @staticmethod
+    def _record(monkeypatch) -> list:
+        """(h, compute_v, n, outputs) of every dsyevr call from here on."""
+        solve, solved = hamiltonian._SYEVR, []
+
+        def recording(h, **kwargs):
+            out = solve(h, **kwargs)
+            solved.append((h.copy(), kwargs["compute_v"], kwargs["iu"], out))
+            return out
+
+        monkeypatch.setattr(hamiltonian, "_SYEVR", recording)
+        return solved
+
+    @pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4", "a5", "b1", "b2", "b3"])
+    def test_solve_is_eigh_bit_for_bit(self, name, monkeypatch):
+        params = parse_device_file(str(DEVICES / f"{name}.json")).fluxonium_params()
+        solved = self._record(monkeypatch)
+        cases = list(itertools.product(SOLVE_FLUXES, (2, 6)))
+        # at these biases the growth loop solves energies alone at 40 and
+        # vectors at 60; it reaches 80 on A5 near Phi = 0.3, and 100 from a
+        # start at 80. Here each of those bases is solved both ways in every
+        # case, on one BLAS thread, as diagonalize solves
+        assert {diagonalize(params, FluxBias(phi), n_levels=levels).basis_dim
+                for phi, levels in cases} == {60}
+        with hamiltonian._one_blas_thread():
+            for (phi, levels), dim in itertools.product(cases, (40, 60, 80, 100)):
+                for energies_only in (True, False):
+                    hamiltonian._solve_basis(params, phi, levels, dim, energies_only)
+            for h, compute_v, n, (w, v, _, _, info) in solved:
+                assert info == 0
+                if compute_v:
+                    energies, vectors = eigh(h, subset_by_index=[0, n - 1])
+                    assert v.tobytes() == vectors.tobytes()
+                else:
+                    energies = eigh(h, subset_by_index=[0, n - 1], eigvals_only=True)
+                assert w[:n].tobytes() == energies.tobytes()
+        assert {(len(h), compute_v) for h, compute_v, _, _ in solved} == set(
+            itertools.product((40, 60, 80, 100), (0, 1)))
+
+    def test_a_non_finite_hamiltonian_never_reaches_lapack(self, monkeypatch):
+        solved = self._record(monkeypatch)
+        huge = FluxoniumParams(ej=1e307, ec=1e307, el=1e307)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"phi_ext=0\.3 has a non-finite entry"):
+                diagonalize(huge, FluxBias(0.3))
+        assert solved == []
+
+    def test_a_failed_solve_raises_naming_the_bias(self, b1_params, monkeypatch):
+        solve = hamiltonian._SYEVR
+        monkeypatch.setattr(hamiltonian, "_SYEVR",
+                            lambda h, **kwargs: (*solve(h, **kwargs)[:-1], 1))
+        with pytest.raises(np.linalg.LinAlgError, match=r"phi_ext=0\.3: info 1"):
+            diagonalize(b1_params, FluxBias(0.3))
 
 
 class TestTransitionFrequency:

@@ -1054,6 +1054,28 @@ class TestCli:
         assert json.loads(err)["error"]["type"] == "ResonanceCollisionError"
 
 
+    @pytest.mark.filterwarnings("ignore:.*plausible")
+    @pytest.mark.parametrize("energies, overflows", [
+        # every Hamiltonian entry overflows to inf
+        (dict(ej_ghz=1e298, ec_ghz=1e298, el_ghz=1e298), True),
+        # (el / (el + ej))^(1/8) underflows to 0, and the basis length with it
+        (dict(el_ghz=1e-300, ej_ghz=1e290), False),
+    ], ids=["overflowed_entry", "underflowed_length"])
+    def test_unsolvable_hamiltonian_is_a_numerical_error_naming_the_bias(
+            self, tmp_path, capsys, energies, overflows):
+        device = tmp_path / "extreme.json"
+        device.write_text(json.dumps(dict(A1_ROW, **energies)))
+        argv = ["spectrum", "--device", str(device), "--flux", "0.3"]
+        if overflows:
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                code, out, err = run_cli(argv, capsys)
+        else:
+            code, out, err = run_cli(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == {
+            "type": "ValueError", "message": "Hamiltonian at phi_ext=0.3 has a non-finite entry"}
+
 B1_ROW = dict(qubit_id="B1", process_label="B", ej_ghz=3.15, ec_ghz=1.04, el_ghz=0.50,
               omega_res_ghz=7.039, g_mhz=118, kappa_mhz=0.29, sqrt_a_phi_uphi0=5.2)
 

@@ -1,9 +1,10 @@
 """Per-mechanism rates: closed-form oracles, detailed balance, limits."""
 
+import itertools
 import math
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from fluxt1.io import parse_device_file
 from fluxt1.loss import (
     ANALYSIS_MECHANISMS,
     GAP,
+    ChannelPairs,
     Environment,
     Mechanism,
     build_mechanism_table,
@@ -444,6 +446,26 @@ class TestBuildMechanismTable:
         table = rates(spec, b1_environment, Mechanism.CAPACITIVE, b1_resonator)
         assert np.count_nonzero(table) == 2
         assert table[0, 0] == 0.0 and table[1, 1] == 0.0
+
+    def test_shared_work_is_keyed_by_operator_and_temperature(self, b1_params, b1_resonator):
+        # the channels of one spectrum share its split pairs, each operator's
+        # |O_ij|^2 and each bath's factors at each temperature: every channel
+        # built there in baths that differ in t_qubit or t_res alone equals
+        # its build on a copy of the spectrum with an empty memo
+        spec = diagonalize(b1_params, FluxBias(0.3), n_levels=6)
+        base = Environment(a_phi=1e-11, x_qp=1e-9)
+        baths = [base, replace(base, t_qubit=0.02), replace(base, t_res=0.12),
+                 replace(base, t_qubit=0.08, t_res=0.03)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", QuasiparticleEnergyWarning)
+            for env, mechanism in itertools.product(baths, Mechanism):
+                shared = build_mechanism_table(spec, b1_resonator, env, mechanism)
+                fresh = build_mechanism_table(replace(spec), b1_resonator, env, mechanism)
+                for f in fields(ChannelPairs):
+                    got, want = getattr(shared, f.name), getattr(fresh, f.name)
+                    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), \
+                        (env, mechanism, f.name)
+        assert spec.memo
 
     @pytest.mark.parametrize("mechanism", [
         Mechanism.CAPACITIVE, Mechanism.CHARGE_LINE, Mechanism.FLUX_LINE,
